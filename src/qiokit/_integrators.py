@@ -26,13 +26,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from .exceptions import ZeroJumpRate
+from .operators import dag
 
 EIG_CLIP = -1e-12
 TRACE_FLOOR = 1e-290
-
-
-def dag(x):
-    return np.conjugate(np.swapaxes(x, -1, -2))
+DARK_RATE = 1e-14  # a jump at this rate or below has likelihood zero
+# Largest condition number of the eigenvectors U of the no-jump generator for
+# which its eigenbasis is used; quantities built on it lose up to cond(U)^2 eps.
+EIG_COND_MAX = 1e3
 
 
 def btrace(x):
@@ -209,11 +210,13 @@ def sweep_counting_simulate(H, L, rho0, dt, n_steps, uniforms, lam=1.0,
     )
 
 
+def _n_cells(horizon, dt):
+    return max(int(np.ceil(horizon / dt - 1e-9)), 1)
+
+
 def _cell_grid(horizon, dt):
     """Cell boundaries 0, dt, 2dt, ..., horizon (fractional last cell allowed)."""
-    n = int(np.ceil(horizon / dt - 1e-9))
-    n = max(n, 1)
-    t = np.arange(n + 1) * dt
+    t = np.arange(_n_cells(horizon, dt) + 1) * dt
     t[-1] = horizon
     return t
 
@@ -273,7 +276,7 @@ def replay_counting(H, L, rho0, dt, horizon, jumps, lam=1.0,
                     core_log += np.log(f)
                 pos = tau
                 rate = expect(LdL, rho).real
-                if rate <= 1e-14:
+                if rate <= DARK_RATE:
                     if on_dark == "raise":
                         raise ZeroJumpRate(
                             f"record jumps at t={tau:.6g} while the jump rate is zero"
@@ -300,172 +303,164 @@ def replay_counting(H, L, rho0, dt, horizon, jumps, lam=1.0,
     )
 
 
-class CountingLoglik:
-    """Fast counting log-likelihood, identical in scheme to the grid replay.
+def _kron_conj(x):
+    """Superoperator kron(conj x, x) of rho -> x rho x^dag, batched."""
+    d = x.shape[-1]
+    prod = x.conj()[..., :, None, :, None] * x[..., None, :, None, :]
+    return prod.reshape(x.shape[:-2] + (d * d, d * d))
 
-    Propagates the vectorized linear map through whole-cell powers (via an
-    eigendecomposition of the one-cell superoperator) and fractional
-    sub-steps at jump times, renormalizing per segment.  Cost is
-    O(number of jumps), independent of the number of grid cells, which is
-    what makes likelihood optimization over long records practical.
+
+class CountingLoglik:
+    """Counting log-likelihood engine, batched over parameter points.
+
+    Same scheme as the grid replay: the no-jump Kraus map 1 - delta G
+    (G = iH + L^dag L/2) over whole cells and over the sub-steps that jumps
+    cut out of a cell, rho -> L rho L^dag at jumps.  These maps share the
+    eigenvectors U of G, so the stretch since the previous jump fuses into
+    one Kraus operator U diag(nu) U^-1, built vectorized over jumps in
+    bounded blocks.  Per jump, one matrix-vector product applies the fused
+    and jump maps and gives both traces, then one renormalization; the
+    log-likelihood sums the log factors.  Jump-free runs renormalize every
+    ``_CHUNK`` cells.  ``H``, ``L``: (n, d, d) stacks or one model; ``loglik``
+    returns (n,).  A jump at rate <= 1e-14 or a non-positive trace gives
+    -inf for that point only.  Points with cond(U) >= EIG_COND_MAX
+    (near-defective G) take matrix powers instead.
     """
 
-    _CHUNK = 10_000  # renormalize at least this often to dodge underflow
+    _CHUNK = 10_000  # renormalize at least this often in jump-free runs
+    _BLOCK = 1 << 15  # complex entries in one block of per-jump maps
 
     def __init__(self, H, L, dt, lam=1.0):
-        self.dt = float(dt)
-        self.lam = float(lam)
-        self.H = np.asarray(H, dtype=complex)
-        self.L = np.asarray(L, dtype=complex)
-        self.d = self.L.shape[0]
-        LdL = self.L.conj().T @ self.L
-        self._LdL = LdL
-        self._gen = nojump_generator(self.H, LdL)
-        M = nojump_kraus(self._gen, self.dt)
-        Mv = np.kron(M.conj(), M)
-        self._Mv = Mv
-        self._Jv = np.kron(self.L.conj(), self.L)
-        self._tracevec = np.eye(self.d).reshape(-1, order="F").astype(complex)
+        H = np.asarray(H, dtype=complex)
+        L = np.asarray(L, dtype=complex)
+        if L.ndim == 2:
+            H, L = H[None], L[None]
+        self.dt, self.lam = float(dt), float(lam)
+        n, d = L.shape[0], L.shape[-1]
+        eye = _identity(d)
+        self._gen = nojump_generator(H, dag(L) @ L)
         try:
-            w, P = np.linalg.eig(Mv)
-            Pinv = np.linalg.inv(P)
-            cond = np.linalg.cond(P)
-            self._eig = (w, P, Pinv) if np.isfinite(cond) and cond < 1e12 else None
+            g, U = np.linalg.eig(self._gen)
+            with np.errstate(all="ignore"):
+                cond = np.linalg.cond(U)
+            ok = np.isfinite(cond) & (cond < EIG_COND_MAX)
         except np.linalg.LinAlgError:
-            self._eig = None
+            g, U, ok = np.zeros((n, d), complex), eye, np.zeros(n, dtype=bool)
+        self._U = np.where(ok[:, None, None], U, eye)
+        self._Uinv = np.linalg.inv(self._U)
+        self._g = g
+        # log of the one-cell eigenvalues 1 - dt g, nonzero under the step guard
+        self._logmu = np.log(1.0 - self.dt * g)
+        self._bad = np.flatnonzero(~ok)
+        self._L = L
 
-    def _power_renorm(self, v, k, total):
-        """k whole-cell no-jump steps, renormalized, log factor accumulated.
-
-        Works in chunks so the trace never underflows on long jump-free runs.
-        """
-        while k > 0:
-            step = min(k, self._CHUNK)
-            if self._eig is not None:
-                w, P, Pinv = self._eig
-                v = P @ (w**step * (Pinv @ v))
-            else:
-                v = np.linalg.matrix_power(self._Mv, step) @ v
-            k -= step
-            tr = (self._tracevec @ v).real
-            if tr <= 0.0:
-                return v, -np.inf
-            v = v / tr
-            total += np.log(tr)
-        return v, total
-
-    def _frac_renorm(self, v, delta, total):
-        """Fractional no-jump sub-step, renormalized, log factor accumulated."""
-        M = nojump_kraus(self._gen, delta)
-        rho = v.reshape((self.d, self.d), order="F")
-        v = (M @ rho @ M.conj().T).reshape(-1, order="F")
-        tr = (self._tracevec @ v).real
-        if tr <= 0.0:
-            return v, -np.inf
-        return v / tr, total + np.log(tr)
+    def _fused(self, a, k, b, is_jump):
+        """Per event, with N = M_b M_dt^k M_a and A = L N at a jump (else N):
+        rows on vec(rho) of A rho A^dag, Tr(A rho A^dag), Tr(N rho N^dag)."""
+        a, b = a[:, None, None], b[:, None, None]
+        nu = (1.0 - a * self._g) * (1.0 - b * self._g) * np.exp(k[:, None, None] * self._logmu)
+        N = (self._U * nu[..., None, :]) @ self._Uinv
+        for r in self._bad:
+            gen = self._gen[r]
+            cells = [np.linalg.matrix_power(nojump_kraus(gen, self.dt), j) for j in k]
+            N[:, r] = nojump_kraus(gen, b) @ np.stack(cells) @ nojump_kraus(gen, a)
+        K = _kron_conj(np.where(is_jump[:, None, None, None], self._L @ N, N))
+        KN = _kron_conj(N)
+        diag = np.arange(0, K.shape[-1], N.shape[-1] + 1)  # vec(rho) indices of Tr
+        traces = [X[..., diag, :].sum(axis=-2, keepdims=True) for X in (K, KN)]
+        return np.concatenate([K] + traces, axis=-2)
 
     def loglik(self, rho0, horizon, jumps):
-        grid = _cell_grid(horizon, self.dt)
-        n = len(grid) - 1
         jumps = np.asarray(jumps, dtype=float)
-        v = np.asarray(rho0, dtype=complex).reshape(-1, order="F").copy()
-        total = 0.0
-        # cell j holds jumps in (grid[j], grid[j+1]]
-        jcell = np.searchsorted(grid, jumps, side="left") - 1
-        last_is_std = abs((grid[n] - grid[n - 1]) - self.dt) <= 1e-12 * self.dt
-        jp = 0
-        next_cell = 0
-        while jp < len(jumps) and np.isfinite(total):
-            c = int(jcell[jp])
-            v, total = self._power_renorm(v, c - next_cell, total)
-            pos = grid[c]
-            while jp < len(jumps) and jcell[jp] == c and np.isfinite(total):
-                tau = jumps[jp]
-                if tau - pos > 1e-15:
-                    v, total = self._frac_renorm(v, tau - pos, total)
-                rate = float(np.einsum(
-                    "ij,ji->", self._LdL, v.reshape((self.d, self.d), order="F")
-                ).real)
-                if rate <= 1e-14:
-                    return -np.inf
-                v = self._Jv @ v
-                tr = (self._tracevec @ v).real
-                total += np.log(tr)
-                v = v / tr
-                pos = tau
-                jp += 1
-            if np.isfinite(total) and grid[c + 1] - pos > 1e-15:
-                v, total = self._frac_renorm(v, grid[c + 1] - pos, total)
-            next_cell = c + 1
-        if not np.isfinite(total):
-            return -np.inf
-        # jump-free tail; the last cell may be fractional
-        if next_cell < n:
-            if last_is_std:
-                v, total = self._power_renorm(v, n - next_cell, total)
-            else:
-                v, total = self._power_renorm(v, n - 1 - next_cell, total)
-                if np.isfinite(total):
-                    v, total = self._frac_renorm(v, grid[n] - grid[n - 1], total)
-        if not np.isfinite(total):
-            return -np.inf
-        return float(
-            total + self.lam * horizon - len(jumps) * np.log(self.lam)
-        )
+        n_cells = _n_cells(horizon, self.dt)
+        # events: the jumps, then jump-free renormalization points and the horizon
+        marks = np.arange(self._CHUNK, n_cells, self._CHUNK) * self.dt
+        taus = np.concatenate((jumps, marks, [horizon]))
+        order = np.argsort(taus, kind="stable")
+        taus, is_jump = taus[order], order < len(jumps)
+        # cell c is (c dt, (c+1) dt], the last one ends at the horizon; a time
+        # on a boundary may land in either neighbour, which fuses to the same map
+        cells = np.clip(np.ceil(taus / self.dt).astype(int) - 1, 0, n_cells - 1)
+        prev_tau = np.concatenate(([0.0], taus[:-1]))
+        prev_cell = np.concatenate(([-1], cells[:-1]))
+        same = cells == prev_cell
+        a = np.where(same, 0.0, (prev_cell + 1) * self.dt - prev_tau)
+        b = np.where(same, taus - prev_tau, taus - cells * self.dt)
+        k = np.where(same, 0, cells - prev_cell - 1)
+
+        n, d2 = self._L.shape[0], self._L.shape[-1] ** 2
+        y = np.repeat(np.asarray(rho0, complex).reshape(1, -1, 1, order="F"), n, axis=0)
+        S = np.empty((len(taus), n))  # trace after each event's map (before it: 1)
+        Q = np.empty((len(taus), n))  # trace before the jump map
+        block = max(1, self._BLOCK // (n * d2 * (d2 + 2)))
+        with np.errstate(all="ignore"):
+            for lo in range(0, len(taus), block):
+                part = slice(lo, lo + block)
+                G = self._fused(a[part], k[part], b[part], is_jump[part])
+                X = np.empty(G.shape[:-1] + (1,), dtype=complex)
+                vecs, traces = X[:, :, :d2], X[:, :, d2:d2 + 1].real
+                for i in range(len(G)):
+                    np.matmul(G[i], y, out=X[i])
+                    y = vecs[i] / traces[i]
+                S[part] = X[:, :, d2, 0].real
+                Q[part] = X[:, :, d2 + 1, 0].real
+            dark = is_jump[:, None] & ~(S > DARK_RATE * Q)
+            dead = np.any(dark | ~(Q > 0.0), axis=0)
+            total = np.sum(np.log(S), axis=0)
+        total += self.lam * horizon - len(jumps) * np.log(self.lam)
+        return np.where(dead | ~np.isfinite(total), -np.inf, total)
 
 
 def sample_counting_exact(H, L, rho0, T, rng):
     """Exact waiting-time sampling of jump times via the effective Hamiltonian.
 
-    Propagates the no-jump dynamics with expm(-i H_e t), H_e = H - i L^dag L/2,
-    and inverts the survival probability Tr(M rho M^dag) by bisection.
-    Returns (jump_times, final normalized state).  Intended for small
-    dimensions; the cost per jump is one eigendecomposition reuse plus a
-    bisection loop.
+    Between jumps rho(t) = M rho M^dag, M = expm(-G t).  With G = U diag(g)
+    U^-1 the survival is S(t) = Re sum_ij c_ij exp(-(g_i + conj g_j) t),
+    c = (U^-1 rho U^-dag) * (U^dag U)^T, and each waiting time is the root of
+    S(t) = u, u uniform, by Brent's method on [0, T - t].  A near-defective
+    G (cond(U) >= EIG_COND_MAX) takes S(t) = Tr(M rho M^dag), M from expm.
+    Returns (jump_times, final normalized state).  For small dimensions.
     """
+    # imported here: at module level it made `import qiokit` 15 ms slower
+    from scipy import linalg, optimize
+
     H = np.asarray(H, dtype=complex)
     L = np.asarray(L, dtype=complex)
-    d = L.shape[0]
-    LdL = L.conj().T @ L
-    gen = -nojump_generator(H, LdL)
-    w, P = np.linalg.eig(gen)
-    Pinv = np.linalg.inv(P)
+    LdL = dag(L) @ L
+    gen = nojump_generator(H, LdL)
+    g, U = np.linalg.eig(gen)
+    closed = np.linalg.cond(U) < EIG_COND_MAX
+    Uinv = np.linalg.inv(U) if closed else None
+    exponents = -(g[:, None] + g.conj()[None, :])
+    gram = (dag(U) @ U).T
 
-    def propagate(rho, tau):
-        M = (P * np.exp(w * tau)) @ Pinv
-        return M @ rho @ M.conj().T
+    def evolve(rho, tau):
+        M = (U * np.exp(-g * tau)) @ Uinv if closed else linalg.expm(-tau * gen)
+        return M @ rho @ dag(M)
+
+    def survival(rho):
+        if not closed:
+            return lambda tau: btrace(evolve(rho, tau)).real
+        c = (Uinv @ rho @ dag(Uinv)) * gram
+        return lambda tau: np.sum(c * np.exp(exponents * tau)).real
 
     rho = np.asarray(rho0, dtype=complex).copy()
     t = 0.0
     times = []
     while t < T:
         u = rng.random()
-        remaining = T - t
-        if btrace(propagate(rho, remaining)).real > u:
-            rho = propagate(rho, remaining)
+        S = survival(rho)
+        if S(T - t) > u:
+            rho = evolve(rho, T - t)
             rho /= btrace(rho).real
             break
-        lo, hi = 0.0, remaining
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            # once a step leaves (lo, hi) unchanged, so do all later ones
-            if btrace(propagate(rho, mid)).real > u:
-                if mid == lo:
-                    break
-                lo = mid
-            else:
-                if mid == hi:
-                    break
-                hi = mid
-        tau = 0.5 * (lo + hi)
-        rho = propagate(rho, tau)
+        tau = optimize.brentq(lambda s: S(s) - u, 0.0, T - t, xtol=1e-14)
+        rho = evolve(rho, tau)
         rho /= btrace(rho).real
         rate = expect(LdL, rho).real
-        if rate <= 1e-14:
+        if rate <= DARK_RATE:
             break
-        rho = (L @ rho @ L.conj().T) / rate
+        rho = (L @ rho @ dag(L)) / rate
         t += tau
         times.append(min(t, T))
-        if t >= T:
-            break
     return np.asarray(times), rho

@@ -25,11 +25,12 @@ from .exceptions import (
     ZeroVariance,
 )
 from .families import ParameterFamily
-from .filtering import log_likelihood_many
-from .operators import QMarkovModel, _ergodic_stationary, _rho_array, zero_mean_inverse
+from .operators import QMarkovModel, _ergodic_stationary, _state_array, zero_mean_inverse
 from .trajectories import (
     CountingRecord,
     DiffusiveRecord,
+    _record_kind,
+    _step_guard,
     trajectory_rng,
 )
 
@@ -88,43 +89,51 @@ class FisherEstimate:
     mean_score_stderr: float
 
 
-def _total_loglik(family, theta, records, rho0, dt, lam):
-    """Sum of record log-likelihoods at one parameter point."""
-    model = family.model(theta)
-    return float(np.sum(log_likelihood_many(model, rho0, records, lam=lam, dt=dt)))
-
-
 def _grid_points(domain: np.ndarray, n: int) -> np.ndarray:
     axes = [np.linspace(lo, hi, n) for lo, hi in domain]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _counting_grid_logliks(family, thetas, records, rho0, dt, lam):
-    r0 = _rho_array(rho0)
-    out = np.empty(len(thetas))
-    for i, th in enumerate(thetas):
-        m = family.model(th)
-        prop = integ.CountingLoglik(m.H, m.L, dt, lam=lam)
-        out[i] = sum(prop.loglik(r0, r.horizon, r.jumps) for r in records)
-    return out
+def _model_stack(family, thetas):
+    """(H, L) of the family at each parameter point, stacked."""
+    models = [family.model(th) for th in thetas]
+    return np.stack([m.H for m in models]), np.stack([m.L for m in models])
 
 
-def _diffusive_grid_logliks(family, thetas, records, rho0, dt):
-    r0 = _rho_array(rho0)
-    nt = len(thetas)
-    d = family.base.dim
-    Hb = np.empty((nt, d, d), complex)
-    Lb = np.empty((nt, d, d), complex)
-    for i, th in enumerate(thetas):
-        m = family.model(th)
-        Hb[i], Lb[i] = m.H, m.L
-    total = np.zeros(nt)
-    for rec in records:
-        dY = np.tile(rec.increments, (nt, 1))
-        out = integ.sweep_diffusive(Hb, Lb, r0, rec.dt, dY=dY)
-        total += out.loglik
-    return total
+def _check_problem(family, thetas, records, dt, lam):
+    """Record kinds, reference intensity and step guard at every point of
+    ``thetas``; ||L_theta|| of an affine or phase family is largest at a
+    corner of the domain box, so a grid with the corners covers the box."""
+    if not records:
+        raise ValidationError("need at least one record")
+    _, L = _model_stack(family, thetas)
+    if _record_kind(records) is DiffusiveRecord:
+        _step_guard(L, max(r.dt for r in records))
+    elif not lam > 0:
+        raise ValidationError("reference intensity lam must be positive")
+    else:
+        _step_guard(L, dt)
+
+
+def _loglik_table(family, thetas, records, r0, dt, lam) -> np.ndarray:
+    """Log-likelihood of every record at every parameter point, (n_theta, n_records).
+
+    Counting records run through one likelihood engine batched over theta;
+    diffusive records that share a grid run in one sweep over theta x record.
+    """
+    H, L = _model_stack(family, thetas)
+    if isinstance(records[0], CountingRecord):
+        engine = integ.CountingLoglik(H, L, dt, lam=lam)
+        return np.stack([engine.loglik(r0, r.horizon, r.jumps) for r in records], axis=1)
+    table = np.empty((len(H), len(records)))
+    for step, n in {(r.dt, len(r)) for r in records}:
+        idx = [j for j, r in enumerate(records) if (r.dt, len(r)) == (step, n)]
+        dY = np.tile([records[j].increments for j in idx], (len(H), 1))
+        out = integ.sweep_diffusive(np.repeat(H, len(idx), axis=0),
+                                    np.repeat(L, len(idx), axis=0), r0, step, dY=dY)
+        table[:, idx] = out.loglik.reshape(len(H), len(idx))
+    return table
 
 
 def mle(
@@ -136,23 +145,20 @@ def mle(
 
     Evaluates the summed log-likelihood on a coarse grid (``grid_points``
     per axis, parameter dimension at most 2) and refines from the best
-    grid point with Nelder-Mead.  A numerically flat likelihood is
-    reported in the diagnostics and resolved to the lowest-index grid
-    point without refinement.
+    grid point with Nelder-Mead, recording ``nfev`` and ``converged`` in
+    the diagnostics.  A numerically flat likelihood is reported there too
+    and resolved to the lowest-index grid point without refinement.  The
+    records must share one kind, ``rho0`` must be a density matrix.
     """
     records = list(records)
-    if not records:
-        raise ValidationError("mle needs at least one record")
     if family.k > 2:
         raise ValidationError("grid search supports at most two parameters")
     if not np.all(np.isfinite(family.domain)):
         raise ValidationError("mle needs a bounded domain")
-    counting = isinstance(records[0], CountingRecord)
     thetas = _grid_points(family.domain, grid_points)
-    if counting:
-        logliks = _counting_grid_logliks(family, thetas, records, rho0, dt, lam)
-    else:
-        logliks = _diffusive_grid_logliks(family, thetas, records, rho0, dt)
+    _check_problem(family, thetas, records, dt, lam)
+    r0 = _state_array(rho0, family.base.dim)
+    logliks = _loglik_table(family, thetas, records, r0, dt, lam).sum(axis=1)
     finite = np.isfinite(logliks)
     if not np.any(finite):
         raise AllRecordsImpossible(
@@ -174,7 +180,7 @@ def mle(
     def neg(theta):
         if not family.in_domain(theta):
             return np.inf
-        return -_total_loglik(family, theta, records, rho0, dt, lam)
+        return -float(_loglik_table(family, [theta], records, r0, dt, lam).sum())
 
     res = optimize.minimize(
         neg, theta0, method="Nelder-Mead",
@@ -182,6 +188,7 @@ def mle(
         options={"xatol": 1e-6, "fatol": 1e-9},
     )
     diagnostics["nfev"] = int(res.nfev)
+    diagnostics["converged"] = bool(res.success)
     if -res.fun >= logliks[best]:
         return MLEResult(theta=np.atleast_1d(res.x), loglik=float(-res.fun),
                          diagnostics=diagnostics)
@@ -209,12 +216,9 @@ def posterior_grid(
         raise ValidationError("prior must assign one weight per grid point")
     if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-8:
         raise ValidationError("prior must be a probability vector on the grid")
-    records = [record]
-    counting = isinstance(record, CountingRecord)
-    if counting:
-        logliks = _counting_grid_logliks(family, grid, records, rho0, dt, lam)
-    else:
-        logliks = _diffusive_grid_logliks(family, grid, records, rho0, dt)
+    _check_problem(family, grid, [record], dt, lam)
+    r0 = _state_array(rho0, family.base.dim)
+    logliks = _loglik_table(family, grid, [record], r0, dt, lam)[:, 0]
     with np.errstate(divide="ignore"):
         logw = logliks + np.log(prior)
     if not np.any(np.isfinite(logw)):
@@ -290,17 +294,11 @@ def counting_fisher(family: ParameterFamily, theta: float, h: float | None = Non
     return mu_dot**2 / V
 
 
-def _simulate_family_records(family, thetas, rho0, kind, T, dt, seed, start_index=0):
+def _simulate_family_records(family, thetas, r0, kind, T, dt, seed, start_index=0):
     """One record per theta, each from its own Philox stream."""
-    r0 = _rho_array(rho0)
-    d = family.base.dim
     b = len(thetas)
     n = max(1, int(round(T / dt)))
-    Hb = np.empty((b, d, d), complex)
-    Lb = np.empty((b, d, d), complex)
-    for i, th in enumerate(thetas):
-        m = family.model(th)
-        Hb[i], Lb[i] = m.H, m.L
+    Hb, Lb = _model_stack(family, thetas)
     draws = np.empty((b, n))
     for i in range(b):
         rng = trajectory_rng(seed, start_index + i)
@@ -335,6 +333,7 @@ def abc_rejection(
     if kind not in ("counting", "diffusive"):
         raise ValidationError(f"unknown simulation kind {kind!r}")
     obs = np.atleast_1d(np.asarray(observed_stats, dtype=float))
+    r0 = _state_array(rho0, family.base.dim)
 
     def draw_batch(count, start):
         thetas = []
@@ -346,7 +345,7 @@ def abc_rejection(
     # pilot phase fixes the standardization
     pilot_thetas = draw_batch(n_pilot, 0)
     pilot_recs = _simulate_family_records(
-        family, pilot_thetas, rho0, kind, T, dt, seed + 1, 0
+        family, pilot_thetas, r0, kind, T, dt, seed + 1, 0
     )
     pilot_stats = np.array([np.atleast_1d(stat_fn(r)) for r in pilot_recs], dtype=float)
     sd = pilot_stats.std(axis=0, ddof=1)
@@ -354,7 +353,7 @@ def abc_rejection(
 
     thetas = draw_batch(n_sims, n_pilot)
     recs = _simulate_family_records(
-        family, thetas, rho0, kind, T, dt, seed + 1, n_pilot
+        family, thetas, r0, kind, T, dt, seed + 1, n_pilot
     )
     accepted = []
     for th, rec in zip(thetas, recs):
@@ -387,11 +386,11 @@ def mc_classical_fisher(
     if h is None:
         h = 1e-4 * max(1.0, abs(theta))
     thetas = [np.array([theta])] * n_traj
-    recs = _simulate_family_records(family, thetas, rho0, kind, T, dt, seed)
-    m_plus = family.model([theta + h])
-    m_minus = family.model([theta - h])
-    ll_plus = log_likelihood_many(m_plus, rho0, recs, lam=lam, dt=dt)
-    ll_minus = log_likelihood_many(m_minus, rho0, recs, lam=lam, dt=dt)
+    r0 = _state_array(rho0, family.base.dim)
+    recs = _simulate_family_records(family, thetas, r0, kind, T, dt, seed)
+    pair = [[theta + h], [theta - h]]
+    _check_problem(family, pair, recs, dt, lam)
+    ll_plus, ll_minus = _loglik_table(family, pair, recs, r0, dt, lam)
     scores = (ll_plus - ll_minus) / (2 * h)
     scores = scores[np.isfinite(scores)]
     n = len(scores)

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrators as integ
-from .exceptions import StepTooLarge, ValidationError
-from .operators import QMarkovModel, _rho_array
+from .exceptions import ValidationError
+from .operators import QMarkovModel, _rho_array, _state_array
 from .trajectories import (
     CountingRecord,
     DiffusiveRecord,
     FilterTrajectory,
     MeasurementRecord,
-    STEP_GUARD,
+    _record_kind,
+    _step_guard,
 )
 
 __all__ = [
@@ -64,14 +65,6 @@ class ZakaiTrajectory:
         return float(self.logtrace[-1])
 
 
-def _guard(model: QMarkovModel, dt: float):
-    lnorm2 = float(np.linalg.norm(model.L, 2)) ** 2
-    if dt * lnorm2 > STEP_GUARD:
-        raise StepTooLarge(
-            f"dt*||L||^2 = {dt * lnorm2:.3g} exceeds the guard {STEP_GUARD}"
-        )
-
-
 def run_filter(
     model: QMarkovModel, rho0, record: MeasurementRecord, *, dt: float = DEFAULT_DT,
 ) -> FilterTrajectory:
@@ -84,7 +77,7 @@ def run_filter(
     """
     rho0 = _rho_array(rho0)
     if isinstance(record, DiffusiveRecord):
-        _guard(model, record.dt)
+        _step_guard(model.L, record.dt)
         out = integ.sweep_diffusive(
             model.H, model.L, rho0, record.dt,
             dY=record.increments[None, :], keep_states=True,
@@ -94,7 +87,7 @@ def run_filter(
             times=times, states=out.states[0], loglik=float(out.loglik[0])
         )
     if isinstance(record, CountingRecord):
-        _guard(model, dt)
+        _step_guard(model.L, dt)
         out = integ.replay_counting(
             model.H, model.L, rho0, dt, record.horizon, record.jumps,
             keep_states=True, on_dark="raise",
@@ -119,7 +112,7 @@ def run_zakai(
         raise ValidationError("reference intensity lam must be positive")
     rho0 = _rho_array(rho0)
     if isinstance(record, DiffusiveRecord):
-        _guard(model, record.dt)
+        _step_guard(model.L, record.dt)
         out = integ.sweep_diffusive(
             model.H, model.L, rho0, record.dt,
             dY=record.increments[None, :], keep_states=True, keep_logtrace=True,
@@ -129,7 +122,7 @@ def run_zakai(
             times=times, states=out.states[0], logtrace=out.logtrace[0]
         )
     if isinstance(record, CountingRecord):
-        _guard(model, dt)
+        _step_guard(model.L, dt)
         out = integ.replay_counting(
             model.H, model.L, rho0, dt, record.horizon, record.jumps,
             lam=lam, keep_states=True, on_dark="dead",
@@ -146,25 +139,13 @@ def log_likelihood(
 ) -> float:
     """Trajectory log-likelihood, log Tr of the Zakai state at the horizon.
 
-    Counting records are evaluated with the segment propagator, which is
-    the grid replay's arithmetic with whole-cell runs collapsed into
-    matrix powers; cost scales with the number of jumps.  Returns -inf for
-    likelihood-zero records.
+    Counting records are evaluated with the counting likelihood engine,
+    which is the grid replay's arithmetic with each stretch between jumps
+    fused into one map; cost scales with the number of jumps.  Returns
+    -inf for likelihood-zero records.  ``rho0`` must be a density matrix
+    of the model's dimension.
     """
-    if not lam > 0:
-        raise ValidationError("reference intensity lam must be positive")
-    rho0 = _rho_array(rho0)
-    if isinstance(record, DiffusiveRecord):
-        _guard(model, record.dt)
-        out = integ.sweep_diffusive(
-            model.H, model.L, rho0, record.dt, dY=record.increments[None, :]
-        )
-        return float(out.loglik[0])
-    if isinstance(record, CountingRecord):
-        _guard(model, dt)
-        prop = integ.CountingLoglik(model.H, model.L, dt, lam=lam)
-        return prop.loglik(rho0, record.horizon, record.jumps)
-    raise ValidationError(f"unsupported record type {type(record).__name__}")
+    return float(log_likelihood_many(model, rho0, [record], lam=lam, dt=dt)[0])
 
 
 def log_likelihood_many(
@@ -173,23 +154,26 @@ def log_likelihood_many(
     """Log-likelihood of each record in a homogeneous batch.
 
     Diffusive batches must share dt and length and are evaluated in one
-    vectorized sweep; counting batches reuse one segment propagator.
+    vectorized sweep; counting batches share one likelihood engine, built
+    once, with one pass over each record's jumps.  Mixing record kinds
+    raises :class:`ValidationError`, as does a ``rho0`` that is not a
+    density matrix of the model's dimension.
     """
+    if not lam > 0:
+        raise ValidationError("reference intensity lam must be positive")
     records = list(records)
     if not records:
         return np.empty(0)
-    if isinstance(records[0], DiffusiveRecord):
+    kind = _record_kind(records)
+    rho0 = _state_array(rho0, model.dim)
+    if kind is DiffusiveRecord:
         dt0 = records[0].dt
         n0 = len(records[0])
         if any(r.dt != dt0 or len(r) != n0 for r in records):
             raise ValidationError("diffusive batch must share dt and length")
-        _guard(model, dt0)
+        _step_guard(model.L, dt0)
         dY = np.stack([r.increments for r in records])
-        out = integ.sweep_diffusive(model.H, model.L, _rho_array(rho0), dt0, dY=dY)
-        return out.loglik
-    _guard(model, dt)
-    if not lam > 0:
-        raise ValidationError("reference intensity lam must be positive")
-    prop = integ.CountingLoglik(model.H, model.L, dt, lam=lam)
-    r0 = _rho_array(rho0)
-    return np.array([prop.loglik(r0, r.horizon, r.jumps) for r in records])
+        return integ.sweep_diffusive(model.H, model.L, rho0, dt0, dY=dY).loglik
+    _step_guard(model.L, dt)
+    engine = integ.CountingLoglik(model.H, model.L, dt, lam=lam)
+    return np.array([engine.loglik(rho0, r.horizon, r.jumps)[0] for r in records])

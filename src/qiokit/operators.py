@@ -154,6 +154,16 @@ def _rho_array(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
+def _state_array(rho, dim: int) -> np.ndarray:
+    """``rho`` checked as a density matrix of dimension ``dim``, as an array."""
+    state = rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
+    if state.dim != dim:
+        raise ValidationError(
+            f"initial state has dimension {state.dim}, the model {dim}"
+        )
+    return state.rho
+
+
 @dataclass(frozen=True)
 class Superoperator:
     """Matrix of a linear map on d x d matrices, column-stacking convention.

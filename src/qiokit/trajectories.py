@@ -156,14 +156,30 @@ def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _check_grid(model: QMarkovModel, T: float, dt: float) -> int:
-    if not (dt > 0 and T > 0 and dt <= T * (1 + 1e-12)):
-        raise ValidationError("require 0 < dt <= T")
-    lnorm2 = float(np.linalg.norm(model.L, 2)) ** 2
+def _step_guard(L, dt: float) -> None:
+    """Raise StepTooLarge when dt*||L||^2 exceeds the guard; L may be a stack."""
+    lnorm2 = float(np.max(np.linalg.norm(L, 2, axis=(-2, -1)))) ** 2
     if dt * lnorm2 > STEP_GUARD:
         raise StepTooLarge(
             f"dt*||L||^2 = {dt * lnorm2:.3g} exceeds the guard {STEP_GUARD}"
         )
+
+
+def _record_kind(records) -> type:
+    """The one record type shared by every record; ValidationError otherwise."""
+    kinds = {type(r) for r in records}
+    if len(kinds) != 1 or not kinds <= {DiffusiveRecord, CountingRecord}:
+        raise ValidationError(
+            "records must be all counting or all diffusive records, got "
+            + ", ".join(sorted(k.__name__ for k in kinds))
+        )
+    return kinds.pop()
+
+
+def _check_grid(model: QMarkovModel, T: float, dt: float) -> int:
+    if not (dt > 0 and T > 0 and dt <= T * (1 + 1e-12)):
+        raise ValidationError("require 0 < dt <= T")
+    _step_guard(model.L, dt)
     return max(1, int(round(T / dt)))
 
 
@@ -253,11 +269,11 @@ def simulate_counting(
         else:
             # O(jumps) likelihood; the final state comes from the exact
             # propagation rather than the grid scheme.
-            prop = integ.CountingLoglik(model.H, model.L, dt)
+            engine = integ.CountingLoglik(model.H, model.L, dt)
             traj = FilterTrajectory(
                 times=np.array([0.0, T]),
                 states=rho_T,
-                loglik=prop.loglik(rho0, T, times),
+                loglik=float(engine.loglik(rho0, T, times)[0]),
             )
         return record, traj
     raise ValidationError(f"unknown counting method {method!r}")

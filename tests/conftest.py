@@ -2,14 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qiokit.operators import QMarkovModel, spectral_info
+
+# Deterministic property tests: the same examples on every run, no deadline.
+settings.register_profile("qiokit", derandomize=True, deadline=None, database=None)
+settings.load_profile("qiokit")
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 I2 = np.eye(2, dtype=complex)
+
+# qubit initial states that are not density matrices
+NON_PHYSICAL = {
+    "nan": np.array([[np.nan, 0.0], [0.0, 0.5]]),
+    "negative eigenvalue": np.diag([2.0, -1.0]),
+    "trace not one": np.eye(2),
+    "wrong dimension": np.eye(3) / 3,
+}
 
 
 def driven_qubit(omega=1.0, kappa=1.0) -> QMarkovModel:

@@ -156,6 +156,34 @@ class TestCLIAnalysis:
         payload = json.loads(out.read_text())
         assert 0.2 <= payload["theta_hat"][0] <= 2.0
 
+    def test_estimate_report_records_convergence(self, tmp_path, family_file):
+        fam = serialize.load_family(family_file)
+        mpath = tmp_path / "m.json"
+        serialize.save_model(fam.model([1.0]), mpath)
+        rec = tmp_path / "rec.json"
+        assert main(["simulate", "--model", str(mpath), "--kind", "counting",
+                     "--T", "40", "--dt", "1e-2", "--seed", "4",
+                     "--out", str(rec)]) == 0
+        out = tmp_path / "est.json"
+        argv = ["estimate", "--family", family_file, "--records", str(rec),
+                "--method", "mle", "--dt", "1e-2", "--grid", "11", "--out", str(out)]
+        assert main(argv) == 0
+        first = out.read_bytes()
+        assert json.loads(first)["diagnostics"]["converged"] is True
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+
+    def test_estimate_mixed_record_kinds_exit_2(self, tmp_path, family_file, capsys):
+        crec, drec = tmp_path / "c.json", tmp_path / "d.json"
+        serialize.save_record(CountingRecord(horizon=2.0, jumps=[0.5, 1.5]), crec)
+        serialize.save_record(DiffusiveRecord(dt=1e-2, increments=np.zeros(200)), drec)
+        code = main(["estimate", "--family", family_file,
+                     "--records", str(crec), str(drec),
+                     "--method", "mle", "--dt", "1e-2", "--grid", "5",
+                     "--out", str(tmp_path / "est.json")])
+        assert code == 2
+        assert "all counting or all diffusive" in capsys.readouterr().err
+
     def test_estimate_posterior_with_csv(self, tmp_path, family_file):
         fam = serialize.load_family(family_file)
         mpath = tmp_path / "m.json"

@@ -23,6 +23,7 @@ from qiokit.exceptions import (
 )
 from qiokit.families import ParameterFamily
 from qiokit.filtering import log_likelihood
+from qiokit.operators import DensityOperator
 from qiokit.operators import QMarkovModel
 from qiokit.trajectories import (
     CountingRecord,
@@ -32,7 +33,7 @@ from qiokit.trajectories import (
     simulate_homodyne,
 )
 
-from conftest import SM, SX, decay_qubit, driven_qubit
+from conftest import NON_PHYSICAL, SM, SX, decay_qubit, driven_qubit
 
 MIXED = np.eye(2, dtype=complex) / 2
 ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -110,6 +111,15 @@ class TestMLE:
         res = mle(fam, [rec], MIXED, grid_points=11, refine=False)
         assert abs(res.theta[0] - 1.0) < 0.5
 
+    def test_diffusive_records_on_different_grids(self):
+        fam = rabi_family(domain=((0.5, 1.5),))
+        model = fam.model([1.0])
+        recs = [simulate_homodyne(model, MIXED, T=T, dt=dt, seed=s, keep_states=False)[0]
+                for T, dt, s in ((3.0, 5e-3, 1), (2.0, 1e-2, 2), (3.0, 5e-3, 3))]
+        res = mle(fam, recs, MIXED, grid_points=5, refine=False)
+        want = sum(log_likelihood(fam.model(res.theta), MIXED, r) for r in recs)
+        assert res.loglik == pytest.approx(want, rel=1e-12)
+
     def test_lambda_invariance(self):
         fam = rabi_family()
         rec, _ = simulate_counting(fam.model([0.8]), MIXED, T=50.0, dt=5e-3, seed=4)
@@ -127,7 +137,66 @@ class TestMLE:
             mle(fam, [rec], ground, dt=1e-2)
 
 
+    def test_reports_nelder_mead_outcome(self):
+        fam = rabi_family()
+        rec, _ = simulate_counting(fam.model([1.0]), MIXED, T=50.0, dt=1e-2, seed=9)
+        res = mle(fam, [rec], MIXED, dt=1e-2)
+        assert res.diagnostics["nfev"] > 0
+        assert res.diagnostics["converged"] is True
+        assert mle(fam, [rec], MIXED, dt=1e-2).diagnostics == res.diagnostics
+
+    def test_mixed_record_kinds_raise(self):
+        fam = rabi_family()
+        crec = CountingRecord(horizon=1.0, jumps=[0.5])
+        drec = DiffusiveRecord(dt=1e-3, increments=np.zeros(10))
+        for recs in ([crec, drec], [drec, crec]):
+            with pytest.raises(ValidationError, match="all counting or all diffusive"):
+                mle(fam, recs, MIXED, dt=1e-3)
+
+    @pytest.mark.parametrize("name", sorted(NON_PHYSICAL))
+    def test_non_physical_initial_state_raises(self, name):
+        fam = rabi_family()
+        rec = CountingRecord(horizon=1.0, jumps=[0.5])
+        rho0 = NON_PHYSICAL[name]
+        with pytest.raises(ValidationError):
+            mle(fam, [rec], rho0, dt=1e-2)
+        with pytest.raises(ValidationError):
+            posterior_grid(fam, rec, rho0, [1.0], [1.0], dt=1e-2)
+
+    def test_density_operator_initial_state(self):
+        fam = rabi_family()
+        rec, _ = simulate_counting(fam.model([1.0]), MIXED, T=20.0, dt=1e-2, seed=3)
+        a = mle(fam, [rec], DensityOperator(MIXED), dt=1e-2)
+        b = mle(fam, [rec], MIXED, dt=1e-2)
+        assert a.loglik == b.loglik and np.array_equal(a.theta, b.theta)
+
+    def test_vanishing_jump_operator_is_minus_inf_there_only(self):
+        # L = theta * sigma_minus: at theta = 0 no jump can happen
+        base = QMarkovModel(H=0.5 * SX, L=ZERO2)
+        fam = ParameterFamily.affine(base, [ZERO2], [SM], domain=((0.0, 1.0),))
+        rec, _ = simulate_counting(fam.model([0.8]), MIXED, T=30.0, dt=1e-2, seed=21)
+        assert rec.n_jumps > 0
+        grid = np.linspace(0.0, 1.0, 11)
+        post = posterior_grid(fam, rec, MIXED, grid, np.full(11, 1 / 11), dt=1e-2)
+        assert post.log_weights[0] == -np.inf
+        assert np.all(np.isfinite(post.log_weights[1:]))
+        res = mle(fam, [rec], MIXED, dt=1e-2, grid_points=11)
+        assert np.isfinite(res.loglik) and 0.0 < res.theta[0] <= 1.0
+
+
 class TestPosterior:
+    def test_log_weights_are_loglik_plus_log_prior(self):
+        fam = rabi_family()
+        rec, _ = simulate_counting(fam.model([1.0]), MIXED, T=40.0, dt=1e-2, seed=10,
+                                   method="exact")
+        grid = np.linspace(0.2, 2.0, 9)
+        prior = np.linspace(1.0, 2.0, 9)
+        prior /= prior.sum()
+        post = posterior_grid(fam, rec, MIXED, grid, prior, dt=1e-2, lam=1.5)
+        want = [log_likelihood(fam.model([t]), MIXED, rec, dt=1e-2, lam=1.5)
+                + np.log(p) for t, p in zip(grid, prior)]
+        assert np.allclose(post.log_weights, want, rtol=1e-9, atol=0.0)
+
     def test_theta_independent_returns_prior(self):
         fam = null_family()
         rec, _ = simulate_counting(driven_qubit(), MIXED, T=10.0, dt=1e-2, seed=5)

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qiokit.exceptions import ValidationError, ZeroJumpRate
 from qiokit.filtering import (
@@ -21,11 +23,35 @@ from qiokit.trajectories import (
     simulate_reference,
 )
 
-from conftest import SM, SX, driven_qubit
+from conftest import NON_PHYSICAL, SM, SX, driven_qubit
 
 ZERO2 = np.zeros((2, 2), dtype=complex)
 MIXED = np.eye(2, dtype=complex) / 2
 GROUND = np.diag([1.0, 0.0]).astype(complex)
+
+
+@st.composite
+def counting_records(draw):
+    """Jump records on a dt grid with the cases the likelihood engine fuses.
+
+    Several jumps in one cell, jumps exactly on cell boundaries, a
+    fractional last cell, and optionally a jump-free gap of more than
+    10,000 cells between the early and the late jumps.
+    """
+    dt = draw(st.sampled_from([1e-2, 2e-2]))
+    head = draw(st.integers(1, 30))
+    gap = draw(st.sampled_from([0, 10_050]))
+    tail = draw(st.integers(0, 5))
+    frac = draw(st.sampled_from([0.0, 0.25, 0.6]))
+    horizon = (head + gap + tail + frac) * dt
+    on_boundary = draw(st.lists(st.integers(1, head), max_size=4))
+    inside = draw(st.lists(
+        st.tuples(st.integers(0, head - 1), st.floats(0.05, 0.95)), max_size=8))
+    late = draw(st.lists(st.floats(0.01, 1.0), max_size=3))
+    times = {k * dt for k in on_boundary}
+    times |= {(c + off) * dt for c, off in inside}
+    times |= {(head + gap) * dt + u * (horizon - (head + gap) * dt) for u in late}
+    return dt, CountingRecord(horizon=horizon, jumps=sorted(times))
 
 
 class TestRunFilter:
@@ -112,6 +138,24 @@ class TestLogLikelihood:
         ll = log_likelihood(m, MIXED, rec, dt=1e-2)
         z = run_zakai(m, MIXED, rec, dt=1e-2)
         assert ll == pytest.approx(z.loglik, abs=1e-9)
+
+    @settings(max_examples=60)
+    @given(counting_records())
+    def test_counting_engine_matches_zakai_property(self, case):
+        dt, rec = case
+        m = driven_qubit()
+        ll = log_likelihood(m, MIXED, rec, dt=dt)
+        assert ll == pytest.approx(run_zakai(m, MIXED, rec, dt=dt).loglik,
+                                   rel=1e-9, abs=0.0)
+
+    def test_counting_long_jump_free_record_does_not_underflow(self):
+        # Tr of the unnormalized state is (1 - dt/2)^(2n) ~ exp(-5000) here
+        m = QMarkovModel(H=ZERO2, L=SM)
+        excited = np.diag([0.0, 1.0]).astype(complex)
+        dt, n = 1e-2, 500_000
+        rec = CountingRecord(horizon=n * dt, jumps=[])
+        want = 2 * n * np.log1p(-dt / 2) + n * dt
+        assert log_likelihood(m, excited, rec, dt=dt) == pytest.approx(want, abs=1e-9)
 
     def test_diffusive_equals_zakai_trace(self):
         m = driven_qubit()
@@ -236,3 +280,22 @@ class TestLogLikelihood:
             log_likelihood(m, MIXED, rec, lam=-1.0)
         with pytest.raises(ValidationError):
             log_likelihood(m, MIXED, "not a record")
+
+    def test_mixed_record_kinds_raise(self):
+        m = driven_qubit()
+        crec = CountingRecord(horizon=1.0, jumps=[0.5])
+        drec = DiffusiveRecord(dt=1e-3, increments=np.zeros(10))
+        with pytest.raises(ValidationError, match="all counting or all diffusive"):
+            log_likelihood_many(m, MIXED, [crec, drec], dt=1e-3)
+
+    @pytest.mark.parametrize("name", sorted(NON_PHYSICAL))
+    def test_non_physical_initial_state_raises(self, name):
+        m = driven_qubit()
+        crec = CountingRecord(horizon=1.0, jumps=[0.5])
+        drec = DiffusiveRecord(dt=1e-3, increments=np.zeros(10))
+        rho0 = NON_PHYSICAL[name]
+        for rec in (crec, drec):
+            with pytest.raises(ValidationError):
+                log_likelihood(m, rho0, rec, dt=1e-3)
+            with pytest.raises(ValidationError):
+                log_likelihood_many(m, rho0, [rec, rec], dt=1e-3)

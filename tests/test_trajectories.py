@@ -160,6 +160,19 @@ class TestCounting:
         se = times.std(ddof=1) / np.sqrt(len(times))
         assert abs(times.mean() - 0.5) < 3 * se
 
+    def test_exact_sampler_at_exceptional_point(self):
+        # Omega = kappa/2 makes the no-jump generator defective; the jump
+        # times must still follow from those of a slightly detuned model
+        def jumps(omega):
+            rec, _ = simulate_counting(driven_qubit(omega=omega), MIXED, T=20.0,
+                                       dt=0.01, seed=9, method="exact",
+                                       keep_states=False)
+            return rec.jumps
+
+        at, near = jumps(0.5), jumps(0.5 + 1e-5)
+        assert len(at) == len(near) > 0
+        assert np.max(np.abs(at - near)) < 1e-3
+
     def test_exact_matches_bernoulli_rate(self):
         m = driven_qubit()
         counts = []
