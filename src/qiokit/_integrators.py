@@ -10,7 +10,11 @@ same discretization scheme:
   Hermitization, eigenvalue clipping at -1e-12 and trace renormalization;
   the trace of the linear update is the per-step likelihood factor, so the
   normalized filter equals the normalized Zakai solution identically and
-  the product of factors is the Zakai trace.
+  the product of factors is the Zakai trace.  The step runs on the
+  vectorized states vec(rho): one product with a per-model step matrix
+  gives the update, the measurement mean and the factor, and a screen of
+  the smallest eigenvalue (closed form for d = 2, eigvalsh for d > 2)
+  sends only the rows that may need clipping to the exact eigvalsh clip.
 * counting records: no-jump intervals advance with the first-order Kraus
   map M = 1 - dt (iH + L^dag L/2), which preserves positivity, and jumps
   apply rho -> L rho L^dag; both trace factors enter the likelihood.  The
@@ -46,13 +50,11 @@ def expect(op, rho):
     return np.einsum("...ij,...ji->...", op, rho)
 
 
-def lind_state(H, L, Ld, LdL, rho):
-    """State-picture Lindblad generator i[rho,H] + L rho L^dag - {L^dag L, rho}/2."""
-    return (
-        -1j * (H @ rho - rho @ H)
-        + L @ rho @ Ld
-        - 0.5 * (LdL @ rho + rho @ LdL)
-    )
+def _kron(a, b):
+    """Kronecker product of square matrices over the last two axes, batched."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    n = a.shape[-1] * b.shape[-1]
+    return prod.reshape(prod.shape[:-4] + (n, n))
 
 
 def _clip_negative(rho):
@@ -66,6 +68,15 @@ def _clip_negative(rho):
     return rho
 
 
+def _min_eig_screen(S):
+    """Smallest eigenvalue of each Hermitian S: closed form for d = 2,
+    eigvalsh for d > 2."""
+    if S.shape[-1] != 2:
+        return np.linalg.eigvalsh(S)[:, 0]
+    a, e = S[:, 0, 0].real, S[:, 1, 1].real
+    return 0.5 * (a + e - np.hypot(a - e, 2.0 * np.abs(S[:, 0, 1])))
+
+
 def _broadcast_rho(rho0, b):
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim == 2:
@@ -73,59 +84,111 @@ def _broadcast_rho(rho0, b):
     return np.array(rho0, dtype=complex)
 
 
+def _diffusive_step_matrix(H, L, dt):
+    """Step matrix of the diffusive scheme on row vectors v = vec(rho), C order.
+
+    Columns: ``A0 = I + dt Lindblad`` (d^2), ``K: rho -> L rho + rho L^dag``
+    (d^2), then Tr((L+L^dag) rho), Tr(A0 rho) and Tr(K rho).  In this form
+    rho -> X rho Y is ``_kron(X^T, Y)``.  One model gives (d^2, 2d^2+3), a
+    stack of models (b, d^2, 2d^2+3).
+    """
+    d = L.shape[-1]
+    eye = _identity(d)
+    Lt = np.swapaxes(L, -1, -2)
+    Gt = np.swapaxes(nojump_generator(H, dag(L) @ L), -1, -2)
+
+    def both_sides(xt):  # rho -> x rho + rho x^dag, from xt = x^T
+        return _kron(xt, eye) + _kron(eye, xt.conj())
+
+    # Lindblad generator: rho -> L rho L^dag - G rho - rho G^dag
+    A0 = _identity(d * d) + dt * (_kron(Lt, Lt.conj()) - both_sides(Gt))
+    K = both_sides(Lt)
+    diag = np.arange(0, d * d, d + 1)  # vec(rho) indices of the diagonal
+    mean = (Lt + L.conj()).reshape(L.shape[:-2] + (d * d, 1))
+    traces = [X[..., diag].sum(axis=-1, keepdims=True) for X in (A0, K)]
+    return np.concatenate([A0, K, mean] + traces, axis=-1)
+
+
 def sweep_diffusive(H, L, rho0, dt, *, dY=None, dI=None, keep_states=False,
                     keep_logtrace=False):
-    """Run the diffusive core over a batch.
+    """Run the diffusive core over a batch of b trajectories.
 
     Exactly one of ``dY`` (replay of given records) or ``dI`` (simulation:
     innovation draws, output increments returned) must be supplied, each
-    shaped (b, n).  Returns final/optional full states, the accumulated
-    log trace (the log-likelihood), and the simulated increments.
+    shaped (b, n).  ``H``, ``L``: one model (d, d) or one per row (b, d, d).
+    Returns final/optional full states, the accumulated log trace (the
+    log-likelihood), and the simulated increments.
+
+    Each step is one stacked product ``W = v @ M`` of the states vec(rho),
+    (b, d^2), with the step matrix M (``_diffusive_step_matrix``); it gives
+    the Euler update ``A0 rho + dy K rho``, the measurement mean and the
+    likelihood factor ``Tr(A0 rho) + dy Tr(K rho)``.  The update is
+    Hermitized, clipped at ``EIG_CLIP`` and divided by its trace.  Only rows
+    whose Hermitized update has a smallest eigenvalue (``_min_eig_screen``)
+    below EIG_CLIP/2 go to the exact ``eigvalsh`` clip.  The product is stacked
+    per row, never one 2-D GEMM, so that a row's bits do not depend on the
+    batch width.  A row whose factor is not positive or whose clipped trace
+    is below ``TRACE_FLOOR`` is dead: its log-likelihood is -inf and its
+    state stays frozen from that step on.  While every row is alive, none
+    is screened and every factor is above the floor, the step uses no
+    boolean masks; the masked path does the same arithmetic per row.
     """
     simulate = dI is not None
-    noise = dI if simulate else dY
-    noise = np.asarray(noise, dtype=float)
+    noise = np.asarray(dI if simulate else dY, dtype=float)
     b, n = noise.shape
-    rho = _broadcast_rho(rho0, b)
-    d = rho.shape[-1]
-    H = np.asarray(H, dtype=complex)
     L = np.asarray(L, dtype=complex)
-    Ld = dag(L)
-    LdL = Ld @ L
-    Lsum = L + Ld
+    M = _diffusive_step_matrix(np.asarray(H, dtype=complex), L, dt)
+    d = L.shape[-1]
+    d2 = d * d
+    rho = _broadcast_rho(rho0, b)
 
     loglik = np.zeros(b)
     alive = np.ones(b, dtype=bool)
+    all_alive = True
     out_dY = np.empty((b, n)) if simulate else None
     states = np.empty((b, n + 1, d, d), dtype=complex) if keep_states else None
     logtrace = np.zeros((b, n + 1)) if keep_logtrace else None
     if keep_states:
         states[:, 0] = rho
+    W = np.empty((b, 1, M.shape[-1]), dtype=complex)
+    A0_rho, K_rho = W[:, 0, :d2], W[:, 0, d2:2 * d2]
+    mean, trA, trK = (W[:, 0, 2 * d2 + j].real for j in range(3))
+    U = np.empty((b, d, d), dtype=complex)
+    U_vec = U.reshape(b, d2)
 
     for k in range(n):
-        m = expect(Lsum, rho).real
+        np.matmul(rho.reshape(b, 1, d2), M, out=W)
         if simulate:
-            dy = noise[:, k] + m * dt
+            dy = noise[:, k] + mean * dt
             out_dY[:, k] = dy
         else:
             dy = noise[:, k]
-        upd = rho + dt * lind_state(H, L, Ld, LdL, rho) \
-            + dy[:, None, None] * (L @ rho + rho @ Ld)
-        upd = (upd + dag(upd)) * 0.5
-        factor = btrace(upd).real
-        _clip_negative(upd)
-        tr = btrace(upd).real
-        ok = (factor > 0.0) & (tr > TRACE_FLOOR)
-        died = alive & ~ok
-        keep = alive & ok
-        upd[keep] /= tr[keep, None, None]
-        upd[~keep] = rho[~keep]
-        loglik[keep] += np.log(factor[keep])
-        loglik[died] = -np.inf
-        alive &= ok
-        rho = upd
-        if keep_states:
-            states[:, k + 1] = rho
+        np.multiply(K_rho, dy[:, None], out=U_vec)
+        U_vec += A0_rho
+        S = U + np.conj(U.swapaxes(-1, -2))  # twice the Hermitized update
+        factor = trA + dy * trK
+        screen = _min_eig_screen(S)  # below EIG_CLIP: S/2 below EIG_CLIP/2
+        nxt = states[:, k + 1] if keep_states else rho
+        if all_alive and screen.min() >= EIG_CLIP and factor.min() > TRACE_FLOOR:
+            np.multiply(S, (0.5 / factor)[:, None, None], out=nxt)
+            loglik += np.log(factor)
+        else:  # dead rows, non-positive factors or rows to clip
+            tr = factor.copy()
+            suspect = np.flatnonzero((screen < EIG_CLIP) & alive)
+            if len(suspect):
+                h = _clip_negative(0.5 * S[suspect])
+                tr[suspect] = btrace(h).real
+                S[suspect] = 2.0 * h
+            ok = (factor > 0.0) & (tr > TRACE_FLOOR)
+            keep = alive & ok
+            if nxt is not rho:
+                nxt[:] = rho
+            nxt[keep] = S[keep] * (0.5 / tr[keep])[:, None, None]
+            loglik[keep] += np.log(factor[keep])
+            loglik[alive & ~ok] = -np.inf
+            alive &= ok
+            all_alive = bool(alive.all())
+        rho = nxt
         if keep_logtrace:
             logtrace[:, k + 1] = loglik
     return SimpleNamespace(
@@ -303,13 +366,6 @@ def replay_counting(H, L, rho0, dt, horizon, jumps, lam=1.0,
     )
 
 
-def _kron_conj(x):
-    """Superoperator kron(conj x, x) of rho -> x rho x^dag, batched."""
-    d = x.shape[-1]
-    prod = x.conj()[..., :, None, :, None] * x[..., None, :, None, :]
-    return prod.reshape(x.shape[:-2] + (d * d, d * d))
-
-
 class CountingLoglik:
     """Counting log-likelihood engine, batched over parameter points.
 
@@ -364,8 +420,10 @@ class CountingLoglik:
             gen = self._gen[r]
             cells = [np.linalg.matrix_power(nojump_kraus(gen, self.dt), j) for j in k]
             N[:, r] = nojump_kraus(gen, b) @ np.stack(cells) @ nojump_kraus(gen, a)
-        K = _kron_conj(np.where(is_jump[:, None, None, None], self._L @ N, N))
-        KN = _kron_conj(N)
+        A = np.where(is_jump[:, None, None, None], self._L @ N, N)
+        K = _kron(A.conj(), A)
+        del A  # free the block of maps before the next one is built
+        KN = _kron(N.conj(), N)
         diag = np.arange(0, K.shape[-1], N.shape[-1] + 1)  # vec(rho) indices of Tr
         traces = [X[..., diag, :].sum(axis=-2, keepdims=True) for X in (K, KN)]
         return np.concatenate([K] + traces, axis=-2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _integrators as integ
 from .exceptions import ValidationError
-from .operators import QMarkovModel, _rho_array, _state_array
+from .operators import QMarkovModel, _state_array
 from .trajectories import (
     CountingRecord,
     DiffusiveRecord,
@@ -75,7 +75,7 @@ def run_filter(
     between grid steps).  Raises :class:`ZeroJumpRate` when a counting
     record jumps while the filter assigns zero jump rate.
     """
-    rho0 = _rho_array(rho0)
+    rho0 = _state_array(rho0, model.dim)
     if isinstance(record, DiffusiveRecord):
         _step_guard(model.L, record.dt)
         out = integ.sweep_diffusive(
@@ -110,7 +110,7 @@ def run_zakai(
     """
     if not lam > 0:
         raise ValidationError("reference intensity lam must be positive")
-    rho0 = _rho_array(rho0)
+    rho0 = _state_array(rho0, model.dim)
     if isinstance(record, DiffusiveRecord):
         _step_guard(model.L, record.dt)
         out = integ.sweep_diffusive(

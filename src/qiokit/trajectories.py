@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _integrators as integ
 from .exceptions import StepTooLarge, ValidationError
-from .operators import QMarkovModel, _rho_array
+from .operators import QMarkovModel, _state_array
 
 __all__ = [
     "DiffusiveRecord",
@@ -194,10 +194,11 @@ def simulate_homodyne(
     diffusive core.
     """
     n = _check_grid(model, T, dt)
+    rho0 = _state_array(rho0, model.dim)
     rng = trajectory_rng(seed, index)
     dI = rng.normal(0.0, np.sqrt(dt), size=(1, n))
     out = integ.sweep_diffusive(
-        model.H, model.L, _rho_array(rho0), dt, dI=dI, keep_states=keep_states
+        model.H, model.L, rho0, dt, dI=dI, keep_states=keep_states
     )
     record = DiffusiveRecord(dt=dt, increments=out.dY[0])
     traj = FilterTrajectory(
@@ -214,12 +215,13 @@ def simulate_homodyne_ensemble(
 ) -> HomodyneEnsemble:
     """Vectorized batch of homodyne trajectories, one Philox stream each."""
     n = _check_grid(model, T, dt)
+    rho0 = _state_array(rho0, model.dim)
     sd = np.sqrt(dt)
     dI = np.empty((n_traj, n))
     for i in range(n_traj):
         dI[i] = trajectory_rng(seed, start_index + i).normal(0.0, sd, size=n)
     out = integ.sweep_diffusive(
-        model.H, model.L, _rho_array(rho0), dt, dI=dI, keep_states=keep_states
+        model.H, model.L, rho0, dt, dI=dI, keep_states=keep_states
     )
     return HomodyneEnsemble(
         dt=dt, increments=out.dY, logliks=out.loglik,
@@ -239,8 +241,8 @@ def simulate_counting(
     survival law (small dimensions) and reports states on the dt grid.
     """
     n = _check_grid(model, T, dt)
+    rho0 = _state_array(rho0, model.dim)
     rng = trajectory_rng(seed, index)
-    rho0 = _rho_array(rho0)
     if method == "bernoulli":
         u = rng.random(size=(1, n))
         out = integ.sweep_counting_simulate(
@@ -285,11 +287,12 @@ def simulate_counting_ensemble(
 ) -> CountingEnsemble:
     """Vectorized batch of Bernoulli-thinning counting trajectories."""
     n = _check_grid(model, T, dt)
+    rho0 = _state_array(rho0, model.dim)
     u = np.empty((n_traj, n))
     for i in range(n_traj):
         u[i] = trajectory_rng(seed, start_index + i).random(size=n)
     out = integ.sweep_counting_simulate(
-        model.H, model.L, _rho_array(rho0), dt, n, u, keep_states=keep_states
+        model.H, model.L, rho0, dt, n, u, keep_states=keep_states
     )
     return CountingEnsemble(
         horizon=n * dt, jump_times=out.jump_times, counts=out.counts,

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qiokit.estimation import posterior_grid
 from qiokit.exceptions import ValidationError, ZeroJumpRate
+from qiokit.families import ParameterFamily
 from qiokit.filtering import (
     log_likelihood,
     log_likelihood_many,
@@ -20,10 +22,12 @@ from qiokit.trajectories import (
     DiffusiveRecord,
     simulate_counting,
     simulate_homodyne,
+    simulate_homodyne_ensemble,
     simulate_reference,
+    trajectory_rng,
 )
 
-from conftest import NON_PHYSICAL, SM, SX, driven_qubit
+from conftest import NON_PHYSICAL, SM, SX, driven_qubit, random_ergodic_model
 
 ZERO2 = np.zeros((2, 2), dtype=complex)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -299,3 +303,129 @@ class TestLogLikelihood:
                 log_likelihood(m, rho0, rec, dt=1e-3)
             with pytest.raises(ValidationError):
                 log_likelihood_many(m, rho0, [rec, rec], dt=1e-3)
+
+
+def dense_diffusive(H, L, rho0, dt, *, dY=None, dI=None):
+    """The README diffusive scheme, one (d, d) step at a time.
+
+    Euler step of the linear update, Hermitize, clip eigenvalues below
+    -1e-12, divide by the clipped trace; the pre-clip trace is the
+    likelihood factor.  Returns increments, states, running log-likelihood
+    and the number of clips.
+    """
+    Ld = L.conj().T
+    rho = np.asarray(rho0, dtype=complex)
+    incs, states, logtrace, clips = [], [rho], [0.0], 0
+    for k in range(len(dY if dI is None else dI)):
+        dy = dY[k] if dI is None else dI[k] + np.trace((L + Ld) @ rho).real * dt
+        lind = -1j * (H @ rho - rho @ H) + L @ rho @ Ld - 0.5 * (Ld @ L @ rho + rho @ Ld @ L)
+        upd = rho + dt * lind + dy * (L @ rho + rho @ Ld)
+        upd = (upd + upd.conj().T) / 2
+        factor = np.trace(upd).real
+        w, v = np.linalg.eigh(upd)
+        if w[0] < -1e-12:
+            upd = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            clips += 1
+        rho = upd / np.trace(upd).real
+        incs.append(dy)
+        states.append(rho)
+        logtrace.append(logtrace[-1] + np.log(factor))
+    return np.array(incs), np.array(states), np.array(logtrace), clips
+
+
+def _qutrit():
+    return random_ergodic_model(3, np.random.default_rng(3), scale=0.7)
+
+
+# (model, initial state); the pure starts make the clip fire
+SCHEME_CASES = {
+    "qubit mixed": (driven_qubit, MIXED),
+    "qubit ground": (driven_qubit, GROUND),
+    "qutrit mixed": (_qutrit, np.eye(3, dtype=complex) / 3),
+    "qutrit pure": (_qutrit, np.diag([1.0, 0.0, 0.0]).astype(complex)),
+}
+
+
+class TestDenseReference:
+    """The engine against the dense stepper: the log-likelihood to 1e-10
+    relative, the running log trace and the states to 1e-12."""
+
+    DT, N = 1e-3, 300
+
+    def check(self, logtrace, states, ref_logtrace, ref_states):
+        assert logtrace[-1] == pytest.approx(ref_logtrace[-1], rel=1e-10, abs=0.0)
+        assert np.max(np.abs(logtrace - ref_logtrace)) < 1e-12
+        assert np.max(np.abs(states - ref_states)) < 1e-12
+
+    @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
+    def test_run_zakai(self, case):
+        build, rho0 = SCHEME_CASES[case]
+        m = build()
+        rec = simulate_reference("wiener", 1.0, T=self.N * self.DT, dt=self.DT, seed=50)
+        _, states, logtrace, clips = dense_diffusive(m.H, m.L, rho0, self.DT,
+                                                     dY=rec.increments)
+        z = run_zakai(m, rho0, rec)
+        self.check(z.logtrace, z.states, logtrace, states)
+        if "mixed" not in case:
+            assert clips > 0
+
+    @pytest.mark.parametrize("case", sorted(SCHEME_CASES))
+    def test_simulators(self, case):
+        build, rho0 = SCHEME_CASES[case]
+        m = build()
+        T, n = self.N * self.DT, self.N
+        rec, traj = simulate_homodyne(m, rho0, T, self.DT, seed=51, index=1)
+        ens = simulate_homodyne_ensemble(m, rho0, T, self.DT, n_traj=3, seed=51,
+                                         keep_states=True)
+        runs = [(rec.increments, traj.loglik, traj.states, 1)]
+        runs += [(ens.increments[i], ens.logliks[i], ens.states[i], i) for i in range(3)]
+        for incs, ll, states, index in runs:
+            dI = trajectory_rng(51, index).normal(0.0, np.sqrt(self.DT), size=n)
+            ref_incs, ref_states, ref_ll, _ = dense_diffusive(m.H, m.L, rho0, self.DT,
+                                                              dI=dI)
+            assert np.max(np.abs(incs - ref_incs)) < 1e-12
+            self.check(np.array([ll]), states, ref_ll[-1:], ref_states)
+
+    @pytest.mark.parametrize("case", ["qubit ground", "qubit mixed"])
+    def test_posterior_grid_theta_stack(self, case):
+        _, rho0 = SCHEME_CASES[case]
+        fam = ParameterFamily.affine(driven_qubit(omega=0.0), [0.5 * SX], [0.3 * SM],
+                                     domain=((0.0, 2.0),))
+        rec = simulate_reference("wiener", 1.0, T=self.N * self.DT, dt=self.DT, seed=52)
+        grid = np.linspace(0.0, 2.0, 5)
+        prior = np.full(5, 0.2)
+        post = posterior_grid(fam, rec, rho0, grid, prior)
+        for theta, logw in zip(grid, post.log_weights):
+            m = fam.model([theta])
+            ref_ll = dense_diffusive(m.H, m.L, rho0, self.DT, dY=rec.increments)[2][-1]
+            assert logw - np.log(0.2) == pytest.approx(ref_ll, rel=1e-10, abs=0.0)
+
+
+class TestDeadRows:
+    """A record that drives the trace negative kills its row only."""
+
+    def killing_record(self, m, seed):
+        rec = simulate_reference("wiener", 1.0, T=0.1, dt=1e-3, seed=seed)
+        rho50 = run_filter(m, MIXED, rec).states[50]
+        mean = np.trace((m.L + m.L.conj().T) @ rho50).real
+        assert abs(mean) > 0.05
+        inc = rec.increments.copy()
+        inc[50] = -100.0 * np.sign(mean)  # factor 1 + dy * mean < 0
+        return DiffusiveRecord(dt=rec.dt, increments=inc)
+
+    def test_batch_row_is_minus_inf_others_unchanged(self):
+        m = driven_qubit()
+        live = [simulate_reference("wiener", 1.0, T=0.1, dt=1e-3, seed=60 + i)
+                for i in range(2)]
+        records = [live[0], self.killing_record(m, 62), live[1]]
+        batch = log_likelihood_many(m, MIXED, records)
+        assert batch[1] == -np.inf
+        assert batch[0] == log_likelihood(m, MIXED, live[0])
+        assert batch[2] == log_likelihood(m, MIXED, live[1])
+
+    def test_zakai_state_frozen_from_death(self):
+        m = driven_qubit()
+        z = run_zakai(m, MIXED, self.killing_record(m, 62))
+        assert np.all(np.isfinite(z.logtrace[:51]))
+        assert np.all(z.logtrace[51:] == -np.inf)
+        assert np.all(z.states[50:] == z.states[50])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qiokit.exceptions import StepTooLarge, ValidationError
+from qiokit.filtering import log_likelihood, log_likelihood_many, run_filter, run_zakai
 from qiokit.operators import QMarkovModel, stationary_state
 from qiokit.trajectories import (
     CountingRecord,
@@ -16,7 +17,7 @@ from qiokit.trajectories import (
     trajectory_rng,
 )
 
-from conftest import SM, SX, decay_qubit, driven_qubit
+from conftest import NON_PHYSICAL, SM, SX, decay_qubit, driven_qubit, random_ergodic_model
 
 ZERO2 = np.zeros((2, 2), dtype=complex)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -235,3 +236,62 @@ def test_time_averaged_filter_mean_reaches_stationarity():
     tavg = expct[:, half:].mean(axis=1)
     se = tavg.std(ddof=1) / np.sqrt(len(tavg))
     assert abs(tavg.mean() - want) < 3 * se + 0.01
+
+
+class TestBatchWidth:
+    """Trajectory i of a 100-wide ensemble is bit-identical to its single run.
+
+    The model has dense operators; the driven qubit's sparse step matrix
+    rounds the same in a batched and a per-row product, which would hide
+    a width-dependent product path.
+    """
+
+    N_TRAJ, SEED = 100, 17
+
+    @staticmethod
+    def model():
+        return random_ergodic_model(2, np.random.default_rng(4), scale=0.8)
+
+    def test_homodyne(self):
+        m = self.model()
+        ens = simulate_homodyne_ensemble(m, MIXED, T=0.3, dt=1e-3, n_traj=self.N_TRAJ,
+                                         seed=self.SEED)
+        for i in (0, 57, 99):
+            rec, traj = simulate_homodyne(m, MIXED, T=0.3, dt=1e-3, seed=self.SEED,
+                                          index=i, keep_states=False)
+            assert np.array_equal(ens.increments[i], rec.increments)
+            assert ens.logliks[i] == traj.loglik
+        records = [ens.record(i) for i in range(self.N_TRAJ)]
+        batch = log_likelihood_many(m, MIXED, records)
+        assert np.array_equal(batch, [log_likelihood(m, MIXED, r) for r in records])
+        assert np.array_equal(batch, ens.logliks)
+
+    def test_counting(self):
+        m = self.model()
+        ens = simulate_counting_ensemble(m, MIXED, T=2.0, dt=1e-3, n_traj=self.N_TRAJ,
+                                         seed=self.SEED)
+        for i in (0, 57, 99):
+            rec, traj = simulate_counting(m, MIXED, T=2.0, dt=1e-3, seed=self.SEED,
+                                          index=i, keep_states=False)
+            assert np.array_equal(ens.jump_times[i], rec.jumps)
+            assert ens.logliks[i] == traj.loglik
+
+
+_DREC = DiffusiveRecord(dt=1e-3, increments=np.zeros(10))
+ENTRY_POINTS = {
+    "run_filter": lambda m, r: run_filter(m, r, _DREC),
+    "run_zakai": lambda m, r: run_zakai(m, r, _DREC),
+    "simulate_homodyne": lambda m, r: simulate_homodyne(m, r, T=0.01, dt=1e-3, seed=0),
+    "simulate_homodyne_ensemble": lambda m, r: simulate_homodyne_ensemble(
+        m, r, T=0.01, dt=1e-3, n_traj=2, seed=0),
+    "simulate_counting": lambda m, r: simulate_counting(m, r, T=0.01, dt=1e-3, seed=0),
+    "simulate_counting_ensemble": lambda m, r: simulate_counting_ensemble(
+        m, r, T=0.01, dt=1e-3, n_traj=2, seed=0),
+}
+
+
+@pytest.mark.parametrize("state", sorted(NON_PHYSICAL))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_physical_initial_state_raises(entry, state):
+    with pytest.raises(ValidationError):
+        ENTRY_POINTS[entry](driven_qubit(), NON_PHYSICAL[state])
