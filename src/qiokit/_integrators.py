@@ -20,6 +20,10 @@ same discretization scheme:
   apply rho -> L rho L^dag; both trace factors enter the likelihood.  The
   reference Poisson intensity enters in closed form as
   lam*T - N*log(lam), which makes the intensity-shift identity exact.
+  One engine, ``CountingLoglik``, serves simulation, replay and likelihood:
+  it fuses each stretch between anchors (jumps and renormalization marks)
+  into one map in the eigenbasis of the no-jump generator, so only the
+  jumps, not the cells, run in Python.
 """
 
 from __future__ import annotations
@@ -213,188 +217,47 @@ def nojump_kraus(gen, delta):
     return _identity(gen.shape[-1]) - delta * gen
 
 
-def sweep_counting_simulate(H, L, rho0, dt, n_steps, uniforms, lam=1.0,
-                            keep_states=False):
-    """Bernoulli-thinning counting simulation over a batch.
-
-    Per cell, the jump probability is Tr(L^dag L rho) dt at the cell
-    start; the state advances with the no-jump Kraus map for the full
-    cell and, on a jump, rho -> L rho L^dag at the cell end.  Jump times
-    are the cell end times (k+1) dt.  The returned ``loglik`` is the
-    record log-likelihood of each trajectory under the simulating model
-    and reference intensity ``lam``.
-    """
-    b = uniforms.shape[0]
-    rho = _broadcast_rho(rho0, b)
-    d = rho.shape[-1]
-    H = np.asarray(H, dtype=complex)
-    L = np.asarray(L, dtype=complex)
-    Ld = dag(L)
-    LdL = Ld @ L
-    M = nojump_kraus(nojump_generator(H, LdL), dt)
-    Md = dag(M)
-
-    loglik = np.zeros(b)
-    counts = np.zeros(b, dtype=int)
-    jump_rows = []  # (trajectory index, cell index)
-    states = np.empty((b, n_steps + 1, d, d), dtype=complex) if keep_states else None
-    if keep_states:
-        states[:, 0] = rho
-
-    for k in range(n_steps):
-        rate0 = expect(LdL, rho).real
-        p = rate0 * dt
-        nj = M @ rho @ Md
-        f = btrace(nj).real
-        nj /= f[:, None, None]
-        rate1 = expect(LdL, nj).real
-        jump = (uniforms[:, k] < p) & (rate1 > 0.0)
-        loglik += np.log(f)
-        if np.any(jump):
-            Lj = L[jump] if L.ndim == 3 else L
-            jmp = Lj @ nj[jump] @ dag(Lj)
-            jmp /= rate1[jump, None, None]
-            nj[jump] = jmp
-            loglik[jump] += np.log(rate1[jump])
-            counts[jump] += 1
-            for idx in np.nonzero(jump)[0]:
-                jump_rows.append((idx, k))
-        rho = nj
-        if keep_states:
-            states[:, k + 1] = rho
-    loglik += lam * n_steps * dt - counts * np.log(lam)
-    jump_times = [[] for _ in range(b)]
-    for idx, k in jump_rows:
-        jump_times[idx].append((k + 1) * dt)
-    jump_times = [np.asarray(t) for t in jump_times]
-    return SimpleNamespace(
-        final=rho, loglik=loglik, states=states, counts=counts,
-        jump_times=jump_times,
-    )
-
-
 def _n_cells(horizon, dt):
+    """Cells (c dt, (c+1) dt] up to the horizon, the last one possibly fractional."""
     return max(int(np.ceil(horizon / dt - 1e-9)), 1)
 
 
-def _cell_grid(horizon, dt):
-    """Cell boundaries 0, dt, 2dt, ..., horizon (fractional last cell allowed)."""
-    t = np.arange(_n_cells(horizon, dt) + 1) * dt
-    t[-1] = horizon
-    return t
-
-
-def replay_counting(H, L, rho0, dt, horizon, jumps, lam=1.0,
-                    keep_states=False, on_dark="dead"):
-    """Replay a counting record on a dt grid, jumps applied at their times.
-
-    Cells are ``[k dt, (k+1) dt]``; jump times inside a cell split it into
-    no-jump Kraus sub-steps with the jump map applied in between.  When a
-    jump occurs at zero rate the record has likelihood zero: with
-    ``on_dark="raise"`` this raises :class:`ZeroJumpRate`, otherwise the
-    log trace is -inf from that point and the state freezes.
-    """
-    grid = _cell_grid(horizon, dt)
-    n = len(grid) - 1
-    rho = np.asarray(rho0, dtype=complex).copy()
-    d = rho.shape[-1]
-    H = np.asarray(H, dtype=complex)
-    L = np.asarray(L, dtype=complex)
-    Ld = dag(L)
-    LdL = Ld @ L
-    jumps = np.asarray(jumps, dtype=float)
-    gen = nojump_generator(H, LdL)
-
-    kraus_cache = {}
-
-    def kraus(delta):
-        key = round(delta / dt, 12)
-        if key not in kraus_cache:
-            M = nojump_kraus(gen, delta)
-            kraus_cache[key] = (M, dag(M))
-        return kraus_cache[key]
-
-    core_log = 0.0
-    dead = False
-    logtrace = np.empty(n + 1)
-    logtrace[0] = 0.0
-    states = np.empty((n + 1, d, d), dtype=complex) if keep_states else None
-    if keep_states:
-        states[0] = rho
-    n_seen = 0
-
-    for k in range(n):
-        t0, t1 = grid[k], grid[k + 1]
-        lo = np.searchsorted(jumps, t0, side="right")
-        hi = np.searchsorted(jumps, t1, side="right")
-        if not dead:
-            pos = t0
-            for tau in jumps[lo:hi]:
-                delta = tau - pos
-                if delta > 0:
-                    M, Md = kraus(delta)
-                    upd = M @ rho @ Md
-                    f = btrace(upd).real
-                    rho = upd / f
-                    core_log += np.log(f)
-                pos = tau
-                rate = expect(LdL, rho).real
-                if rate <= DARK_RATE:
-                    if on_dark == "raise":
-                        raise ZeroJumpRate(
-                            f"record jumps at t={tau:.6g} while the jump rate is zero"
-                        )
-                    dead = True
-                    break
-                rho = (L @ rho @ Ld) / rate
-                core_log += np.log(rate)
-            if not dead and t1 > pos:
-                M, Md = kraus(t1 - pos)
-                upd = M @ rho @ Md
-                f = btrace(upd).real
-                rho = upd / f
-                core_log += np.log(f)
-        n_seen = hi
-        logtrace[k + 1] = (
-            -np.inf if dead else core_log + lam * t1 - n_seen * np.log(lam)
-        )
-        if keep_states:
-            states[k + 1] = rho
-    return SimpleNamespace(
-        times=grid, states=states, logtrace=logtrace,
-        loglik=float(logtrace[-1]), final=rho, dead=dead,
-    )
+def _powers(M, k):
+    """M^k for each integer of the array k, (len(k), d, d), by repeated squaring."""
+    out = np.broadcast_to(_identity(len(M)), (len(k),) + M.shape).astype(complex)
+    for bit in range(int(k.max(initial=0)).bit_length()):
+        sel = ((k >> bit) & 1).astype(bool)
+        out[sel] = out[sel] @ M
+        M = M @ M
+    return out
 
 
 class CountingLoglik:
-    """Counting log-likelihood engine, batched over parameter points.
+    """The counting engine: likelihood, grid replay and simulation.
 
-    Same scheme as the grid replay: the no-jump Kraus map 1 - delta G
-    (G = iH + L^dag L/2) over whole cells and over the sub-steps that jumps
-    cut out of a cell, rho -> L rho L^dag at jumps.  These maps share the
-    eigenvectors U of G, so the stretch since the previous jump fuses into
-    one Kraus operator U diag(nu) U^-1, built vectorized over jumps in
-    bounded blocks.  Per jump, one matrix-vector product applies the fused
-    and jump maps and gives both traces, then one renormalization; the
-    log-likelihood sums the log factors.  Jump-free runs renormalize every
-    ``_CHUNK`` cells.  ``H``, ``L``: (n, d, d) stacks or one model; ``loglik``
-    returns (n,).  A jump at rate <= 1e-14 or a non-positive trace gives
-    -inf for that point only.  Points with cond(U) >= EIG_COND_MAX
-    (near-defective G) take matrix powers instead.
+    The no-jump Kraus maps 1 - delta G (G = iH + L^dag L/2) of whole cells
+    and of the sub-steps that jumps cut out of a cell share the eigenvectors
+    U of G.  So the stretch from an anchor (the state after a jump, or at a
+    renormalization mark) to any later time is one map U diag(nu) U^-1.
+    Marks fall every ``_chunk`` cells: per model, the most cells over which
+    no mode changes the trace by more than exp(_SPAN), at most ``_CHUNK``.
+    Models with cond(U) >= EIG_COND_MAX (near-defective G) take matrix
+    powers.  ``H``, ``L``: (n, d, d) stacks or one model.
     """
 
-    _CHUNK = 10_000  # renormalize at least this often in jump-free runs
-    _BLOCK = 1 << 15  # complex entries in one block of per-jump maps
+    _CHUNK = 10_000  # renormalize at least this often, in cells
+    _SPAN = np.log(1e100)  # largest log trace change of one stretch
+    _BLOCK = 1 << 15  # complex entries in one block of maps or lookahead rates
 
     def __init__(self, H, L, dt, lam=1.0):
-        H = np.asarray(H, dtype=complex)
-        L = np.asarray(L, dtype=complex)
+        H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
         if L.ndim == 2:
             H, L = H[None], L[None]
         self.dt, self.lam = float(dt), float(lam)
         n, d = L.shape[0], L.shape[-1]
         eye = _identity(d)
-        self._gen = nojump_generator(H, dag(L) @ L)
+        self._LdL = dag(L) @ L
+        self._gen = nojump_generator(H, self._LdL)
         try:
             g, U = np.linalg.eig(self._gen)
             with np.errstate(all="ignore"):
@@ -407,19 +270,29 @@ class CountingLoglik:
         self._g = g
         # log of the one-cell eigenvalues 1 - dt g, nonzero under the step guard
         self._logmu = np.log(1.0 - self.dt * g)
-        self._bad = np.flatnonzero(~ok)
-        self._L = L
+        with np.errstate(divide="ignore"):
+            cells = self._SPAN / (2.0 * np.abs(self._logmu.real).max(axis=-1))
+        self._chunk = np.clip(cells, 1, self._CHUNK).astype(int)
+        self._bad, self._L = np.flatnonzero(~ok), L
+
+    def _maps(self, a, k, b, mi):
+        """No-jump maps M_b M_dt^k M_a of the models ``mi`` (index or slice), broadcast."""
+        a, k, b = (np.asarray(x) for x in (a, k, b))
+        U, Uinv, g, logmu = (x[mi] for x in (self._U, self._Uinv, self._g, self._logmu))
+        nu = (1.0 - a[..., None] * g) * (1.0 - b[..., None] * g) * np.exp(k[..., None] * logmu)
+        N = (U * nu[..., None, :]) @ Uinv
+        for r in self._bad:
+            sel = np.broadcast_to(np.arange(len(self._L))[mi] == r, N.shape[:-2])
+            ar, kr, br = (np.broadcast_to(x, sel.shape)[sel][:, None, None] for x in (a, k, b))
+            gen = self._gen[r]
+            cells = _powers(nojump_kraus(gen, self.dt), kr[:, 0, 0])
+            N[sel] = nojump_kraus(gen, br) @ cells @ nojump_kraus(gen, ar)
+        return N
 
     def _fused(self, a, k, b, is_jump):
         """Per event, with N = M_b M_dt^k M_a and A = L N at a jump (else N):
         rows on vec(rho) of A rho A^dag, Tr(A rho A^dag), Tr(N rho N^dag)."""
-        a, b = a[:, None, None], b[:, None, None]
-        nu = (1.0 - a * self._g) * (1.0 - b * self._g) * np.exp(k[:, None, None] * self._logmu)
-        N = (self._U * nu[..., None, :]) @ self._Uinv
-        for r in self._bad:
-            gen = self._gen[r]
-            cells = [np.linalg.matrix_power(nojump_kraus(gen, self.dt), j) for j in k]
-            N[:, r] = nojump_kraus(gen, b) @ np.stack(cells) @ nojump_kraus(gen, a)
+        N = self._maps(a[:, None], k[:, None], b[:, None], slice(None))
         A = np.where(is_jump[:, None, None, None], self._L @ N, N)
         K = _kron(A.conj(), A)
         del A  # free the block of maps before the next one is built
@@ -428,97 +301,223 @@ class CountingLoglik:
         traces = [X[..., diag, :].sum(axis=-2, keepdims=True) for X in (K, KN)]
         return np.concatenate([K] + traces, axis=-2)
 
-    def loglik(self, rho0, horizon, jumps):
-        jumps = np.asarray(jumps, dtype=float)
-        n_cells = _n_cells(horizon, self.dt)
-        # events: the jumps, then jump-free renormalization points and the horizon
-        marks = np.arange(self._CHUNK, n_cells, self._CHUNK) * self.dt
-        taus = np.concatenate((jumps, marks, [horizon]))
+    def _sweep(self, rho0, horizon, jumps, keep=False):
+        """Apply the events (jumps, marks, horizon) in time order, each one
+        matrix-vector product with the fused map (a, k, b) before it.  Returns
+        the events, the log-likelihood up to each, whether each is dead (a jump
+        at rate <= DARK_RATE or a non-positive trace), the total, and with
+        ``keep`` the state after each."""
+        dt, n_cells, chunk = self.dt, _n_cells(horizon, self.dt), int(self._chunk.min())
+        taus = np.concatenate((jumps, np.arange(chunk, n_cells, chunk) * dt, [horizon]))
         order = np.argsort(taus, kind="stable")
         taus, is_jump = taus[order], order < len(jumps)
-        # cell c is (c dt, (c+1) dt], the last one ends at the horizon; a time
-        # on a boundary may land in either neighbour, which fuses to the same map
-        cells = np.clip(np.ceil(taus / self.dt).astype(int) - 1, 0, n_cells - 1)
+        # cell c holds c dt < tau <= (c+1) dt: a jump on a boundary ends the cell before it
+        cells = np.ceil(taus / dt).astype(int) - 1
+        cells += (cells + 1) * dt < taus
+        cells -= cells * dt >= taus
+        np.clip(cells, 0, n_cells - 1, out=cells)
         prev_tau = np.concatenate(([0.0], taus[:-1]))
         prev_cell = np.concatenate(([-1], cells[:-1]))
         same = cells == prev_cell
-        a = np.where(same, 0.0, (prev_cell + 1) * self.dt - prev_tau)
-        b = np.where(same, taus - prev_tau, taus - cells * self.dt)
-        k = np.where(same, 0, cells - prev_cell - 1)
-
+        ev = SimpleNamespace(
+            taus=taus, is_jump=is_jump, cells=cells, prev_cell=prev_cell,
+            a=np.where(same, 0.0, (prev_cell + 1) * dt - prev_tau),
+            b=np.where(same, taus - prev_tau, taus - cells * dt),
+            k=np.where(same, 0, cells - prev_cell - 1),
+        )
         n, d2 = self._L.shape[0], self._L.shape[-1] ** 2
         y = np.repeat(np.asarray(rho0, complex).reshape(1, -1, 1, order="F"), n, axis=0)
-        S = np.empty((len(taus), n))  # trace after each event's map (before it: 1)
-        Q = np.empty((len(taus), n))  # trace before the jump map
+        S, ev.Q = np.empty((2, len(ev.taus), n))
+        ev.Y = np.empty((len(ev.taus), n, d2), dtype=complex) if keep else None
         block = max(1, self._BLOCK // (n * d2 * (d2 + 2)))
         with np.errstate(all="ignore"):
-            for lo in range(0, len(taus), block):
+            for lo in range(0, len(ev.taus), block):
                 part = slice(lo, lo + block)
-                G = self._fused(a[part], k[part], b[part], is_jump[part])
+                G = self._fused(ev.a[part], ev.k[part], ev.b[part], ev.is_jump[part])
                 X = np.empty(G.shape[:-1] + (1,), dtype=complex)
                 vecs, traces = X[:, :, :d2], X[:, :, d2:d2 + 1].real
                 for i in range(len(G)):
                     np.matmul(G[i], y, out=X[i])
                     y = vecs[i] / traces[i]
+                if keep:
+                    ev.Y[part] = (vecs / traces)[..., 0]
                 S[part] = X[:, :, d2, 0].real
-                Q[part] = X[:, :, d2 + 1, 0].real
-            dark = is_jump[:, None] & ~(S > DARK_RATE * Q)
-            dead = np.any(dark | ~(Q > 0.0), axis=0)
-            total = np.sum(np.log(S), axis=0)
-        total += self.lam * horizon - len(jumps) * np.log(self.lam)
-        return np.where(dead | ~np.isfinite(total), -np.inf, total)
+                ev.Q[part] = X[:, :, d2 + 1, 0].real
+            ev.dead = ev.is_jump[:, None] & ~(S > DARK_RATE * ev.Q) | ~(ev.Q > 0.0)
+            ev.cum = np.cumsum(np.log(S), axis=0)
+        ev.total = ev.cum[-1] + (self.lam * horizon - len(jumps) * np.log(self.lam))
+        ev.total[ev.dead.any(axis=0) | ~np.isfinite(ev.total)] = -np.inf
+        return ev
 
+    def loglik(self, rho0, horizon, jumps):
+        """Record log-likelihood under each model, (n,); -inf where impossible."""
+        return self._sweep(rho0, horizon, np.asarray(jumps, dtype=float)).total
 
-def sample_counting_exact(H, L, rho0, T, rng):
-    """Exact waiting-time sampling of jump times via the effective Hamiltonian.
+    def _stretch(self, y, a, m, out):
+        """Unnormalized states N y N^dag of the first model into ``out``,
+        N = M_dt^m M_a for the whole-cell counts m, as one product with a
+        (d^2, d^2) matrix."""
+        if len(self._bad):
+            N = self._maps(a, m, 0.0, 0)
+            return np.matmul(N @ y, dag(N), out=out)
+        nu = (1.0 - a * self._g[0]) * np.exp(m[:, None] * self._logmu[0])
+        R = self._Uinv[0] @ y @ dag(self._Uinv[0])
+        T = _kron(self._U[0], self._U[0].conj()) * R.reshape(-1)
+        w = (nu[:, :, None] * nu.conj()[:, None, :]).reshape(len(m), -1)
+        np.matmul(w, T.T, out=out.reshape(len(m), -1))
 
-    Between jumps rho(t) = M rho M^dag, M = expm(-G t).  With G = U diag(g)
-    U^-1 the survival is S(t) = Re sum_ij c_ij exp(-(g_i + conj g_j) t),
-    c = (U^-1 rho U^-dag) * (U^dag U)^T, and each waiting time is the root of
-    S(t) = u, u uniform, by Brent's method on [0, T - t].  A near-defective
-    G (cond(U) >= EIG_COND_MAX) takes S(t) = Tr(M rho M^dag), M from expm.
-    Returns (jump_times, final normalized state).  For small dimensions.
-    """
-    # imported here: at module level it made `import qiokit` 15 ms slower
-    from scipy import linalg, optimize
+    def replay(self, rho0, horizon, jumps, on_dark="dead", out=None):
+        """States (into ``out`` if given) and running log trace of one model on
+        the dt grid, jumps at their times.  A jump at zero rate raises
+        :class:`ZeroJumpRate` with ``on_dark="raise"``; otherwise the log trace
+        is -inf from that cell on and the state freezes at the one just before
+        the jump."""
+        jumps = np.asarray(jumps, dtype=float)
+        ev = self._sweep(rho0, horizon, jumps, keep=True)
+        d, n = self._L.shape[-1], _n_cells(horizon, self.dt)
+        grid = np.append(np.arange(n) * self.dt, horizon)
+        dead = np.flatnonzero(ev.dead[:, 0])
+        last = dead[0] if len(dead) else len(ev.taus)
+        if last < len(ev.taus) and on_dark == "raise" and ev.is_jump[last]:
+            raise ZeroJumpRate(
+                f"record jumps at t={ev.taus[last]:.6g} while the jump rate is zero")
+        states = np.empty((n + 1, d, d), dtype=complex) if out is None else out
+        logtrace = np.full(n + 1, -np.inf)
+        y, before, seen = np.asarray(rho0, dtype=complex), 0.0, 0
+        for i in range(min(last + 1, len(ev.taus))):
+            lo, hi = ev.prev_cell[i] + 1, ev.cells[i] + 1
+            for s in range(lo, hi, self._BLOCK // (16 * d * d)):  # bounded blocks
+                st = states[s:min(hi, s + self._BLOCK // (16 * d * d))]
+                self._stretch(y, ev.a[i], np.arange(s - lo, s - lo + len(st)), st)
+                tr = btrace(st).real
+                st /= tr[:, None, None]
+                logtrace[s:s + len(st)] = before + np.log(tr) + (
+                    self.lam * grid[s:s + len(st)] - seen * np.log(self.lam))
+            if i < last:
+                y, before = ev.Y[i, 0].reshape(d, d).T, ev.cum[i, 0]
+                seen += ev.is_jump[i]
+        if last < len(ev.taus):
+            N = self._maps(ev.a[last], ev.k[last], ev.b[last], 0)
+            states[ev.cells[last] + 1:] = N @ y @ dag(N) / ev.Q[last, 0]
+        else:
+            states[n] = y
+        logtrace[n] = ev.total[0]
+        return SimpleNamespace(times=grid, states=states, logtrace=logtrace,
+                               loglik=float(logtrace[n]))
 
-    H = np.asarray(H, dtype=complex)
-    L = np.asarray(L, dtype=complex)
-    LdL = dag(L) @ L
-    gen = nojump_generator(H, LdL)
-    g, U = np.linalg.eig(gen)
-    closed = np.linalg.cond(U) < EIG_COND_MAX
-    Uinv = np.linalg.inv(U) if closed else None
-    exponents = -(g[:, None] + g.conj()[None, :])
-    gram = (dag(U) @ U).T
+    def simulate(self, rho0, uniforms, keep_states=False):
+        """Bernoulli-thinning simulation; row i of ``uniforms`` (b, n) runs
+        model i, or the one model.
 
-    def evolve(rho, tau):
-        M = (U * np.exp(-g * tau)) @ Uinv if closed else linalg.expm(-tau * gen)
-        return M @ rho @ dag(M)
+        Cell k jumps when u_k < Tr(L^dag L rho) dt at its start and the rate
+        after its no-jump map is positive; the jump lands at the cell end
+        (k+1) dt.  Each row takes the states of later cells in closed form
+        from its last anchor (its start, jump or mark), so its numbers do not
+        depend on the batch.  Only cells with u_k below Tr(L^dag L) dt can
+        jump, and only those are evaluated, a bounded block per row at a time.
+        """
+        b, n = uniforms.shape
+        mi = np.arange(b) if len(self._L) > 1 else np.zeros(b, dtype=int)
+        chunk = self._chunk[mi]
+        bound = btrace(self._LdL).real[mi] * self.dt * (1.0 + 1e-6)  # Tr >= top eigenvalue
+        rows, cand = np.nonzero(uniforms < bound[:, None])
+        cand = np.append(cand, n)  # so that a block may read one past the end
+        ptr = np.searchsorted(rows, np.arange(b + 1))
+        ptr, row_end = ptr[:-1].copy(), ptr[1:]
+        y = _broadcast_rho(rho0, b)
+        anchor, loglik = np.zeros(b, dtype=int), np.zeros(b)
+        jump_cells = [[] for _ in range(b)]
+        live = np.arange(b)
+        while live.size:
+            m, at = mi[live], anchor[live]
+            look = int(np.clip(self._BLOCK // (16 * y[0].size * len(live)), 1, 64))
+            stop = np.minimum((at // chunk[live] + 1) * chunk[live], n)  # next mark or end
+            idx = np.minimum(ptr[live, None] + np.arange(look), len(cand) - 1)
+            cells = cand[idx]
+            valid = (idx < row_end[live, None]) & (cells < stop[:, None])
+            j = np.where(valid, cells - at[:, None], 0)
+            # states at the start and the end of each candidate cell, then at the stop
+            N = self._maps(0.0, np.hstack((j, j + 1, (stop - at)[:, None])), 0.0, m[:, None])
+            st = N @ y[live, None] @ dag(N)
+            f = btrace(st).real
+            rate = btrace(self._LdL[m][:, None] @ st).real / f
+            u = uniforms[live[:, None], np.where(valid, cells, 0)]
+            jump = valid & (u < rate[:, :look] * self.dt) & (rate[:, look:-1] > 0.0)
+            hit = jump.any(axis=1)
+            n_valid = valid.sum(axis=1)
+            q = np.where(hit, jump.argmax(axis=1), n_valid)
+            ptr[live] += np.where(hit, q + 1, n_valid)
+            # rows that move their anchor: to a jump, or to the next mark or the end
+            move = np.flatnonzero(hit | (n_valid < look))
+            col = np.where(hit, look + q, 2 * look)[move]
+            rr, hit = live[move], hit[move]
+            new = st[move, col] / f[move, col, None, None]
+            loglik[rr] += np.log(f[move, col])
+            Lj = self._L[mi[rr[hit]]]
+            post = Lj @ new[hit] @ dag(Lj)
+            s = btrace(post).real
+            new[hit] = post / s[:, None, None]
+            loglik[rr[hit]] += np.log(s)
+            y[rr] = new
+            anchor[rr] = np.where(hit, cells[move, col % look] + 1, stop[move])
+            for i in rr[hit]:
+                jump_cells[i].append(anchor[i] - 1)
+            live = live[anchor[live] < n]
+        counts = np.array([len(c) for c in jump_cells])
+        loglik += self.lam * n * self.dt - counts * np.log(self.lam)
+        times, states = [(np.asarray(c, dtype=int) + 1) * self.dt for c in jump_cells], None
+        if keep_states:  # the replay of each record at its jump times (one model)
+            states = np.empty((b, n + 1) + y.shape[1:], dtype=complex)
+            for i, (r, t) in enumerate(zip(_broadcast_rho(rho0, b), times)):
+                self.replay(r, n * self.dt, t, out=states[i])
+            y = states[:, -1]
+        return SimpleNamespace(final=y, loglik=loglik, states=states, counts=counts,
+                               jump_times=times)
 
-    def survival(rho):
-        if not closed:
-            return lambda tau: btrace(evolve(rho, tau)).real
-        c = (Uinv @ rho @ dag(Uinv)) * gram
-        return lambda tau: np.sum(c * np.exp(exponents * tau)).real
+    def sample_exact(self, rho0, T, rng):
+        """Exact waiting-time sampling of jump times under the first model.
 
-    rho = np.asarray(rho0, dtype=complex).copy()
-    t = 0.0
-    times = []
-    while t < T:
-        u = rng.random()
-        S = survival(rho)
-        if S(T - t) > u:
-            rho = evolve(rho, T - t)
+        Between jumps rho(t) = M rho M^dag, M = expm(-G t).  With G = U diag(g)
+        U^-1 the survival is S(t) = Re sum_ij c_ij exp(-(g_i + conj g_j) t),
+        c = (U^-1 rho U^-dag) * (U^dag U)^T, and each waiting time is the root of
+        S(t) = u, u uniform, by Brent's method on [0, T - t].  A near-defective
+        G (cond(U) >= EIG_COND_MAX) takes S(t) = Tr(M rho M^dag), M from expm.
+        Returns (jump_times, final normalized state).  For small dimensions.
+        """
+        from scipy import linalg, optimize  # at module level: 15 ms slower import
+
+        U, Uinv, g, gen, L = (x[0] for x in (self._U, self._Uinv, self._g, self._gen, self._L))
+        closed = not len(self._bad)
+        exponents = -(g[:, None] + g.conj()[None, :])
+        gram = (dag(U) @ U).T
+
+        def evolve(rho, tau):
+            M = (U * np.exp(-g * tau)) @ Uinv if closed else linalg.expm(-tau * gen)
+            return M @ rho @ dag(M)
+
+        def survival(rho):
+            if not closed:
+                return lambda tau: btrace(evolve(rho, tau)).real
+            c = (Uinv @ rho @ dag(Uinv)) * gram
+            return lambda tau: np.sum(c * np.exp(exponents * tau)).real
+
+        rho = np.asarray(rho0, dtype=complex).copy()
+        t = 0.0
+        times = []
+        while t < T:
+            u = rng.random()
+            S = survival(rho)
+            if S(T - t) > u:
+                rho = evolve(rho, T - t)
+                rho /= btrace(rho).real
+                break
+            tau = optimize.brentq(lambda s: S(s) - u, 0.0, T - t, xtol=1e-14)
+            rho = evolve(rho, tau)
             rho /= btrace(rho).real
-            break
-        tau = optimize.brentq(lambda s: S(s) - u, 0.0, T - t, xtol=1e-14)
-        rho = evolve(rho, tau)
-        rho /= btrace(rho).real
-        rate = expect(LdL, rho).real
-        if rate <= DARK_RATE:
-            break
-        rho = (L @ rho @ dag(L)) / rate
-        t += tau
-        times.append(min(t, T))
-    return np.asarray(times), rho
+            rate = expect(self._LdL[0], rho).real
+            if rate <= DARK_RATE:
+                break
+            rho = (L @ rho @ dag(L)) / rate
+            t += tau
+            times.append(min(t, T))
+        return np.asarray(times), rho

@@ -250,8 +250,8 @@ def _cmd_linsys(args) -> int:
     return 0
 
 
-def _cmd_sysid(args) -> int:
-    cfg_dict = serialize.parse_json_file(args.config)
+@serialize.schema_errors("sysid config")
+def _pipeline_config(cfg_dict) -> PipelineConfig:
     system = dataset = None
     if "system_file" in cfg_dict:
         system = serialize.load_linear_system(cfg_dict["system_file"])
@@ -262,7 +262,7 @@ def _cmd_sysid(args) -> int:
             outputs=np.asarray(d["outputs"], float),
             split_index=int(d["split_index"]),
         )
-    cfg = PipelineConfig(
+    return PipelineConfig(
         dt=float(cfg_dict["dt"]), T=float(cfg_dict.get("T", 0.0)),
         prbs_amplitude=float(cfg_dict.get("prbs_amplitude", 1.0)),
         orders=tuple(cfg_dict["orders"]),
@@ -272,7 +272,10 @@ def _cmd_sysid(args) -> int:
         horizon=int(cfg_dict.get("horizon", 10)),
         system=system, dataset=dataset,
     )
-    res = run_pipeline(cfg)
+
+
+def _cmd_sysid(args) -> int:
+    res = run_pipeline(_pipeline_config(serialize.parse_json_file(args.config)))
     payload = _report(args, {
         "order": res.order,
         "cost": res.cost,
@@ -370,10 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_args(args) -> None:
+    """The argument rules argparse cannot state, checked before any work."""
+    if args.command == "simulate" and args.kind in ("homodyne", "counting") and not args.model:
+        raise ValidationError(f"simulate --kind {args.kind} needs --model")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except STATISTICAL_ERRORS as exc:
         print(f"statistical failure: {exc}", file=sys.stderr)

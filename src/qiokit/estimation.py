@@ -307,7 +307,7 @@ def _simulate_family_records(family, thetas, r0, kind, T, dt, seed, start_index=
         else:
             draws[i] = rng.normal(0.0, np.sqrt(dt), n)
     if kind == "counting":
-        out = integ.sweep_counting_simulate(Hb, Lb, r0, dt, n, draws)
+        out = integ.CountingLoglik(Hb, Lb, dt).simulate(r0, draws)
         return [CountingRecord(horizon=n * dt, jumps=j) for j in out.jump_times]
     out = integ.sweep_diffusive(Hb, Lb, r0, dt, dI=draws)
     return [DiffusiveRecord(dt=dt, increments=row) for row in out.dY]

@@ -88,13 +88,10 @@ def run_filter(
         )
     if isinstance(record, CountingRecord):
         _step_guard(model.L, dt)
-        out = integ.replay_counting(
-            model.H, model.L, rho0, dt, record.horizon, record.jumps,
-            keep_states=True, on_dark="raise",
+        out = integ.CountingLoglik(model.H, model.L, dt).replay(
+            rho0, record.horizon, record.jumps, on_dark="raise"
         )
-        return FilterTrajectory(
-            times=out.times, states=out.states, loglik=float(out.loglik)
-        )
+        return FilterTrajectory(times=out.times, states=out.states, loglik=out.loglik)
     raise ValidationError(f"unsupported record type {type(record).__name__}")
 
 
@@ -123,9 +120,8 @@ def run_zakai(
         )
     if isinstance(record, CountingRecord):
         _step_guard(model.L, dt)
-        out = integ.replay_counting(
-            model.H, model.L, rho0, dt, record.horizon, record.jumps,
-            lam=lam, keep_states=True, on_dark="dead",
+        out = integ.CountingLoglik(model.H, model.L, dt, lam=lam).replay(
+            rho0, record.horizon, record.jumps, on_dark="dead"
         )
         return ZakaiTrajectory(
             times=out.times, states=out.states, logtrace=out.logtrace
@@ -139,11 +135,10 @@ def log_likelihood(
 ) -> float:
     """Trajectory log-likelihood, log Tr of the Zakai state at the horizon.
 
-    Counting records are evaluated with the counting likelihood engine,
-    which is the grid replay's arithmetic with each stretch between jumps
-    fused into one map; cost scales with the number of jumps.  Returns
-    -inf for likelihood-zero records.  ``rho0`` must be a density matrix
-    of the model's dimension.
+    Counting records run through the counting engine of ``run_zakai``,
+    with the same value, without emitting the states; cost scales with
+    the number of jumps.  Returns -inf for likelihood-zero records.
+    ``rho0`` must be a density matrix of the model's dimension.
     """
     return float(log_likelihood_many(model, rho0, [record], lam=lam, dt=dt)[0])
 

@@ -7,11 +7,12 @@ writes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import QiokitError, ValidationError
 from .families import ParameterFamily
 from .linear import LinearQSystem
 from .operators import QMarkovModel
@@ -23,8 +24,21 @@ __all__ = [
     "family_to_dict", "family_from_dict", "save_family", "load_family",
     "linear_system_to_dict", "linear_system_from_dict",
     "save_linear_system", "load_linear_system",
-    "dump_json", "parse_json_file",
+    "dump_json", "parse_json_file", "schema_errors",
 ]
+
+
+@contextlib.contextmanager
+def schema_errors(what: str):
+    """Report a missing key or a value of the wrong type or form in a parsed
+    ``what`` as a :class:`ValidationError`; also usable as a decorator."""
+    try:
+        yield
+    except QiokitError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValidationError(f"malformed {what}: {detail}") from exc
 
 
 def _cmat(entry_re, entry_im, name):
@@ -46,13 +60,11 @@ def model_to_dict(model: QMarkovModel) -> dict:
     return {"dim": model.dim, "H_re": h_re, "H_im": h_im, "L_re": l_re, "L_im": l_im}
 
 
+@schema_errors("model file")
 def model_from_dict(d: dict) -> QMarkovModel:
-    try:
-        dim = int(d["dim"])
-        H = _cmat(d["H_re"], d["H_im"], "H")
-        L = _cmat(d["L_re"], d["L_im"], "L")
-    except KeyError as exc:
-        raise ValidationError(f"model file missing key {exc}") from exc
+    dim = int(d["dim"])
+    H = _cmat(d["H_re"], d["H_im"], "H")
+    L = _cmat(d["L_re"], d["L_im"], "L")
     if H.shape != (dim, dim) or L.shape != (dim, dim):
         raise ValidationError("model matrices do not match the declared dimension")
     return QMarkovModel(H=H, L=L)
@@ -74,6 +86,7 @@ def record_to_dict(record: MeasurementRecord) -> dict:
     raise ValidationError(f"unsupported record type {type(record).__name__}")
 
 
+@schema_errors("record file")
 def record_from_dict(d: dict) -> MeasurementRecord:
     kind = d.get("kind")
     if kind == "diffusive":
@@ -94,6 +107,7 @@ def family_to_dict(family: ParameterFamily) -> dict:
     return out
 
 
+@schema_errors("family file")
 def family_from_dict(d: dict) -> ParameterFamily:
     base = model_from_dict(d["base"])
     domain = d.get("domain")
@@ -117,12 +131,10 @@ def linear_system_to_dict(G: LinearQSystem) -> dict:
     }
 
 
+@schema_errors("linear-system file")
 def linear_system_from_dict(d: dict) -> LinearQSystem:
-    try:
-        n = int(d["n"])
-        A = np.asarray(d["A"], dtype=float)
-    except KeyError as exc:
-        raise ValidationError(f"linear-system file missing key {exc}") from exc
+    n = int(d["n"])
+    A = np.asarray(d["A"], dtype=float)
     if A.shape != (2 * n, 2 * n):
         raise ValidationError("A does not match the declared mode count")
     return LinearQSystem(A=A, B=d["B"], C=d["C"], D=d.get("D"))

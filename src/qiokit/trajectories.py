@@ -243,11 +243,9 @@ def simulate_counting(
     n = _check_grid(model, T, dt)
     rho0 = _state_array(rho0, model.dim)
     rng = trajectory_rng(seed, index)
+    engine = integ.CountingLoglik(model.H, model.L, dt)
     if method == "bernoulli":
-        u = rng.random(size=(1, n))
-        out = integ.sweep_counting_simulate(
-            model.H, model.L, rho0, dt, n, u, keep_states=keep_states
-        )
+        out = engine.simulate(rho0, rng.random(size=(1, n)), keep_states=keep_states)
         record = CountingRecord(horizon=n * dt, jumps=out.jump_times[0])
         traj = FilterTrajectory(
             times=np.arange(n + 1) * dt,
@@ -258,20 +256,13 @@ def simulate_counting(
     if method == "exact":
         if model.dim > 8:
             raise ValidationError("exact sampling is supported for dim <= 8")
-        times, rho_T = integ.sample_counting_exact(model.H, model.L, rho0, T, rng)
+        times, rho_T = engine.sample_exact(rho0, T, rng)
         record = CountingRecord(horizon=T, jumps=times)
         if keep_states:
-            out = integ.replay_counting(
-                model.H, model.L, rho0, dt, T, times,
-                keep_states=True, on_dark="dead",
-            )
-            traj = FilterTrajectory(
-                times=out.times, states=out.states, loglik=float(out.loglik)
-            )
+            out = engine.replay(rho0, T, times, on_dark="dead")
+            traj = FilterTrajectory(times=out.times, states=out.states, loglik=out.loglik)
         else:
-            # O(jumps) likelihood; the final state comes from the exact
-            # propagation rather than the grid scheme.
-            engine = integ.CountingLoglik(model.H, model.L, dt)
+            # the final state comes from the exact propagation, not the grid scheme
             traj = FilterTrajectory(
                 times=np.array([0.0, T]),
                 states=rho_T,
@@ -291,8 +282,8 @@ def simulate_counting_ensemble(
     u = np.empty((n_traj, n))
     for i in range(n_traj):
         u[i] = trajectory_rng(seed, start_index + i).random(size=n)
-    out = integ.sweep_counting_simulate(
-        model.H, model.L, rho0, dt, n, u, keep_states=keep_states
+    out = integ.CountingLoglik(model.H, model.L, dt).simulate(
+        rho0, u, keep_states=keep_states
     )
     return CountingEnsemble(
         horizon=n * dt, jump_times=out.jump_times, counts=out.counts,

@@ -49,6 +49,8 @@ from qiokit.trajectories import (
 
 from conftest import SM, SX, driven_qubit, random_ergodic_model, random_hermitian
 
+pytestmark = pytest.mark.acceptance
+
 MIXED = np.eye(2, dtype=complex) / 2
 ZERO2 = np.zeros((2, 2), dtype=complex)
 

@@ -240,3 +240,36 @@ class TestCLIAnalysis:
                      "--method", "abc", "--epsilon", "0", "--n-sims", "5",
                      "--dt", "1e-2", "--out", str(out)])
         assert code == 4
+
+
+class TestMalformedInputs:
+    """Malformed files and missing arguments exit 2, not 3 with a raw exception."""
+
+    def test_counting_record_without_horizon(self, tmp_path, qubit_file, capsys):
+        rec = tmp_path / "rec.json"
+        rec.write_text(json.dumps({"kind": "counting", "jumps": [0.5]}))
+        code = main(["loglik", "--model", qubit_file, "--records", str(rec),
+                     "--out", str(tmp_path / "ll.json")])
+        assert code == 2
+        assert "missing key 'horizon'" in capsys.readouterr().err
+
+    def test_non_numeric_dt(self, tmp_path, qubit_file, capsys):
+        rec = tmp_path / "rec.json"
+        rec.write_text(json.dumps({"kind": "diffusive", "dt": "abc", "increments": [0.1]}))
+        code = main(["filter", "--model", qubit_file, "--record", str(rec),
+                     "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        assert "malformed record file" in capsys.readouterr().err
+
+    def test_simulate_model_kind_without_model(self, tmp_path, capsys):
+        code = main(["simulate", "--kind", "homodyne", "--T", "1", "--dt", "1e-3",
+                     "--seed", "0", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "needs --model" in capsys.readouterr().err
+
+    def test_sysid_config_without_orders(self, tmp_path, cavity_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system_file": cavity_file, "dt": 0.05, "T": 400.0}))
+        code = main(["sysid", "--config", str(cfg), "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "missing key 'orders'" in capsys.readouterr().err

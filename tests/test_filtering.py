@@ -21,6 +21,7 @@ from qiokit.trajectories import (
     CountingRecord,
     DiffusiveRecord,
     simulate_counting,
+    simulate_counting_ensemble,
     simulate_homodyne,
     simulate_homodyne_ensemble,
     simulate_reference,
@@ -153,13 +154,29 @@ class TestLogLikelihood:
                                    rel=1e-9, abs=0.0)
 
     def test_counting_long_jump_free_record_does_not_underflow(self):
-        # Tr of the unnormalized state is (1 - dt/2)^(2n) ~ exp(-5000) here
-        m = QMarkovModel(H=ZERO2, L=SM)
+        # Tr of the unnormalized state is (1 - dt kappa/2)^(2n): exp(-5000) for
+        # the first case; the others lose exp(-102) per 1,000 cells, close to the
+        # step guard dt kappa <= 0.1
         excited = np.diag([0.0, 1.0]).astype(complex)
-        dt, n = 1e-2, 500_000
-        rec = CountingRecord(horizon=n * dt, jumps=[])
-        want = 2 * n * np.log1p(-dt / 2) + n * dt
-        assert log_likelihood(m, excited, rec, dt=dt) == pytest.approx(want, abs=1e-9)
+        dt = 1e-2
+        for kappa_dt, n in [(1e-2, 500_000), (0.0999, 9_000), (0.0999, 25_000)]:
+            m = QMarkovModel(H=ZERO2, L=np.sqrt(kappa_dt / dt) * SM)
+            rec = CountingRecord(horizon=n * dt, jumps=[])
+            want = 2 * n * np.log1p(-kappa_dt / 2) + n * dt
+            assert log_likelihood(m, excited, rec, dt=dt) == pytest.approx(want, abs=1e-9)
+            assert run_zakai(m, excited, rec, dt=dt).loglik == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("method", ["bernoulli", "exact"])
+    def test_counting_filter_zakai_and_likelihood_agree_exactly(self, method):
+        m = driven_qubit()
+        for seed in range(3):
+            rec, _ = simulate_counting(m, MIXED, T=10.0, dt=1e-2, seed=seed,
+                                       method=method, keep_states=False)
+            ll = log_likelihood(m, MIXED, rec, dt=1e-2)
+            assert run_filter(m, MIXED, rec, dt=1e-2).loglik == ll
+            assert run_zakai(m, MIXED, rec, dt=1e-2).loglik == ll
+            ll = log_likelihood(m, MIXED, rec, lam=2.0, dt=1e-2)
+            assert run_zakai(m, MIXED, rec, lam=2.0, dt=1e-2).loglik == ll
 
     def test_diffusive_equals_zakai_trace(self):
         m = driven_qubit()
@@ -333,6 +350,59 @@ def dense_diffusive(H, L, rho0, dt, *, dY=None, dI=None):
     return np.array(incs), np.array(states), np.array(logtrace), clips
 
 
+def dense_counting(H, L, rho0, dt, *, u=None, horizon=None, jumps=()):
+    """The README counting scheme, one (d, d) cell at a time, at lam = 1.
+
+    With uniforms ``u`` it simulates: cell k jumps when u[k] < Tr(L^dag L rho)
+    dt at its start and the rate after its no-jump Kraus map is positive; the
+    jump lands at the cell end.  Otherwise it replays ``jumps`` on the cells of
+    ``horizon``, the jumps in a cell (t0, t1] cutting it into no-jump
+    sub-steps.  Returns jump times, states and running log-likelihood.
+    """
+    LdL = L.conj().T @ L
+    gen = 1j * H + 0.5 * LdL
+    n = len(u) if u is not None else max(int(np.ceil(horizon / dt - 1e-9)), 1)
+    grid = np.append(np.arange(n) * dt, n * dt if u is not None else horizon)
+    rho, log, out = np.asarray(rho0, dtype=complex), 0.0, []
+    states, logtrace = [rho], [0.0]
+
+    def nojump(rho, delta):
+        M = np.eye(len(rho)) - delta * gen
+        upd = M @ rho @ M.conj().T
+        return upd / np.trace(upd).real, np.log(np.trace(upd).real)
+
+    def jump(rho):
+        upd = L @ rho @ L.conj().T
+        return upd / np.trace(upd).real, np.log(np.trace(upd).real)
+
+    for k in range(n):
+        t0, t1 = grid[k], grid[k + 1]
+        if u is not None:
+            rate0 = np.trace(LdL @ rho).real
+            rho, f = nojump(rho, dt)
+            log += f
+            if u[k] < rate0 * dt and np.trace(LdL @ rho).real > 0.0:
+                rho, f = jump(rho)
+                log += f
+                out.append((k + 1) * dt)
+        else:
+            pos = t0
+            lo, hi = np.searchsorted(jumps, [t0, t1], side="right")
+            for tau in jumps[lo:hi]:
+                if tau > pos:
+                    rho, f = nojump(rho, tau - pos)
+                    log += f
+                rho, f = jump(rho)
+                log += f
+                pos = tau
+            if t1 > pos:
+                rho, f = nojump(rho, t1 - pos)
+                log += f
+        states.append(rho)
+        logtrace.append(log + t1)
+    return np.array(out), np.array(states), np.array(logtrace)
+
+
 def _qutrit():
     return random_ergodic_model(3, np.random.default_rng(3), scale=0.7)
 
@@ -346,8 +416,17 @@ SCHEME_CASES = {
 }
 
 
+# Omega = kappa/2 makes the no-jump generator defective: the counting engine
+# takes matrix powers there instead of its eigenbasis
+COUNTING_CASES = {
+    "qubit": driven_qubit,
+    "qutrit": _qutrit,
+    "exceptional point": lambda: driven_qubit(omega=0.5),
+}
+
+
 class TestDenseReference:
-    """The engine against the dense stepper: the log-likelihood to 1e-10
+    """The engines against the dense steppers: the log-likelihood to 1e-10
     relative, the running log trace and the states to 1e-12."""
 
     DT, N = 1e-3, 300
@@ -385,6 +464,38 @@ class TestDenseReference:
                                                               dI=dI)
             assert np.max(np.abs(incs - ref_incs)) < 1e-12
             self.check(np.array([ll]), states, ref_ll[-1:], ref_states)
+
+    @pytest.mark.parametrize("case", sorted(COUNTING_CASES))
+    def test_counting_simulators(self, case):
+        m = COUNTING_CASES[case]()
+        rho0 = np.eye(m.dim, dtype=complex) / m.dim
+        dt, n = 1e-2, 2000
+        rec, traj = simulate_counting(m, rho0, n * dt, dt, seed=53, index=1)
+        ens = simulate_counting_ensemble(m, rho0, n * dt, dt, n_traj=3, seed=53,
+                                         keep_states=True)
+        runs = [(rec.jumps, traj.loglik, traj.states, 1)]
+        runs += [(ens.jump_times[i], ens.logliks[i], ens.states[i], i) for i in range(3)]
+        for jumps, ll, states, index in runs:
+            u = trajectory_rng(53, index).random(size=n)
+            ref_jumps, ref_states, ref_logtrace = dense_counting(m.H, m.L, rho0, dt, u=u)
+            assert len(ref_jumps) > 0
+            assert np.array_equal(jumps, ref_jumps)
+            self.check(np.array([ll]), states, ref_logtrace[-1:], ref_states)
+
+    @pytest.mark.parametrize("case", sorted(COUNTING_CASES))
+    def test_counting_replay(self, case):
+        m = COUNTING_CASES[case]()
+        rho0 = np.eye(m.dim, dtype=complex) / m.dim
+        dt = 1e-2
+        # jumps on cell boundaries, three in one cell, one in the fractional last cell
+        cells = [3.0, 50.0, 51.0, 100.2, 100.5, 100.9, 177.4, 300.3]
+        rec = CountingRecord(horizon=300.6 * dt, jumps=[c * dt for c in cells])
+        _, ref_states, ref_logtrace = dense_counting(m.H, m.L, rho0, dt,
+                                                     horizon=rec.horizon, jumps=rec.jumps)
+        z = run_zakai(m, rho0, rec, dt=dt)
+        self.check(z.logtrace, z.states, ref_logtrace, ref_states)
+        f = run_filter(m, rho0, rec, dt=dt)
+        self.check(np.array([f.loglik]), f.states, ref_logtrace[-1:], ref_states)
 
     @pytest.mark.parametrize("case", ["qubit ground", "qubit mixed"])
     def test_posterior_grid_theta_stack(self, case):

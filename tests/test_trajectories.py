@@ -268,13 +268,17 @@ class TestBatchWidth:
 
     def test_counting(self):
         m = self.model()
-        ens = simulate_counting_ensemble(m, MIXED, T=2.0, dt=1e-3, n_traj=self.N_TRAJ,
-                                         seed=self.SEED)
-        for i in (0, 57, 99):
-            rec, traj = simulate_counting(m, MIXED, T=2.0, dt=1e-3, seed=self.SEED,
-                                          index=i, keep_states=False)
-            assert np.array_equal(ens.jump_times[i], rec.jumps)
-            assert ens.logliks[i] == traj.loglik
+        for keep_states in (False, True):
+            ens = simulate_counting_ensemble(m, MIXED, T=2.0, dt=1e-3,
+                                             n_traj=self.N_TRAJ, seed=self.SEED,
+                                             keep_states=keep_states)
+            for i in (0, 57, 99):
+                rec, traj = simulate_counting(m, MIXED, T=2.0, dt=1e-3, seed=self.SEED,
+                                              index=i, keep_states=keep_states)
+                assert np.array_equal(ens.jump_times[i], rec.jumps)
+                assert ens.logliks[i] == traj.loglik
+                if keep_states:
+                    assert np.array_equal(ens.states[i], traj.states)
 
 
 _DREC = DiffusiveRecord(dt=1e-3, increments=np.zeros(10))
