@@ -396,6 +396,38 @@ def kalman_gain(G: LinearQSystem, quadrature: str) -> tuple[np.ndarray, np.ndarr
     return gain[:, 0], Q
 
 
+def _lti_run(A: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """States z_0 = 0, z_1, ..., z_n of ``z_{k+1} = A z_k + drive[k]``.
+
+    Runs in blocks of B steps: inside a block the response to the drive is
+    one product with the block-Toeplitz matrix of A^0 ... A^(B-1), and the
+    state carried in enters through A^1 ... A^B, so only the n/B carries are
+    sequential.  B is 64, cut to the largest B with rho(A)^B <= 1e100 so that
+    the powers stay finite (a zero drive keeps exact zeros).  A non-finite A
+    gives non-finite states.
+    """
+    n, d = drive.shape
+    if not np.all(np.isfinite(A)):
+        return np.vstack([np.zeros(d), np.full((n, d), np.nan)])
+    rho = np.max(np.abs(np.linalg.eigvals(A)))
+    B = 64 if rho <= 1.0 else int(np.clip(100.0 / np.log10(rho), 1, 64))
+    powers = [np.eye(d)]
+    for _ in range(B):
+        powers.append(A @ powers[-1])
+    powers = np.array(powers)
+    lag = np.subtract.outer(np.arange(B), np.arange(B))
+    toeplitz = np.where((lag >= 0)[..., None, None], powers[np.maximum(lag, 0)], 0.0)
+    nb = -(-n // B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resp = (np.pad(drive, ((0, nb * B - n), (0, 0))).reshape(nb, B * d)
+                @ toeplitz.transpose(0, 2, 1, 3).reshape(B * d, B * d).T)
+        carry = np.zeros((nb, d))
+        for b in range(1, nb):
+            carry[b] = powers[B] @ carry[b - 1] + resp[b - 1, -d:]
+        resp += carry @ powers[1:].transpose(2, 0, 1).reshape(d, B * d)
+    return np.vstack([np.zeros(d), resp.reshape(nb * B, d)[:n]])
+
+
 def simulate_innovation_form(
     G: LinearQSystem, L_m: np.ndarray, quadrature: str, f: np.ndarray,
     T: float, dt: float, seed: int, *, noise: bool = True, index: int = 0,
@@ -422,16 +454,8 @@ def simulate_innovation_form(
     L_m = np.asarray(L_m, dtype=float).reshape(-1)
     rng = trajectory_rng(seed, index)
     dnu = rng.normal(0.0, np.sqrt(dt), n_steps) if noise else np.zeros(n_steps)
-    # z' = (I + A dt) z + B f dt + L_m dnu, with the step matrix and the
-    # input/noise drive built once; the output follows from the trajectory
-    step = np.eye(2 * G.n) + G.A * dt
-    drive = (f @ G.B.T) * dt + np.outer(dnu, L_m)
-    z = np.zeros(2 * G.n)
-    traj = np.empty((n_steps + 1, 2 * G.n))
-    traj[0] = z
-    for k in range(n_steps):
-        z = step @ z + drive[k]
-        traj[k + 1] = z
+    # z' = (I + A dt) z + B f dt + L_m dnu; the output follows from the trajectory
+    traj = _lti_run(np.eye(2 * G.n) + G.A * dt, (f @ G.B.T) * dt + np.outer(dnu, L_m))
     dY = (traj[:-1] @ Cm) * dt + (f @ Dm) * dt + dnu
     return DiffusiveRecord(dt=dt, increments=dY), traj
 

@@ -37,6 +37,7 @@ from .linear import (
     LinearQSystem,
     QUAD_ROW,
     _construct,
+    _lti_run,
     kalman_gain,
     simulate_innovation_form,
     symplectic_form,
@@ -189,9 +190,8 @@ class SubspaceEstimate:
     B: np.ndarray
     singular_values: np.ndarray
     dt: float
-    gain_fallback: bool = False  # Kd was set to zero: the DARE failed, or the
-                                 # fit is exact and its gain does not
-                                 # stabilize Ad - Kd C
+    gain_fallback: bool = False  # Kd was set to zero: the fit is exact (noise-free
+                                 # data have zero innovation gain) or the DARE failed
 
 
 # a fit whose mean-square residual is below this fraction of the mean square
@@ -202,24 +202,8 @@ _EXACT_FIT_TOL = np.finfo(float).eps
 
 def _blkhank(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Block Hankel with `rows` block rows from channel-major data (c, N)."""
-    c = x.shape[0]
-    H = np.empty((c * rows, cols))
-    for k in range(rows):
-        H[k * c : (k + 1) * c] = x[:, k : k + cols]
-    return H
-
-
-def _oblique(Yf, Uf, Wp):
-    """Oblique projection of Yf onto row(Wp) along row(Uf) via LQ factors.
-
-    Also returns the LQ factor ``L`` of ``[Uf; Wp; Yf]``.
-    """
-    # only the triangular factor: Q would be as long as the data
-    L = np.linalg.qr(np.vstack([Uf, Wp, Yf]).T, mode="r").T
-    nu, nw = Uf.shape[0], Wp.shape[0]
-    L22 = L[nu : nu + nw, nu : nu + nw]
-    L32 = L[nu + nw :, nu : nu + nw]
-    return L32 @ np.linalg.pinv(L22) @ Wp, L
+    win = np.lib.stride_tricks.sliding_window_view(x, cols, axis=1)[:, :rows]
+    return win.transpose(1, 0, 2).reshape(rows * x.shape[0], cols)
 
 
 def _discrete_to_continuous(Ad, Bd, dt):
@@ -244,101 +228,103 @@ def _discrete_to_continuous(Ad, Bd, dt):
     return A, B
 
 
-def _hankel_projections(u, y, i):
-    """Order-independent part of the subspace estimate at horizon ``i``.
-
-    Block Hankel matrices, oblique projections and the SVD of the first
-    one; every candidate order truncates the same factorization.
-    """
-    N = len(y)
-    m, ell = 2, 1
-    j = N - 2 * i + 1
-    if j < 2 * i * (m + ell):
-        raise InsufficientData("too few Hankel columns for the requested horizon")
-    U = _blkhank(u.T, 2 * i, j)
-    Y = _blkhank(y[None, :], 2 * i, j)
-    Up, Uf = U[: i * m], U[i * m :]
-    Yp, Yf = Y[: i * ell], Y[i * ell :]
-    Wp = np.vstack([Up, Yp])
-    Upp, Ufm = U[: (i + 1) * m], U[(i + 1) * m :]
-    Ypp, Yfm = Y[: (i + 1) * ell], Y[(i + 1) * ell :]
-    Wpp = np.vstack([Upp, Ypp])
-
-    Oi, L = _oblique(Yf, Uf, Wp)
-    # the leading rows [Uf; Up] of the factored stack are the rows of U, so
-    # the leading block of its LQ factor has the singular values of U
-    sv_u = np.linalg.svd(L[: 2 * i * m, : 2 * i * m], compute_uv=False)
-    if sv_u[0] <= 0 or sv_u[-1] < 1e-9 * sv_u[0]:
-        raise NotExciting("input block Hankel matrix is rank deficient")
-    Oim, _ = _oblique(Yfm, Ufm, Wpp)
-    Usv, sv, _ = np.linalg.svd(Oi, full_matrices=False)
-    return U, Y, Oi, Oim, Usv, sv
+def _project(rows, nu, nw):
+    """Oblique projection of Yf onto row(Wp) along row(Uf), from the stack
+    [Uf; Wp; Yf] given as coefficient rows in an orthonormal basis."""
+    L = np.linalg.qr(rows.T, mode="r").T
+    L22 = L[nu : nu + nw, nu : nu + nw]
+    return L[nu + nw :, nu : nu + nw] @ np.linalg.pinv(L22) @ rows[nu : nu + nw]
 
 
-def _subspace_discrete(
-    data: SysIdDataset, order: int, horizon: int,
-    D: np.ndarray | None = None, quadrature: str = "Q", cache: dict | None = None,
-):
-    """Discrete-time subspace estimate (Ad, Bd, C, Kd, singular values, fallback).
+@dataclass(frozen=True)
+class _HankelFactor:
+    """Order-independent part of the subspace fit of one dataset.  The block
+    Hankel rows [Uf; Up; Yp; Yf] are ``L Q^T`` (Q (j, r) orthonormal, L r x r,
+    r = 2i(m+l)); every row set the fit needs is kept as its coefficients in
+    the Q basis, on which products over the j data columns are the same."""
 
-    Calls that share ``data``, ``horizon``, ``D`` and ``quadrature`` may
-    pass one ``cache`` dict to factor the data once for all orders.
-    """
-    ns = 2 * order
-    i = int(horizon)
-    if i < ns + 1:
-        raise ValidationError("horizon must exceed the state dimension")
+    dt: float
+    u: np.ndarray        # (N, 2) estimation inputs
+    y: np.ndarray        # (N,) estimation outputs, feedthrough removed
+    j: int               # Hankel columns
+    Oim: np.ndarray      # (i-1, r) shifted oblique projection
+    Usv: np.ndarray      # (i, i) left singular vectors of Oi
+    sv: np.ndarray       # singular values of Oi, zero under the rank cut
+    Vt: np.ndarray       # (i, r) right singular vectors of Oi
+    Uii: np.ndarray      # (m, r) input block row i
+    Yii: np.ndarray      # (l, r) output block row i
+
+
+def _hankel_factor(data, horizon, D, quadrature, orders) -> _HankelFactor:
+    """Factor ``data`` once for subspace fits of the given mode counts."""
+    i, m, ell = int(horizon), 2, 1
     D = np.eye(2) if D is None else np.asarray(D, dtype=float)
     u, y_raw = data.estimation()
     y = y_raw - u @ D[QUAD_ROW[quadrature]]
     N = len(y)
-    if N < 10 * (2 * i) * ns:
-        raise InsufficientData(
-            f"need at least {10 * 2 * i * ns} estimation samples, got {N}"
-        )
-    m, ell = 2, 1
-    if cache is not None and "projections" in cache:
-        U, Y, Oi, Oim, Usv, sv = cache["projections"]
-    else:
-        U, Y, Oi, Oim, Usv, sv = _hankel_projections(u, y, i)
-        if cache is not None:
-            cache["projections"] = U, Y, Oi, Oim, Usv, sv
-    j = U.shape[1]
-    if ns > len(sv):
-        raise ValidationError("order too large for the projection rank")
-    gam = Usv[:, :ns] * np.sqrt(sv[:ns])[None, :]
-    gam_minus = gam[:-ell]
-    Xi = np.linalg.pinv(gam) @ Oi
-    Xip = np.linalg.pinv(gam_minus) @ Oim
+    for ns in [2 * n for n in orders]:
+        if i < ns + 1:
+            raise ValidationError("horizon must exceed the state dimension")
+        if N < 10 * (2 * i) * ns:
+            raise InsufficientData(
+                f"need at least {10 * 2 * i * ns} estimation samples, got {N}"
+            )
+    j = N - 2 * i + 1
+    if j < 2 * i * (m + ell):
+        raise InsufficientData("too few Hankel columns for the requested horizon")
+    U = _blkhank(u.T, 2 * i, j)
+    stack = np.vstack([U[i * m :], U[: i * m], _blkhank(y[None, :], 2 * i, j)])
+    L = np.linalg.qr(stack.T, mode="r").T  # only L: Q would be as long as the data
+    # the leading rows [Uf; Up] are the rows of U, so the leading block of L
+    # has the singular values of U
+    sv_u = np.linalg.svd(L[: 2 * i * m, : 2 * i * m], compute_uv=False)
+    if sv_u[0] <= 0 or sv_u[-1] < 1e-9 * sv_u[0]:
+        raise NotExciting("input block Hankel matrix is rank deficient")
+    nu, nw = i * m, i * (m + ell)
+    Oi = _project(L, nu, nw)
+    # the shifted stack [Uf-; Up+; Yp+; Yf-] permutes the rows of the first
+    perm = np.r_[m:nu, nu : 2 * nu, 0:m, 2 * nu : len(L)]
+    Oim = _project(L[perm], nu - m, nw + m + ell)
+    Usv, sv, Vt = np.linalg.svd(Oi, full_matrices=False)
+    # numerical rank cut at the tolerance of the (i, j) matrix Oi: an
+    # over-parameterized fit to exact data gets exactly zero junk modes
+    sv[sv < j * np.finfo(float).eps * sv[0]] = 0.0
+    return _HankelFactor(
+        dt=data.dt, u=u, y=y, j=j, Oim=Oim, Usv=Usv, sv=sv, Vt=Vt,
+        Uii=L[:m], Yii=L[2 * nu + i : 2 * nu + i + ell],
+    )
 
-    Uii = U[i * m : (i + 1) * m]
-    Yii = Y[i * ell : (i + 1) * ell]
-    reg = np.vstack([Xi, Uii])
-    theta, *_ = np.linalg.lstsq(reg.T, Xip.T, rcond=None)
-    theta = theta.T
-    Ad, Bd = theta[:, :ns], theta[:, ns:]
-    c_row, *_ = np.linalg.lstsq(Xi.T, Yii.T, rcond=None)
-    C = c_row.T
 
-    res_w = Xip - Ad @ Xi - Bd @ Uii
-    res_e = Yii - C @ Xi
-    Qw = res_w @ res_w.T / j
-    Re = res_e @ res_e.T / j
-    Sw = res_w @ res_e.T / j
-    try:
-        P = scipy.linalg.solve_discrete_are(Ad.T, C.T, Qw, Re, s=Sw)
-        Kd = np.linalg.solve((C @ P @ C.T + Re).T, (Ad @ P @ C.T + Sw).T).T
-        fallback = False
-    except (np.linalg.LinAlgError, ValueError):
-        Kd, fallback = np.zeros((ns, ell)), True
-    # on an exact fit the residual covariances are round-off and the DARE
-    # gain need not stabilize the predictor: the open loop predicts instead.
-    # On any other fit an unstable gain stays, and its predictor scores inf.
-    exact = Re[0, 0] <= _EXACT_FIT_TOL * float(np.mean(Yii**2))
-    if exact and not (np.all(np.isfinite(Kd))
-                      and np.max(np.abs(np.linalg.eigvals(Ad - Kd @ C))) < 1.0):
-        Kd, fallback = np.zeros((ns, ell)), True
-    return Ad, Bd, C, Kd, sv, fallback
+def _subspace_discrete(f: _HankelFactor, order: int):
+    """Discrete-time subspace estimate (Ad, Bd, C, Kd, singular values, fallback).
+
+    Reads order ``order`` off the factor; state directions under its rank
+    cut come out as states with zero dynamics, input and output.
+    """
+    ns, ell = 2 * order, 1
+    k = int(np.count_nonzero(f.sv[:ns]))
+    root = np.sqrt(f.sv[:k])
+    Xi = root[:, None] * f.Vt[:k]                          # pinv(gam) Oi
+    Xip = np.linalg.pinv(f.Usv[:-ell, :k] * root) @ f.Oim  # pinv(gam_minus) Oim
+    reg = np.vstack([Xi, f.Uii])
+    theta = np.linalg.lstsq(reg.T, Xip.T, rcond=None)[0].T
+    C = np.linalg.lstsq(Xi.T, f.Yii.T, rcond=None)[0].T
+    res_w = Xip - theta @ reg
+    res_e = f.Yii - C @ Xi
+    Ad, Kd, fallback = theta[:, :k], np.zeros((k, ell)), True
+    # noise-free data has zero innovation gain: on an exact fit the residual
+    # covariances are round-off, so the open loop predicts
+    if np.sum(res_e**2) > _EXACT_FIT_TOL * np.sum(f.Yii**2):
+        Qw, Re, Sw = res_w @ res_w.T / f.j, res_e @ res_e.T / f.j, res_w @ res_e.T / f.j
+        try:
+            P = scipy.linalg.solve_discrete_are(Ad.T, C.T, Qw, Re, s=Sw)
+            Kd = np.linalg.solve((C @ P @ C.T + Re).T, (Ad @ P @ C.T + Sw).T).T
+            fallback = False
+        except (np.linalg.LinAlgError, ValueError):
+            pass
+    pad = ns - k
+    return (np.pad(Ad, (0, pad)), np.pad(theta[:, k:], ((0, pad), (0, 0))),
+            np.pad(C, ((0, 0), (0, pad))), np.pad(Kd, ((0, pad), (0, 0))), f.sv, fallback)
 
 
 def _balance(A, B, C):
@@ -381,18 +367,24 @@ def subspace_id(
     The known feedthrough (measured row of ``D``, identity by default) is
     removed from the outputs, which then regress on states only.
     ``order`` counts oscillator modes: the state dimension is 2*order.
+    One triangular factor of the block Hankel data gives the projections,
+    the SVD (singular values under the numerical rank cut zeroed) and the
+    fits; an exact fit gets zero innovation gain (``gain_fallback``).
     Continuous matrices come from the principal matrix logarithm, with an
     explicit :class:`LogBranch` failure instead of a silent branch repair;
     the returned realization is internally balanced.
     """
-    Ad, Bd, C, Kd, sv, fallback = _subspace_discrete(
-        data, order, horizon, D, quadrature)
-    A, B = _discrete_to_continuous(Ad, Bd, data.dt)
+    return _subspace_estimate(_hankel_factor(data, horizon, D, quadrature, [order]), order)
+
+
+def _subspace_estimate(f: _HankelFactor, order: int) -> SubspaceEstimate:
+    Ad, Bd, C, Kd, sv, fallback = _subspace_discrete(f, order)
+    A, B = _discrete_to_continuous(Ad, Bd, f.dt)
     T, Tinv = _balance(A, B, C)
     A, B, C = Tinv @ A @ T, Tinv @ B, C @ T
     Ad, Bd, Kd = Tinv @ Ad @ T, Tinv @ Bd, Tinv @ Kd
     return SubspaceEstimate(
-        Ad=Ad, Bd=Bd, C=C, Kd=Kd, A=A, B=B, singular_values=sv, dt=data.dt,
+        Ad=Ad, Bd=Bd, C=C, Kd=Kd, A=A, B=B, singular_values=sv, dt=f.dt,
         gain_fallback=fallback,
     )
 
@@ -591,17 +583,10 @@ def _one_step_mse(Ad, Bd, C, Kd, u, ytilde):
     infinite error rather than overflowing.
     """
     c_row = np.asarray(C).reshape(-1)
-    # z' = Ad z + Bd u + Kd (y - C z), with the closed-loop matrix and the
-    # input/output drive built once
-    A_cl = Ad - np.outer(Kd[:, 0], c_row)
-    drive = u @ Bd.T + np.outer(ytilde, Kd[:, 0])
-    z = np.zeros(Ad.shape[0])
-    Z = np.empty((len(ytilde), Ad.shape[0]))
+    # z' = (Ad - Kd C) z + Bd u + Kd y
+    Z = _lti_run(Ad - np.outer(Kd[:, 0], c_row), u @ Bd.T + np.outer(ytilde, Kd[:, 0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(ytilde)):
-            Z[k] = z
-            z = A_cl @ z + drive[k]
-        pred = Z @ c_row
+        pred = Z[:-1] @ c_row
     if not np.all(np.abs(pred) <= 1e100):  # also catches inf and nan
         return np.inf
     e = ytilde - pred
@@ -622,32 +607,28 @@ def fpe_order_select(
     feedthrough-free output).  The floor is a tolerance, not the round-off
     level: every fit whose relative RMS residual is under ``sqrt(eps)``
     (about 1.5e-8) counts as exact, so exact fits tie and the parameter
-    penalty picks the smallest exact order.  Selection
-    runs on the discrete-time estimates, where the one-step predictor lives;
-    the continuous conversion (and any branch failure) belongs to the
-    selected order.
+    penalty picks the smallest exact order.  Every candidate is read from
+    one factor of the data (see :func:`subspace_id`).  Selection runs on
+    the discrete-time estimates, where the one-step predictor lives; the
+    continuous conversion (and any branch failure) belongs to the selected
+    order.
     """
     orders = list(orders)
     if not orders:
         raise ValidationError("need at least one candidate order")
-    D = np.eye(2) if D is None else np.asarray(D, float)
-    row = QUAD_ROW[quadrature]
-    u, y = data.estimation()
-    ytilde = y - u @ D[row]
-    floor = _EXACT_FIT_TOL * float(np.mean(ytilde**2))
+    return _fpe_select(_hankel_factor(data, horizon, D, quadrature, orders), orders)
+
+
+def _fpe_select(f: _HankelFactor, orders) -> tuple[int, dict]:
+    N = len(f.y)
+    floor = _EXACT_FIT_TOL * float(np.mean(f.y**2))
     table = {}
-    cache = {}
     for n in orders:
-        Ad, Bd, C, Kd, _, _ = _subspace_discrete(
-            data, n, horizon, D, quadrature, cache)
-        vn = max(_one_step_mse(Ad, Bd, C, Kd, u, ytilde), floor)
-        p = 4 * n * n + 8 * n
-        N = len(ytilde)
-        if p >= N:
-            raise InsufficientData(f"order {n} has more parameters than samples")
+        Ad, Bd, C, Kd, _, _ = _subspace_discrete(f, n)
+        vn = max(_one_step_mse(Ad, Bd, C, Kd, f.u, f.y), floor)
+        p = 4 * n * n + 8 * n  # below N: the data check asks N >= 40 n (2n + 1)
         table[n] = vn * (1 + p / N) / (1 - p / N)
-    n_best = min(table, key=table.get)
-    return n_best, table
+    return min(table, key=table.get), table
 
 
 def validate_nmse(
@@ -671,18 +652,11 @@ def validate_nmse(
     u, y = data.inputs, data.outputs
     Cm, Dm = G.C[row], G.D[row]
     L_m = np.asarray(L_m, dtype=float).reshape(-1)
-    dt = data.dt
-    # z' = z + (A z + B u) dt + L (y - Cm z - Dm u) dt, with the closed-loop
-    # matrix and the input/output drive built once
-    A_cl = np.eye(2 * G.n) + (G.A - np.outer(L_m, Cm)) * dt
-    drive = (u @ (G.B - np.outer(L_m, Dm)).T + y[:, None] * L_m) * dt
-    z = np.zeros(2 * G.n)
-    Z = np.empty((len(y), 2 * G.n))
-    for k in range(len(y)):
-        Z[k] = z
-        z = A_cl @ z + drive[k]
+    # z' = z + (A z + B u) dt + L (y - Cm z - Dm u) dt
+    Z = _lti_run(np.eye(2 * G.n) + (G.A - np.outer(L_m, Cm)) * data.dt,
+                 (u @ (G.B - np.outer(L_m, Dm)).T + y[:, None] * L_m) * data.dt)
     s = data.split_index
-    e = y[s:] - Z[s:] @ Cm - u[s:] @ Dm
+    e = y[s:] - Z[s:-1] @ Cm - u[s:] @ Dm
     return float(e @ e) / denom
 
 
@@ -748,13 +722,13 @@ def run_pipeline(config: PipelineConfig) -> SysIdResult:
         data = SysIdDataset.from_record(record, f, split=config.split)
 
     D = np.eye(2) if config.system is None else config.system.D
-    n_best, table = _stage(
-        "fpe_order_select", fpe_order_select,
-        data, config.orders, config.horizon, D, config.quadrature,
+    orders = list(config.orders)
+    factor = _stage(
+        "fpe_order_select", _hankel_factor,
+        data, config.horizon, D, config.quadrature, orders,
     )
-    est = _stage(
-        "subspace_id", subspace_id, data, n_best, config.horizon, D, config.quadrature
-    )
+    n_best, table = _stage("fpe_order_select", _fpe_select, factor, orders)
+    est = _stage("subspace_id", _subspace_estimate, factor, n_best)
     proj = _stage(
         "pr_projection", pr_projection,
         (est.A, est.B, est.C), D, config.quadrature, seed=config.seed,

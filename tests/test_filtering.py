@@ -482,6 +482,18 @@ class TestDenseReference:
             assert np.array_equal(jumps, ref_jumps)
             self.check(np.array([ll]), states, ref_logtrace[-1:], ref_states)
 
+    def test_counting_jump_rule_at_step_guard(self):
+        # at dt * kappa = 0.1 the rate at a cell's start and the rate after
+        # its no-jump map differ by O(dt kappa) relative; on this record a
+        # jump decided on the cell-end rate would land at 3.7 instead of 4.4
+        m, dt, n = driven_qubit(), 0.1, 50
+        rec, traj = simulate_counting(m, MIXED, n * dt, dt, seed=4)
+        u = trajectory_rng(4, 0).random(size=n)
+        ref_jumps, ref_states, ref_logtrace = dense_counting(m.H, m.L, MIXED, dt, u=u)
+        assert np.allclose(ref_jumps, [4.4])
+        assert np.array_equal(rec.jumps, ref_jumps)
+        self.check(np.array([traj.loglik]), traj.states, ref_logtrace[-1:], ref_states)
+
     @pytest.mark.parametrize("case", sorted(COUNTING_CASES))
     def test_counting_replay(self, case):
         m = COUNTING_CASES[case]()
