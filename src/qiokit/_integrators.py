@@ -470,7 +470,7 @@ class CountingLoglik:
             states = np.empty((b, n + 1) + y.shape[1:], dtype=complex)
             for i, (r, t) in enumerate(zip(_broadcast_rho(rho0, b), times)):
                 self.replay(r, n * self.dt, t, out=states[i])
-            y = states[:, -1]
+            states[:, -1] = y  # the final state does not depend on keep_states
         return SimpleNamespace(final=y, loglik=loglik, states=states, counts=counts,
                                jump_times=times)
 

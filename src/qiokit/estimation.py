@@ -26,13 +26,8 @@ from .exceptions import (
 )
 from .families import ParameterFamily
 from .operators import QMarkovModel, _ergodic_stationary, _state_array, zero_mean_inverse
-from .trajectories import (
-    CountingRecord,
-    DiffusiveRecord,
-    _record_kind,
-    _step_guard,
-    trajectory_rng,
-)
+from .filtering import _loglik_table
+from .trajectories import CountingRecord, DiffusiveRecord, _draws, trajectory_rng
 
 __all__ = [
     "MLEResult",
@@ -101,41 +96,6 @@ def _model_stack(family, thetas):
     return np.stack([m.H for m in models]), np.stack([m.L for m in models])
 
 
-def _check_problem(family, thetas, records, dt, lam):
-    """Record kinds, reference intensity and step guard at every point of
-    ``thetas``; ||L_theta|| of an affine or phase family is largest at a
-    corner of the domain box, so a grid with the corners covers the box."""
-    if not records:
-        raise ValidationError("need at least one record")
-    _, L = _model_stack(family, thetas)
-    if _record_kind(records) is DiffusiveRecord:
-        _step_guard(L, max(r.dt for r in records))
-    elif not lam > 0:
-        raise ValidationError("reference intensity lam must be positive")
-    else:
-        _step_guard(L, dt)
-
-
-def _loglik_table(family, thetas, records, r0, dt, lam) -> np.ndarray:
-    """Log-likelihood of every record at every parameter point, (n_theta, n_records).
-
-    Counting records run through one likelihood engine batched over theta;
-    diffusive records that share a grid run in one sweep over theta x record.
-    """
-    H, L = _model_stack(family, thetas)
-    if isinstance(records[0], CountingRecord):
-        engine = integ.CountingLoglik(H, L, dt, lam=lam)
-        return np.stack([engine.loglik(r0, r.horizon, r.jumps) for r in records], axis=1)
-    table = np.empty((len(H), len(records)))
-    for step, n in {(r.dt, len(r)) for r in records}:
-        idx = [j for j, r in enumerate(records) if (r.dt, len(r)) == (step, n)]
-        dY = np.tile([records[j].increments for j in idx], (len(H), 1))
-        out = integ.sweep_diffusive(np.repeat(H, len(idx), axis=0),
-                                    np.repeat(L, len(idx), axis=0), r0, step, dY=dY)
-        table[:, idx] = out.loglik.reshape(len(H), len(idx))
-    return table
-
-
 def mle(
     family: ParameterFamily, records, rho0,
     *, dt: float = 1e-3, lam: float = 1.0, grid_points: int = 21,
@@ -155,10 +115,11 @@ def mle(
         raise ValidationError("grid search supports at most two parameters")
     if not np.all(np.isfinite(family.domain)):
         raise ValidationError("mle needs a bounded domain")
+    if not records:
+        raise ValidationError("need at least one record")
     thetas = _grid_points(family.domain, grid_points)
-    _check_problem(family, thetas, records, dt, lam)
     r0 = _state_array(rho0, family.base.dim)
-    logliks = _loglik_table(family, thetas, records, r0, dt, lam).sum(axis=1)
+    logliks = _loglik_table(*_model_stack(family, thetas), r0, records, dt, lam).sum(axis=1)
     finite = np.isfinite(logliks)
     if not np.any(finite):
         raise AllRecordsImpossible(
@@ -180,7 +141,8 @@ def mle(
     def neg(theta):
         if not family.in_domain(theta):
             return np.inf
-        return -float(_loglik_table(family, [theta], records, r0, dt, lam).sum())
+        H, L = _model_stack(family, [theta])
+        return -float(_loglik_table(H, L, r0, records, dt, lam).sum())
 
     res = optimize.minimize(
         neg, theta0, method="Nelder-Mead",
@@ -216,9 +178,8 @@ def posterior_grid(
         raise ValidationError("prior must assign one weight per grid point")
     if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-8:
         raise ValidationError("prior must be a probability vector on the grid")
-    _check_problem(family, grid, [record], dt, lam)
     r0 = _state_array(rho0, family.base.dim)
-    logliks = _loglik_table(family, grid, [record], r0, dt, lam)[:, 0]
+    logliks = _loglik_table(*_model_stack(family, grid), r0, [record], dt, lam)[:, 0]
     with np.errstate(divide="ignore"):
         logw = logliks + np.log(prior)
     if not np.any(np.isfinite(logw)):
@@ -296,16 +257,9 @@ def counting_fisher(family: ParameterFamily, theta: float, h: float | None = Non
 
 def _simulate_family_records(family, thetas, r0, kind, T, dt, seed, start_index=0):
     """One record per theta, each from its own Philox stream."""
-    b = len(thetas)
     n = max(1, int(round(T / dt)))
     Hb, Lb = _model_stack(family, thetas)
-    draws = np.empty((b, n))
-    for i in range(b):
-        rng = trajectory_rng(seed, start_index + i)
-        if kind == "counting":
-            draws[i] = rng.random(n)
-        else:
-            draws[i] = rng.normal(0.0, np.sqrt(dt), n)
+    draws = _draws(kind, seed, start_index, len(thetas), n, dt)
     if kind == "counting":
         out = integ.CountingLoglik(Hb, Lb, dt).simulate(r0, draws)
         return [CountingRecord(horizon=n * dt, jumps=j) for j in out.jump_times]
@@ -388,9 +342,8 @@ def mc_classical_fisher(
     thetas = [np.array([theta])] * n_traj
     r0 = _state_array(rho0, family.base.dim)
     recs = _simulate_family_records(family, thetas, r0, kind, T, dt, seed)
-    pair = [[theta + h], [theta - h]]
-    _check_problem(family, pair, recs, dt, lam)
-    ll_plus, ll_minus = _loglik_table(family, pair, recs, r0, dt, lam)
+    pair = _model_stack(family, [[theta + h], [theta - h]])
+    ll_plus, ll_minus = _loglik_table(*pair, r0, recs, dt, lam)
     scores = (ll_plus - ll_minus) / (2 * h)
     scores = scores[np.isfinite(scores)]
     n = len(scores)

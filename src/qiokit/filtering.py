@@ -65,6 +65,28 @@ class ZakaiTrajectory:
         return float(self.logtrace[-1])
 
 
+def _replay(model: QMarkovModel, rho0, record, dt: float, lam: float, on_dark: str):
+    """(times, states, logtrace) of the Zakai integration of one record, the
+    filter and the Zakai equation alike; ``lam`` is the Poisson reference."""
+    if not lam > 0:
+        raise ValidationError("reference intensity lam must be positive")
+    rho0 = _state_array(rho0, model.dim)
+    if isinstance(record, DiffusiveRecord):
+        _step_guard(model.L, record.dt)
+        out = integ.sweep_diffusive(
+            model.H, model.L, rho0, record.dt,
+            dY=record.increments[None, :], keep_states=True, keep_logtrace=True,
+        )
+        return np.arange(len(record) + 1) * record.dt, out.states[0], out.logtrace[0]
+    if isinstance(record, CountingRecord):
+        _step_guard(model.L, dt)
+        out = integ.CountingLoglik(model.H, model.L, dt, lam=lam).replay(
+            rho0, record.horizon, record.jumps, on_dark=on_dark
+        )
+        return out.times, out.states, out.logtrace
+    raise ValidationError(f"unsupported record type {type(record).__name__}")
+
+
 def run_filter(
     model: QMarkovModel, rho0, record: MeasurementRecord, *, dt: float = DEFAULT_DT,
 ) -> FilterTrajectory:
@@ -75,24 +97,8 @@ def run_filter(
     between grid steps).  Raises :class:`ZeroJumpRate` when a counting
     record jumps while the filter assigns zero jump rate.
     """
-    rho0 = _state_array(rho0, model.dim)
-    if isinstance(record, DiffusiveRecord):
-        _step_guard(model.L, record.dt)
-        out = integ.sweep_diffusive(
-            model.H, model.L, rho0, record.dt,
-            dY=record.increments[None, :], keep_states=True,
-        )
-        times = np.arange(len(record) + 1) * record.dt
-        return FilterTrajectory(
-            times=times, states=out.states[0], loglik=float(out.loglik[0])
-        )
-    if isinstance(record, CountingRecord):
-        _step_guard(model.L, dt)
-        out = integ.CountingLoglik(model.H, model.L, dt).replay(
-            rho0, record.horizon, record.jumps, on_dark="raise"
-        )
-        return FilterTrajectory(times=out.times, states=out.states, loglik=out.loglik)
-    raise ValidationError(f"unsupported record type {type(record).__name__}")
+    times, states, logtrace = _replay(model, rho0, record, dt, 1.0, "raise")
+    return FilterTrajectory(times=times, states=states, loglik=float(logtrace[-1]))
 
 
 def run_zakai(
@@ -105,28 +111,7 @@ def run_zakai(
     ``lam``.  Likelihood-zero records do not raise; the log trace is -inf
     from the zero-rate jump on.
     """
-    if not lam > 0:
-        raise ValidationError("reference intensity lam must be positive")
-    rho0 = _state_array(rho0, model.dim)
-    if isinstance(record, DiffusiveRecord):
-        _step_guard(model.L, record.dt)
-        out = integ.sweep_diffusive(
-            model.H, model.L, rho0, record.dt,
-            dY=record.increments[None, :], keep_states=True, keep_logtrace=True,
-        )
-        times = np.arange(len(record) + 1) * record.dt
-        return ZakaiTrajectory(
-            times=times, states=out.states[0], logtrace=out.logtrace[0]
-        )
-    if isinstance(record, CountingRecord):
-        _step_guard(model.L, dt)
-        out = integ.CountingLoglik(model.H, model.L, dt, lam=lam).replay(
-            rho0, record.horizon, record.jumps, on_dark="dead"
-        )
-        return ZakaiTrajectory(
-            times=out.times, states=out.states, logtrace=out.logtrace
-        )
-    raise ValidationError(f"unsupported record type {type(record).__name__}")
+    return ZakaiTrajectory(*_replay(model, rho0, record, dt, lam, "dead"))
 
 
 def log_likelihood(
@@ -146,29 +131,48 @@ def log_likelihood(
 def log_likelihood_many(
     model: QMarkovModel, rho0, records, *, lam: float = 1.0, dt: float = DEFAULT_DT,
 ) -> np.ndarray:
-    """Log-likelihood of each record in a homogeneous batch.
+    """Log-likelihood of each record in a batch of one record kind.
 
-    Diffusive batches must share dt and length and are evaluated in one
-    vectorized sweep; counting batches share one likelihood engine, built
-    once, with one pass over each record's jumps.  Mixing record kinds
-    raises :class:`ValidationError`, as does a ``rho0`` that is not a
-    density matrix of the model's dimension.
+    Diffusive records are grouped by grid (dt and length), each group one
+    vectorized sweep, so records of any grids may share a batch; counting
+    batches share one likelihood engine, built once, with one pass over
+    each record's jumps.  Each value equals ``log_likelihood`` of its
+    record.  Mixing record kinds raises :class:`ValidationError`, as does
+    a ``rho0`` that is not a density matrix of the model's dimension.
+    """
+    rho0 = _state_array(rho0, model.dim)
+    return _loglik_table(model.H, model.L, rho0, records, dt, lam)[0]
+
+
+def _loglik_table(H, L, rho0, records, dt: float, lam: float) -> np.ndarray:
+    """Log-likelihood of every record under every model, (n_models, n_records).
+
+    ``H``, ``L``: one (d, d) model or an (n, d, d) stack.  Checks the record
+    kind, the reference intensity and the step guard of every model.
+    Counting records run through one engine batched over the models;
+    diffusive records that share a grid run in one sweep over model x
+    record.  One model enters the sweep as (d, d), so each row has the bits
+    of a simulated trajectory of that model.
     """
     if not lam > 0:
         raise ValidationError("reference intensity lam must be positive")
     records = list(records)
+    n_models = 1 if L.ndim == 2 else len(L)
     if not records:
-        return np.empty(0)
-    kind = _record_kind(records)
-    rho0 = _state_array(rho0, model.dim)
-    if kind is DiffusiveRecord:
-        dt0 = records[0].dt
-        n0 = len(records[0])
-        if any(r.dt != dt0 or len(r) != n0 for r in records):
-            raise ValidationError("diffusive batch must share dt and length")
-        _step_guard(model.L, dt0)
-        dY = np.stack([r.increments for r in records])
-        return integ.sweep_diffusive(model.H, model.L, rho0, dt0, dY=dY).loglik
-    _step_guard(model.L, dt)
-    engine = integ.CountingLoglik(model.H, model.L, dt, lam=lam)
-    return np.array([engine.loglik(rho0, r.horizon, r.jumps)[0] for r in records])
+        return np.empty((n_models, 0))
+    if _record_kind(records) is CountingRecord:
+        _step_guard(L, dt)
+        engine = integ.CountingLoglik(H, L, dt, lam=lam)
+        return np.stack([engine.loglik(rho0, r.horizon, r.jumps) for r in records], axis=1)
+    table = np.empty((n_models, len(records)))
+    for step, n in dict.fromkeys((r.dt, len(r)) for r in records):
+        _step_guard(L, step)
+        idx = [j for j, r in enumerate(records) if (r.dt, len(r)) == (step, n)]
+        dY = np.stack([records[j].increments for j in idx])
+        Hs, Ls = H, L
+        if L.ndim == 3:  # row (model i, record j) at i * len(idx) + j
+            Hs, Ls = np.repeat(H, len(idx), axis=0), np.repeat(L, len(idx), axis=0)
+            dY = np.tile(dY, (n_models, 1))
+        out = integ.sweep_diffusive(Hs, Ls, rho0, step, dY=dY)
+        table[:, idx] = out.loglik.reshape(n_models, len(idx))
+    return table

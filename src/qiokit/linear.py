@@ -94,7 +94,7 @@ class LinearQSystem:
     D: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
+        A = _real_matrix(self.A, "A")
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
             raise ValidationError(f"A must be 2n x 2n, got {A.shape}")
         twon = A.shape[0]

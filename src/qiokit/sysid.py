@@ -150,6 +150,8 @@ class SysIdDataset:
             raise ValidationError("inputs must be (N, 2)")
         if len(u) != len(y):
             raise ValidationError("inputs and outputs must have equal length")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+            raise ValidationError("inputs and outputs must be finite")
         if not self.dt > 0:
             raise ValidationError("dt must be positive")
         if not (0 < self.split_index < len(y)):

@@ -101,7 +101,9 @@ class FilterTrajectory:
     """Normalized conditional states on a time grid with the record log-likelihood.
 
     ``states[k]`` is the conditional state at ``times[k]``; every state is
-    trace-renormalized and positivity-projected by the integrator.
+    trace-renormalized and positivity-projected by the integrator.  A run
+    with ``keep_states=False`` holds only its final state: ``times`` is
+    ``[horizon]`` and ``states`` has shape (1, d, d).
     """
 
     times: np.ndarray
@@ -183,46 +185,52 @@ def _check_grid(model: QMarkovModel, T: float, dt: float) -> int:
     return max(1, int(round(T / dt)))
 
 
+def _draws(kind: str, seed: int, start: int, b: int, n: int, dt: float) -> np.ndarray:
+    """Row i holds the draws of ``trajectory_rng(seed, start + i)``: uniforms
+    for counting records, N(0, dt) innovations for diffusive ones."""
+    out = np.empty((b, n))
+    for i in range(b):
+        rng = trajectory_rng(seed, start + i)
+        out[i] = rng.random(n) if kind == "counting" else rng.normal(0.0, np.sqrt(dt), n)
+    return out
+
+
+def _single_run(ens, horizon: float, dt: float) -> FilterTrajectory:
+    """Row 0 of a one-row ensemble as a single run's trajectory."""
+    if ens.states is None:
+        return FilterTrajectory(times=np.array([horizon]), states=ens.final_states,
+                                loglik=float(ens.logliks[0]))
+    return FilterTrajectory(times=np.arange(ens.states.shape[1]) * dt,
+                            states=ens.states[0], loglik=float(ens.logliks[0]))
+
+
 def simulate_homodyne(
     model: QMarkovModel, rho0, T: float, dt: float, seed: int,
     *, index: int = 0, keep_states: bool = True,
 ) -> tuple[DiffusiveRecord, FilterTrajectory]:
     """Simulate one homodyne record and its conditional-state trajectory.
 
-    Innovations dI ~ N(0, dt) are drawn and the record is
-    dY = dI + Tr((L+L^dag) rho_c) dt, with the state advanced by the shared
-    diffusive core.
+    The run is row ``index`` of ``simulate_homodyne_ensemble`` with the same
+    seed, computed as a one-row ensemble, so the two agree bit for bit.
     """
-    n = _check_grid(model, T, dt)
-    rho0 = _state_array(rho0, model.dim)
-    rng = trajectory_rng(seed, index)
-    dI = rng.normal(0.0, np.sqrt(dt), size=(1, n))
-    out = integ.sweep_diffusive(
-        model.H, model.L, rho0, dt, dI=dI, keep_states=keep_states
-    )
-    record = DiffusiveRecord(dt=dt, increments=out.dY[0])
-    traj = FilterTrajectory(
-        times=np.arange(n + 1) * dt,
-        states=out.states[0] if keep_states else out.final,
-        loglik=float(out.loglik[0]),
-    )
-    return record, traj
+    ens = simulate_homodyne_ensemble(model, rho0, T, dt, 1, seed,
+                                     keep_states=keep_states, start_index=index)
+    return ens.record(0), _single_run(ens, dt * ens.increments.shape[1], dt)
 
 
 def simulate_homodyne_ensemble(
     model: QMarkovModel, rho0, T: float, dt: float, n_traj: int, seed: int,
     *, keep_states: bool = False, start_index: int = 0,
 ) -> HomodyneEnsemble:
-    """Vectorized batch of homodyne trajectories, one Philox stream each."""
+    """Vectorized batch of homodyne trajectories, one Philox stream each.
+
+    Innovations dI ~ N(0, dt) are drawn and the record is
+    dY = dI + Tr((L+L^dag) rho_c) dt, the states advanced by the diffusive core.
+    """
     n = _check_grid(model, T, dt)
     rho0 = _state_array(rho0, model.dim)
-    sd = np.sqrt(dt)
-    dI = np.empty((n_traj, n))
-    for i in range(n_traj):
-        dI[i] = trajectory_rng(seed, start_index + i).normal(0.0, sd, size=n)
-    out = integ.sweep_diffusive(
-        model.H, model.L, rho0, dt, dI=dI, keep_states=keep_states
-    )
+    dI = _draws("diffusive", seed, start_index, n_traj, n, dt)
+    out = integ.sweep_diffusive(model.H, model.L, rho0, dt, dI=dI, keep_states=keep_states)
     return HomodyneEnsemble(
         dt=dt, increments=out.dY, logliks=out.loglik,
         final_states=out.final, states=out.states,
@@ -235,56 +243,44 @@ def simulate_counting(
 ) -> tuple[CountingRecord, FilterTrajectory]:
     """Simulate one counting record and its conditional-state trajectory.
 
-    ``method="bernoulli"`` (default) thins jumps per grid cell with
-    probability Tr(L^dag L rho) dt and places them at cell ends.
+    ``method="bernoulli"`` (default) is row ``index`` of
+    ``simulate_counting_ensemble`` with the same seed, bit for bit.
     ``method="exact"`` samples waiting times from the effective-Hamiltonian
     survival law (small dimensions) and reports states on the dt grid.
     """
-    n = _check_grid(model, T, dt)
-    rho0 = _state_array(rho0, model.dim)
-    rng = trajectory_rng(seed, index)
-    engine = integ.CountingLoglik(model.H, model.L, dt)
     if method == "bernoulli":
-        out = engine.simulate(rho0, rng.random(size=(1, n)), keep_states=keep_states)
-        record = CountingRecord(horizon=n * dt, jumps=out.jump_times[0])
-        traj = FilterTrajectory(
-            times=np.arange(n + 1) * dt,
-            states=out.states[0] if keep_states else out.final,
-            loglik=float(out.loglik[0]),
-        )
-        return record, traj
-    if method == "exact":
-        if model.dim > 8:
-            raise ValidationError("exact sampling is supported for dim <= 8")
-        times, rho_T = engine.sample_exact(rho0, T, rng)
-        record = CountingRecord(horizon=T, jumps=times)
-        if keep_states:
-            out = engine.replay(rho0, T, times, on_dark="dead")
-            traj = FilterTrajectory(times=out.times, states=out.states, loglik=out.loglik)
-        else:
-            # the final state comes from the exact propagation, not the grid scheme
-            traj = FilterTrajectory(
-                times=np.array([0.0, T]),
-                states=rho_T,
-                loglik=float(engine.loglik(rho0, T, times)[0]),
-            )
-        return record, traj
-    raise ValidationError(f"unknown counting method {method!r}")
+        ens = simulate_counting_ensemble(model, rho0, T, dt, 1, seed,
+                                         keep_states=keep_states, start_index=index)
+        return ens.record(0), _single_run(ens, ens.horizon, dt)
+    if method != "exact":
+        raise ValidationError(f"unknown counting method {method!r}")
+    _check_grid(model, T, dt)
+    rho0 = _state_array(rho0, model.dim)
+    if model.dim > 8:
+        raise ValidationError("exact sampling is supported for dim <= 8")
+    engine = integ.CountingLoglik(model.H, model.L, dt)
+    times, rho_T = engine.sample_exact(rho0, T, trajectory_rng(seed, index))
+    record = CountingRecord(horizon=T, jumps=times)
+    if keep_states:
+        out = engine.replay(rho0, T, times, on_dark="dead")
+        return record, FilterTrajectory(times=out.times, states=out.states,
+                                        loglik=out.loglik)
+    # the final state comes from the exact propagation, not the grid scheme
+    return record, FilterTrajectory(times=np.array([T]), states=rho_T[None],
+                                    loglik=float(engine.loglik(rho0, T, times)[0]))
 
 
 def simulate_counting_ensemble(
     model: QMarkovModel, rho0, T: float, dt: float, n_traj: int, seed: int,
     *, keep_states: bool = False, start_index: int = 0,
 ) -> CountingEnsemble:
-    """Vectorized batch of Bernoulli-thinning counting trajectories."""
+    """Vectorized batch of counting trajectories: Bernoulli thinning per grid
+    cell with probability Tr(L^dag L rho) dt, jumps placed at cell ends."""
     n = _check_grid(model, T, dt)
     rho0 = _state_array(rho0, model.dim)
-    u = np.empty((n_traj, n))
-    for i in range(n_traj):
-        u[i] = trajectory_rng(seed, start_index + i).random(size=n)
-    out = integ.CountingLoglik(model.H, model.L, dt).simulate(
-        rho0, u, keep_states=keep_states
-    )
+    u = _draws("counting", seed, start_index, n_traj, n, dt)
+    engine = integ.CountingLoglik(model.H, model.L, dt)
+    out = engine.simulate(rho0, u, keep_states=keep_states)
     return CountingEnsemble(
         horizon=n * dt, jump_times=out.jump_times, counts=out.counts,
         logliks=out.loglik, final_states=out.final, states=out.states,
@@ -295,17 +291,17 @@ def simulate_reference(
     kind: str, lam: float, T: float, dt: float, seed: int, *, index: int = 0,
 ) -> MeasurementRecord:
     """Draw a reference-measure record: Wiener increments or Poisson jump times."""
-    rng = trajectory_rng(seed, index)
     if kind == "wiener":
         if not (dt > 0 and T > 0 and dt <= T * (1 + 1e-12)):
             raise ValidationError("require 0 < dt <= T")
-        n = max(1, int(round(T / dt)))
-        return DiffusiveRecord(dt=dt, increments=rng.normal(0.0, np.sqrt(dt), n))
+        dI = _draws("diffusive", seed, index, 1, max(1, int(round(T / dt))), dt)
+        return DiffusiveRecord(dt=dt, increments=dI[0])
     if kind == "poisson":
         if not lam > 0:
             raise ValidationError("poisson intensity must be positive")
         if not T > 0:
             raise ValidationError("horizon must be positive")
+        rng = trajectory_rng(seed, index)
         n = rng.poisson(lam * T)
         times = np.sort(rng.uniform(0.0, T, size=n))
         return CountingRecord(horizon=T, jumps=times)

@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qiokit import serialize
 from qiokit.cli import main
 from qiokit.families import ParameterFamily
-from qiokit.linear import QuadraticSpec, build_linear_system
+from qiokit.linear import LinearQSystem, QuadraticSpec, build_linear_system
 from qiokit.operators import QMarkovModel
 from qiokit.trajectories import CountingRecord, DiffusiveRecord
 
@@ -242,6 +245,102 @@ class TestCLIAnalysis:
         assert code == 4
 
 
+REALS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+def real_arrays(shape):
+    return arrays(float, shape, elements=REALS)
+
+
+def complex_arrays(shape):
+    return st.builds(lambda re, im: re + 1j * im, real_arrays(shape), real_arrays(shape))
+
+
+def hermitian(d):
+    return complex_arrays((d, d)).map(lambda x: (x + x.conj().T) / 2)
+
+
+@st.composite
+def models(draw, d=None):
+    d = d or draw(st.integers(1, 3))
+    return QMarkovModel(H=draw(hermitian(d)), L=draw(complex_arrays((d, d))))
+
+
+@st.composite
+def records(draw):
+    if draw(st.booleans()):
+        dt = draw(st.floats(1e-6, 10.0))
+        n = draw(st.integers(1, 20))
+        return DiffusiveRecord(dt=dt, increments=draw(real_arrays(n)))
+    horizon = draw(st.floats(1e-3, 100.0))
+    jumps = draw(st.lists(st.floats(0.0, horizon, exclude_min=True), unique=True))
+    return CountingRecord(horizon=horizon, jumps=sorted(jumps))
+
+
+@st.composite
+def families(draw):
+    d = draw(st.integers(1, 3))
+    base = draw(models(d))
+    k = 1 if draw(st.booleans()) else draw(st.integers(1, 2))
+    bounds = draw(st.lists(st.lists(REALS, min_size=2, max_size=2).map(sorted),
+                           min_size=k, max_size=k))
+    if k == 1 and draw(st.booleans()):
+        return ParameterFamily.phase_family(base, domain=bounds)
+    h_dirs = [draw(hermitian(d)) for _ in range(k)]
+    l_dirs = [draw(complex_arrays((d, d))) for _ in range(k)]
+    return ParameterFamily.affine(base, h_dirs, l_dirs, domain=bounds)
+
+
+@st.composite
+def linear_systems(draw):
+    twon = 2 * draw(st.integers(1, 2))
+    A, B = draw(real_arrays((twon, twon))), draw(real_arrays((twon, 2)))
+    C, D = draw(real_arrays((2, twon))), draw(real_arrays((2, 2)))
+    return LinearQSystem(A=A, B=B, C=C, D=D)
+
+
+def through_json(to_dict, from_dict, x):
+    return from_dict(json.loads(json.dumps(to_dict(x))))
+
+
+def same_model(a, b):
+    return np.array_equal(a.H, b.H) and np.array_equal(a.L, b.L)
+
+
+class TestSerializeRoundTrip:
+    """``x_from_dict(json.loads(json.dumps(x_to_dict(x))))`` reproduces x exactly."""
+
+    @given(models())
+    def test_model(self, m):
+        assert same_model(through_json(serialize.model_to_dict,
+                                       serialize.model_from_dict, m), m)
+
+    @given(records())
+    def test_record(self, rec):
+        back = through_json(serialize.record_to_dict, serialize.record_from_dict, rec)
+        assert type(back) is type(rec)
+        if isinstance(rec, DiffusiveRecord):
+            assert back.dt == rec.dt and np.array_equal(back.increments, rec.increments)
+        else:
+            assert back.horizon == rec.horizon and np.array_equal(back.jumps, rec.jumps)
+
+    @given(families())
+    def test_family(self, fam):
+        back = through_json(serialize.family_to_dict, serialize.family_from_dict, fam)
+        assert same_model(back.base, fam.base)
+        assert back.phase == fam.phase and np.array_equal(back.domain, fam.domain)
+        assert len(back.h_dirs) == len(fam.h_dirs) and len(back.l_dirs) == len(fam.l_dirs)
+        for x, y in zip(back.h_dirs + back.l_dirs, fam.h_dirs + fam.l_dirs):
+            assert np.array_equal(x, y)
+
+    @given(linear_systems())
+    def test_linear_system(self, G):
+        back = through_json(serialize.linear_system_to_dict,
+                            serialize.linear_system_from_dict, G)
+        for name in "ABCD":
+            assert np.array_equal(getattr(back, name), getattr(G, name))
+
+
 class TestMalformedInputs:
     """Malformed files and missing arguments exit 2, not 3 with a raw exception."""
 
@@ -266,6 +365,32 @@ class TestMalformedInputs:
                      "--seed", "0", "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "needs --model" in capsys.readouterr().err
+
+    def test_linsys_non_finite_drift(self, tmp_path, cavity_file, capsys):
+        d = json.loads(open(cavity_file).read())
+        d["A"][0][1] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        code = main(["linsys", "--task", "transfer", "--system", str(bad),
+                     "--omega-points", "5", "--out", str(tmp_path / "t.json")])
+        assert code == 2
+        assert "A contains non-finite" in capsys.readouterr().err
+
+    def test_sysid_dataset_with_nan(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        outputs = rng.normal(size=400)
+        outputs[100] = np.nan
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "dt": 0.05, "inputs": rng.normal(size=(400, 2)).tolist(),
+            "outputs": outputs.tolist(), "split_index": 280,
+        }))
+        assert "NaN" in data.read_text()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset_file": str(data), "dt": 0.05, "orders": [1]}))
+        code = main(["sysid", "--config", str(cfg), "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_sysid_config_without_orders(self, tmp_path, cavity_file, capsys):
         cfg = tmp_path / "cfg.json"

@@ -294,6 +294,18 @@ class TestLogLikelihood:
         singles = [log_likelihood(m, MIXED, r) for r in wrecs]
         assert np.allclose(batch, singles, atol=1e-12)
 
+    def test_mixed_grid_diffusive_batch(self):
+        # two dt values and two lengths in one batch, interleaved
+        m = driven_qubit()
+        recs = [
+            simulate_reference("wiener", 1.0, T=T, dt=dt, seed=44, index=i)
+            for i, (T, dt) in enumerate(product((0.2, 0.35), (1e-3, 2e-3)))
+        ]
+        recs += recs[:2]
+        assert len({(r.dt, len(r)) for r in recs}) == 4
+        batch = log_likelihood_many(m, MIXED, recs)
+        assert np.array_equal(batch, [log_likelihood(m, MIXED, r) for r in recs])
+
     def test_validation(self):
         m = driven_qubit()
         rec, _ = simulate_counting(m, MIXED, T=1.0, dt=1e-3, seed=1)

@@ -78,6 +78,16 @@ class TestBuild:
     def test_cavity_reference_satisfies_pr1_exactly(self):
         assert check_pr1(cavity_triple(delta=1.0, kappa=2.0)) <= 1e-15
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_drift_raises(self, bad):
+        ref = cavity_triple()
+        A = ref.A.copy()
+        A[0, 1] = bad
+        with pytest.raises(ValidationError, match="A contains non-finite"):
+            LinearQSystem(A=A, B=ref.B, C=ref.C)
+        with pytest.raises(ValidationError, match="2n x 2n"):
+            LinearQSystem(A=np.zeros((3, 3)), B=np.zeros((3, 2)), C=np.zeros((2, 3)))
+
     def test_random_specs_pass_pr1(self, rng):
         for n in (1, 2, 3):
             for _ in range(5):

@@ -133,6 +133,14 @@ class TestDataset:
             SysIdDataset(dt=0.1, inputs=np.zeros((9, 2)),
                          outputs=np.zeros(10), split_index=5)
 
+    @pytest.mark.parametrize("field", ["inputs", "outputs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_raises(self, field, bad):
+        data = {"inputs": np.zeros((10, 2)), "outputs": np.zeros(10)}
+        data[field][3] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            SysIdDataset(dt=0.1, split_index=5, **data)
+
 
 class TestSubspace:
     def test_insufficient_data(self):

@@ -281,6 +281,33 @@ class TestBatchWidth:
                     assert np.array_equal(ens.states[i], traj.states)
 
 
+@pytest.mark.parametrize("path", ["homodyne", "bernoulli", "exact"])
+def test_no_keep_trajectory_holds_one_final_state(path):
+    m, T, dt = driven_qubit(), 5.0, 1e-3
+
+    def run(keep):
+        kw = dict(seed=21, index=3, keep_states=keep)
+        if path == "homodyne":
+            return simulate_homodyne(m, MIXED, T, dt, **kw)
+        return simulate_counting(m, MIXED, T, dt, method=path, **kw)
+
+    rec, traj = run(False)
+    assert np.array_equal(traj.times, [T])
+    assert traj.states.shape == (1, 2, 2)
+    assert traj.final_state.shape == (2, 2)
+    if path == "exact":
+        rho = traj.final_state
+        assert rec.n_jumps > 0
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert abs(np.trace(rho).real - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        return
+    _, kept = run(True)
+    assert kept.times[-1] == T
+    assert np.array_equal(traj.final_state, kept.final_state)
+    assert traj.loglik == kept.loglik
+
+
 _DREC = DiffusiveRecord(dt=1e-3, increments=np.zeros(10))
 ENTRY_POINTS = {
     "run_filter": lambda m, r: run_filter(m, r, _DREC),
