@@ -377,6 +377,10 @@ def _check_args(args) -> None:
     """The argument rules argparse cannot state, checked before any work."""
     if args.command == "simulate" and args.kind in ("homodyne", "counting") and not args.model:
         raise ValidationError(f"simulate --kind {args.kind} needs --model")
+    if args.command == "estimate" and args.grid < 1:
+        raise ValidationError("--grid must be at least 1")
+    if args.command == "linsys" and args.omega_points < 0:
+        raise ValidationError("--omega-points must be nonnegative")
 
 
 def main(argv=None) -> int:

@@ -117,6 +117,8 @@ def mle(
         raise ValidationError("mle needs a bounded domain")
     if not records:
         raise ValidationError("need at least one record")
+    if not grid_points >= 1:
+        raise ValidationError("grid_points must be at least 1")
     thetas = _grid_points(family.domain, grid_points)
     r0 = _state_array(rho0, family.base.dim)
     logliks = _loglik_table(*_model_stack(family, thetas), r0, records, dt, lam).sum(axis=1)
@@ -284,6 +286,8 @@ def abc_rejection(
     """
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
+    if n_sims < 1:
+        raise ValidationError("n_sims must be at least 1")
     if kind not in ("counting", "diffusive"):
         raise ValidationError(f"unknown simulation kind {kind!r}")
     obs = np.atleast_1d(np.asarray(observed_stats, dtype=float))

@@ -54,7 +54,12 @@ __all__ = [
     "gamma_rigidity",
 ]
 
-QUAD_ROW = {"Q": 0, "P": 1}
+
+def _quad_row(quadrature) -> int:
+    """Row of C and D that a measurement of ``quadrature`` reads."""
+    if quadrature not in ("Q", "P"):
+        raise ValidationError(f"quadrature must be 'Q' or 'P', got {quadrature!r}")
+    return ("Q", "P").index(quadrature)
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -207,16 +212,26 @@ def _construct(R: np.ndarray, K: np.ndarray):
     return A, B, C
 
 
+def _pr_equations(A, B, C, D, Z) -> np.ndarray:
+    """Residuals of ``A Z + Z A^T + B J B^T = 0`` (row-major), then of
+    ``Z C^T + B J D^T = 0``, flattened and stacked; Z = J_n is plain
+    realizability.  Batched over the leading axes of ``Z``.  The first is
+    kept whole, though skew for a skew Z: in floating point its diagonal
+    and lower triangle carry round-off of their own (a fused multiply-add
+    leaves product error on the diagonal of B J B^T, and a computed
+    T J_n T^T is not exactly skew)."""
+    J = symplectic_form(1)
+    first = A @ Z + Z @ A.T + B @ J @ B.T
+    second = Z @ C.T + B @ J @ D.T
+    return np.concatenate([x.reshape(x.shape[:-2] + (-1,)) for x in (first, second)], axis=-1)
+
+
 def check_pr1(G: LinearQSystem) -> float:
     """Max-norm residual of the physical-realizability constraints.
 
-    ``A J_n + J_n A^T + B J B^T = 0`` and ``J_n C^T + B J = 0``.
+    ``A J_n + J_n A^T + B J B^T = 0`` and ``J_n C^T + B J D^T = 0``.
     """
-    Jn = symplectic_form(G.n)
-    J = symplectic_form(1)
-    r1 = np.max(np.abs(G.A @ Jn + Jn @ G.A.T + G.B @ J @ G.B.T))
-    r2 = np.max(np.abs(Jn @ G.C.T + G.B @ J))
-    return float(max(r1, r2))
+    return float(np.max(np.abs(_pr_equations(G.A, G.B, G.C, G.D, symplectic_form(G.n)))))
 
 
 @dataclass(frozen=True)
@@ -224,15 +239,6 @@ class PR2Result:
     residual: float
     Z: np.ndarray
     V: np.ndarray
-
-
-def _skew_basis(m: int):
-    for i in range(m):
-        for j in range(i + 1, m):
-            E = np.zeros((m, m))
-            E[i, j] = 1.0
-            E[j, i] = -1.0
-            yield E
 
 
 def skew_symplectic_factor(Z: np.ndarray) -> np.ndarray:
@@ -269,31 +275,24 @@ def check_pr2(G: LinearQSystem, tol: float = 1e-8) -> PR2Result:
     """Solve the generalized realizability equations for a skew certificate.
 
     Finds skew-symmetric Z with ``A Z + Z A^T + B J B^T = 0`` and
-    ``Z C^T + B J = 0`` by least squares over the skew basis.  Raises
+    ``Z C^T + B J D^T = 0`` by least squares over the skew basis.  Raises
     :class:`NoSkewSolution` when the best residual exceeds ``tol`` and
     :class:`SingularZ` when Z is not invertible; otherwise also returns
     the factor V with Z = V J_n V^T.
     """
     m = 2 * G.n
-    J = symplectic_form(1)
-    basis = list(_skew_basis(m))
     iu = np.triu_indices(m, k=1)
-    cols = []
-    for E in basis:
-        first = (G.A @ E + E @ G.A.T)[iu]
-        second = (E @ G.C.T).reshape(-1)
-        cols.append(np.concatenate([first, second]))
-    mat = np.stack(cols, axis=1)
-    rhs = np.concatenate(
-        [-(G.B @ J @ G.B.T)[iu], -(G.B @ J).reshape(-1)]
-    )
+    basis = np.zeros((len(iu[0]), m, m))
+    basis[np.arange(len(iu[0])), iu[0], iu[1]] = 1.0
+    basis = basis - basis.transpose(0, 2, 1)
+    # affine in Z: columns are the basis images without B, the offset is the
+    # value at Z = 0; for a skew Z the first equation's strict upper triangle holds it
+    rows = np.r_[iu[0] * m + iu[1], m * m : m * m + 2 * m]
+    mat = _pr_equations(G.A, np.zeros_like(G.B), G.C, G.D, basis)[:, rows].T
+    rhs = -_pr_equations(G.A, G.B, G.C, G.D, np.zeros((m, m)))[rows]
     coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    Z = np.zeros((m, m))
-    for c, E in zip(coef, basis):
-        Z += c * E
-    r1 = np.max(np.abs(G.A @ Z + Z @ G.A.T + G.B @ J @ G.B.T))
-    r2 = np.max(np.abs(Z @ G.C.T + G.B @ J))
-    residual = float(max(r1, r2))
+    Z = np.tensordot(coef, basis, axes=1)
+    residual = float(np.max(np.abs(_pr_equations(G.A, G.B, G.C, G.D, Z))))
     if residual > tol:
         raise NoSkewSolution(
             f"no skew-symmetric certificate: best residual {residual:.3e} > {tol:.1e}"
@@ -365,10 +364,8 @@ def kalman_gain(G: LinearQSystem, quadrature: str) -> tuple[np.ndarray, np.ndarr
     with C_m, D_m the measured row of C, D, and returns
     ``L_m = (Q C_m^T + B D_m^T)(D_m D_m^T)^{-1}`` (shape (2n,)) along with Q.
     """
-    if quadrature not in QUAD_ROW:
-        raise ValidationError("quadrature must be 'Q' or 'P'")
+    row = _quad_row(quadrature)
     _require_hurwitz(G)
-    row = QUAD_ROW[quadrature]
     Cm = G.C[row : row + 1, :]
     Dm = G.D[row : row + 1, :]
     R = Dm @ Dm.T
@@ -439,8 +436,9 @@ def simulate_innovation_form(
     unit noise power).  ``f`` must supply one R^2 input per grid step.
     Returns the output record and the state trajectory.
     """
-    if quadrature not in QUAD_ROW:
-        raise ValidationError("quadrature must be 'Q' or 'P'")
+    row = _quad_row(quadrature)
+    if not (dt > 0 and 0 < T < np.inf):
+        raise ValidationError("dt and T must be positive, T finite")
     n_steps = max(1, int(round(T / dt)))
     f = np.asarray(f, dtype=float)
     if f.shape != (n_steps, 2):
@@ -448,7 +446,6 @@ def simulate_innovation_form(
     rad = float(np.max(np.abs(np.linalg.eigvals(G.A))))
     if dt * rad > 0.1:
         raise StepTooLarge(f"dt * spectral_radius(A) = {dt * rad:.3g} exceeds 0.1")
-    row = QUAD_ROW[quadrature]
     Cm = G.C[row]
     Dm = G.D[row]
     L_m = np.asarray(L_m, dtype=float).reshape(-1)

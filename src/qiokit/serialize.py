@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 
 import numpy as np
 
@@ -36,7 +37,7 @@ def schema_errors(what: str):
         yield
     except QiokitError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ValidationError(f"malformed {what}: {detail}") from exc
 
@@ -148,7 +149,7 @@ def dump_json(obj: dict, path) -> None:
 
 def parse_json_file(path) -> dict:
     """Load a JSON file, reporting parse errors with their line number."""
-    with open(path) as fh:
+    with open(os.fspath(path)) as fh:  # an int would open a file descriptor
         text = fh.read()
     try:
         return json.loads(text)

@@ -18,6 +18,7 @@ multi-starts, one of them the closed-form inversion of the raw estimate.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +36,11 @@ from .exceptions import (
 )
 from .linear import (
     LinearQSystem,
-    QUAD_ROW,
     _construct,
     _lti_run,
+    _pr_equations,
+    _quad_row,
+    _real_matrix,
     kalman_gain,
     simulate_innovation_form,
     symplectic_form,
@@ -257,14 +260,23 @@ class _HankelFactor:
     Yii: np.ndarray      # (l, r) output block row i
 
 
+def _check_orders(orders) -> list:
+    """Candidate mode counts: a nonempty sequence of positive integers."""
+    orders = list(orders) if np.iterable(orders) else []
+    if not orders or not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                             and n > 0 for n in orders):
+        raise ValidationError("orders must be a nonempty list of positive integers")
+    return orders
+
+
 def _hankel_factor(data, horizon, D, quadrature, orders) -> _HankelFactor:
     """Factor ``data`` once for subspace fits of the given mode counts."""
     i, m, ell = int(horizon), 2, 1
     D = np.eye(2) if D is None else np.asarray(D, dtype=float)
     u, y_raw = data.estimation()
-    y = y_raw - u @ D[QUAD_ROW[quadrature]]
+    y = y_raw - u @ D[_quad_row(quadrature)]
     N = len(y)
-    for ns in [2 * n for n in orders]:
+    for ns in [2 * n for n in _check_orders(orders)]:
         if i < ns + 1:
             raise ValidationError("horizon must exceed the state dimension")
         if N < 10 * (2 * i) * ns:
@@ -424,8 +436,9 @@ def _unpack(params, n2):
     return R, k_re + 1j * k_im, T
 
 
-def _assemble(params, n2):
-    """Similarity transform by T of the system built from (R, K).
+def _assemble(params, n2, D):
+    """Similarity transform by T of the system built from (R, K), seen
+    through the scattering matrix D: ``(T A0 T^-1, T B0, D C0 T^-1)``.
 
     Vectorized over leading batch axes of ``params``.  The projection
     evaluates it for every residual and every finite-difference column, so
@@ -437,11 +450,7 @@ def _assemble(params, n2):
         raise ValidationError("coupling K contains non-finite entries")
     A0, B0, C0 = _construct(R, K)
     Tinv = np.linalg.solve(T, np.broadcast_to(eye, T.shape))
-    A = T @ A0 @ Tinv
-    B = T @ B0
-    C_full = C0 @ Tinv
-    Z = T @ Jn @ np.swapaxes(T, -1, -2)
-    return A, B, C_full, Z
+    return T @ A0 @ Tinv, T @ B0, D @ C0 @ Tinv, T @ Jn @ np.swapaxes(T, -1, -2)
 
 
 # relative forward-difference step: sqrt(eps) balances truncation against
@@ -468,12 +477,14 @@ def pr_projection(
 
     Minimizes ``M = (||A - Ahat||^2 + ||B - Bhat||^2 + ||Cm - Cmhat||^2)/2``
     over the (R, K, T) parametrization of the generalized-constraint
-    feasible set; multi-start damped Gauss-Newton with the closed-form
+    feasible set with scattering matrix ``D``, whose full output matrix is
+    ``D C0 T^-1``; multi-start damped Gauss-Newton with the closed-form
     inversion of the raw estimate as the first start.
     """
-    if quadrature not in QUAD_ROW:
-        raise ValidationError("quadrature must be 'Q' or 'P'")
-    row = QUAD_ROW[quadrature]
+    row = _quad_row(quadrature)
+    D = _real_matrix(D, "D", (2, 2))
+    if not seed >= 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     Ahat = np.asarray(raw[0], dtype=float)
     Bhat = np.asarray(raw[1], dtype=float)
     Cmhat = np.asarray(raw[2], dtype=float).reshape(1, -1)
@@ -483,7 +494,7 @@ def pr_projection(
     Jn = symplectic_form(n2 // 2)
 
     def residuals_batch(points):
-        A, B, C_full, _ = _assemble(points, n2)
+        A, B, C_full, _ = _assemble(points, n2, D)
         b = len(points)
         return np.concatenate(
             [
@@ -538,12 +549,8 @@ def pr_projection(
         costs.append(sol.cost)
         if best is None or sol.cost < best.cost:
             best = sol
-    A, B, C_full, Z = _assemble(best.x, n2)
-    J = symplectic_form(1)
-    feas = max(
-        np.max(np.abs(A @ Z + Z @ A.T + B @ J @ B.T)),
-        np.max(np.abs(Z @ C_full.T + B @ J)),
-    )
+    A, B, C_full, Z = _assemble(best.x, n2, D)
+    feas = np.max(np.abs(_pr_equations(A, B, C_full, D, Z)))
     if not np.isfinite(feas) or feas > 1e-6 * max(1.0, np.abs(A).max()):
         raise OptimizationFailed(
             f"no feasible projection below tolerance (residual {feas:.3e})"
@@ -571,10 +578,10 @@ def recover_full_c(
     J = symplectic_form(1)
     if np.linalg.cond(Z) > 1e12:
         raise SingularZ("certificate Z is not invertible")
+    row = None if measured_row is None else _quad_row(measured_row)
     C = -np.linalg.solve(Z, B @ J @ D.T).T
-    if measured_row is not None and c_m is not None:
-        C = C.copy()
-        C[QUAD_ROW[measured_row]] = np.asarray(c_m, dtype=float).reshape(-1)
+    if row is not None and c_m is not None:
+        C[row] = np.asarray(c_m, dtype=float).reshape(-1)
     return C
 
 
@@ -615,9 +622,7 @@ def fpe_order_select(
     continuous conversion (and any branch failure) belongs to the selected
     order.
     """
-    orders = list(orders)
-    if not orders:
-        raise ValidationError("need at least one candidate order")
+    orders = _check_orders(orders)
     return _fpe_select(_hankel_factor(data, horizon, D, quadrature, orders), orders)
 
 
@@ -644,9 +649,7 @@ def validate_nmse(
     through the estimation split, so that by the split its state has
     forgotten the start; only the validation samples are scored.
     """
-    if quadrature not in QUAD_ROW:
-        raise ValidationError("quadrature must be 'Q' or 'P'")
-    row = QUAD_ROW[quadrature]
+    row = _quad_row(quadrature)
     y_val = data.validation()[1]
     denom = float(np.sum((y_val - y_val.mean()) ** 2))
     if denom == 0.0:
@@ -680,10 +683,12 @@ class PipelineConfig:
     def __post_init__(self):
         if self.system is None and self.dataset is None:
             raise ValidationError("config needs a true system or a dataset")
-        if self.quadrature not in QUAD_ROW:
-            raise ValidationError("quadrature must be 'Q' or 'P'")
-        if not self.orders:
-            raise ValidationError("config needs candidate orders")
+        _quad_row(self.quadrature)
+        object.__setattr__(self, "orders", tuple(_check_orders(self.orders)))
+        if not 0 < self.split < 1:
+            raise ValidationError("split must lie in (0, 1)")
+        if not (0 < self.dt < np.inf and (self.dataset is not None or 0 < self.T < np.inf)):
+            raise ValidationError("dt must be positive and finite, and T too when simulating")
 
 
 @dataclass(frozen=True)
@@ -724,12 +729,11 @@ def run_pipeline(config: PipelineConfig) -> SysIdResult:
         data = SysIdDataset.from_record(record, f, split=config.split)
 
     D = np.eye(2) if config.system is None else config.system.D
-    orders = list(config.orders)
     factor = _stage(
         "fpe_order_select", _hankel_factor,
-        data, config.horizon, D, config.quadrature, orders,
+        data, config.horizon, D, config.quadrature, config.orders,
     )
-    n_best, table = _stage("fpe_order_select", _fpe_select, factor, orders)
+    n_best, table = _stage("fpe_order_select", _fpe_select, factor, config.orders)
     est = _stage("subspace_id", _subspace_estimate, factor, n_best)
     proj = _stage(
         "pr_projection", pr_projection,
@@ -740,11 +744,7 @@ def run_pipeline(config: PipelineConfig) -> SysIdResult:
         proj.Z, proj.B, D, config.quadrature, proj.C_m[0],
     )
     projected = LinearQSystem(A=proj.A, B=proj.B, C=C_full, D=D)
-    J = symplectic_form(1)
-    pr2_res = max(
-        np.max(np.abs(proj.A @ proj.Z + proj.Z @ proj.A.T + proj.B @ J @ proj.B.T)),
-        np.max(np.abs(proj.Z @ C_full.T + proj.B @ J @ D.T)),
-    )
+    pr2_res = np.max(np.abs(_pr_equations(proj.A, proj.B, C_full, D, proj.Z)))
     gain_fit, _ = _stage("kalman_gain", kalman_gain, projected, config.quadrature)
     nmse = _stage(
         "validate_nmse", validate_nmse, projected, gain_fit, data, config.quadrature

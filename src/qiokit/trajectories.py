@@ -154,12 +154,17 @@ class CountingEnsemble:
 
 def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based stream for trajectory ``index`` of ensemble ``seed``."""
+    if not (seed >= 0 and index >= 0):
+        raise ValidationError(f"seed and index must be nonnegative, got {seed} and {index}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def _step_guard(L, dt: float) -> None:
-    """Raise StepTooLarge when dt*||L||^2 exceeds the guard; L may be a stack."""
+    """Raise ValidationError unless 0 < dt < inf, and StepTooLarge when
+    dt*||L||^2 exceeds the guard; L may be a stack."""
+    if not 0 < dt < np.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
     lnorm2 = float(np.max(np.linalg.norm(L, 2, axis=(-2, -1)))) ** 2
     if dt * lnorm2 > STEP_GUARD:
         raise StepTooLarge(
@@ -178,11 +183,16 @@ def _record_kind(records) -> type:
     return kinds.pop()
 
 
-def _check_grid(model: QMarkovModel, T: float, dt: float) -> int:
-    if not (dt > 0 and T > 0 and dt <= T * (1 + 1e-12)):
-        raise ValidationError("require 0 < dt <= T")
-    _step_guard(model.L, dt)
+def _grid_steps(T: float, dt: float) -> int:
+    if not (0 < dt <= T * (1 + 1e-12) < np.inf):
+        raise ValidationError("require 0 < dt <= T < inf")
     return max(1, int(round(T / dt)))
+
+
+def _check_grid(model: QMarkovModel, T: float, dt: float) -> int:
+    n = _grid_steps(T, dt)
+    _step_guard(model.L, dt)
+    return n
 
 
 def _draws(kind: str, seed: int, start: int, b: int, n: int, dt: float) -> np.ndarray:
@@ -292,15 +302,13 @@ def simulate_reference(
 ) -> MeasurementRecord:
     """Draw a reference-measure record: Wiener increments or Poisson jump times."""
     if kind == "wiener":
-        if not (dt > 0 and T > 0 and dt <= T * (1 + 1e-12)):
-            raise ValidationError("require 0 < dt <= T")
-        dI = _draws("diffusive", seed, index, 1, max(1, int(round(T / dt))), dt)
+        dI = _draws("diffusive", seed, index, 1, _grid_steps(T, dt), dt)
         return DiffusiveRecord(dt=dt, increments=dI[0])
     if kind == "poisson":
-        if not lam > 0:
-            raise ValidationError("poisson intensity must be positive")
-        if not T > 0:
-            raise ValidationError("horizon must be positive")
+        if not 0 < lam < np.inf:
+            raise ValidationError("poisson intensity must be positive and finite")
+        if not 0 < T < np.inf:
+            raise ValidationError("horizon must be positive and finite")
         rng = trajectory_rng(seed, index)
         n = rng.poisson(lam * T)
         times = np.sort(rng.uniform(0.0, T, size=n))

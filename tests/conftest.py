@@ -25,6 +25,11 @@ NON_PHYSICAL = {
 }
 
 
+def rotation(theta):
+    """Phase shifter on the output field quadratures: a scattering matrix D."""
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
 def driven_qubit(omega=1.0, kappa=1.0) -> QMarkovModel:
     """Resonantly driven two-level emitter; ergodic for omega, kappa > 0."""
     return QMarkovModel(H=0.5 * omega * SX, L=np.sqrt(kappa) * SM)

@@ -1,0 +1,63 @@
+"""The public API: names exported by ``qiokit`` and the CLI's option strings.
+
+A change that adds, drops or renames a public name or a flag must change
+these lists on purpose.
+"""
+
+import argparse
+import types
+
+import qiokit
+from qiokit.cli import build_parser
+
+EXPORTS = {
+    "CountingRecord", "DensityOperator", "DiffusiveRecord", "FilterTrajectory",
+    "GaugeElement", "GaussianInput", "LinearQSystem", "MeasurementRecord",
+    "ParameterFamily", "PipelineConfig", "QMarkovModel", "QiokitError", "QuadraticSpec",
+    "SpectralInfo", "Superoperator", "SymplecticMatrix", "SysIdDataset", "SysIdResult",
+    "ValidationError", "ZakaiTrajectory", "abc_rejection", "build_linear_system",
+    "check_pr1", "check_pr2", "conditional_qfi", "counting_fisher",
+    "counting_rate_and_variance", "fpe_order_select", "gauge_transform", "kalman_gain",
+    "lindblad_generator", "log_likelihood", "log_likelihood_many", "mc_classical_fisher",
+    "minimality_check", "mle", "posterior_grid", "power_spectrum", "pr_projection", "prbs",
+    "pure_state_qfi", "qcrb_trace_bound", "qfi_matrix", "qfi_rate", "recover_full_c",
+    "run_filter", "run_pipeline", "run_zakai", "simulate_counting",
+    "simulate_counting_ensemble", "simulate_homodyne", "simulate_homodyne_ensemble",
+    "simulate_innovation_form", "simulate_reference", "sld", "spectral_info",
+    "stat_total_counts", "stat_two_time_corr", "stationary_state", "subspace_id",
+    "symplectic_transform", "transfer_function", "validate_nmse", "zero_mean_inverse",
+}
+
+HELP = {"-h", "--help"}
+OPTIONS = {
+    None: HELP | {"--version"},
+    "simulate": HELP | {"--model", "--kind", "--T", "--dt", "--seed", "--lambda", "--init",
+                        "--method", "--out"},
+    "filter": HELP | {"--model", "--record", "--dt", "--init", "--out"},
+    "loglik": HELP | {"--model", "--records", "--lambda", "--dt", "--init", "--out"},
+    "estimate": HELP | {"--family", "--records", "--method", "--dt", "--lambda", "--grid",
+                        "--seed", "--epsilon", "--n-sims", "--init", "--csv", "--out"},
+    "qfi": HELP | {"--family", "--theta", "--out"},
+    "linsys": HELP | {"--task", "--system", "--quadrature", "--omega-min", "--omega-max",
+                      "--omega-points", "--csv", "--out"},
+    "sysid": HELP | {"--config", "--out"},
+}
+
+
+def option_strings(parser):
+    return {o for action in parser._actions for o in action.option_strings}
+
+
+def test_package_exports():
+    public = {name for name, value in vars(qiokit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == EXPORTS
+    assert qiokit.__version__ == "0.1.0"
+
+
+def test_cli_options():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {None: option_strings(parser)}
+    found.update((name, option_strings(p)) for name, p in sub.choices.items())
+    assert found == OPTIONS

@@ -398,3 +398,16 @@ class TestMalformedInputs:
         code = main(["sysid", "--config", str(cfg), "--out", str(tmp_path / "s.json")])
         assert code == 2
         assert "missing key 'orders'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("orders", ["a"]), ("orders", [1.5]), ("orders", [-1]), ("orders", [0]),
+        ("split", 2.0),
+    ])
+    def test_sysid_config_out_of_range(self, tmp_path, cavity_file, capsys, key, value):
+        config = {"system_file": cavity_file, "dt": 0.05, "T": 400.0, "orders": [1]}
+        config[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["sysid", "--config", str(cfg), "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "validation error" in capsys.readouterr().err

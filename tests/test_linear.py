@@ -1,5 +1,7 @@
 """Linear-quantum tests: realizability, transfer functions, Kalman filtering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,8 @@ from qiokit.linear import (
     symplectic_transform,
     transfer_function,
 )
+
+from conftest import rotation
 
 
 def cavity_spec(delta=1.0, kappa=2.0) -> QuadraticSpec:
@@ -124,6 +128,19 @@ class TestPR2:
         G = LinearQSystem(A=np.eye(2), B=np.zeros((2, 2)), C=np.array([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(NoSkewSolution):
             check_pr2(G)
+
+    def test_scattering_matrix_enters_both_checks(self):
+        # the cavity behind a phase shifter: C = D C_cav is realizable with J_n
+        G = build_linear_system(cavity_spec())
+        D = rotation(0.6)
+        shifted = LinearQSystem(A=G.A, B=G.B, C=D @ G.C, D=D)
+        assert check_pr1(shifted) <= 1e-12
+        assert np.max(np.abs(check_pr2(shifted).Z - symplectic_form(1))) < 1e-8
+        # the same D with the unrotated C is not realizable
+        unrotated = LinearQSystem(A=G.A, B=G.B, C=G.C, D=D)
+        assert check_pr1(unrotated) > 0.1
+        with pytest.raises(NoSkewSolution):
+            check_pr2(unrotated)
 
     def test_skew_factorization_roundtrip(self, rng):
         for n in (1, 2, 3):
@@ -306,6 +323,16 @@ class TestInnovationForm:
             z = z + (G.A @ z + G.B @ f[k]) * dt + gain * nu[k]
         r1 = (nu[:-1] @ nu[1:]) / (nu @ nu)
         assert abs(r1) < 3 / np.sqrt(n)
+
+    @pytest.mark.parametrize("T, dt", [(1.0, -0.05), (1.0, 0.0), (0.0, 0.05), (-1.0, 0.05),
+                                       (np.inf, 0.05), (1.0, np.nan)])
+    def test_grid_checked_before_drawing(self, T, dt):
+        G = build_linear_system(cavity_spec())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="dt and T must be positive"):
+                simulate_innovation_form(G, np.zeros(2), "Q", np.zeros((20, 2)),
+                                         T=T, dt=dt, seed=0)
 
     def test_step_guard(self):
         G = LinearQSystem(A=-300 * np.eye(2), B=np.zeros((2, 2)), C=np.zeros((2, 2)))

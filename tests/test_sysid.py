@@ -39,6 +39,8 @@ from qiokit.sysid import (
 )
 from qiokit.trajectories import trajectory_rng
 
+from conftest import rotation
+
 
 def cavity(delta=1.0, kappa=2.0) -> LinearQSystem:
     return build_linear_system(
@@ -242,6 +244,14 @@ class TestProjection:
         assert np.max(np.abs(proj.A - H.A)) < 1e-4
         assert proj.feasibility <= 1e-8
 
+    def test_arguments_checked(self):
+        G = cavity()
+        raw = (G.A, G.B, G.C[:1])
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            pr_projection(raw, G.D, seed=-1)
+        with pytest.raises(ValidationError, match="D must have shape"):
+            pr_projection(raw, np.eye(3))
+
     def test_small_perturbation_bounded_cost(self, rng):
         G = random_physical(rng)
         eps = 1e-3
@@ -413,6 +423,54 @@ class TestValidateNMSE:
             validate_nmse(G, gain, data, "Q")
 
 
+def _quadrature_calls():
+    G = cavity()
+    _, data = cavity_dataset(seed=2, T=200.0)
+    J, f = symplectic_form(1), np.zeros((20, 2))
+    return {
+        "kalman_gain": lambda q: kalman_gain(G, q),
+        "simulate_innovation_form": lambda q: simulate_innovation_form(
+            G, np.zeros(2), q, f, T=1.0, dt=0.05, seed=0),
+        "pr_projection": lambda q: pr_projection((G.A, G.B, G.C[:1]), G.D, q),
+        "validate_nmse": lambda q: validate_nmse(G, np.zeros(2), data, q),
+        "PipelineConfig": lambda q: PipelineConfig(
+            dt=0.05, T=1.0, prbs_amplitude=1.0, orders=(1,), quadrature=q, system=G),
+        "subspace_id": lambda q: subspace_id(data, 1, 10, quadrature=q),
+        "fpe_order_select": lambda q: fpe_order_select(data, [1], 10, quadrature=q),
+        "recover_full_c": lambda q: recover_full_c(J, G.B, G.D, q, G.C[0]),
+        "recover_full_c without c_m": lambda q: recover_full_c(J, G.B, G.D, q),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_quadrature_calls()))
+@pytest.mark.parametrize("quadrature", ["X", ["Q"]], ids=repr)
+def test_unknown_quadrature_is_a_validation_error(call, quadrature):
+    with pytest.raises(ValidationError, match="quadrature must be 'Q' or 'P'"):
+        _quadrature_calls()[call](quadrature)
+
+
+BAD_ORDERS = [["a"], [1.5], [-1], [0], [], [True], 3]
+
+
+@pytest.mark.parametrize("orders", BAD_ORDERS, ids=repr)
+def test_orders_must_be_positive_integers(orders):
+    _, data = cavity_dataset(seed=2, T=200.0)
+    with pytest.raises(ValidationError, match="positive integers"):
+        PipelineConfig(dt=0.05, T=1.0, prbs_amplitude=1.0, orders=orders, dataset=data)
+    with pytest.raises(ValidationError, match="positive integers"):
+        fpe_order_select(data, orders, 10)
+    if np.iterable(orders) and len(orders) == 1:
+        with pytest.raises(ValidationError, match="positive integers"):
+            subspace_id(data, orders[0], 10)
+
+
+@pytest.mark.parametrize("split", [0.0, 1.0, 2.0, -0.5, float("nan")])
+def test_split_must_lie_in_unit_interval(split):
+    with pytest.raises(ValidationError, match="split"):
+        PipelineConfig(dt=0.05, T=1.0, prbs_amplitude=1.0, orders=(1,), split=split,
+                       system=cavity())
+
+
 class TestPipeline:
     def test_round_trip_cavity(self):
         G = cavity()
@@ -443,6 +501,18 @@ class TestPipeline:
             t0 = transfer_function(G, 1j * w)
             t1 = transfer_function(res.projected, 1j * w)
             assert np.linalg.norm(t1 - t0) / np.linalg.norm(t0) < 0.15
+
+    def test_scattering_matrix_is_kept(self):
+        # the cavity behind a phase shifter identifies as well as the bare cavity
+        G = cavity()
+        D = rotation(0.6)
+        shifted = LinearQSystem(A=G.A, B=G.B, C=D @ G.C, D=D)
+        runs = [run_pipeline(PipelineConfig(dt=0.05, T=400.0, prbs_amplitude=50.0,
+                                            orders=(1,), seed=1, system=system))
+                for system in (G, shifted)]
+        assert runs[1].pr2_residual <= 1e-10
+        assert np.array_equal(runs[1].projected.D, D)
+        assert runs[1].nmse == pytest.approx(runs[0].nmse, rel=0.1)
 
     def test_pipeline_deterministic(self):
         cfg = PipelineConfig(dt=0.05, T=400.0, prbs_amplitude=50.0,
