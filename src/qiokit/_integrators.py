@@ -81,13 +81,6 @@ def _min_eig_screen(S):
     return 0.5 * (a + e - np.hypot(a - e, 2.0 * np.abs(S[:, 0, 1])))
 
 
-def _broadcast_rho(rho0, b):
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim == 2:
-        return np.tile(rho0, (b, 1, 1))
-    return np.array(rho0, dtype=complex)
-
-
 def _diffusive_step_matrix(H, L, dt):
     """Step matrix of the diffusive scheme on row vectors v = vec(rho), C order.
 
@@ -119,9 +112,10 @@ def sweep_diffusive(H, L, rho0, dt, *, dY=None, dI=None, keep_states=False,
 
     Exactly one of ``dY`` (replay of given records) or ``dI`` (simulation:
     innovation draws, output increments returned) must be supplied, each
-    shaped (b, n).  ``H``, ``L``: one model (d, d) or one per row (b, d, d).
-    Returns final/optional full states, the accumulated log trace (the
-    log-likelihood), and the simulated increments.
+    shaped (b, n).  ``H``, ``L``: one model (d, d) or one per row (b, d, d);
+    ``rho0``: one (d, d) state for every row.  Returns final/optional full
+    states, the accumulated log trace (the log-likelihood), and the
+    simulated increments.
 
     Each step is one stacked product ``W = v @ M`` of the states vec(rho),
     (b, d^2), with the step matrix M (``_diffusive_step_matrix``); it gives
@@ -144,7 +138,7 @@ def sweep_diffusive(H, L, rho0, dt, *, dY=None, dI=None, keep_states=False,
     M = _diffusive_step_matrix(np.asarray(H, dtype=complex), L, dt)
     d = L.shape[-1]
     d2 = d * d
-    rho = _broadcast_rho(rho0, b)
+    rho = np.tile(np.asarray(rho0, dtype=complex), (b, 1, 1))
 
     loglik = np.zeros(b)
     alive = np.ones(b, dtype=bool)
@@ -406,8 +400,8 @@ class CountingLoglik:
                                loglik=float(logtrace[n]))
 
     def simulate(self, rho0, uniforms, keep_states=False):
-        """Bernoulli-thinning simulation; row i of ``uniforms`` (b, n) runs
-        model i, or the one model.
+        """Bernoulli-thinning simulation from the one (d, d) state ``rho0``;
+        row i of ``uniforms`` (b, n) runs model i, or the one model.
 
         Cell k jumps when u_k < Tr(L^dag L rho) dt at its start and the rate
         after its no-jump map is positive; the jump lands at the cell end
@@ -424,7 +418,7 @@ class CountingLoglik:
         cand = np.append(cand, n)  # so that a block may read one past the end
         ptr = np.searchsorted(rows, np.arange(b + 1))
         ptr, row_end = ptr[:-1].copy(), ptr[1:]
-        y = _broadcast_rho(rho0, b)
+        y = np.tile(np.asarray(rho0, dtype=complex), (b, 1, 1))
         anchor, loglik = np.zeros(b, dtype=int), np.zeros(b)
         jump_cells = [[] for _ in range(b)]
         live = np.arange(b)
@@ -468,8 +462,8 @@ class CountingLoglik:
         times, states = [(np.asarray(c, dtype=int) + 1) * self.dt for c in jump_cells], None
         if keep_states:  # the replay of each record at its jump times (one model)
             states = np.empty((b, n + 1) + y.shape[1:], dtype=complex)
-            for i, (r, t) in enumerate(zip(_broadcast_rho(rho0, b), times)):
-                self.replay(r, n * self.dt, t, out=states[i])
+            for i, t in enumerate(times):
+                self.replay(rho0, n * self.dt, t, out=states[i])
             states[:, -1] = y  # the final state does not depend on keep_states
         return SimpleNamespace(final=y, loglik=loglik, states=states, counts=counts,
                                jump_times=times)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from . import _integrators as integ
 from .exceptions import (
     AllRecordsImpossible,
     DegeneratePosterior,
@@ -27,7 +26,7 @@ from .exceptions import (
 from .families import ParameterFamily
 from .operators import QMarkovModel, _ergodic_stationary, _state_array, zero_mean_inverse
 from .filtering import _loglik_table
-from .trajectories import CountingRecord, DiffusiveRecord, _draws, trajectory_rng
+from .trajectories import CountingRecord, DiffusiveRecord, _simulate, trajectory_rng
 
 __all__ = [
     "MLEResult",
@@ -257,16 +256,10 @@ def counting_fisher(family: ParameterFamily, theta: float, h: float | None = Non
     return mu_dot**2 / V
 
 
-def _simulate_family_records(family, thetas, r0, kind, T, dt, seed, start_index=0):
-    """One record per theta, each from its own Philox stream."""
-    n = max(1, int(round(T / dt)))
-    Hb, Lb = _model_stack(family, thetas)
-    draws = _draws(kind, seed, start_index, len(thetas), n, dt)
-    if kind == "counting":
-        out = integ.CountingLoglik(Hb, Lb, dt).simulate(r0, draws)
-        return [CountingRecord(horizon=n * dt, jumps=j) for j in out.jump_times]
-    out = integ.sweep_diffusive(Hb, Lb, r0, dt, dI=draws)
-    return [DiffusiveRecord(dt=dt, increments=row) for row in out.dY]
+def _simulate_family_records(family, thetas, rho0, kind, T, dt, seed):
+    """Record i at ``thetas[i]``, from the Philox stream ``(seed, i)``."""
+    ens = _simulate(kind, *_model_stack(family, thetas), rho0, T, dt, seed, 0, len(thetas))
+    return [ens.record(i) for i in range(len(thetas))]
 
 
 def abc_rejection(
@@ -281,44 +274,28 @@ def abc_rejection(
     requested kind, and accepts theta when the componentwise standardized
     Euclidean distance between ``stat_fn(record)`` and the observed
     statistics is at most ``epsilon``.  Standard deviations come from
-    ``n_pilot`` pilot simulations.  An empty result is reported with a
-    warning, not an error.
+    ``n_pilot`` pilot simulations.  Parameter draws and record rows share
+    one index: sample i (the pilots first, then the ``n_sims`` candidates)
+    draws theta from ``trajectory_rng(seed, i)`` and its record from
+    ``trajectory_rng(seed + 1, i)``, all in one simulation call.  An empty
+    result is reported with a warning, not an error.
     """
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
     if n_sims < 1:
         raise ValidationError("n_sims must be at least 1")
-    if kind not in ("counting", "diffusive"):
-        raise ValidationError(f"unknown simulation kind {kind!r}")
+    if not n_pilot >= 2:
+        raise ValidationError("n_pilot must be at least 2")
     obs = np.atleast_1d(np.asarray(observed_stats, dtype=float))
-    r0 = _state_array(rho0, family.base.dim)
-
-    def draw_batch(count, start):
-        thetas = []
-        for i in range(count):
-            rng = trajectory_rng(seed, start + i)
-            thetas.append(np.atleast_1d(np.asarray(prior_sampler(rng), dtype=float)))
-        return thetas
-
-    # pilot phase fixes the standardization
-    pilot_thetas = draw_batch(n_pilot, 0)
-    pilot_recs = _simulate_family_records(
-        family, pilot_thetas, r0, kind, T, dt, seed + 1, 0
-    )
-    pilot_stats = np.array([np.atleast_1d(stat_fn(r)) for r in pilot_recs], dtype=float)
-    sd = pilot_stats.std(axis=0, ddof=1)
+    thetas = [np.atleast_1d(np.asarray(prior_sampler(trajectory_rng(seed, i)), dtype=float))
+              for i in range(n_pilot + n_sims)]
+    recs = _simulate_family_records(family, thetas, rho0, kind, T, dt, seed + 1)
+    stats = [np.atleast_1d(np.asarray(stat_fn(r), dtype=float)) for r in recs]
+    # the pilot rows fix the standardization
+    sd = np.array(stats[:n_pilot]).std(axis=0, ddof=1)
     sd[sd == 0] = 1.0
-
-    thetas = draw_batch(n_sims, n_pilot)
-    recs = _simulate_family_records(
-        family, thetas, r0, kind, T, dt, seed + 1, n_pilot
-    )
-    accepted = []
-    for th, rec in zip(thetas, recs):
-        stat = np.atleast_1d(np.asarray(stat_fn(rec), dtype=float))
-        dist = np.linalg.norm((stat - obs) / sd)
-        if dist <= epsilon:
-            accepted.append(th)
+    accepted = [th for th, stat in zip(thetas[n_pilot:], stats[n_pilot:])
+                if np.linalg.norm((stat - obs) / sd) <= epsilon]
     if not accepted:
         warnings.warn(
             f"ABC accepted no samples in {n_sims} simulations (epsilon={epsilon})",
@@ -341,11 +318,12 @@ def mc_classical_fisher(
     if family.k != 1:
         raise ValidationError("mc_classical_fisher handles one-parameter families")
     theta = float(np.atleast_1d(theta)[0])
+    if not n_traj >= 2:
+        raise ValidationError("n_traj must be at least 2")
     if h is None:
         h = 1e-4 * max(1.0, abs(theta))
-    thetas = [np.array([theta])] * n_traj
     r0 = _state_array(rho0, family.base.dim)
-    recs = _simulate_family_records(family, thetas, r0, kind, T, dt, seed)
+    recs = _simulate_family_records(family, [np.array([theta])] * n_traj, r0, kind, T, dt, seed)
     pair = _model_stack(family, [[theta + h], [theta - h]])
     ll_plus, ll_minus = _loglik_table(*pair, r0, recs, dt, lam)
     scores = (ll_plus - ll_minus) / (2 * h)

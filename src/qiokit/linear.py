@@ -32,7 +32,7 @@ from .exceptions import (
     StepTooLarge,
     ValidationError,
 )
-from .trajectories import DiffusiveRecord, trajectory_rng
+from .trajectories import STEP_GUARD, DiffusiveRecord, _draws, _grid_steps
 
 __all__ = [
     "LinearQSystem",
@@ -85,6 +85,14 @@ def _real_matrix(m, name, shape=None):
     return a
 
 
+def _even_square(m, name):
+    """``m`` checked as a finite real 2n x 2n matrix."""
+    a = _real_matrix(m, name)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
+        raise ValidationError(f"{name} must be 2n x 2n, got {a.shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class LinearQSystem:
     """State-space quadruple (A, B, C, D) of an n-mode linear quantum system.
@@ -99,9 +107,7 @@ class LinearQSystem:
     D: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        A = _real_matrix(self.A, "A")
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-            raise ValidationError(f"A must be 2n x 2n, got {A.shape}")
+        A = _even_square(self.A, "A")
         twon = A.shape[0]
         B = _real_matrix(self.B, "B", (twon, 2))
         C = _real_matrix(self.C, "C", (2, twon))
@@ -213,23 +219,27 @@ def _construct(R: np.ndarray, K: np.ndarray):
 
 
 def _pr_equations(A, B, C, D, Z) -> np.ndarray:
-    """Residuals of ``A Z + Z A^T + B J B^T = 0`` (row-major), then of
-    ``Z C^T + B J D^T = 0``, flattened and stacked; Z = J_n is plain
-    realizability.  Batched over the leading axes of ``Z``.  The first is
-    kept whole, though skew for a skew Z: in floating point its diagonal
-    and lower triangle carry round-off of their own (a fused multiply-add
-    leaves product error on the diagonal of B J B^T, and a computed
-    T J_n T^T is not exactly skew)."""
+    """Residuals of ``A Z + Z A^T + B J B^T = 0`` (row-major), of
+    ``Z C^T + B J D^T = 0`` and of ``D J D^T = J``, flattened and stacked;
+    Z = J_n is plain realizability.  Batched over the leading axes of ``Z``.
+    The first is kept whole, though skew for a skew Z: in floating point its
+    diagonal and lower triangle carry round-off of their own (a fused
+    multiply-add leaves product error on the diagonal of B J B^T, and a
+    computed T J_n T^T is not exactly skew).  The last four entries are the
+    scattering block, which depends on D alone."""
     J = symplectic_form(1)
     first = A @ Z + Z @ A.T + B @ J @ B.T
     second = Z @ C.T + B @ J @ D.T
-    return np.concatenate([x.reshape(x.shape[:-2] + (-1,)) for x in (first, second)], axis=-1)
+    third = np.broadcast_to(D @ J @ D.T - J, first.shape[:-2] + (2, 2))
+    return np.concatenate([x.reshape(x.shape[:-2] + (-1,)) for x in (first, second, third)],
+                          axis=-1)
 
 
 def check_pr1(G: LinearQSystem) -> float:
     """Max-norm residual of the physical-realizability constraints.
 
-    ``A J_n + J_n A^T + B J B^T = 0`` and ``J_n C^T + B J D^T = 0``.
+    ``A J_n + J_n A^T + B J B^T = 0``, ``J_n C^T + B J D^T = 0`` and
+    ``D J D^T = J``.
     """
     return float(np.max(np.abs(_pr_equations(G.A, G.B, G.C, G.D, symplectic_form(G.n)))))
 
@@ -275,7 +285,8 @@ def check_pr2(G: LinearQSystem, tol: float = 1e-8) -> PR2Result:
     """Solve the generalized realizability equations for a skew certificate.
 
     Finds skew-symmetric Z with ``A Z + Z A^T + B J B^T = 0`` and
-    ``Z C^T + B J D^T = 0`` by least squares over the skew basis.  Raises
+    ``Z C^T + B J D^T = 0`` by least squares over the skew basis.  The
+    residual also reads ``D J D^T = J``, which no Z can mend.  Raises
     :class:`NoSkewSolution` when the best residual exceeds ``tol`` and
     :class:`SingularZ` when Z is not invertible; otherwise also returns
     the factor V with Z = V J_n V^T.
@@ -437,20 +448,17 @@ def simulate_innovation_form(
     Returns the output record and the state trajectory.
     """
     row = _quad_row(quadrature)
-    if not (dt > 0 and 0 < T < np.inf):
-        raise ValidationError("dt and T must be positive, T finite")
-    n_steps = max(1, int(round(T / dt)))
+    n_steps = _grid_steps(T, dt)
     f = np.asarray(f, dtype=float)
     if f.shape != (n_steps, 2):
         raise ValidationError(f"f must have shape ({n_steps}, 2) to match the grid")
     rad = float(np.max(np.abs(np.linalg.eigvals(G.A))))
-    if dt * rad > 0.1:
-        raise StepTooLarge(f"dt * spectral_radius(A) = {dt * rad:.3g} exceeds 0.1")
+    if dt * rad > STEP_GUARD:
+        raise StepTooLarge(f"dt * spectral_radius(A) = {dt * rad:.3g} exceeds {STEP_GUARD}")
     Cm = G.C[row]
     Dm = G.D[row]
-    L_m = np.asarray(L_m, dtype=float).reshape(-1)
-    rng = trajectory_rng(seed, index)
-    dnu = rng.normal(0.0, np.sqrt(dt), n_steps) if noise else np.zeros(n_steps)
+    L_m = _real_matrix(np.reshape(L_m, -1), "L_m", (2 * G.n,))
+    dnu = _draws("diffusive", seed, index, 1, n_steps, dt)[0] if noise else np.zeros(n_steps)
     # z' = (I + A dt) z + B f dt + L_m dnu; the output follows from the trajectory
     traj = _lti_run(np.eye(2 * G.n) + G.A * dt, (f @ G.B.T) * dt + np.outer(dnu, L_m))
     dY = (traj[:-1] @ Cm) * dt + (f @ Dm) * dt + dnu

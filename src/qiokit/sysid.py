@@ -37,6 +37,7 @@ from .exceptions import (
 from .linear import (
     LinearQSystem,
     _construct,
+    _even_square,
     _lti_run,
     _pr_equations,
     _quad_row,
@@ -45,7 +46,7 @@ from .linear import (
     simulate_innovation_form,
     symplectic_form,
 )
-from .trajectories import DiffusiveRecord
+from .trajectories import DiffusiveRecord, _grid_steps
 
 __all__ = [
     "SysIdDataset",
@@ -492,6 +493,10 @@ def pr_projection(
     if n2 % 2 or Bhat.shape != (n2, 2) or Cmhat.shape != (1, n2):
         raise ValidationError("raw estimate has inconsistent shapes")
     Jn = symplectic_form(n2 // 2)
+    # the last four realizability residuals, D J D^T - J, depend on D alone
+    scatter = np.max(np.abs(_pr_equations(Ahat, Bhat, np.zeros((2, n2)), D, Jn)[-4:]))
+    if not scatter <= 1e-8:
+        raise ValidationError(f"D J D^T = J fails for D (residual {scatter:.3e} > 1e-8)")
 
     def residuals_batch(points):
         A, B, C_full, _ = _assemble(points, n2, D)
@@ -572,16 +577,16 @@ def recover_full_c(
     supplied, that row is kept as estimated and only the other row comes
     from the identity.
     """
-    Z = np.asarray(Z, dtype=float)
-    B = np.asarray(B, dtype=float)
-    D = np.asarray(D, dtype=float)
+    Z = _even_square(Z, "Z")
+    B = _real_matrix(B, "B", (len(Z), 2))
+    D = _real_matrix(D, "D", (2, 2))
     J = symplectic_form(1)
     if np.linalg.cond(Z) > 1e12:
         raise SingularZ("certificate Z is not invertible")
     row = None if measured_row is None else _quad_row(measured_row)
     C = -np.linalg.solve(Z, B @ J @ D.T).T
     if row is not None and c_m is not None:
-        C[row] = np.asarray(c_m, dtype=float).reshape(-1)
+        C[row] = _real_matrix(np.reshape(c_m, -1), "c_m", (len(Z),))
     return C
 
 
@@ -656,7 +661,7 @@ def validate_nmse(
         raise DegenerateOutput("validation output has zero variance")
     u, y = data.inputs, data.outputs
     Cm, Dm = G.C[row], G.D[row]
-    L_m = np.asarray(L_m, dtype=float).reshape(-1)
+    L_m = _real_matrix(np.reshape(L_m, -1), "L_m", (2 * G.n,))
     # z' = z + (A z + B u) dt + L (y - Cm z - Dm u) dt
     Z = _lti_run(np.eye(2 * G.n) + (G.A - np.outer(L_m, Cm)) * data.dt,
                  (u @ (G.B - np.outer(L_m, Dm)).T + y[:, None] * L_m) * data.dt)
@@ -718,7 +723,7 @@ def run_pipeline(config: PipelineConfig) -> SysIdResult:
     if config.dataset is not None:
         data = config.dataset
     else:
-        n_steps = max(1, int(round(config.T / config.dt)))
+        n_steps = _grid_steps(config.T, config.dt)
         f = prbs_pair(n_steps, config.prbs_amplitude, config.seed)
         gain, _ = _stage("kalman_gain", kalman_gain, config.system, config.quadrature)
         record, _ = _stage(

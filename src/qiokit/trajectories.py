@@ -184,15 +184,10 @@ def _record_kind(records) -> type:
 
 
 def _grid_steps(T: float, dt: float) -> int:
+    """round(T/dt) steps; the one step-count rule of every simulator."""
     if not (0 < dt <= T * (1 + 1e-12) < np.inf):
-        raise ValidationError("require 0 < dt <= T < inf")
+        raise ValidationError(f"dt and T must be positive with dt <= T < inf, got {dt} and {T}")
     return max(1, int(round(T / dt)))
-
-
-def _check_grid(model: QMarkovModel, T: float, dt: float) -> int:
-    n = _grid_steps(T, dt)
-    _step_guard(model.L, dt)
-    return n
 
 
 def _draws(kind: str, seed: int, start: int, b: int, n: int, dt: float) -> np.ndarray:
@@ -203,6 +198,30 @@ def _draws(kind: str, seed: int, start: int, b: int, n: int, dt: float) -> np.nd
         rng = trajectory_rng(seed, start + i)
         out[i] = rng.random(n) if kind == "counting" else rng.normal(0.0, np.sqrt(dt), n)
     return out
+
+
+def _simulate(kind, H, L, rho0, T, dt, seed, start, b, keep_states=False):
+    """The one path from a record simulation to an engine: ``b`` rows of one
+    model (d, d) or one model per row (b, d, d).
+
+    Checks the kind, the grid, the step guard over the models and the
+    initial state, in that order, then runs row i on the draws of
+    ``trajectory_rng(seed, start + i)``.  Returns a HomodyneEnsemble or a
+    CountingEnsemble.
+    """
+    if kind not in ("counting", "diffusive"):
+        raise ValidationError(f"unknown simulation kind {kind!r}")
+    n = _grid_steps(T, dt)
+    _step_guard(L, dt)
+    rho0 = _state_array(rho0, L.shape[-1])
+    draws = _draws(kind, seed, start, b, n, dt)
+    if kind == "diffusive":
+        out = integ.sweep_diffusive(H, L, rho0, dt, dI=draws, keep_states=keep_states)
+        return HomodyneEnsemble(dt=dt, increments=out.dY, logliks=out.loglik,
+                                final_states=out.final, states=out.states)
+    out = integ.CountingLoglik(H, L, dt).simulate(rho0, draws, keep_states=keep_states)
+    return CountingEnsemble(horizon=n * dt, jump_times=out.jump_times, counts=out.counts,
+                            logliks=out.loglik, final_states=out.final, states=out.states)
 
 
 def _single_run(ens, horizon: float, dt: float) -> FilterTrajectory:
@@ -237,14 +256,8 @@ def simulate_homodyne_ensemble(
     Innovations dI ~ N(0, dt) are drawn and the record is
     dY = dI + Tr((L+L^dag) rho_c) dt, the states advanced by the diffusive core.
     """
-    n = _check_grid(model, T, dt)
-    rho0 = _state_array(rho0, model.dim)
-    dI = _draws("diffusive", seed, start_index, n_traj, n, dt)
-    out = integ.sweep_diffusive(model.H, model.L, rho0, dt, dI=dI, keep_states=keep_states)
-    return HomodyneEnsemble(
-        dt=dt, increments=out.dY, logliks=out.loglik,
-        final_states=out.final, states=out.states,
-    )
+    return _simulate("diffusive", model.H, model.L, rho0, T, dt, seed, start_index, n_traj,
+                     keep_states)
 
 
 def simulate_counting(
@@ -264,7 +277,8 @@ def simulate_counting(
         return ens.record(0), _single_run(ens, ens.horizon, dt)
     if method != "exact":
         raise ValidationError(f"unknown counting method {method!r}")
-    _check_grid(model, T, dt)
+    _grid_steps(T, dt)
+    _step_guard(model.L, dt)
     rho0 = _state_array(rho0, model.dim)
     if model.dim > 8:
         raise ValidationError("exact sampling is supported for dim <= 8")
@@ -286,15 +300,8 @@ def simulate_counting_ensemble(
 ) -> CountingEnsemble:
     """Vectorized batch of counting trajectories: Bernoulli thinning per grid
     cell with probability Tr(L^dag L rho) dt, jumps placed at cell ends."""
-    n = _check_grid(model, T, dt)
-    rho0 = _state_array(rho0, model.dim)
-    u = _draws("counting", seed, start_index, n_traj, n, dt)
-    engine = integ.CountingLoglik(model.H, model.L, dt)
-    out = engine.simulate(rho0, u, keep_states=keep_states)
-    return CountingEnsemble(
-        horizon=n * dt, jump_times=out.jump_times, counts=out.counts,
-        logliks=out.loglik, final_states=out.final, states=out.states,
-    )
+    return _simulate("counting", model.H, model.L, rho0, T, dt, seed, start_index, n_traj,
+                     keep_states)
 
 
 def simulate_reference(

@@ -5,6 +5,8 @@ these lists on purpose.
 """
 
 import argparse
+import ast
+import pathlib
 import types
 
 import qiokit
@@ -61,3 +63,20 @@ def test_cli_options():
     found = {None: option_strings(parser)}
     found.update((name, option_strings(p)) for name, p in sub.choices.items())
     assert found == OPTIONS
+
+
+def test_only_the_front_ends_reach_the_engines():
+    """Simulation goes through ``trajectories`` and replay through
+    ``filtering``; no other module imports the integration engines."""
+    importers = set()
+    for path in pathlib.Path(qiokit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "_integrators" for n in names):
+                importers.add(path.stem)
+    assert importers == {"trajectories", "filtering"}

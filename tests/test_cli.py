@@ -399,6 +399,19 @@ class TestMalformedInputs:
         assert code == 2
         assert "missing key 'orders'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt, code, message", [
+        ("0", 2, "dt and T must be positive"), ("-0.01", 2, "dt and T must be positive"),
+        ("inf", 2, "dt and T must be positive"), ("5", 3, "exceeds the guard"),
+    ])
+    def test_abc_grid_and_step_guard(self, tmp_path, family_file, capsys, dt, code, message):
+        rec = tmp_path / "rec.json"
+        serialize.save_record(CountingRecord(horizon=10.0, jumps=[1.0, 4.0]), rec)
+        assert main(["estimate", "--family", family_file, "--records", str(rec),
+                     "--method", "abc", "--n-sims", "5", "--epsilon", "10", "--dt", dt,
+                     "--out", str(tmp_path / "est.json")]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Error:" not in err
+
     @pytest.mark.parametrize("key, value", [
         ("orders", ["a"]), ("orders", [1.5]), ("orders", [-1]), ("orders", [0]),
         ("split", 2.0),

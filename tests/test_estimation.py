@@ -18,6 +18,7 @@ from qiokit.exceptions import (
     AllRecordsImpossible,
     DegeneratePosterior,
     NotErgodic,
+    StepTooLarge,
     ValidationError,
     ZeroVariance,
 )
@@ -287,6 +288,47 @@ class TestABC:
         assert len(accepted) > 10
         prior_mean = 1.1
         assert abs(np.mean(accepted) - true) < abs(prior_mean - true)
+
+
+class TestSimulationChecks:
+    """Estimation's simulated records get the grid, kind, step-guard and
+    sample-count checks of every other simulator."""
+
+    @staticmethod
+    def abc(**kw):
+        args = dict(n_sims=5, epsilon=10.0, seed=0, rho0=MIXED, T=10.0, dt=1e-2)
+        args.update(kw)
+        return abc_rejection(rabi_family(), [0.3], lambda rng: rng.uniform(0.2, 2.0),
+                             lambda r: stat_total_counts(r) / r.horizon, **args)
+
+    @pytest.mark.parametrize("kind", ["counting", "diffusive"])
+    @pytest.mark.parametrize("T, dt", [(-5.0, 1e-2), (np.inf, 1e-2), (10.0, 0.0),
+                                       (10.0, -0.01), (10.0, np.inf), (0.5, 1.0)])
+    def test_abc_grid(self, kind, T, dt):
+        with pytest.raises(ValidationError, match="dt and T must be positive"):
+            self.abc(kind=kind, T=T, dt=dt)
+
+    @pytest.mark.parametrize("T, dt", [(-1.0, 1e-2), (np.inf, 1e-2), (1.0, 0.0)])
+    def test_fisher_grid(self, T, dt):
+        with pytest.raises(ValidationError, match="dt and T must be positive"):
+            mc_classical_fisher(rabi_family(), 1.0, MIXED, "counting", T, dt, n_traj=5)
+
+    def test_step_guard(self):
+        with pytest.raises(StepTooLarge):
+            self.abc(T=10.0, dt=5.0)
+        with pytest.raises(StepTooLarge):
+            mc_classical_fisher(rabi_family(), 1.0, MIXED, "diffusive", 10.0, 5.0, n_traj=5)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValidationError, match="unknown simulation kind"):
+            mc_classical_fisher(rabi_family(), 1.0, MIXED, "poisson", 1.0, 1e-2, n_traj=5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_sample_counts(self, n):
+        with pytest.raises(ValidationError, match="n_pilot must be at least 2"):
+            self.abc(n_pilot=n)
+        with pytest.raises(ValidationError, match="n_traj must be at least 2"):
+            mc_classical_fisher(rabi_family(), 1.0, MIXED, "counting", 1.0, 1e-2, n_traj=n)
 
 
 class TestStatistics:

@@ -142,6 +142,14 @@ class TestPR2:
         with pytest.raises(NoSkewSolution):
             check_pr2(unrotated)
 
+    def test_noiseless_amplifier_is_not_realizable(self):
+        # D = 2 I amplifies both quadratures without added noise: D J D^T = 4 J
+        G = build_linear_system(cavity_spec())
+        amplifier = LinearQSystem(A=G.A, B=G.B, C=2 * G.C, D=2 * np.eye(2))
+        assert check_pr1(amplifier) >= 1.0
+        with pytest.raises(NoSkewSolution):
+            check_pr2(amplifier)
+
     def test_skew_factorization_roundtrip(self, rng):
         for n in (1, 2, 3):
             V = random_symplectic(n, rng).V
@@ -325,7 +333,7 @@ class TestInnovationForm:
         assert abs(r1) < 3 / np.sqrt(n)
 
     @pytest.mark.parametrize("T, dt", [(1.0, -0.05), (1.0, 0.0), (0.0, 0.05), (-1.0, 0.05),
-                                       (np.inf, 0.05), (1.0, np.nan)])
+                                       (np.inf, 0.05), (1.0, np.nan), (0.05, 0.06)])
     def test_grid_checked_before_drawing(self, T, dt):
         G = build_linear_system(cavity_spec())
         with warnings.catch_warnings():

@@ -252,6 +252,14 @@ class TestProjection:
         with pytest.raises(ValidationError, match="D must have shape"):
             pr_projection(raw, np.eye(3))
 
+    def test_scattering_matrix_checked(self):
+        G = cavity()
+        raw = (G.A, G.B, G.C[:1])
+        with pytest.raises(ValidationError, match="D J D"):
+            pr_projection(raw, 2 * np.eye(2))
+        D = rotation(0.6)  # a phase shifter passes the same check
+        assert pr_projection((G.A, G.B, (D @ G.C)[:1]), D).feasibility <= 1e-10
+
     def test_small_perturbation_bounded_cost(self, rng):
         G = random_physical(rng)
         eps = 1e-3
@@ -447,6 +455,38 @@ def _quadrature_calls():
 def test_unknown_quadrature_is_a_validation_error(call, quadrature):
     with pytest.raises(ValidationError, match="quadrature must be 'Q' or 'P'"):
         _quadrature_calls()[call](quadrature)
+
+
+def _boundary_calls():
+    G = cavity()
+    _, data = cavity_dataset(seed=2, T=200.0)
+    J, f = symplectic_form(1), np.zeros((20, 2))
+    nan2 = np.full((2, 2), np.nan)
+    return {
+        "validate_nmse short L_m": ("L_m", lambda: validate_nmse(G, np.zeros(3), data)),
+        "validate_nmse nan L_m": ("L_m", lambda: validate_nmse(G, [np.nan, 0.0], data)),
+        "simulate_innovation_form short L_m": ("L_m", lambda: simulate_innovation_form(
+            G, np.zeros(3), "Q", f, T=1.0, dt=0.05, seed=0)),
+        "simulate_innovation_form nan L_m": ("L_m", lambda: simulate_innovation_form(
+            G, [np.nan, 0.0], "Q", f, T=1.0, dt=0.05, seed=0)),
+        "recover_full_c nan Z": ("Z", lambda: recover_full_c(nan2, G.B, G.D)),
+        "recover_full_c odd Z": ("Z", lambda: recover_full_c(np.eye(3), G.B, G.D)),
+        "recover_full_c nan B": ("B", lambda: recover_full_c(J, nan2, G.D)),
+        "recover_full_c three-row B": ("B", lambda: recover_full_c(J, np.ones((3, 2)), G.D)),
+        "recover_full_c 3 x 3 D": ("D", lambda: recover_full_c(J, G.B, np.eye(3))),
+        "recover_full_c short c_m": ("c_m", lambda: recover_full_c(J, G.B, G.D, "Q", [1.0])),
+        "recover_full_c nan c_m": ("c_m", lambda: recover_full_c(
+            J, G.B, G.D, "Q", [np.nan, 1.0])),
+        "run_pipeline dt > T": ("dt and T", lambda: run_pipeline(PipelineConfig(
+            dt=0.05, T=0.03, prbs_amplitude=1.0, orders=(1,), system=G))),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_boundary_calls()))
+def test_boundary_inputs_are_validation_errors(call):
+    name, fn = _boundary_calls()[call]
+    with pytest.raises(ValidationError, match=name):
+        fn()
 
 
 BAD_ORDERS = [["a"], [1.5], [-1], [0], [], [True], 3]
