@@ -3,8 +3,9 @@
 Subcommands: simulate, filter, loglik, estimate, qfi, linsys, sysid.
 Exit codes: 0 success, 2 validation failure, 3 runtime error, 4
 statistical failure (impossible records, degenerate posteriors, no ABC
-acceptances).  Every report embeds the resolved configuration and the
-toolkit version.
+acceptances).  Options shared by several subcommands are declared once;
+every subcommand but ``simulate`` returns its report payload, and ``main``
+writes it with the resolved configuration and the toolkit version.
 """
 
 from __future__ import annotations
@@ -54,12 +55,10 @@ STATISTICAL_ERRORS = (AllRecordsImpossible, DegeneratePosterior, NoAcceptances,
                       ZeroVariance)
 
 
-def _report(args, payload: dict) -> dict:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    payload["config"] = {k: (v if not isinstance(v, (list, tuple)) else list(v))
-                         for k, v in config.items()}
-    payload["version"] = __version__
-    return payload
+def _write_csv(path, header, rows, fmt: str = "") -> None:
+    lines = [",".join(header)] + [",".join(format(x, fmt) for x in row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _initial_state(model, choice: str):
@@ -70,7 +69,7 @@ def _initial_state(model, choice: str):
     raise ValidationError(f"unknown initial state {choice!r}")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     if args.kind in ("wiener", "poisson"):
         record = simulate_reference(args.kind, args.lam, args.T, args.dt, args.seed)
     else:
@@ -92,27 +91,20 @@ def _cmd_simulate(args) -> int:
         mean_current = record.increments.sum() / record.t_final
         print(f"diffusive record: {len(record)} increments,"
               f" mean current {mean_current:.6g}")
-    return 0
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter(args) -> dict:
     model = serialize.load_model(args.model)
     record = serialize.load_record(args.record)
     rho0 = _initial_state(model, args.init)
     traj = run_filter(model, rho0, record, dt=args.dt)
     final = traj.final_state
-    payload = _report(args, {
-        "loglik": traj.loglik,
-        "final_state_re": final.real.tolist(),
-        "final_state_im": final.imag.tolist(),
-        "n_times": len(traj.times),
-    })
-    serialize.dump_json(payload, args.out)
     print(f"filter: loglik {traj.loglik:.6g} over {len(traj.times) - 1} steps")
-    return 0
+    return {"loglik": traj.loglik, "final_state_re": final.real.tolist(),
+            "final_state_im": final.imag.tolist(), "n_times": len(traj.times)}
 
 
-def _cmd_loglik(args) -> int:
+def _cmd_loglik(args) -> dict:
     model = serialize.load_model(args.model)
     rho0 = _initial_state(model, args.init)
     values = [
@@ -120,15 +112,13 @@ def _cmd_loglik(args) -> int:
                        lam=args.lam, dt=args.dt)
         for path in args.records
     ]
-    payload = _report(args, {"logliks": values, "total": float(np.sum(values))})
-    serialize.dump_json(payload, args.out)
     for path, value in zip(args.records, values):
         print(f"{path}: {value:.6g}")
     print(f"total: {np.sum(values):.6g}")
-    return 0
+    return {"logliks": values, "total": float(np.sum(values))}
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> dict:
     family = serialize.load_family(args.family)
     records = [serialize.load_record(p) for p in args.records]
     base = family.model(family.domain.mean(axis=1))
@@ -154,11 +144,7 @@ def _cmd_estimate(args) -> int:
             "method": args.method,
             "diagnostics": {"posterior_sd": post.sd().tolist()}}
         if args.csv:
-            rows = ["theta,weight"] + [
-                f"{t},{w}" for t, w in zip(grid, post.weights)
-            ]
-            with open(args.csv, "w") as fh:
-                fh.write("\n".join(rows) + "\n")
+            _write_csv(args.csv, ["theta", "weight"], zip(grid, post.weights))
         print(f"{args.method}: theta = {theta}")
     elif args.method == "abc":
         if family.k != 1:
@@ -183,30 +169,21 @@ def _cmd_estimate(args) -> int:
         print(f"abc: theta = {theta} from {len(accepted)} acceptances")
     else:
         raise ValidationError(f"unknown method {args.method!r}")
-    serialize.dump_json(_report(args, payload), args.out)
-    return 0
+    return payload
 
 
-def _cmd_qfi(args) -> int:
+def _cmd_qfi(args) -> dict:
     family = serialize.load_family(args.family)
     theta = np.asarray(args.theta, dtype=float)
     F = qfi_rate(family, theta)
     model = family.model(theta)
     info = spectral_info(model)
     mu, V = counting_rate_and_variance(model)
-    payload = _report(args, {
-        "theta": theta.tolist(),
-        "qfi_rate": F.tolist(),
-        "gap": info.gap,
-        "mu": mu,
-        "V": V,
-    })
-    serialize.dump_json(payload, args.out)
     print(f"qfi rate: {F.tolist()}  (gap {info.gap:.6g}, mu {mu:.6g}, V {V:.6g})")
-    return 0
+    return {"theta": theta.tolist(), "qfi_rate": F.tolist(), "gap": info.gap, "mu": mu, "V": V}
 
 
-def _cmd_linsys(args) -> int:
+def _cmd_linsys(args) -> dict:
     G = serialize.load_linear_system(args.system)
     if args.task == "check-pr":
         r1 = check_pr1(G)
@@ -229,16 +206,10 @@ def _cmd_linsys(args) -> int:
                          "im": m.imag.tolist()})
         payload = {args.task: rows}
         if args.csv:
-            header = "omega," + ",".join(
-                f"{p}{i}{j}" for p in ("re", "im") for i in range(2) for j in range(2)
-            )
-            lines = [header]
-            for row in rows:
-                flat = [row["omega"]]
-                flat += list(np.ravel(row["re"])) + list(np.ravel(row["im"]))
-                lines.append(",".join(f"{x:.12g}" for x in flat))
-            with open(args.csv, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            header = ["omega"] + [f"{p}{i}{j}" for p in ("re", "im")
+                                  for i in range(2) for j in range(2)]
+            _write_csv(args.csv, header, ([r["omega"], *np.ravel(r["re"]), *np.ravel(r["im"])]
+                                          for r in rows), ".12g")
         print(f"{args.task}: {len(rows)} frequencies")
     elif args.task == "kalman":
         gain, Q = kalman_gain(G, args.quadrature)
@@ -246,8 +217,7 @@ def _cmd_linsys(args) -> int:
         print(f"kalman gain ({args.quadrature}): {gain.tolist()}")
     else:
         raise ValidationError(f"unknown linsys task {args.task!r}")
-    serialize.dump_json(_report(args, payload), args.out)
-    return 0
+    return payload
 
 
 @serialize.schema_errors("sysid config")
@@ -274,9 +244,10 @@ def _pipeline_config(cfg_dict) -> PipelineConfig:
     )
 
 
-def _cmd_sysid(args) -> int:
+def _cmd_sysid(args) -> dict:
     res = run_pipeline(_pipeline_config(serialize.parse_json_file(args.config)))
-    payload = _report(args, {
+    print(f"sysid: order {res.order}, cost {res.cost:.3e}, nmse {res.nmse:.4g}")
+    return {
         "order": res.order,
         "cost": res.cost,
         "fpe": res.fpe,
@@ -287,10 +258,7 @@ def _cmd_sysid(args) -> int:
                 "C_m": res.raw.C.tolist()},
         "projected": serialize.linear_system_to_dict(res.projected),
         "Z": res.Z.tolist(),
-    })
-    serialize.dump_json(payload, args.out)
-    print(f"sysid: order {res.order}, cost {res.cost:.3e}, nmse {res.nmse:.4g}")
-    return 0
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,59 +269,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    # options shared by several subcommands, one parent parser each
+    out, init, dt, lam = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", required=True)
+    init.add_argument("--init", choices=["mixed", "stationary"], default="mixed")
+    dt.add_argument("--dt", type=float, default=1e-3)
+    lam.add_argument("--lambda", dest="lam", type=float, default=1.0)
 
-    sim = sub.add_parser("simulate", help="generate a measurement record")
+    sim = sub.add_parser("simulate", parents=[out, init, lam],
+                         help="generate a measurement record")
     sim.add_argument("--model", help="model JSON (not needed for reference kinds)")
     sim.add_argument("--kind", required=True,
                      choices=["homodyne", "counting", "wiener", "poisson"])
     sim.add_argument("--T", type=float, required=True)
     sim.add_argument("--dt", type=float, required=True)
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sim.add_argument("--init", choices=["mixed", "stationary"], default="mixed")
     sim.add_argument("--method", choices=["bernoulli", "exact"], default="bernoulli")
-    sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
-    flt = sub.add_parser("filter", help="run the conditional-state filter")
+    flt = sub.add_parser("filter", parents=[out, init, dt],
+                         help="run the conditional-state filter")
     flt.add_argument("--model", required=True)
     flt.add_argument("--record", required=True)
-    flt.add_argument("--dt", type=float, default=1e-3)
-    flt.add_argument("--init", choices=["mixed", "stationary"], default="mixed")
-    flt.add_argument("--out", required=True)
     flt.set_defaults(func=_cmd_filter)
 
-    ll = sub.add_parser("loglik", help="trajectory log-likelihoods")
+    ll = sub.add_parser("loglik", parents=[out, init, dt, lam],
+                        help="trajectory log-likelihoods")
     ll.add_argument("--model", required=True)
     ll.add_argument("--records", nargs="+", required=True)
-    ll.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    ll.add_argument("--dt", type=float, default=1e-3)
-    ll.add_argument("--init", choices=["mixed", "stationary"], default="mixed")
-    ll.add_argument("--out", required=True)
     ll.set_defaults(func=_cmd_loglik)
 
-    est = sub.add_parser("estimate", help="parameter estimation from records")
+    est = sub.add_parser("estimate", parents=[out, init, dt, lam],
+                         help="parameter estimation from records")
     est.add_argument("--family", required=True)
     est.add_argument("--records", nargs="+", required=True)
     est.add_argument("--method", choices=["mle", "pm", "map", "abc"], default="mle")
-    est.add_argument("--dt", type=float, default=1e-3)
-    est.add_argument("--lambda", dest="lam", type=float, default=1.0)
     est.add_argument("--grid", type=int, default=21)
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--epsilon", type=float, default=0.5)
     est.add_argument("--n-sims", type=int, default=200)
-    est.add_argument("--init", choices=["mixed", "stationary"], default="mixed")
     est.add_argument("--csv", help="optional CSV dump of the posterior grid")
-    est.add_argument("--out", required=True)
     est.set_defaults(func=_cmd_estimate)
 
-    qfi = sub.add_parser("qfi", help="output QFI rate and counting statistics")
+    qfi = sub.add_parser("qfi", parents=[out], help="output QFI rate and counting statistics")
     qfi.add_argument("--family", required=True)
     qfi.add_argument("--theta", type=float, nargs="+", required=True)
-    qfi.add_argument("--out", required=True)
     qfi.set_defaults(func=_cmd_qfi)
 
-    lin = sub.add_parser("linsys", help="linear quantum system analysis")
+    lin = sub.add_parser("linsys", parents=[out], help="linear quantum system analysis")
     lin.add_argument("--task", required=True,
                      choices=["check-pr", "transfer", "spectrum", "kalman"])
     lin.add_argument("--system", required=True)
@@ -362,12 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     lin.add_argument("--omega-max", type=float, default=5.0)
     lin.add_argument("--omega-points", type=int, default=41)
     lin.add_argument("--csv", help="optional CSV dump of the frequency sweep")
-    lin.add_argument("--out", required=True)
     lin.set_defaults(func=_cmd_linsys)
 
-    sysid = sub.add_parser("sysid", help="black-box identification pipeline")
+    sysid = sub.add_parser("sysid", parents=[out], help="black-box identification pipeline")
     sysid.add_argument("--config", required=True)
-    sysid.add_argument("--out", required=True)
     sysid.set_defaults(func=_cmd_sysid)
 
     return p
@@ -388,7 +349,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        return args.func(args)
+        payload = args.func(args)
+        if payload is not None:
+            config = {k: list(v) if isinstance(v, (list, tuple)) else v
+                      for k, v in vars(args).items() if k != "func"}
+            serialize.dump_json({**payload, "config": config, "version": __version__},
+                                args.out)
+        return 0
     except STATISTICAL_ERRORS as exc:
         print(f"statistical failure: {exc}", file=sys.stderr)
         return 4

@@ -23,7 +23,7 @@ from .exceptions import (
     ValidationError,
     ZeroVariance,
 )
-from .families import ParameterFamily
+from .families import ParameterFamily, _central_step
 from .operators import QMarkovModel, _ergodic_stationary, _state_array, zero_mean_inverse
 from .filtering import _loglik_table
 from .trajectories import CountingRecord, DiffusiveRecord, _simulate, trajectory_rng
@@ -177,7 +177,7 @@ def posterior_grid(
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (len(grid),):
         raise ValidationError("prior must assign one weight per grid point")
-    if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-8:
+    if not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-8):
         raise ValidationError("prior must be a probability vector on the grid")
     r0 = _state_array(rho0, family.base.dim)
     logliks = _loglik_table(*_model_stack(family, grid), r0, [record], dt, lam)[:, 0]
@@ -239,14 +239,7 @@ def counting_rate_and_variance(model: QMarkovModel) -> tuple[float, float]:
 
 def counting_fisher(family: ParameterFamily, theta: float, h: float | None = None) -> float:
     """Fisher information of the total-counts statistic, (d mu/d theta)^2 / V."""
-    if family.k != 1:
-        raise ValidationError("counting_fisher handles one-parameter families")
-    theta = float(np.atleast_1d(theta)[0])
-    if h is None:
-        h = 1e-4 * max(1.0, abs(theta))
-    for t in (theta - h, theta + h):
-        if not family.in_domain([t]):
-            raise ValidationError("theta +- h must stay inside the family domain")
+    theta, h = _central_step(family, theta, h, "counting_fisher")
     mu_plus = _counting_rate(family.model([theta + h]))
     mu_minus = _counting_rate(family.model([theta - h]))
     mu_dot = (mu_plus - mu_minus) / (2 * h)
@@ -280,8 +273,8 @@ def abc_rejection(
     ``trajectory_rng(seed + 1, i)``, all in one simulation call.  An empty
     result is reported with a warning, not an error.
     """
-    if epsilon < 0:
-        raise ValidationError("epsilon must be nonnegative")
+    if not epsilon >= 0:
+        raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
     if n_sims < 1:
         raise ValidationError("n_sims must be at least 1")
     if not n_pilot >= 2:
@@ -315,13 +308,9 @@ def mc_classical_fisher(
     The mean score is reported alongside; it should be consistent with
     zero.
     """
-    if family.k != 1:
-        raise ValidationError("mc_classical_fisher handles one-parameter families")
-    theta = float(np.atleast_1d(theta)[0])
+    theta, h = _central_step(family, theta, h, "mc_classical_fisher")
     if not n_traj >= 2:
         raise ValidationError("n_traj must be at least 2")
-    if h is None:
-        h = 1e-4 * max(1.0, abs(theta))
     r0 = _state_array(rho0, family.base.dim)
     recs = _simulate_family_records(family, [np.array([theta])] * n_traj, r0, kind, T, dt, seed)
     pair = _model_stack(family, [[theta + h], [theta - h]])

@@ -108,3 +108,21 @@ class ParameterFamily:
         if self.phase:
             return [-1j * np.exp(-1j * t[0]) * self.base.L]
         return [np.array(Li) for Li in self.l_dirs]
+
+
+def _central_step(family: ParameterFamily, theta, h, name: str) -> tuple[float, float]:
+    """(theta, h) of a one-parameter central difference at theta +- h.
+
+    The default step is ``1e-4 * max(1, |theta|)``; ``h`` must be positive
+    and finite, and theta +- h must lie inside the family domain.
+    """
+    if family.k != 1:
+        raise ValidationError(f"{name} handles one-parameter families")
+    theta = float(family._theta(theta)[0])
+    if h is None:
+        h = 1e-4 * max(1.0, abs(theta))
+    if not 0 < h < np.inf:
+        raise ValidationError(f"h must be positive and finite, got {h}")
+    if not (family.in_domain(theta - h) and family.in_domain(theta + h)):
+        raise ValidationError("theta +- h must stay inside the family domain")
+    return theta, h

@@ -25,6 +25,7 @@ from .trajectories import (
     DiffusiveRecord,
     FilterTrajectory,
     MeasurementRecord,
+    _check_intensity,
     _record_kind,
     _step_guard,
 )
@@ -68,8 +69,7 @@ class ZakaiTrajectory:
 def _replay(model: QMarkovModel, rho0, record, dt: float, lam: float, on_dark: str):
     """(times, states, logtrace) of the Zakai integration of one record, the
     filter and the Zakai equation alike; ``lam`` is the Poisson reference."""
-    if not lam > 0:
-        raise ValidationError("reference intensity lam must be positive")
+    _check_intensity(lam)
     rho0 = _state_array(rho0, model.dim)
     if isinstance(record, DiffusiveRecord):
         _step_guard(model.L, record.dt)
@@ -154,8 +154,7 @@ def _loglik_table(H, L, rho0, records, dt: float, lam: float) -> np.ndarray:
     record.  One model enters the sweep as (d, d), so each row has the bits
     of a simulated trajectory of that model.
     """
-    if not lam > 0:
-        raise ValidationError("reference intensity lam must be positive")
+    _check_intensity(lam)
     records = list(records)
     n_models = 1 if L.ndim == 2 else len(L)
     if not records:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .families import ParameterFamily
+from .families import ParameterFamily, _central_step
 from .filtering import run_filter
 from .operators import (
     QMarkovModel,
@@ -105,11 +105,7 @@ def conditional_qfi(
     the central-difference state derivative; this is the final-measurement
     information term in the combined Cramer-Rao bound.
     """
-    if family.k != 1:
-        raise ValidationError("conditional_qfi handles one-parameter families")
-    theta = float(np.atleast_1d(theta)[0])
-    if h is None:
-        h = 1e-4 * max(1.0, abs(theta))
+    theta, h = _central_step(family, theta, h, "conditional_qfi")
     rho0 = _rho_array(rho0)
     center = run_filter(family.model([theta]), rho0, record, dt=dt).final_state
     plus = run_filter(family.model([theta + h]), rho0, record, dt=dt).final_state

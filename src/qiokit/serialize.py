@@ -37,7 +37,7 @@ def schema_errors(what: str):
         yield
     except QiokitError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ValidationError(f"malformed {what}: {detail}") from exc
 

@@ -97,8 +97,8 @@ def prbs(length: int, amplitude: float, seed: int,
     """
     if length < 1:
         raise ValidationError("length must be at least 1")
-    if not amplitude > 0:
-        raise ValidationError("amplitude must be positive")
+    if not 0 < amplitude < np.inf:
+        raise ValidationError("amplitude must be positive and finite")
     nbits = _auto_register(length) if register is None else int(register)
     if nbits not in _LFSR_TAPS:
         raise ValidationError(
@@ -156,8 +156,8 @@ class SysIdDataset:
             raise ValidationError("inputs and outputs must have equal length")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
             raise ValidationError("inputs and outputs must be finite")
-        if not self.dt > 0:
-            raise ValidationError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValidationError("dt must be positive and finite")
         if not (0 < self.split_index < len(y)):
             raise ValidationError("both splits must be nonempty")
         u.setflags(write=False)
@@ -486,12 +486,10 @@ def pr_projection(
     D = _real_matrix(D, "D", (2, 2))
     if not seed >= 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    Ahat = np.asarray(raw[0], dtype=float)
-    Bhat = np.asarray(raw[1], dtype=float)
-    Cmhat = np.asarray(raw[2], dtype=float).reshape(1, -1)
+    Ahat = _even_square(raw[0], "Ahat")
     n2 = Ahat.shape[0]
-    if n2 % 2 or Bhat.shape != (n2, 2) or Cmhat.shape != (1, n2):
-        raise ValidationError("raw estimate has inconsistent shapes")
+    Bhat = _real_matrix(raw[1], "Bhat", (n2, 2))
+    Cmhat = _real_matrix(np.reshape(raw[2], (1, -1)), "Cmhat", (1, n2))
     Jn = symplectic_form(n2 // 2)
     # the last four realizability residuals, D J D^T - J, depend on D alone
     scatter = np.max(np.abs(_pr_equations(Ahat, Bhat, np.zeros((2, n2)), D, Jn)[-4:]))

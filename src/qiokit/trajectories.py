@@ -47,8 +47,8 @@ class DiffusiveRecord:
     increments: np.ndarray
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValidationError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValidationError("dt must be positive and finite")
         inc = np.asarray(self.increments, dtype=float).reshape(-1)
         if inc.size < 1:
             raise ValidationError("a diffusive record needs at least one increment")
@@ -74,8 +74,8 @@ class CountingRecord:
     jumps: np.ndarray
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValidationError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValidationError("horizon must be positive and finite")
         j = np.asarray(self.jumps, dtype=float).reshape(-1)
         if j.size:
             if not np.all(np.isfinite(j)):
@@ -170,6 +170,12 @@ def _step_guard(L, dt: float) -> None:
         raise StepTooLarge(
             f"dt*||L||^2 = {dt * lnorm2:.3g} exceeds the guard {STEP_GUARD}"
         )
+
+
+def _check_intensity(lam: float) -> None:
+    """Raise ValidationError unless the Poisson intensity lam is positive and finite."""
+    if not 0 < lam < np.inf:
+        raise ValidationError(f"reference intensity lam must be positive and finite, got {lam}")
 
 
 def _record_kind(records) -> type:
@@ -312,8 +318,7 @@ def simulate_reference(
         dI = _draws("diffusive", seed, index, 1, _grid_steps(T, dt), dt)
         return DiffusiveRecord(dt=dt, increments=dI[0])
     if kind == "poisson":
-        if not 0 < lam < np.inf:
-            raise ValidationError("poisson intensity must be positive and finite")
+        _check_intensity(lam)
         if not 0 < T < np.inf:
             raise ValidationError("horizon must be positive and finite")
         rng = trajectory_rng(seed, index)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qiokit import serialize
+from qiokit import __version__, serialize
 from qiokit.cli import main
 from qiokit.families import ParameterFamily
 from qiokit.linear import LinearQSystem, QuadraticSpec, build_linear_system
@@ -233,6 +233,30 @@ class TestCLIAnalysis:
         assert payload["order"] == 1
         assert payload["pr2_residual"] <= 1e-6
 
+    def test_every_report_carries_config_and_version(self, tmp_path, qubit_file,
+                                                     family_file, cavity_file):
+        rec = str(tmp_path / "rec.json")
+        serialize.save_record(CountingRecord(horizon=2.0, jumps=[0.5, 1.5]), rec)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system_file": cavity_file, "dt": 0.05, "T": 50.0,
+                                   "prbs_amplitude": 50.0, "orders": [1], "seed": 1}))
+        commands = [
+            ["filter", "--model", qubit_file, "--record", rec, "--dt", "1e-2"],
+            ["loglik", "--model", qubit_file, "--records", rec, "--dt", "1e-2"],
+            ["estimate", "--family", family_file, "--records", rec, "--dt", "1e-2",
+             "--grid", "5"],
+            ["qfi", "--family", family_file, "--theta", "1.0"],
+            ["linsys", "--task", "kalman", "--system", cavity_file],
+            ["sysid", "--config", str(cfg)],
+        ]
+        for argv in commands:
+            out = tmp_path / f"{argv[0]}.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert payload["version"] == __version__
+            assert payload["config"]["command"] == argv[0]
+            assert payload["config"]["out"] == str(out)
+
     def test_no_abc_acceptances_exit_4(self, tmp_path, family_file):
         # an observed count rate far above anything the family can produce
         rec = tmp_path / "rec.json"
@@ -411,6 +435,34 @@ class TestMalformedInputs:
                      "--out", str(tmp_path / "est.json")]) == code
         err = capsys.readouterr().err
         assert message in err and "Error:" not in err
+
+    @pytest.mark.parametrize("case", ["model dim", "sysid horizon", "filter horizon",
+                                      "loglik horizon", "loglik lambda", "estimate lambda"])
+    def test_non_finite_numbers_exit_2(self, tmp_path, qubit_file, family_file, cavity_file,
+                                       capsys, case):
+        path = lambda name: str(tmp_path / name)
+        model = json.loads(open(qubit_file).read())
+        model["dim"] = float("inf")
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"system_file": cavity_file, "dt": 0.05, "T": 10.0, "orders": [1],
+             "horizon": float("inf")}))
+        (tmp_path / "far.json").write_text(
+            '{"kind": "counting", "horizon": 1e999, "jumps": [0.5]}')
+        serialize.save_record(CountingRecord(horizon=2.0, jumps=[0.5, 1.5]), path("rec.json"))
+        argv = {
+            "model dim": ["filter", "--model", path("model.json"), "--record", path("rec.json")],
+            "sysid horizon": ["sysid", "--config", path("cfg.json")],
+            "filter horizon": ["filter", "--model", qubit_file, "--record", path("far.json")],
+            "loglik horizon": ["loglik", "--model", qubit_file, "--records", path("far.json")],
+            "loglik lambda": ["loglik", "--model", qubit_file, "--records", path("rec.json"),
+                              "--lambda", "inf"],
+            "estimate lambda": ["estimate", "--family", family_file, "--records",
+                                path("rec.json"), "--grid", "5", "--lambda", "inf"],
+        }[case]
+        assert main(argv + ["--out", path("out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and "Error:" not in err
 
     @pytest.mark.parametrize("key, value", [
         ("orders", ["a"]), ("orders", [1.5]), ("orders", [-1]), ("orders", [0]),

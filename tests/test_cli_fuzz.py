@@ -2,12 +2,13 @@
 
 Every subcommand runs in-process through ``cli.main`` on tiny valid inputs
 (model, records, family, linear system, sysid config and dataset) whose
-JSON has keys dropped and values retyped, negated or zeroed, and whose argv
-has tokens dropped or values retyped, negated or zeroed.  The exit code is
-0, 2, 3 or 4, and no failure reaches ``main``'s last-resort branch, which
-prints ``runtime error: <exception class>: ...`` for exceptions outside the
-toolkit's hierarchy.  No mutation makes a size larger, so every run stays
-small.
+JSON has keys dropped and values retyped (NaN and +-inf among the new
+values), negated or zeroed, and whose argv has tokens dropped or values
+retyped (``nan`` and ``inf`` among them), negated or zeroed.  The exit
+code is 0, 2, 3 or 4, and no failure reaches ``main``'s last-resort
+branch, which prints ``runtime error: <exception class>: ...`` for
+exceptions outside the toolkit's hierarchy.  No mutation makes a size
+finite and larger, so every run stays small.
 """
 
 import builtins
@@ -94,7 +95,7 @@ COMMANDS = [
     "sysid --config {dataset_config} --out {out}",
 ]
 
-RETYPED = ["x", None, True, [], {}, [[1.0]], float("nan")]
+RETYPED = ["x", None, True, [], {}, [[1.0]], float("nan"), float("inf"), float("-inf")]
 ARG_RETYPED = ["x", "", "nan", "inf"]
 
 

@@ -24,6 +24,7 @@ from qiokit.exceptions import (
 )
 from qiokit.families import ParameterFamily
 from qiokit.filtering import log_likelihood
+from qiokit.markov_qfi import conditional_qfi
 from qiokit.operators import DensityOperator
 from qiokit.operators import QMarkovModel
 from qiokit.trajectories import (
@@ -247,6 +248,12 @@ class TestPosterior:
         with pytest.raises(DegeneratePosterior):
             posterior_grid(fam, rec, ground, np.zeros((1, 1)), np.ones(1), dt=1e-2)
 
+    def test_nan_prior_entry_raises(self):
+        rec = CountingRecord(horizon=1.0, jumps=[0.5])
+        prior = np.array([0.5, 0.5, np.nan])
+        with pytest.raises(ValidationError, match="probability vector"):
+            posterior_grid(rabi_family(), rec, MIXED, [0.5, 1.0, 1.5], prior, dt=1e-2)
+
 
 class TestABC:
     def test_epsilon_infinite_reproduces_prior(self):
@@ -270,6 +277,12 @@ class TestABC:
                 epsilon=0.0, seed=11, rho0=MIXED, kind="counting", T=5.0, dt=2e-2,
             )
         assert accepted == []
+
+    def test_nan_epsilon_raises(self):
+        with pytest.raises(ValidationError, match="epsilon"):
+            abc_rejection(rabi_family(), [0.3], lambda rng: rng.uniform(0.2, 2.0),
+                          stat_total_counts, n_sims=5, epsilon=np.nan, seed=0,
+                          rho0=MIXED, T=10.0, dt=1e-2)
 
     def test_accepted_mean_approaches_truth(self):
         fam = rabi_family()
@@ -423,3 +436,25 @@ class TestMCFisher:
         per_time = est.value / 100.0
         se = est.stderr / 100.0
         assert per_time >= ic - 3 * se
+
+
+FISHER_ESTIMATORS = {
+    "counting_fisher": lambda theta, **kw: counting_fisher(rabi_family(), theta, **kw),
+    "mc_classical_fisher": lambda theta, **kw: mc_classical_fisher(
+        rabi_family(), theta, MIXED, "counting", T=1.0, dt=1e-2, n_traj=5, **kw),
+    "conditional_qfi": lambda theta, **kw: conditional_qfi(
+        rabi_family(), theta, MIXED, CountingRecord(horizon=1.0, jumps=[]), dt=1e-2, **kw),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(FISHER_ESTIMATORS))
+@pytest.mark.parametrize("theta, h, message", [
+    (5.0, None, "inside the family domain"), (1.0, 0.0, "positive and finite"),
+    (1.0, -1e-4, "positive and finite"), (1.0, np.nan, "positive and finite"),
+    (1.0, np.inf, "positive and finite"),
+])
+def test_fisher_central_difference_rule(estimator, theta, h, message):
+    """One rule for the three central-difference estimators: a positive
+    finite step and theta +- h inside the family domain."""
+    with pytest.raises(ValidationError, match=message):
+        FISHER_ESTIMATORS[estimator](theta, h=h)

@@ -309,8 +309,11 @@ class TestLogLikelihood:
     def test_validation(self):
         m = driven_qubit()
         rec, _ = simulate_counting(m, MIXED, T=1.0, dt=1e-3, seed=1)
-        with pytest.raises(ValidationError):
-            log_likelihood(m, MIXED, rec, lam=-1.0)
+        for lam in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValidationError, match="intensity"):
+                log_likelihood(m, MIXED, rec, lam=lam)
+            with pytest.raises(ValidationError, match="intensity"):
+                run_zakai(m, MIXED, rec, lam=lam)
         with pytest.raises(ValidationError):
             log_likelihood(m, MIXED, "not a record")
 

@@ -479,6 +479,13 @@ def _boundary_calls():
             J, G.B, G.D, "Q", [np.nan, 1.0])),
         "run_pipeline dt > T": ("dt and T", lambda: run_pipeline(PipelineConfig(
             dt=0.05, T=0.03, prbs_amplitude=1.0, orders=(1,), system=G))),
+        "pr_projection nan A": ("Ahat", lambda: pr_projection(
+            (G.A + np.diag([np.nan, 0.0]), G.B, G.C[:1]), G.D)),
+        "pr_projection nan C_m": ("Cmhat", lambda: pr_projection(
+            (G.A, G.B, [[np.nan, 1.0]]), G.D)),
+        "SysIdDataset infinite dt": ("dt", lambda: SysIdDataset(
+            dt=np.inf, inputs=data.inputs, outputs=data.outputs, split_index=10)),
+        "prbs infinite amplitude": ("amplitude", lambda: prbs(10, np.inf, 0)),
     }
 
 

@@ -30,6 +30,8 @@ class TestRecordTypes:
         assert r.t_final == pytest.approx(0.2)
         with pytest.raises(ValidationError):
             DiffusiveRecord(dt=-0.1, increments=[0.1])
+        with pytest.raises(ValidationError, match="finite"):
+            DiffusiveRecord(dt=np.inf, increments=[0.1])
         with pytest.raises(ValidationError):
             DiffusiveRecord(dt=0.1, increments=[])
         with pytest.raises(ValidationError):
@@ -44,6 +46,8 @@ class TestRecordTypes:
             CountingRecord(horizon=1.0, jumps=[0.5, 1.5])
         with pytest.raises(ValidationError):
             CountingRecord(horizon=1.0, jumps=[0.0, 0.5])
+        with pytest.raises(ValidationError, match="finite"):
+            CountingRecord(horizon=np.inf, jumps=[0.5])
 
 
 class TestHomodyne:
