@@ -62,6 +62,8 @@ class ParameterFamily:
         )
         if dom.shape != (k, 2) or np.any(dom[:, 0] > dom[:, 1]):
             raise ValidationError(f"domain must be a ({k}, 2) array of ordered bounds")
+        if np.any(np.isnan(dom)):  # NaN passes the ordering test; infinite bounds are legal
+            raise ValidationError("domain bounds must not be NaN")
         dom.setflags(write=False)
         object.__setattr__(self, "domain", dom)
 

@@ -16,7 +16,6 @@ A = [[-k/2, D], [-D, -k/2]], B = -sqrt(k) I, C = sqrt(k) I.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,14 +65,6 @@ def symplectic_form(n: int) -> np.ndarray:
     """J_n = I_n (x) [[0, 1], [-1, 0]]."""
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return np.kron(np.eye(n), J)
-
-
-@functools.lru_cache(maxsize=None)
-def _two_jn(n: int) -> np.ndarray:
-    """2 J_n, cached read-only for the construction map."""
-    two_Jn = 2.0 * symplectic_form(n)
-    two_Jn.setflags(write=False)
-    return two_Jn
 
 
 def _real_matrix(m, name, shape=None):
@@ -200,22 +191,12 @@ def build_linear_system(spec: QuadraticSpec) -> LinearQSystem:
 
     which satisfies the realizability constraints identically.
     """
-    A, B, C = _construct(spec.R, spec.K)
-    return LinearQSystem(A=A, B=B, C=C, D=np.eye(2))
-
-
-def _construct(R: np.ndarray, K: np.ndarray):
-    """(A, B, C) of :func:`build_linear_system` without the containers.
-
-    Vectorized over leading batch axes of ``R`` (..., 2n, 2n) and ``K``
-    (..., 2n); the inputs are not validated.
-    """
-    two_Jn = _two_jn(R.shape[-1] // 2)
-    M = K[..., :, None] * K.conj()[..., None, :]
-    A = two_Jn @ (R - M.imag)
+    R, K = spec.R, spec.K
+    two_Jn = 2.0 * symplectic_form(spec.n)
+    A = two_Jn @ (R - np.outer(K, K.conj()).imag)
     B = two_Jn @ np.stack([-K.imag, K.real], axis=-1)
-    C = np.stack([2.0 * K.real, 2.0 * K.imag], axis=-2)
-    return A, B, C
+    C = np.stack([2.0 * K.real, 2.0 * K.imag])
+    return LinearQSystem(A=A, B=B, C=C, D=np.eye(2))
 
 
 def _pr_equations(A, B, C, D, Z) -> np.ndarray:

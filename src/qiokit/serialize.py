@@ -47,6 +47,9 @@ def _cmat(entry_re, entry_im, name):
     im = np.asarray(entry_im, dtype=float)
     if re.shape != im.shape:
         raise ValidationError(f"{name}: real and imaginary parts differ in shape")
+    # checked apart: combining an infinite imaginary part makes 0 * inf
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValidationError(f"{name} contains non-finite entries")
     return re + 1j * im
 
 

@@ -7,12 +7,14 @@ estimate onto the physically realizable set, recovery of the unmeasured
 output row, FPE order selection and NMSE validation.
 
 The realizability projection sweeps the feasible set of the generalized
-constraints by the parametrization (R, K, T): every solution is a
-similarity transform ``(T A0 T^-1, T B0, C0 T^-1)`` of a physical system
-built from a quadratic specification, with certificate ``Z = T J_n T^T``.
-The distance to the raw estimate is minimized by damped Gauss-Newton
-(``scipy.optimize.least_squares``) with numerical Jacobians and
-multi-starts, one of them the closed-form inversion of the raw estimate.
+constraints by the map (Sigma, B, Z) -> (A, B, C) with
+``A = (Sigma - B J B^T / 2) Z^-1`` and ``C = -D J B^T Z^-1``, for a
+symmetric Sigma and an invertible skew certificate Z: both realizability
+equations hold by construction and the map covers the set once, with
+4n^2 + 4n parameters.  The distance to the raw estimate is minimized by
+Levenberg-Marquardt (``scipy.optimize.least_squares``) with the analytic
+Jacobian, from a closed-form start at ``Z = J_n`` and seeded starts on
+both components (signs of the Pfaffian of Z) of the feasible set.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .exceptions import (
 )
 from .linear import (
     LinearQSystem,
-    _construct,
     _even_square,
     _lti_run,
     _pr_equations,
@@ -409,54 +410,27 @@ def _subspace_estimate(f: _HankelFactor, order: int) -> SubspaceEstimate:
 
 @functools.lru_cache(maxsize=None)
 def _param_layout(n2):
-    """Constants of the (R, K, T) parametrization for state dimension n2."""
-    iu = np.triu_indices(n2)
-    Jn, eye = symplectic_form(n2 // 2), np.eye(n2)
-    for arr in (*iu, Jn, eye):
-        arr.setflags(write=False)
-    return iu, (iu[1], iu[0]), Jn, eye
+    """Coordinates of the (Sigma, B, Z) map for state dimension n2.
 
-
-def _pack(R, K, T):
-    iu = _param_layout(R.shape[0])[0]
-    return np.concatenate([R[iu], K.real, K.imag, T.reshape(-1)])
-
-
-def _unpack(params, n2):
-    """(R, K, T) from parameter vectors; leading axes are batch axes."""
-    iu, il = _param_layout(n2)[:2]
-    m_r = len(iu[0])
-    params = np.asarray(params)
-    batch = params.shape[:-1]
-    R = np.zeros(batch + (n2, n2))
-    R[..., iu[0], iu[1]] = params[..., :m_r]
-    R[..., il[0], il[1]] = params[..., :m_r]
-    k_re = params[..., m_r : m_r + n2]
-    k_im = params[..., m_r + n2 : m_r + 2 * n2]
-    T = params[..., m_r + 2 * n2 :].reshape(batch + (n2, n2))
-    return R, k_re + 1j * k_im, T
-
-
-def _assemble(params, n2, D):
-    """Similarity transform by T of the system built from (R, K), seen
-    through the scattering matrix D: ``(T A0 T^-1, T B0, D C0 T^-1)``.
-
-    Vectorized over leading batch axes of ``params``.  The projection
-    evaluates it for every residual and every finite-difference column, so
-    it skips the validated containers of ``build_linear_system``.
+    A parameter vector lists the upper triangle of the symmetric Sigma, the
+    entries of B row by row and the strict upper triangle of the skew Z.
+    Returns both triangles' indices and the bases ``(E_S, E_B, E_Z)``, one
+    row per parameter: ``x @ E`` (over the flattened trailing axes) sends a
+    parameter vector, or a direction, to its matrix.
     """
-    R, K, T = _unpack(params, n2)
-    _, _, Jn, eye = _param_layout(n2)
-    if not np.all(np.isfinite(K)):
-        raise ValidationError("coupling K contains non-finite entries")
-    A0, B0, C0 = _construct(R, K)
-    Tinv = np.linalg.solve(T, np.broadcast_to(eye, T.shape))
-    return T @ A0 @ Tinv, T @ B0, D @ C0 @ Tinv, T @ Jn @ np.swapaxes(T, -1, -2)
-
-
-# relative forward-difference step: sqrt(eps) balances truncation against
-# round-off for one-sided differences (scipy's '2-point' uses the same)
-_FD_REL_STEP = np.finfo(float).eps ** 0.5
+    iu, iz = np.triu_indices(n2), np.triu_indices(n2, 1)
+    ms, mb = len(iu[0]), 2 * n2
+    P = ms + mb + len(iz[0])
+    E_S, E_B, E_Z = np.zeros((P, n2, n2)), np.zeros((P, n2, 2)), np.zeros((P, n2, n2))
+    k = np.arange(ms)
+    E_S[k, iu[0], iu[1]] = E_S[k, iu[1], iu[0]] = 1.0
+    k = np.arange(mb)
+    E_B[ms + k, k // 2, k % 2] = 1.0
+    k = np.arange(ms + mb, P)
+    E_Z[k, iz[0], iz[1]], E_Z[k, iz[1], iz[0]] = 1.0, -1.0
+    for arr in (*iu, *iz, E_S, E_B, E_Z):
+        arr.setflags(write=False)
+    return iu, iz, (E_S, E_B, E_Z)
 
 
 @dataclass(frozen=True)
@@ -477,10 +451,19 @@ def pr_projection(
     """Project a raw (A, B, C_m) estimate onto the realizable set.
 
     Minimizes ``M = (||A - Ahat||^2 + ||B - Bhat||^2 + ||Cm - Cmhat||^2)/2``
-    over the (R, K, T) parametrization of the generalized-constraint
-    feasible set with scattering matrix ``D``, whose full output matrix is
-    ``D C0 T^-1``; multi-start damped Gauss-Newton with the closed-form
-    inversion of the raw estimate as the first start.
+    over the feasible set of the generalized constraints with scattering
+    matrix ``D``.  A symmetric Sigma, B and an invertible skew certificate Z
+    give ``A = (Sigma - B J B^T / 2) Z^-1`` and ``C = -D J B^T Z^-1``, which
+    satisfy both realizability equations by construction and cover the set
+    once.  Multi-start Levenberg-Marquardt with the analytic Jacobian
+    (MINPACK, whose stopping tests are scale-free, so an exactly realizable
+    estimate converges to round-off).  The first start is ``Z = J_n``,
+    ``B = Bhat``, ``Sigma = sym(Ahat J_n)``; each other start takes
+    ``Z = (+)_i s_i J`` with a random sign and scale
+    ``|s_i| = exp(0.4 N(0, 1))`` per mode and ``Sigma = sym(Ahat Z)``, so
+    both signs of Pf(Z) are searched.  A best start stopped by ``max_nfev``
+    raises :class:`OptimizationFailed`, as does a result off the feasible
+    set.
     """
     row = _quad_row(quadrature)
     D = _real_matrix(D, "D", (2, 2))
@@ -490,69 +473,60 @@ def pr_projection(
     n2 = Ahat.shape[0]
     Bhat = _real_matrix(raw[1], "Bhat", (n2, 2))
     Cmhat = _real_matrix(np.reshape(raw[2], (1, -1)), "Cmhat", (1, n2))
-    Jn = symplectic_form(n2 // 2)
+    J, Jn = symplectic_form(1), symplectic_form(n2 // 2)
     # the last four realizability residuals, D J D^T - J, depend on D alone
     scatter = np.max(np.abs(_pr_equations(Ahat, Bhat, np.zeros((2, n2)), D, Jn)[-4:]))
     if not scatter <= 1e-8:
         raise ValidationError(f"D J D^T = J fails for D (residual {scatter:.3e} > 1e-8)")
+    iu, iz, basis = _param_layout(n2)
+    E_S, E_B, E_Z = basis
+    E_Bt = np.swapaxes(E_B, 1, 2)
 
-    def residuals_batch(points):
-        A, B, C_full, _ = _assemble(points, n2, D)
-        b = len(points)
-        return np.concatenate(
-            [
-                (A - Ahat).reshape(b, -1),
-                (B - Bhat).reshape(b, -1),
-                (C_full[:, row] - Cmhat[0]),
-            ],
-            axis=1,
-        )
+    def realize(x):
+        S, B, Z = (np.reshape(x @ E.reshape(len(x), -1), E.shape[1:]) for E in basis)
+        Zinv = np.linalg.inv(Z)
+        return (S - 0.5 * B @ J @ B.T) @ Zinv, B, -D @ J @ B.T @ Zinv, Z, Zinv
 
-    def residuals(params):
+    def residuals(x):
         try:
-            return residuals_batch(params[None])[0]
-        except np.linalg.LinAlgError:
-            return np.full(n2 * n2 + 2 * n2 + n2, 1e6)
+            A, B, C, _, _ = realize(x)
+        except np.linalg.LinAlgError:  # a singular Z: the step is rejected
+            return np.full(n2 * n2 + 3 * n2, np.inf)
+        return np.concatenate([(A - Ahat).ravel(), (B - Bhat).ravel(), C[row] - Cmhat[0]])
 
-    def jacobian(params):
-        # forward differences, all perturbed points assembled in one batch
-        # instead of one residual call each
-        h = _FD_REL_STEP * np.where(params >= 0, 1.0, -1.0) * np.maximum(
-            1.0, np.abs(params))
-        points = np.vstack([params, params + np.diag(h)])
-        try:
-            F = residuals_batch(points)
-        except np.linalg.LinAlgError:  # a singular T somewhere in the batch
-            F = np.array([residuals(x) for x in points])
-        dx = (params + h) - params
-        return (F[1:] - F[0]).T / dx
+    def jacobian(x):
+        A, B, C, _, Zinv = realize(x)
+        dA = (E_S - 0.5 * (E_B @ J @ B.T + B @ J @ E_Bt) - A @ E_Z) @ Zinv
+        dC = -(D @ J @ E_Bt + C @ E_Z) @ Zinv
+        P = len(x)
+        return np.concatenate([dA.reshape(P, -1), E_B.reshape(P, -1), dC[:, row]], axis=1).T
 
-    # closed-form start: invert the construction map on the raw estimate
-    R0 = -0.5 * Jn @ Ahat
-    R0 = (R0 + R0.T) / 2
-    N0 = -0.5 * Jn @ Bhat
-    K0 = N0[:, 1] - 1j * N0[:, 0]
-    starts = [_pack(R0, K0, np.eye(n2))]
+    def start(Z):
+        S = Ahat @ Z
+        return np.concatenate([((S + S.T) / 2)[iu], Bhat.ravel(), Z[iz]])
+
     rng = np.random.default_rng(seed)
-    scale = max(1.0, np.abs(R0).max(), np.abs(K0).max())
+    starts = [start(Jn)]
     for _ in range(n_starts - 1):
-        Rp = R0 + 0.3 * scale * rng.normal(size=R0.shape)
-        Rp = (Rp + Rp.T) / 2
-        Kp = K0 + 0.3 * scale * (rng.normal(size=n2) + 1j * rng.normal(size=n2))
-        Tp = np.eye(n2) + 0.2 * rng.normal(size=(n2, n2))
-        starts.append(_pack(Rp, Kp, Tp))
+        s = rng.choice((-1.0, 1.0), n2 // 2) * np.exp(0.4 * rng.normal(size=n2 // 2))
+        starts.append(start(np.kron(np.diag(s), J)))
 
     best = None
     costs = []
     for x0 in starts:
         sol = optimize.least_squares(
-            residuals, x0, jac=jacobian, method="trf", max_nfev=max_nfev,
+            residuals, x0, jac=jacobian, method="lm", max_nfev=max_nfev,
             xtol=1e-14, ftol=1e-14,
         )
         costs.append(sol.cost)
         if best is None or sol.cost < best.cost:
             best = sol
-    A, B, C_full, Z = _assemble(best.x, n2, D)
+    if best.status == 0:
+        raise OptimizationFailed(
+            f"projection stopped at max_nfev={max_nfev} before converging "
+            f"(cost {best.cost:.3e})"
+        )
+    A, B, C_full, Z, _ = realize(best.x)
     feas = np.max(np.abs(_pr_equations(A, B, C_full, D, Z)))
     if not np.isfinite(feas) or feas > 1e-6 * max(1.0, np.abs(A).max()):
         raise OptimizationFailed(

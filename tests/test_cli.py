@@ -1,6 +1,7 @@
 """CLI and serialization tests: schemas, exit codes, reproducibility."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,28 @@ class TestMalformedInputs:
                      "--omega-points", "5", "--out", str(tmp_path / "t.json")])
         assert code == 2
         assert "A contains non-finite" in capsys.readouterr().err
+
+    def test_estimate_nan_domain_bound(self, tmp_path, family_file, capsys):
+        d = json.loads(open(family_file).read())
+        d["domain"] = [[float("nan"), 2.0]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        rec = tmp_path / "rec.json"
+        serialize.save_record(CountingRecord(horizon=10.0, jumps=[1.0, 4.0]), rec)
+        code = main(["estimate", "--family", str(bad), "--records", str(rec),
+                     "--grid", "5", "--out", str(tmp_path / "est.json")])
+        assert code == 2
+        assert "domain bounds must not be NaN" in capsys.readouterr().err
+
+    def test_infinite_imaginary_part_is_a_validation_error(self, tmp_path, qubit_file):
+        d = json.loads(open(qubit_file).read())
+        d["H_im"][0][1] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(serialize.ValidationError, match="H contains non-finite"):
+                serialize.load_model(bad)
 
     def test_sysid_dataset_with_nan(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qiokit.exceptions import (
     DegenerateOutput,
     InsufficientData,
     LogBranch,
     NotExciting,
+    OptimizationFailed,
     SingularZ,
     ValidationError,
 )
@@ -285,6 +288,38 @@ class TestProjection:
         r1 = np.max(np.abs(proj.A @ proj.Z + proj.Z @ proj.A.T + proj.B @ J @ proj.B.T))
         r2 = np.max(np.abs(proj.Z @ C_full.T + proj.B @ J))
         assert max(r1, r2) <= 1e-6
+
+    def test_unconverged_projection_raises(self):
+        _, data = cavity_dataset(seed=0)
+        est = subspace_id(data, 1, 10)
+        with pytest.raises(OptimizationFailed, match="max_nfev"):
+            pr_projection((est.A, est.B, est.C), np.eye(2), "Q", max_nfev=1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+           det_sign=st.sampled_from([-1.0, 1.0]), theta=st.floats(-np.pi, np.pi))
+    def test_exact_on_the_feasible_set(self, n, seed, det_sign, theta):
+        """A realizable estimate on either component of the feasible set (det T
+        of either sign), seen through a phase shifter, is its own projection."""
+        rng = np.random.default_rng(seed)
+        R = rng.normal(size=(2 * n, 2 * n))
+        G = build_linear_system(QuadraticSpec(
+            R=(R + R.T) / 2, K=rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)))
+        # singular values in [1/2, 2], determinant of the drawn sign
+        U, V = (np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))[0] for _ in range(2))
+        T = U @ np.diag(rng.uniform(0.5, 2.0, 2 * n)) @ V
+        T[0] *= det_sign * np.sign(np.linalg.det(T))
+        Tinv = np.linalg.inv(T)
+        D = rotation(theta)
+        H = LinearQSystem(A=T @ G.A @ Tinv, B=T @ G.B, C=D @ G.C @ Tinv, D=D)
+        proj = pr_projection((H.A, H.B, H.C[:1]), D, "Q")
+        scale = max(np.abs(H.A).max(), np.abs(H.B).max(), np.abs(H.C[0]).max())
+        assert proj.cost <= 1e-20 * scale**2
+        C = recover_full_c(proj.Z, proj.B, D, "Q", proj.C_m[0])
+        fit = LinearQSystem(A=proj.A, B=proj.B, C=C, D=D)
+        for s in (0.5 - 2j, 0.5, 0.5 + 1.5j):
+            ref = transfer_function(H, s)
+            assert np.linalg.norm(transfer_function(fit, s) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestRecoverFullC:
