@@ -230,16 +230,16 @@ def _pipeline_config(cfg_dict) -> PipelineConfig:
         dataset = SysIdDataset(
             dt=float(d["dt"]), inputs=np.asarray(d["inputs"], float),
             outputs=np.asarray(d["outputs"], float),
-            split_index=int(d["split_index"]),
+            split_index=d["split_index"],
         )
     return PipelineConfig(
         dt=float(cfg_dict["dt"]), T=float(cfg_dict.get("T", 0.0)),
         prbs_amplitude=float(cfg_dict.get("prbs_amplitude", 1.0)),
         orders=tuple(cfg_dict["orders"]),
         quadrature=cfg_dict.get("quadrature", "Q"),
-        seed=int(cfg_dict.get("seed", 0)),
+        seed=cfg_dict.get("seed", 0),
         split=float(cfg_dict.get("split", 0.7)),
-        horizon=int(cfg_dict.get("horizon", 10)),
+        horizon=cfg_dict.get("horizon", 10),
         system=system, dataset=dataset,
     )
 

@@ -12,9 +12,10 @@ constraints by the map (Sigma, B, Z) -> (A, B, C) with
 symmetric Sigma and an invertible skew certificate Z: both realizability
 equations hold by construction and the map covers the set once, with
 4n^2 + 4n parameters.  The distance to the raw estimate is minimized by
-Levenberg-Marquardt (``scipy.optimize.least_squares``) with the analytic
-Jacobian, from a closed-form start at ``Z = J_n`` and seeded starts on
-both components (signs of the Pfaffian of Z) of the feasible set.
+MINPACK's Levenberg-Marquardt ``lmder`` through ``scipy.optimize.leastsq``,
+with ``diag=None`` (variables scaled by the Jacobian's column norms) and the
+analytic Jacobian, from a closed-form start at ``Z = J_n`` and seeded
+starts on both components (signs of the Pfaffian of Z) of the feasible set.
 """
 
 from __future__ import annotations
@@ -85,6 +86,14 @@ def _auto_register(length: int) -> int:
     return max(_LFSR_TAPS)
 
 
+def _check_int(value, name: str, least: float = -np.inf) -> int:
+    """``value`` as an int; a bool, a non-integer or a value under ``least`` is invalid."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        sign = {0: "nonnegative and ", 1: "positive and "}.get(least, "")
+        raise ValidationError(f"{name} must be {sign}integral, got {value!r}")
+    return int(value)
+
+
 def prbs(length: int, amplitude: float, seed: int,
          register: int | None = None) -> np.ndarray:
     """Pseudo-random binary sequence in {-amplitude, +amplitude}.
@@ -95,29 +104,33 @@ def prbs(length: int, amplitude: float, seed: int,
     register give shifted copies of the same m-sequence, so multi-channel
     excitation should use distinct registers (different polynomials), as
     ``run_pipeline`` does.
+
+    The register shifts right and emits bit 0, so output k + i is bit i of
+    the state at step k: the outputs are the states at steps 0, nbits,
+    2 nbits, ..., which follow from the seeded state by powers of the
+    nbits-step transition matrix over GF(2), doubled on each round.
     """
-    if length < 1:
-        raise ValidationError("length must be at least 1")
+    length = _check_int(length, "length", 1)
     if not 0 < amplitude < np.inf:
         raise ValidationError("amplitude must be positive and finite")
-    nbits = _auto_register(length) if register is None else int(register)
+    nbits = _auto_register(length) if register is None else _check_int(register, "register")
     if nbits not in _LFSR_TAPS:
         raise ValidationError(
             f"unsupported register size {nbits}; choose from {sorted(_LFSR_TAPS)}"
         )
-    taps = _LFSR_TAPS[nbits]
-    mask = (1 << nbits) - 1
-    state = (int(seed) * 2654435761 + 88172645463325252) & mask
-    if state == 0:
-        state = 1
-    out = np.empty(length)
-    for k in range(length):
-        out[k] = amplitude if (state & 1) else -amplitude
-        fb = 0
-        for t in taps:
-            fb ^= (state >> (nbits - t)) & 1
-        state = (state >> 1) | (fb << (nbits - 1))
-    return out
+    state = (_check_int(seed, "seed") * 2654435761 + 88172645463325252) & ((1 << nbits) - 1)
+    # uint8 products wrap modulo 256, which keeps their parity
+    step = np.eye(nbits, k=1, dtype=np.uint8)  # bit i takes bit i + 1 ...
+    step[-1, [nbits - t for t in _LFSR_TAPS[nbits]]] = 1  # ... and the top bit the taps
+    jump = np.linalg.matrix_power(step, nbits) & 1
+    nblocks = -(-length // nbits)
+    states = np.empty((nblocks, nbits), np.uint8)  # row k: the state at step k * nbits
+    states[0] = (state or 1) >> np.arange(nbits) & 1
+    done = 1
+    while done < nblocks:
+        states[done : 2 * done] = states[: nblocks - done][:done] @ jump.T & 1
+        jump, done = jump @ jump & 1, 2 * done
+    return np.where(states.reshape(-1)[:length] > 0, float(amplitude), -float(amplitude))
 
 
 def prbs_pair(length: int, amplitude: float, seed: int) -> np.ndarray:
@@ -127,6 +140,7 @@ def prbs_pair(length: int, amplitude: float, seed: int) -> np.ndarray:
     of one m-sequence, which would make the input block Hankel matrix rank
     deficient whenever the shift is small.
     """
+    length, seed = _check_int(length, "length", 1), _check_int(seed, "seed")
     reg1 = _auto_register(length)
     larger = [r for r in sorted(_LFSR_TAPS) if r > reg1]
     reg2 = larger[0] if larger else sorted(_LFSR_TAPS)[-2]
@@ -159,7 +173,7 @@ class SysIdDataset:
             raise ValidationError("inputs and outputs must be finite")
         if not 0 < self.dt < np.inf:
             raise ValidationError("dt must be positive and finite")
-        if not (0 < self.split_index < len(y)):
+        if not (0 < _check_int(self.split_index, "split_index") < len(y)):
             raise ValidationError("both splits must be nonempty")
         u.setflags(write=False)
         y.setflags(write=False)
@@ -273,7 +287,7 @@ def _check_orders(orders) -> list:
 
 def _hankel_factor(data, horizon, D, quadrature, orders) -> _HankelFactor:
     """Factor ``data`` once for subspace fits of the given mode counts."""
-    i, m, ell = int(horizon), 2, 1
+    i, m, ell = _check_int(horizon, "horizon", 1), 2, 1
     D = np.eye(2) if D is None else np.asarray(D, dtype=float)
     u, y_raw = data.estimation()
     y = y_raw - u @ D[_quad_row(quadrature)]
@@ -390,17 +404,19 @@ def subspace_id(
     explicit :class:`LogBranch` failure instead of a silent branch repair;
     the returned realization is internally balanced.
     """
-    return _subspace_estimate(_hankel_factor(data, horizon, D, quadrature, [order]), order)
+    f = _hankel_factor(data, horizon, D, quadrature, [order])
+    return _subspace_estimate(_subspace_discrete(f, order), f.dt)
 
 
-def _subspace_estimate(f: _HankelFactor, order: int) -> SubspaceEstimate:
-    Ad, Bd, C, Kd, sv, fallback = _subspace_discrete(f, order)
-    A, B = _discrete_to_continuous(Ad, Bd, f.dt)
+def _subspace_estimate(fit, dt: float) -> SubspaceEstimate:
+    """Continuous-time, balanced estimate from a :func:`_subspace_discrete` fit."""
+    Ad, Bd, C, Kd, sv, fallback = fit
+    A, B = _discrete_to_continuous(Ad, Bd, dt)
     T, Tinv = _balance(A, B, C)
     A, B, C = Tinv @ A @ T, Tinv @ B, C @ T
     Ad, Bd, Kd = Tinv @ Ad @ T, Tinv @ Bd, Tinv @ Kd
     return SubspaceEstimate(
-        Ad=Ad, Bd=Bd, C=C, Kd=Kd, A=A, B=B, singular_values=sv, dt=f.dt,
+        Ad=Ad, Bd=Bd, C=C, Kd=Kd, A=A, B=B, singular_values=sv, dt=dt,
         gain_fallback=fallback,
     )
 
@@ -455,9 +471,11 @@ def pr_projection(
     matrix ``D``.  A symmetric Sigma, B and an invertible skew certificate Z
     give ``A = (Sigma - B J B^T / 2) Z^-1`` and ``C = -D J B^T Z^-1``, which
     satisfy both realizability equations by construction and cover the set
-    once.  Multi-start Levenberg-Marquardt with the analytic Jacobian
-    (MINPACK, whose stopping tests are scale-free, so an exactly realizable
-    estimate converges to round-off).  The first start is ``Z = J_n``,
+    once.  Multi-start Levenberg-Marquardt with the analytic Jacobian:
+    MINPACK's ``lmder`` through ``scipy.optimize.leastsq`` with ``diag=None``
+    (variables scaled by the Jacobian's column norms, on any scipy), whose
+    stopping tests are scale-free, so an exactly realizable estimate
+    converges to round-off.  The first start is ``Z = J_n``,
     ``B = Bhat``, ``Sigma = sym(Ahat J_n)``; each other start takes
     ``Z = (+)_i s_i J`` with a random sign and scale
     ``|s_i| = exp(0.4 N(0, 1))`` per mode and ``Sigma = sym(Ahat Z)``, so
@@ -467,8 +485,8 @@ def pr_projection(
     """
     row = _quad_row(quadrature)
     D = _real_matrix(D, "D", (2, 2))
-    if not seed >= 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    seed, n_starts = _check_int(seed, "seed", 0), _check_int(n_starts, "n_starts", 1)
+    max_nfev = _check_int(max_nfev, "max_nfev", 1)
     Ahat = _even_square(raw[0], "Ahat")
     n2 = Ahat.shape[0]
     Bhat = _real_matrix(raw[1], "Bhat", (n2, 2))
@@ -478,14 +496,23 @@ def pr_projection(
     scatter = np.max(np.abs(_pr_equations(Ahat, Bhat, np.zeros((2, n2)), D, Jn)[-4:]))
     if not scatter <= 1e-8:
         raise ValidationError(f"D J D^T = J fails for D (residual {scatter:.3e} > 1e-8)")
-    iu, iz, basis = _param_layout(n2)
-    E_S, E_B, E_Z = basis
+    iu, iz, (E_S, E_B, E_Z) = _param_layout(n2)
     E_Bt = np.swapaxes(E_B, 1, 2)
+    ms, mb = len(iu[0]), 2 * n2
+    memo = {}
 
     def realize(x):
-        S, B, Z = (np.reshape(x @ E.reshape(len(x), -1), E.shape[1:]) for E in basis)
-        Zinv = np.linalg.inv(Z)
-        return (S - 0.5 * B @ J @ B.T) @ Zinv, B, -D @ J @ B.T @ Zinv, Z, Zinv
+        # one per iterate; x is MINPACK's work buffer, so keep no view of it
+        key = x.tobytes()
+        if key not in memo:
+            S, Z = np.zeros((2, n2, n2))
+            S[iu] = S.T[iu] = x[:ms]
+            Z[iz], Z.T[iz] = x[ms + mb :], -x[ms + mb :]
+            B = x[ms : ms + mb].reshape(n2, 2).copy()
+            Zinv = np.linalg.inv(Z)
+            memo.clear()
+            memo[key] = ((S - 0.5 * B @ J @ B.T) @ Zinv, B, -D @ J @ B.T @ Zinv, Z, Zinv)
+        return memo[key]
 
     def residuals(x):
         try:
@@ -511,22 +538,16 @@ def pr_projection(
         s = rng.choice((-1.0, 1.0), n2 // 2) * np.exp(0.4 * rng.normal(size=n2 // 2))
         starts.append(start(np.kron(np.diag(s), J)))
 
-    best = None
-    costs = []
-    for x0 in starts:
-        sol = optimize.least_squares(
-            residuals, x0, jac=jacobian, method="lm", max_nfev=max_nfev,
-            xtol=1e-14, ftol=1e-14,
-        )
-        costs.append(sol.cost)
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best.status == 0:
+    sols = [optimize.leastsq(residuals, x0, Dfun=jacobian, full_output=True, ftol=1e-14,
+                             xtol=1e-14, gtol=1e-8, maxfev=max_nfev) for x0 in starts]
+    costs = [0.5 * np.dot(sol[2]["fvec"], sol[2]["fvec"]) for sol in sols]
+    k = min(range(len(costs)), key=costs.__getitem__)  # the first best start
+    if sols[k][-1] == 5:  # MINPACK stopped at maxfev
         raise OptimizationFailed(
             f"projection stopped at max_nfev={max_nfev} before converging "
-            f"(cost {best.cost:.3e})"
+            f"(cost {costs[k]:.3e})"
         )
-    A, B, C_full, Z, _ = realize(best.x)
+    A, B, C_full, Z, _ = realize(sols[k][0])
     feas = np.max(np.abs(_pr_equations(A, B, C_full, D, Z)))
     if not np.isfinite(feas) or feas > 1e-6 * max(1.0, np.abs(A).max()):
         raise OptimizationFailed(
@@ -534,7 +555,7 @@ def pr_projection(
         )
     return ProjectionResult(
         A=A, B=B, C_m=C_full[row : row + 1].copy(), Z=Z,
-        cost=float(best.cost), start_costs=np.asarray(costs), feasibility=float(feas),
+        cost=float(costs[k]), start_costs=np.asarray(costs), feasibility=float(feas),
     )
 
 
@@ -600,19 +621,20 @@ def fpe_order_select(
     order.
     """
     orders = _check_orders(orders)
-    return _fpe_select(_hankel_factor(data, horizon, D, quadrature, orders), orders)
+    return _fpe_select(_hankel_factor(data, horizon, D, quadrature, orders), orders)[:2]
 
 
-def _fpe_select(f: _HankelFactor, orders) -> tuple[int, dict]:
+def _fpe_select(f: _HankelFactor, orders) -> tuple[int, dict, dict]:
+    """Selected order, FPE table and the discrete fit of every order."""
     N = len(f.y)
     floor = _EXACT_FIT_TOL * float(np.mean(f.y**2))
-    table = {}
+    table, fits = {}, {}
     for n in orders:
-        Ad, Bd, C, Kd, _, _ = _subspace_discrete(f, n)
+        fits[n] = Ad, Bd, C, Kd, _, _ = _subspace_discrete(f, n)
         vn = max(_one_step_mse(Ad, Bd, C, Kd, f.u, f.y), floor)
         p = 4 * n * n + 8 * n  # below N: the data check asks N >= 40 n (2n + 1)
         table[n] = vn * (1 + p / N) / (1 - p / N)
-    return min(table, key=table.get), table
+    return min(table, key=table.get), table, fits
 
 
 def validate_nmse(
@@ -662,6 +684,8 @@ class PipelineConfig:
             raise ValidationError("config needs a true system or a dataset")
         _quad_row(self.quadrature)
         object.__setattr__(self, "orders", tuple(_check_orders(self.orders)))
+        _check_int(self.seed, "seed", 0)
+        _check_int(self.horizon, "horizon", 1)
         if not 0 < self.split < 1:
             raise ValidationError("split must lie in (0, 1)")
         if not (0 < self.dt < np.inf and (self.dataset is not None or 0 < self.T < np.inf)):
@@ -710,8 +734,8 @@ def run_pipeline(config: PipelineConfig) -> SysIdResult:
         "fpe_order_select", _hankel_factor,
         data, config.horizon, D, config.quadrature, config.orders,
     )
-    n_best, table = _stage("fpe_order_select", _fpe_select, factor, config.orders)
-    est = _stage("subspace_id", _subspace_estimate, factor, n_best)
+    n_best, table, fits = _stage("fpe_order_select", _fpe_select, factor, config.orders)
+    est = _stage("subspace_id", _subspace_estimate, fits[n_best], factor.dt)
     proj = _stage(
         "pr_projection", pr_projection,
         (est.A, est.B, est.C), D, config.quadrature, seed=config.seed,

@@ -439,6 +439,29 @@ class TestMalformedInputs:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.7), ("seed", True), ("horizon", 10.9), ("horizon", 10.0),
+        ("split_index", 280.5),
+    ])
+    def test_sysid_non_integral_numbers_exit_2(self, tmp_path, cavity_file, capsys,
+                                               key, value):
+        rng = np.random.default_rng(0)
+        data = {"dt": 0.05, "inputs": rng.normal(size=(400, 2)).tolist(),
+                "outputs": rng.normal(size=400).tolist(), "split_index": 280}
+        cfg = {"system_file": cavity_file, "dt": 0.05, "T": 400.0, "orders": [1]}
+        if key == "split_index":
+            data[key] = value
+            (tmp_path / "data.json").write_text(json.dumps(data))
+            cfg = {"dataset_file": str(tmp_path / "data.json"), "dt": 0.05, "orders": [1]}
+        else:
+            cfg[key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = main(["sysid", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and "integral" in err
+
     def test_sysid_config_without_orders(self, tmp_path, cavity_file, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"system_file": cavity_file, "dt": 0.05, "T": 400.0}))

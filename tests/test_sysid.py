@@ -28,6 +28,7 @@ from qiokit.linear import (
     transfer_function,
 )
 from qiokit.sysid import (
+    _LFSR_TAPS,
     PipelineConfig,
     SysIdDataset,
     _discrete_to_continuous,
@@ -79,7 +80,49 @@ def random_physical(rng, n=1):
     raise RuntimeError("no stable draw")
 
 
+def lfsr_reference(length, amplitude, seed, nbits):
+    """Bit-serial Fibonacci LFSR: one shift and feedback per output sample."""
+    taps = _LFSR_TAPS[nbits]
+    state = (seed * 2654435761 + 88172645463325252) & ((1 << nbits) - 1)
+    if state == 0:
+        state = 1
+    out = np.empty(length)
+    for k in range(length):
+        out[k] = amplitude if (state & 1) else -amplitude
+        fb = 0
+        for t in taps:
+            fb ^= (state >> (nbits - t)) & 1
+        state = (state >> 1) | (fb << (nbits - 1))
+    return out
+
+
+def prime_factors(n):
+    """Distinct prime factors by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + ([n] if n > 1 else [])
+
+
 class TestPRBS:
+    @pytest.mark.parametrize("nbits", sorted(_LFSR_TAPS))
+    def test_matches_bit_serial_lfsr(self, nbits):
+        # a seed whose hashed state is 0, which the register replaces by 1
+        zero = -88172645463325252 * pow(2654435761, -1, 2**nbits) % 2**nbits
+        assert (zero * 2654435761 + 88172645463325252) % 2**nbits == 0
+        lengths = {1, nbits - 1, nbits, nbits + 1}
+        lengths |= {2**k * nbits + d for k in (1, 3, 6) for d in (-1, 1)}
+        if nbits <= 16:
+            lengths.add(2**nbits)  # one period and one sample
+        for seed in (0, 7, -3, 2**40 + 1, zero):
+            for length in sorted(lengths):
+                assert np.array_equal(prbs(length, 1.5, seed, register=nbits),
+                                      lfsr_reference(length, 1.5, seed, nbits)), (seed, length)
+
     def test_values_and_determinism(self):
         s = prbs(500, 1.0, seed=3)
         assert set(np.unique(s)) <= {-1.0, 1.0}
@@ -91,21 +134,15 @@ class TestPRBS:
         s = prbs(n, 1.0, seed=1)
         assert abs(s.mean()) < 3 / np.sqrt(n)
 
-    @pytest.mark.parametrize("nbits", [8, 12, 16, 20])
+    @pytest.mark.parametrize("nbits", [8, 12, 16, 20, 24])
     def test_maximal_length_period(self, nbits):
-        """Each register gives an m-sequence: period 2^n - 1, balanced.
-
-        The 24-bit register (16.7M samples per period) is not covered here;
-        enumerating it is too slow for the unit suite.
-        """
+        """Each register gives an m-sequence: period 2^n - 1, balanced."""
         P = 2**nbits - 1
         s = prbs(P + nbits, 1.0, seed=5, register=nbits)
         # the next nbits outputs are the register state, so a shift that
         # matches over the whole run is a period of the sequence
         assert np.array_equal(s[P:], s[: len(s) - P])
-        primes = [q for q in range(2, P + 1) if P % q == 0
-                  and all(q % d for d in range(2, int(q**0.5) + 1))]
-        for q in primes:
+        for q in prime_factors(P):
             d = P // q
             assert not np.array_equal(s[d:], s[: len(s) - d]), (nbits, q)
         assert np.sum(s[:P] > 0) == 2 ** (nbits - 1)
@@ -120,6 +157,25 @@ class TestPRBS:
             prbs(0, 1.0, 0)
         with pytest.raises(ValidationError):
             prbs(10, -1.0, 0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"length": 2.5}, "length"), ({"length": True}, "length"),
+        ({"length": "10"}, "length"), ({"seed": "a"}, "seed"), ({"seed": 0.5}, "seed"),
+        ({"seed": True}, "seed"), ({"register": 8.7}, "register"),
+        ({"register": 8.0}, "register"), ({"register": True}, "register"),
+    ], ids=repr)
+    def test_integer_arguments_checked(self, kwargs, name):
+        args = {"length": 10, "amplitude": 1.0, "seed": 0, **kwargs}
+        with pytest.raises(ValidationError, match=f"{name} must be .*integral"):
+            prbs(**args)
+
+    @pytest.mark.parametrize("args, name", [
+        (("10", 1.0, 0), "length"), ((12.5, 1.0, 0), "length"), ((0, 1.0, 0), "length"),
+        ((10, 1.0, "a"), "seed"), ((10, 1.0, 0.5), "seed"),
+    ], ids=repr)
+    def test_pair_integer_arguments_checked(self, args, name):
+        with pytest.raises(ValidationError, match=f"{name} must be .*integral"):
+            prbs_pair(*args)
 
 
 class TestDataset:
@@ -137,6 +193,12 @@ class TestDataset:
         with pytest.raises(ValidationError):
             SysIdDataset(dt=0.1, inputs=np.zeros((9, 2)),
                          outputs=np.zeros(10), split_index=5)
+
+    @pytest.mark.parametrize("split_index", [6.5, 7.0, True, "7"], ids=repr)
+    def test_split_index_must_be_an_integer(self, split_index):
+        with pytest.raises(ValidationError, match="split_index must be integral"):
+            SysIdDataset(dt=0.1, inputs=np.zeros((10, 2)), outputs=np.zeros(10),
+                         split_index=split_index)
 
     @pytest.mark.parametrize("field", ["inputs", "outputs"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -254,6 +316,34 @@ class TestProjection:
             pr_projection(raw, G.D, seed=-1)
         with pytest.raises(ValidationError, match="D must have shape"):
             pr_projection(raw, np.eye(3))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 0.5}, "seed must be nonnegative and integral"),
+        ({"seed": True}, "seed must be nonnegative and integral"),
+        ({"n_starts": 0}, "n_starts must be positive and integral"),
+        ({"n_starts": 2.5}, "n_starts must be positive and integral"),
+        ({"n_starts": True}, "n_starts must be positive and integral"),
+        ({"max_nfev": 0}, "max_nfev must be positive and integral"),
+        ({"max_nfev": 2.5}, "max_nfev must be positive and integral"),
+        ({"max_nfev": True}, "max_nfev must be positive and integral"),
+    ], ids=repr)
+    def test_integer_arguments_checked(self, kwargs, message):
+        G = cavity()
+        with pytest.raises(ValidationError, match=message):
+            pr_projection((G.A, G.B, G.C[:1]), G.D, **kwargs)
+
+    def test_results_are_independent(self):
+        """A later call leaves an earlier result unchanged; a repeat is identical."""
+        _, data = cavity_dataset(seed=0)
+        est = subspace_id(data, 1, 10)
+        first = pr_projection((est.A, est.B, est.C), np.eye(2), "Q", seed=3)
+        kept = {k: np.copy(getattr(first, k)) for k in ("A", "B", "C_m", "Z", "start_costs")}
+        G = cavity()
+        pr_projection((G.A, G.B, G.C[:1]), G.D, seed=4)
+        again = pr_projection((est.A, est.B, est.C), np.eye(2), "Q", seed=3)
+        for k, v in kept.items():
+            assert np.array_equal(getattr(first, k), v), k
+            assert np.array_equal(getattr(again, k), v), k
 
     def test_scattering_matrix_checked(self):
         G = cavity()
@@ -546,6 +636,25 @@ def test_orders_must_be_positive_integers(orders):
             subspace_id(data, orders[0], 10)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 0.5), ("seed", 1.7), ("seed", True), ("seed", -1), ("seed", "1"),
+    ("horizon", 10.9), ("horizon", 10.0), ("horizon", 0), ("horizon", False),
+], ids=repr)
+def test_integer_config_fields_checked(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be .*integral"):
+        PipelineConfig(dt=0.05, T=1.0, prbs_amplitude=1.0, orders=(1,), system=cavity(),
+                       **{field: value})
+
+
+@pytest.mark.parametrize("horizon", [10.9, 10.0, True])
+def test_subspace_horizon_must_be_an_integer(horizon):
+    _, data = cavity_dataset(seed=2, T=200.0)
+    with pytest.raises(ValidationError, match="horizon must be positive and integral"):
+        subspace_id(data, 1, horizon)
+    with pytest.raises(ValidationError, match="horizon must be positive and integral"):
+        fpe_order_select(data, [1], horizon)
+
+
 @pytest.mark.parametrize("split", [0.0, 1.0, 2.0, -0.5, float("nan")])
 def test_split_must_lie_in_unit_interval(split):
     with pytest.raises(ValidationError, match="split"):
@@ -621,6 +730,23 @@ class TestPipeline:
                              seed=2, dataset=data)
         run_pipeline(cfg)
         assert len(tall) == 1
+
+    def test_one_discrete_fit_per_order(self, monkeypatch):
+        # the selected order's fit is the one the FPE already made: one
+        # innovation-gain Riccati solve per candidate order, none more
+        dare, solves = scipy.linalg.solve_discrete_are, []
+
+        def counting_dare(*args, **kwargs):
+            solves.append(1)
+            return dare(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", counting_dare)
+        _, data = cavity_dataset(seed=2)
+        cfg = PipelineConfig(dt=data.dt, T=600.0, prbs_amplitude=50.0, orders=(1, 2, 3),
+                             seed=2, dataset=data)
+        res = run_pipeline(cfg)
+        assert len(solves) == 3
+        assert (res.order, res.fpe_table) == fpe_order_select(data, [1, 2, 3], 10)
 
     def test_zero_data_insufficient(self):
         data = SysIdDataset(dt=0.05, inputs=np.zeros((40, 2)),
