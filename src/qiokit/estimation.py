@@ -24,7 +24,13 @@ from .exceptions import (
     ZeroVariance,
 )
 from .families import ParameterFamily, _central_step
-from .operators import QMarkovModel, _ergodic_stationary, _state_array, zero_mean_inverse
+from .operators import (
+    QMarkovModel,
+    _check_int,
+    _ergodic_stationary,
+    _state_array,
+    zero_mean_inverse,
+)
 from .filtering import _loglik_table
 from .trajectories import CountingRecord, DiffusiveRecord, _simulate, trajectory_rng
 
@@ -116,9 +122,7 @@ def mle(
         raise ValidationError("mle needs a bounded domain")
     if not records:
         raise ValidationError("need at least one record")
-    if not grid_points >= 1:
-        raise ValidationError("grid_points must be at least 1")
-    thetas = _grid_points(family.domain, grid_points)
+    thetas = _grid_points(family.domain, _check_int(grid_points, "grid_points", 1))
     r0 = _state_array(rho0, family.base.dim)
     logliks = _loglik_table(*_model_stack(family, thetas), r0, records, dt, lam).sum(axis=1)
     finite = np.isfinite(logliks)
@@ -275,10 +279,7 @@ def abc_rejection(
     """
     if not epsilon >= 0:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
-    if n_sims < 1:
-        raise ValidationError("n_sims must be at least 1")
-    if not n_pilot >= 2:
-        raise ValidationError("n_pilot must be at least 2")
+    n_sims, n_pilot = _check_int(n_sims, "n_sims", 1), _check_int(n_pilot, "n_pilot", 2)
     obs = np.atleast_1d(np.asarray(observed_stats, dtype=float))
     thetas = [np.atleast_1d(np.asarray(prior_sampler(trajectory_rng(seed, i)), dtype=float))
               for i in range(n_pilot + n_sims)]
@@ -309,8 +310,7 @@ def mc_classical_fisher(
     zero.
     """
     theta, h = _central_step(family, theta, h, "mc_classical_fisher")
-    if not n_traj >= 2:
-        raise ValidationError("n_traj must be at least 2")
+    n_traj = _check_int(n_traj, "n_traj", 2)
     r0 = _state_array(rho0, family.base.dim)
     recs = _simulate_family_records(family, [np.array([theta])] * n_traj, r0, kind, T, dt, seed)
     pair = _model_stack(family, [[theta + h], [theta - h]])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ValidationError
-from .operators import QMarkovModel, _square_complex
+from .operators import QMarkovModel, _freeze, _square_complex
 
 __all__ = ["ParameterFamily"]
 
@@ -36,10 +36,10 @@ class ParameterFamily:
 
     def __post_init__(self):
         d = self.base.dim
+        h = l = ()
         if self.phase:
             if self.h_dirs or self.l_dirs:
                 raise ValidationError("phase families take no direction operators")
-            k = 1
         else:
             h = tuple(_square_complex(x, "h_dir") for x in self.h_dirs)
             l = tuple(_square_complex(x, "l_dir") for x in self.l_dirs)
@@ -53,10 +53,8 @@ class ParameterFamily:
             for x in h:
                 if np.max(np.abs(x - x.conj().T)) > 1e-12:
                     raise ValidationError("H directions must be Hermitian")
-            object.__setattr__(self, "h_dirs", h)
-            object.__setattr__(self, "l_dirs", l)
-            k = len(h)
-        dom = np.asarray(
+        k = 1 if self.phase else len(h)
+        dom = np.array(
             self.domain if self.domain is not None else [[-1.0, 1.0]] * k,
             dtype=float,
         )
@@ -64,8 +62,7 @@ class ParameterFamily:
             raise ValidationError(f"domain must be a ({k}, 2) array of ordered bounds")
         if np.any(np.isnan(dom)):  # NaN passes the ordering test; infinite bounds are legal
             raise ValidationError("domain bounds must not be NaN")
-        dom.setflags(write=False)
-        object.__setattr__(self, "domain", dom)
+        _freeze(self, h_dirs=h, l_dirs=l, domain=dom)
 
     @classmethod
     def affine(cls, base: QMarkovModel, h_dirs, l_dirs, domain=None) -> "ParameterFamily":

@@ -31,6 +31,7 @@ from .exceptions import (
     StepTooLarge,
     ValidationError,
 )
+from .operators import _check_int, _even_square, _freeze, _real_matrix
 from .trajectories import STEP_GUARD, DiffusiveRecord, _draws, _grid_steps
 
 __all__ = [
@@ -67,23 +68,6 @@ def symplectic_form(n: int) -> np.ndarray:
     return np.kron(np.eye(n), J)
 
 
-def _real_matrix(m, name, shape=None):
-    a = np.array(m, dtype=float)
-    if shape is not None and a.shape != shape:
-        raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return a
-
-
-def _even_square(m, name):
-    """``m`` checked as a finite real 2n x 2n matrix."""
-    a = _real_matrix(m, name)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
-        raise ValidationError(f"{name} must be 2n x 2n, got {a.shape}")
-    return a
-
-
 @dataclass(frozen=True)
 class LinearQSystem:
     """State-space quadruple (A, B, C, D) of an n-mode linear quantum system.
@@ -103,9 +87,7 @@ class LinearQSystem:
         B = _real_matrix(self.B, "B", (twon, 2))
         C = _real_matrix(self.C, "C", (2, twon))
         D = np.eye(2) if self.D is None else _real_matrix(self.D, "D", (2, 2))
-        for arr, name in ((A, "A"), (B, "B"), (C, "C"), (D, "D")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, A=A, B=B, C=C, D=D)
 
     @property
     def n(self) -> int:
@@ -120,18 +102,13 @@ class QuadraticSpec:
     K: np.ndarray
 
     def __post_init__(self):
-        R = np.array(self.R, dtype=float)
-        if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] % 2:
-            raise ValidationError(f"R must be 2n x 2n, got {R.shape}")
+        R = _even_square(self.R, "R")
         if np.max(np.abs(R - R.T)) > 1e-12:
             raise ValidationError("R must be symmetric to 1e-12")
         K = np.array(self.K, dtype=complex).reshape(-1)
-        if K.shape[0] != R.shape[0]:
-            raise ValidationError("K must be a complex row of length 2n")
-        R.setflags(write=False)
-        K.setflags(write=False)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "K", K)
+        if K.shape[0] != R.shape[0] or not np.all(np.isfinite(K)):
+            raise ValidationError("K must be a finite complex row of length 2n")
+        _freeze(self, R=R, K=K)
 
     @property
     def n(self) -> int:
@@ -145,14 +122,11 @@ class SymplecticMatrix:
     V: np.ndarray
 
     def __post_init__(self):
-        V = np.array(self.V, dtype=float)
-        if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2:
-            raise ValidationError(f"V must be 2n x 2n, got {V.shape}")
+        V = _even_square(self.V, "V")
         Jn = symplectic_form(V.shape[0] // 2)
         if np.max(np.abs(V @ Jn @ V.T - Jn)) > 1e-9:
             raise ValidationError("V is not symplectic to 1e-9")
-        V.setflags(write=False)
-        object.__setattr__(self, "V", V)
+        _freeze(self, V=V)
 
     @property
     def n(self) -> int:
@@ -171,8 +145,7 @@ class GaussianInput:
             raise ValidationError("Gamma must be symmetric")
         if np.linalg.eigvalsh(G)[0] < -1e-12:
             raise ValidationError("Gamma must be positive semidefinite")
-        G.setflags(write=False)
-        object.__setattr__(self, "Gamma", G)
+        _freeze(self, Gamma=G)
 
     @classmethod
     def vacuum(cls) -> "GaussianInput":
@@ -448,7 +421,7 @@ def simulate_innovation_form(
 
 def random_symplectic(n: int, rng: np.random.Generator, scale: float = 0.4) -> SymplecticMatrix:
     """Random symplectic matrix exp(J_n S) with S symmetric."""
-    m = 2 * n
+    m = 2 * _check_int(n, "n", 1)
     S = rng.normal(size=(m, m))
     S = scale * (S + S.T) / 2
     return SymplecticMatrix(V=scipy.linalg.expm(symplectic_form(n) @ S))
@@ -477,9 +450,10 @@ def gamma_rigidity(
     sample preserves Gamma.  A True result is evidence from sampling, not
     a proof.
     """
-    Gamma = np.asarray(Gamma, dtype=float)
+    Gamma, n = _even_square(Gamma, "Gamma"), _check_int(n, "n", 1)
+    n_samples = _check_int(n_samples, "n_samples", 1)
     big = np.kron(np.eye(n), Gamma) if Gamma.shape == (2, 2) and n > 1 else Gamma
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     dim = big.shape[0] // 2
     for _ in range(n_samples):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

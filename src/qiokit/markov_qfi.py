@@ -26,7 +26,7 @@ from .filtering import run_filter
 from .operators import (
     QMarkovModel,
     _ergodic_stationary,
-    _rho_array,
+    _freeze,
     _square_complex,
     op_imag,
     qfi_matrix,
@@ -48,9 +48,10 @@ class GaugeElement:
         d = W.shape[0]
         if np.max(np.abs(W.conj().T @ W - np.eye(d))) > 1e-10:
             raise ValidationError("W must be unitary to 1e-10")
-        W.setflags(write=False)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "r", float(self.r))
+        r = float(self.r)
+        if not np.isfinite(r):
+            raise ValidationError(f"r must be finite, got {r}")
+        _freeze(self, W=W, r=r)
 
 
 def _generators(family: ParameterFamily, theta):
@@ -106,7 +107,6 @@ def conditional_qfi(
     information term in the combined Cramer-Rao bound.
     """
     theta, h = _central_step(family, theta, h, "conditional_qfi")
-    rho0 = _rho_array(rho0)
     center = run_filter(family.model([theta]), rho0, record, dt=dt).final_state
     plus = run_filter(family.model([theta + h]), rho0, record, dt=dt).final_state
     minus = run_filter(family.model([theta - h]), rho0, record, dt=dt).final_state

@@ -18,6 +18,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,32 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
+def _check_int(value, name: str, least: float = -np.inf) -> int:
+    """``value`` as an int; a bool, a non-integer or a value under ``least`` is invalid."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        sign = {-np.inf: "", 0: "nonnegative and ", 1: "positive and "}.get(
+            least, f"at least {least} and ")
+        raise ValidationError(f"{name} must be {sign}integral, got {value!r}")
+    return int(value)
+
+
+def _real_matrix(m, name, shape=None):
+    a = np.array(m, dtype=float)
+    if shape is not None and a.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    return a
+
+
+def _even_square(m, name):
+    """``m`` checked as a finite real 2n x 2n matrix."""
+    a = _real_matrix(m, name)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
+        raise ValidationError(f"{name} must be 2n x 2n, got {a.shape}")
+    return a
+
+
 def _square_complex(m, name: str) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -88,6 +115,16 @@ def _square_complex(m, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} contains non-finite entries")
     return a
+
+
+def _freeze(obj, **fields) -> None:
+    """Set ``fields`` on the frozen dataclass ``obj``; their arrays, tuple
+    members included, become read-only."""
+    for name, value in fields.items():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -111,10 +148,7 @@ class QMarkovModel:
             )
         if H.size and np.max(np.abs(H - H.conj().T)) > HERM_TOL:
             raise ValidationError("H is not Hermitian to 1e-12")
-        H.setflags(write=False)
-        L.setflags(write=False)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "L", L)
+        _freeze(self, H=H, L=L)
 
     @property
     def dim(self) -> int:
@@ -137,8 +171,7 @@ class DensityOperator:
         w = np.linalg.eigvalsh((r + r.conj().T) / 2)
         if w[0] < EIG_FLOOR:
             raise ValidationError(f"rho has eigenvalue {w[0]:.3e} below -1e-10")
-        r.setflags(write=False)
-        object.__setattr__(self, "rho", r)
+        _freeze(self, rho=r)
 
     @property
     def dim(self) -> int:
@@ -149,9 +182,8 @@ class DensityOperator:
 
 
 def _rho_array(rho) -> np.ndarray:
-    if isinstance(rho, DensityOperator):
-        return rho.rho
-    return np.asarray(rho, dtype=complex)
+    """``rho``, a DensityOperator or a matrix, checked as a finite square matrix."""
+    return _square_complex(rho.rho if isinstance(rho, DensityOperator) else rho, "rho")
 
 
 def _state_array(rho, dim: int) -> np.ndarray:
@@ -176,9 +208,7 @@ class Superoperator:
     picture: str
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"superoperator matrix must be square, got {m.shape}")
+        m = _square_complex(self.mat, "superoperator matrix")
         d2 = m.shape[0]
         d = int(round(d2**0.5))
         if d * d != d2:
@@ -199,8 +229,7 @@ class Superoperator:
                 )
         else:
             raise ValidationError(f"unknown picture {self.picture!r}")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        _freeze(self, mat=m)
 
     @property
     def dim(self) -> int:
@@ -339,8 +368,9 @@ def sld(rho, drho: np.ndarray) -> np.ndarray:
     Raises :class:`SingularState` when a non-negligible component of drho
     falls in the kernel of the divisor.
     """
-    r = _rho_array(rho)
-    dr = np.asarray(drho, dtype=complex)
+    r, dr = _rho_array(rho), _square_complex(drho, "drho")
+    if dr.shape != r.shape:
+        raise ValidationError(f"drho has shape {dr.shape}, rho {r.shape}")
     if abs(np.trace(dr)) > 1e-10:
         raise ValidationError("drho must be traceless to 1e-10")
     lam, u = np.linalg.eigh((r + r.conj().T) / 2)
@@ -382,9 +412,12 @@ def qfi_matrix(rho, drhos) -> np.ndarray:
 def pure_state_qfi(psi: np.ndarray, G: np.ndarray) -> float:
     """QFI of the unitary family exp(-i theta G)|psi>: four times Var_psi(G)."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise ValidationError("psi must be normalized to 1e-10")
-    g = np.asarray(G, dtype=complex) @ v
+    G = _square_complex(G, "G")
+    if len(G) != len(v):
+        raise ValidationError(f"G has shape {G.shape}, psi length {len(v)}")
+    g = G @ v
     mean = np.vdot(v, g).real
     second = np.vdot(g, g).real
     return max(0.0, 4.0 * (second - mean * mean))
@@ -392,7 +425,9 @@ def pure_state_qfi(psi: np.ndarray, G: np.ndarray) -> float:
 
 def qcrb_trace_bound(F: np.ndarray) -> float:
     """Trivial scalar Cramer-Rao bound Tr(F^-1) for a nonsingular QFI matrix."""
-    F = np.asarray(F, dtype=float)
+    F = _real_matrix(F, "F")
+    if F.ndim != 2 or F.shape[0] != F.shape[1]:
+        raise ValidationError(f"F must be square, got shape {F.shape}")
     try:
         return float(np.trace(np.linalg.inv(F)))
     except np.linalg.LinAlgError as exc:

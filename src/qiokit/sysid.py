@@ -39,15 +39,14 @@ from .exceptions import (
 )
 from .linear import (
     LinearQSystem,
-    _even_square,
     _lti_run,
     _pr_equations,
     _quad_row,
-    _real_matrix,
     kalman_gain,
     simulate_innovation_form,
     symplectic_form,
 )
+from .operators import _check_int, _even_square, _freeze, _real_matrix
 from .trajectories import DiffusiveRecord, _grid_steps
 
 __all__ = [
@@ -84,14 +83,6 @@ def _auto_register(length: int) -> int:
         if 2**cand - 1 >= length:
             return cand
     return max(_LFSR_TAPS)
-
-
-def _check_int(value, name: str, least: float = -np.inf) -> int:
-    """``value`` as an int; a bool, a non-integer or a value under ``least`` is invalid."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        sign = {0: "nonnegative and ", 1: "positive and "}.get(least, "")
-        raise ValidationError(f"{name} must be {sign}integral, got {value!r}")
-    return int(value)
 
 
 def prbs(length: int, amplitude: float, seed: int,
@@ -163,8 +154,8 @@ class SysIdDataset:
     split_index: int
 
     def __post_init__(self):
-        u = np.asarray(self.inputs, dtype=float)
-        y = np.asarray(self.outputs, dtype=float).reshape(-1)
+        u = np.array(self.inputs, dtype=float)
+        y = np.array(self.outputs, dtype=float).reshape(-1)
         if u.ndim != 2 or u.shape[1] != 2:
             raise ValidationError("inputs must be (N, 2)")
         if len(u) != len(y):
@@ -175,10 +166,7 @@ class SysIdDataset:
             raise ValidationError("dt must be positive and finite")
         if not (0 < _check_int(self.split_index, "split_index") < len(y)):
             raise ValidationError("both splits must be nonempty")
-        u.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "inputs", u)
-        object.__setattr__(self, "outputs", y)
+        _freeze(self, inputs=u, outputs=y)
 
     @classmethod
     def from_record(cls, record: DiffusiveRecord, inputs, split: float = 0.7):
@@ -288,7 +276,7 @@ def _check_orders(orders) -> list:
 def _hankel_factor(data, horizon, D, quadrature, orders) -> _HankelFactor:
     """Factor ``data`` once for subspace fits of the given mode counts."""
     i, m, ell = _check_int(horizon, "horizon", 1), 2, 1
-    D = np.eye(2) if D is None else np.asarray(D, dtype=float)
+    D = np.eye(2) if D is None else _real_matrix(D, "D", (2, 2))
     u, y_raw = data.estimation()
     y = y_raw - u @ D[_quad_row(quadrature)]
     N = len(y)
@@ -300,8 +288,6 @@ def _hankel_factor(data, horizon, D, quadrature, orders) -> _HankelFactor:
                 f"need at least {10 * 2 * i * ns} estimation samples, got {N}"
             )
     j = N - 2 * i + 1
-    if j < 2 * i * (m + ell):
-        raise InsufficientData("too few Hankel columns for the requested horizon")
     U = _blkhank(u.T, 2 * i, j)
     stack = np.vstack([U[i * m :], U[: i * m], _blkhank(y[None, :], 2 * i, j)])
     L = np.linalg.qr(stack.T, mode="r").T  # only L: Q would be as long as the data
@@ -683,7 +669,7 @@ class PipelineConfig:
         if self.system is None and self.dataset is None:
             raise ValidationError("config needs a true system or a dataset")
         _quad_row(self.quadrature)
-        object.__setattr__(self, "orders", tuple(_check_orders(self.orders)))
+        _freeze(self, orders=tuple(_check_orders(self.orders)))
         _check_int(self.seed, "seed", 0)
         _check_int(self.horizon, "horizon", 1)
         if not 0 < self.split < 1:

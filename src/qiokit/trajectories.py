@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _integrators as integ
 from .exceptions import StepTooLarge, ValidationError
-from .operators import QMarkovModel, _state_array
+from .operators import QMarkovModel, _check_int, _freeze, _state_array
 
 __all__ = [
     "DiffusiveRecord",
@@ -49,14 +49,12 @@ class DiffusiveRecord:
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValidationError("dt must be positive and finite")
-        inc = np.asarray(self.increments, dtype=float).reshape(-1)
+        inc = np.array(self.increments, dtype=float).reshape(-1)
         if inc.size < 1:
             raise ValidationError("a diffusive record needs at least one increment")
         if not np.all(np.isfinite(inc)):
             raise ValidationError("increments must be finite")
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "dt", float(self.dt))
+        _freeze(self, increments=inc, dt=float(self.dt))
 
     @property
     def t_final(self) -> float:
@@ -76,7 +74,7 @@ class CountingRecord:
     def __post_init__(self):
         if not 0 < self.horizon < np.inf:
             raise ValidationError("horizon must be positive and finite")
-        j = np.asarray(self.jumps, dtype=float).reshape(-1)
+        j = np.array(self.jumps, dtype=float).reshape(-1)
         if j.size:
             if not np.all(np.isfinite(j)):
                 raise ValidationError("jump times must be finite")
@@ -84,9 +82,7 @@ class CountingRecord:
                 raise ValidationError("jump times must be strictly increasing and > 0")
             if j[-1] > self.horizon:
                 raise ValidationError("jump times must not exceed the horizon")
-        j.setflags(write=False)
-        object.__setattr__(self, "jumps", j)
-        object.__setattr__(self, "horizon", float(self.horizon))
+        _freeze(self, jumps=j, horizon=float(self.horizon))
 
     @property
     def n_jumps(self) -> int:
@@ -153,10 +149,10 @@ class CountingEnsemble:
 
 
 def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based stream for trajectory ``index`` of ensemble ``seed``."""
-    if not (seed >= 0 and index >= 0):
-        raise ValidationError(f"seed and index must be nonnegative, got {seed} and {index}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    """Counter-based stream for trajectory ``index`` of ensemble ``seed``,
+    both nonnegative integers."""
+    ss = np.random.SeedSequence(entropy=_check_int(seed, "seed", 0),
+                                spawn_key=(_check_int(index, "index", 0),))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -210,13 +206,14 @@ def _simulate(kind, H, L, rho0, T, dt, seed, start, b, keep_states=False):
     """The one path from a record simulation to an engine: ``b`` rows of one
     model (d, d) or one model per row (b, d, d).
 
-    Checks the kind, the grid, the step guard over the models and the
-    initial state, in that order, then runs row i on the draws of
-    ``trajectory_rng(seed, start + i)``.  Returns a HomodyneEnsemble or a
-    CountingEnsemble.
+    Checks the kind, the row count, the grid, the step guard over the
+    models and the initial state, in that order, then runs row i on the
+    draws of ``trajectory_rng(seed, start + i)``.  Returns a
+    HomodyneEnsemble or a CountingEnsemble.
     """
     if kind not in ("counting", "diffusive"):
         raise ValidationError(f"unknown simulation kind {kind!r}")
+    b = _check_int(b, "n_traj", 1)
     n = _grid_steps(T, dt)
     _step_guard(L, dt)
     rho0 = _state_array(rho0, L.shape[-1])

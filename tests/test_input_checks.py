@@ -1,0 +1,249 @@
+"""One way to take input: counts, seeds, indices and matrices are checked by
+one helper each, and every value type is frozen by one helper."""
+
+import ast
+import dataclasses
+import importlib
+import pathlib
+import warnings
+
+import numpy as np
+import pytest
+
+import qiokit
+from qiokit.estimation import abc_rejection, mc_classical_fisher, mle, stat_total_counts
+from qiokit.exceptions import ValidationError
+from qiokit.families import ParameterFamily
+from qiokit.linear import (
+    GaussianInput,
+    QuadraticSpec,
+    SymplecticMatrix,
+    build_linear_system,
+    gamma_rigidity,
+    random_symplectic,
+)
+from qiokit.markov_qfi import GaugeElement
+from qiokit.operators import (
+    DensityOperator,
+    QMarkovModel,
+    Superoperator,
+    lindblad_generator,
+    pure_state_qfi,
+    qcrb_trace_bound,
+    qfi_matrix,
+    sld,
+)
+from qiokit.sysid import PipelineConfig, SysIdDataset, fpe_order_select, subspace_id
+from qiokit.trajectories import (
+    CountingRecord,
+    DiffusiveRecord,
+    simulate_counting,
+    simulate_counting_ensemble,
+    simulate_homodyne,
+    simulate_homodyne_ensemble,
+    simulate_reference,
+)
+
+from conftest import SM, SX, SZ, driven_qubit
+
+SRC = pathlib.Path(qiokit.__file__).parent
+MIXED = np.eye(2) / 2
+ZERO2 = np.zeros((2, 2), dtype=complex)
+NAN2 = np.array([[np.nan, 0.0], [0.0, 1.0]])
+INF2 = np.array([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def rabi_family():
+    base = QMarkovModel(H=ZERO2, L=SM)
+    return ParameterFamily.affine(base, [0.5 * SX], [ZERO2], domain=[[0.2, 2.0]])
+
+
+def _boundary_calls():
+    m, fam, rec = driven_qubit(), rabi_family(), CountingRecord(horizon=1.0, jumps=[0.5])
+    sim = (m, MIXED, 0.1, 0.01)
+    data = SysIdDataset(dt=0.1, inputs=np.ones((10, 2)), outputs=np.arange(10.0),
+                        split_index=5)
+    cases = {}
+    for n in (0, -1, 2.5):
+        cases[f"homodyne ensemble n_traj={n}"] = (
+            "n_traj must be positive and integral",
+            lambda n=n: simulate_homodyne_ensemble(*sim, n, 0))
+        cases[f"counting ensemble n_traj={n}"] = (
+            "n_traj must be positive and integral",
+            lambda n=n: simulate_counting_ensemble(*sim, n, 0))
+    return {
+        **cases,
+        "simulate_homodyne seed 1.5": ("seed must be nonnegative and integral",
+                                       lambda: simulate_homodyne(*sim, 1.5)),
+        "simulate_homodyne seed True": ("seed must be nonnegative and integral",
+                                        lambda: simulate_homodyne(*sim, True)),
+        "simulate_counting index 1.5": ("index must be nonnegative and integral",
+                                        lambda: simulate_counting(*sim, 0, index=1.5)),
+        "poisson reference seed 1.5": ("seed must be nonnegative and integral",
+                                       lambda: simulate_reference("poisson", 1.0, 1.0, 0.01, 1.5)),
+        "mle grid_points 2.5": ("grid_points must be positive and integral",
+                                lambda: mle(fam, [rec], MIXED, grid_points=2.5)),
+        "abc n_sims 2.5": ("n_sims must be positive and integral", lambda: abc_rejection(
+            fam, [1.0], lambda r: [1.0], stat_total_counts, n_sims=2.5, epsilon=1.0, seed=0,
+            rho0=MIXED)),
+        "mc_classical_fisher n_traj 2.5": ("n_traj must be at least 2 and integral",
+                                           lambda: mc_classical_fisher(
+                                               fam, 1.0, MIXED, "counting", 1.0, 0.01, 2.5)),
+        "SymplecticMatrix nan": ("V contains non-finite", lambda: SymplecticMatrix(V=NAN2)),
+        "SymplecticMatrix inf": ("V contains non-finite", lambda: SymplecticMatrix(V=INF2)),
+        "QuadraticSpec nan R": ("R contains non-finite",
+                                lambda: QuadraticSpec(R=NAN2, K=[1.0, 1j])),
+        "QuadraticSpec nan K": ("K must be a finite",
+                                lambda: QuadraticSpec(R=np.eye(2), K=[np.nan, 1j])),
+        "Superoperator nan": ("superoperator matrix contains non-finite",
+                              lambda: Superoperator(mat=np.full((4, 4), np.nan),
+                                                    picture="schrodinger")),
+        "GaugeElement nan r": ("r must be finite",
+                               lambda: GaugeElement(r=np.nan, W=np.eye(2))),
+        "gamma_rigidity nan Gamma": ("Gamma contains non-finite", lambda: gamma_rigidity(NAN2)),
+        "gamma_rigidity n_samples 2.5": ("n_samples must be positive and integral",
+                                         lambda: gamma_rigidity(np.eye(2), n_samples=2.5)),
+        "random_symplectic n 0": ("n must be positive and integral",
+                                  lambda: random_symplectic(0, np.random.default_rng(0))),
+        "subspace_id nan D": ("D contains non-finite", lambda: subspace_id(data, 1, 3, D=NAN2)),
+        "fpe_order_select 3 x 3 D": ("D must have shape", lambda: fpe_order_select(
+            data, [1], 3, D=np.eye(3))),
+        # the QFI layer
+        "pure_state_qfi nan G": ("G contains non-finite",
+                                 lambda: pure_state_qfi([1.0, 0.0], NAN2)),
+        "qfi_matrix nan direction": ("drho contains non-finite",
+                                     lambda: qfi_matrix(MIXED, [NAN2])),
+        "qcrb_trace_bound nan F": ("F contains non-finite", lambda: qcrb_trace_bound(NAN2)),
+        "sld nan state": ("rho contains non-finite", lambda: sld(NAN2, ZERO2)),
+        "sld 3 x 3 drho": ("drho has shape", lambda: sld(MIXED, np.zeros((3, 3)))),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_boundary_calls()))
+def test_boundary_inputs_are_validation_errors(call):
+    name, fn = _boundary_calls()[call]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=name):
+            fn()
+
+
+def test_sld_and_qfi_accept_a_density_operator():
+    rho = np.array([[0.7, 0.1], [0.1, 0.3]])
+    dr = 0.2 * SZ + 0.1 * SX
+    assert np.array_equal(sld(DensityOperator(rho), dr), sld(rho, dr))
+    assert np.array_equal(qfi_matrix(DensityOperator(rho), [dr]), qfi_matrix(rho, [dr]))
+
+
+def _value_types():
+    """One instance of every qiokit dataclass that checks its fields."""
+    G = build_linear_system(QuadraticSpec(R=0.5 * np.eye(2), K=[0.7, 0.7j]))
+    data = SysIdDataset(dt=0.1, inputs=np.ones((10, 2)), outputs=np.arange(10.0),
+                        split_index=5)
+    return [
+        driven_qubit(),
+        DensityOperator(MIXED),
+        lindblad_generator(driven_qubit()),
+        rabi_family(),
+        G,
+        QuadraticSpec(R=0.5 * np.eye(2), K=[0.7, 0.7j]),
+        SymplecticMatrix(V=np.eye(2)),
+        GaussianInput(Gamma=np.eye(2)),
+        GaugeElement(r=0.5, W=np.eye(2)),
+        data,
+        PipelineConfig(dt=0.1, T=1.0, prbs_amplitude=1.0, orders=(1,), system=G,
+                       dataset=data),
+        DiffusiveRecord(dt=0.1, increments=[0.1, -0.2]),
+        CountingRecord(horizon=1.0, jumps=[0.5]),
+    ]
+
+
+def _arrays(value):
+    """Every array a value holds, through tuples and nested dataclasses."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value) for a in _arrays(getattr(value, f.name))]
+    return []
+
+
+def test_every_checked_value_type_is_covered():
+    modules = [importlib.import_module(f"qiokit.{p.stem}") for p in SRC.glob("*.py")
+               if p.stem != "__init__"]
+    checked = {cls for mod in modules for cls in vars(mod).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and cls.__module__ == mod.__name__ and "__post_init__" in vars(cls)}
+    assert checked == {type(v) for v in _value_types()}
+    assert len(checked) == 13
+
+
+@pytest.mark.parametrize("value", _value_types(), ids=lambda v: type(v).__name__)
+def test_value_type_arrays_are_read_only(value):
+    arrays = _arrays(value)
+    assert arrays
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
+
+
+def test_value_types_hold_their_own_arrays():
+    """A value shares no memory with the arrays it was built from and leaves
+    them writable, so writing into them cannot change it."""
+    inc, jumps, u, y = np.zeros(3), np.array([0.5, 0.7]), np.ones((10, 2)), np.arange(10.0)
+    dom = np.array([[0.2, 2.0]])
+    values = [
+        DiffusiveRecord(dt=0.1, increments=inc),
+        CountingRecord(horizon=1.0, jumps=jumps),
+        SysIdDataset(dt=0.1, inputs=u, outputs=y, split_index=5),
+        ParameterFamily.affine(QMarkovModel(H=ZERO2, L=SM), [0.5 * SX], [ZERO2], domain=dom),
+    ]
+    held = [a for v in values for a in _arrays(v)]
+    for given in (inc, jumps, u, y, dom):
+        assert given.flags.writeable
+        assert not any(np.shares_memory(given, a) for a in held)
+
+
+def _calls_that_freeze():
+    """(module, enclosing function, call) for every ``setflags`` and
+    ``object.__setattr__`` call in the package."""
+    found = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, "<module>"
+
+        def visit_FunctionDef(self, node):
+            outer, self.scope = self.scope, node.name
+            self.generic_visit(node)
+            self.scope = outer
+
+        def visit_Call(self, node):
+            f = node.func
+            if isinstance(f, ast.Attribute) and (f.attr == "setflags" or (
+                    f.attr == "__setattr__" and getattr(f.value, "id", None) == "object")):
+                found.add((self.module, self.scope, f.attr))
+            self.generic_visit(node)
+
+    for path in SRC.glob("*.py"):
+        Visitor(path.stem).visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_one_freeze_and_one_checker_each():
+    """Value types freeze their fields through ``operators._freeze``; only the
+    two read-only caches mark arrays themselves.  Each input checker is
+    defined once."""
+    assert _calls_that_freeze() == {
+        ("operators", "_freeze", "setflags"),
+        ("operators", "_freeze", "__setattr__"),
+        ("_integrators", "_identity", "setflags"),
+        ("sysid", "_param_layout", "setflags"),
+    }
+    defs = [(path.stem, node.name) for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)]
+    for name in ("_check_int", "_real_matrix", "_even_square", "_square_complex"):
+        assert [d for d in defs if d[1] == name] == [("operators", name)]
