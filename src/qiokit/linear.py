@@ -65,7 +65,7 @@ def _quad_row(quadrature) -> int:
 def symplectic_form(n: int) -> np.ndarray:
     """J_n = I_n (x) [[0, 1], [-1, 0]]."""
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n), J)
+    return np.kron(np.eye(_check_int(n, "n", 0)), J)
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,23 @@ def skew_symplectic_factor(Z: np.ndarray) -> np.ndarray:
     return V
 
 
+def _certificate_lstsq(A, B, C, D) -> np.ndarray:
+    """The skew Z that solves ``A Z + Z A^T + B J B^T = 0`` and
+    ``Z C^T + B J D^T = 0`` in least squares, of least norm."""
+    m = len(A)
+    iu = np.triu_indices(m, k=1)
+    basis = np.zeros((len(iu[0]), m, m))
+    basis[np.arange(len(iu[0])), iu[0], iu[1]] = 1.0
+    basis = basis - basis.transpose(0, 2, 1)
+    # affine in Z: columns are the basis images without B, the offset is the
+    # value at Z = 0; for a skew Z the first equation's strict upper triangle holds it
+    rows = np.r_[iu[0] * m + iu[1], m * m : m * m + 2 * m]
+    mat = _pr_equations(A, np.zeros_like(B), C, D, basis)[:, rows].T
+    rhs = -_pr_equations(A, B, C, D, np.zeros((m, m)))[rows]
+    coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    return np.tensordot(coef, basis, axes=1)
+
+
 def check_pr2(G: LinearQSystem, tol: float = 1e-8) -> PR2Result:
     """Solve the generalized realizability equations for a skew certificate.
 
@@ -245,18 +262,7 @@ def check_pr2(G: LinearQSystem, tol: float = 1e-8) -> PR2Result:
     :class:`SingularZ` when Z is not invertible; otherwise also returns
     the factor V with Z = V J_n V^T.
     """
-    m = 2 * G.n
-    iu = np.triu_indices(m, k=1)
-    basis = np.zeros((len(iu[0]), m, m))
-    basis[np.arange(len(iu[0])), iu[0], iu[1]] = 1.0
-    basis = basis - basis.transpose(0, 2, 1)
-    # affine in Z: columns are the basis images without B, the offset is the
-    # value at Z = 0; for a skew Z the first equation's strict upper triangle holds it
-    rows = np.r_[iu[0] * m + iu[1], m * m : m * m + 2 * m]
-    mat = _pr_equations(G.A, np.zeros_like(G.B), G.C, G.D, basis)[:, rows].T
-    rhs = -_pr_equations(G.A, G.B, G.C, G.D, np.zeros((m, m)))[rows]
-    coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    Z = np.tensordot(coef, basis, axes=1)
+    Z = _certificate_lstsq(G.A, G.B, G.C, G.D)
     residual = float(np.max(np.abs(_pr_equations(G.A, G.B, G.C, G.D, Z))))
     if residual > tol:
         raise NoSkewSolution(

@@ -79,7 +79,10 @@ def vec(x: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`vec` for a d x d matrix."""
-    return np.asarray(v).reshape((d, d), order="F")
+    v, d = np.asarray(v), _check_int(d, "d", 0)
+    if v.size != d * d:
+        raise ValidationError(f"v must have d * d = {d * d} entries, got {v.size}")
+    return v.reshape((d, d), order="F")
 
 
 def _check_int(value, name: str, least: float = -np.inf) -> int:

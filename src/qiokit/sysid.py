@@ -39,6 +39,7 @@ from .exceptions import (
 )
 from .linear import (
     LinearQSystem,
+    _certificate_lstsq,
     _lti_run,
     _pr_equations,
     _quad_row,
@@ -208,11 +209,13 @@ class SubspaceEstimate:
 # sqrt(eps), about 1.5e-8)
 _EXACT_FIT_TOL = np.finfo(float).eps
 
-
-def _blkhank(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Block Hankel with `rows` block rows from channel-major data (c, N)."""
-    win = np.lib.stride_tricks.sliding_window_view(x, cols, axis=1)[:, :rows]
-    return win.transpose(1, 0, 2).reshape(rows * x.shape[0], cols)
+# rows per block of the Hankel TSQR, within 11% of the best block at both
+# widths measured (one BLAS thread, 2-CPU x86-64, build and factor): blocks of
+# 512, 1,024, 2,048 and 4,096 rows against one plain QR took 14.0-16.7,
+# 15.7-18.4, 16.0-18.9, 17.1-20.2 and 19.7-22.0 ms on the (8381, 60) stack of
+# the benchmark's identification op, 626, 558, 503, 579 and 870 ms on the
+# (69951, 150) stack of acceptance criterion 11(b)
+_TSQR_ROWS = 1024
 
 
 def _discrete_to_continuous(Ad, Bd, dt):
@@ -287,16 +290,29 @@ def _hankel_factor(data, horizon, D, quadrature, orders) -> _HankelFactor:
             raise InsufficientData(
                 f"need at least {10 * 2 * i * ns} estimation samples, got {N}"
             )
-    j = N - 2 * i + 1
-    U = _blkhank(u.T, 2 * i, j)
-    stack = np.vstack([U[i * m :], U[: i * m], _blkhank(y[None, :], 2 * i, j)])
-    L = np.linalg.qr(stack.T, mode="r").T  # only L: Q would be as long as the data
+    j, nu, r = N - 2 * i + 1, i * m, 2 * i * (m + ell)
+    # Hankel column t of the rows [Uf; Up; Yp; Yf] is (u[t+i : t+2i],
+    # u[t : t+i], y[t : t+2i]) flattened, so the transposed stack is built
+    # C-ordered straight from windows of the data, in nb row blocks of
+    # near-equal size; zero rows pad the last block and leave R unchanged.
+    nb = -(-j // _TSQR_ROWS)
+    rows = -(-j // nb)
+    stack = np.zeros((nb * rows, r))
+    win = np.lib.stride_tricks.sliding_window_view(u.reshape(-1), 2 * nu)[: m * j : m]
+    stack[:j, :nu], stack[:j, nu : 2 * nu] = win[:, nu:], win[:, :nu]
+    stack[:j, 2 * nu :] = np.lib.stride_tricks.sliding_window_view(y, 2 * i)[:j]
+    # TSQR: the R factor of the stacked blocks' R factors is R of the whole
+    # stack up to the sign of each row (a sign flip of a Q basis vector, which
+    # every product below over the j columns ignores); no Gram or Cholesky
+    # shortcut, which would square the condition number the rank cut reads
+    blocks_r = np.linalg.qr(stack.reshape(nb, rows, r), mode="r")
+    L = np.linalg.qr(blocks_r.reshape(-1, r), mode="r").T  # only L: Q is as long as the data
     # the leading rows [Uf; Up] are the rows of U, so the leading block of L
     # has the singular values of U
     sv_u = np.linalg.svd(L[: 2 * i * m, : 2 * i * m], compute_uv=False)
     if sv_u[0] <= 0 or sv_u[-1] < 1e-9 * sv_u[0]:
         raise NotExciting("input block Hankel matrix is rank deficient")
-    nu, nw = i * m, i * (m + ell)
+    nw = i * (m + ell)
     Oi = _project(L, nu, nw)
     # the shifted stack [Uf-; Up+; Yp+; Yf-] permutes the rows of the first
     perm = np.r_[m:nu, nu : 2 * nu, 0:m, 2 * nu : len(L)]
@@ -435,6 +451,19 @@ def _param_layout(n2):
     return iu, iz, (E_S, E_B, E_Z)
 
 
+# growth of a start's certificate past which pr_projection stops it.  On the
+# 86 criterion-11 (b) and (d) and benchmark fits, the starts that reached the
+# best cost grew at most 15.2x (a non-best local minimum 7.8x), and the
+# runaway starts ended 2.5e7-1.6e8x out after 45-60 evaluations.  The bound
+# also scales with the estimate's own certificate: a realizable estimate in
+# the basis T = a I has Z = a^2 J_n, however far that is from the starts.
+_Z_GROWTH = 100.0
+
+
+class _Runaway(Exception):
+    """Raised from the residuals to stop a start; carries its cost there."""
+
+
 @dataclass(frozen=True)
 class ProjectionResult:
     A: np.ndarray
@@ -465,8 +494,17 @@ def pr_projection(
     ``B = Bhat``, ``Sigma = sym(Ahat J_n)``; each other start takes
     ``Z = (+)_i s_i J`` with a random sign and scale
     ``|s_i| = exp(0.4 N(0, 1))`` per mode and ``Sigma = sym(Ahat Z)``, so
-    both signs of Pf(Z) are searched.  A best start stopped by ``max_nfev``
-    raises :class:`OptimizationFailed`, as does a result off the feasible
+    both signs of Pf(Z) are searched.
+
+    A start is stopped once the strict upper triangle of its Z grows past
+    100 times the larger of its initial norm and the norm of the estimate's
+    own certificate (the least-squares skew Z of the realizability equations
+    at ``(Ahat, Bhat, Cmhat)``, exact for a realizable estimate): on the
+    feasible set's boundary at infinity C -> 0, so such a start runs toward
+    a limit cost, never to a projection.  A stopped start keeps in
+    ``start_costs`` its cost where it was stopped and is never the result.  :class:`OptimizationFailed` is raised when every
+    start is stopped (the estimate has no projection at finite Z), when the
+    best start is stopped by ``max_nfev``, and for a result off the feasible
     set.
     """
     row = _quad_row(quadrature)
@@ -505,7 +543,11 @@ def pr_projection(
             A, B, C, _, _ = realize(x)
         except np.linalg.LinAlgError:  # a singular Z: the step is rejected
             return np.full(n2 * n2 + 3 * n2, np.inf)
-        return np.concatenate([(A - Ahat).ravel(), (B - Bhat).ravel(), C[row] - Cmhat[0]])
+        res = np.concatenate([(A - Ahat).ravel(), (B - Bhat).ravel(), C[row] - Cmhat[0]])
+        z = x[ms + mb :]
+        if z @ z > z_max:
+            raise _Runaway(0.5 * (res @ res))
+        return res
 
     def jacobian(x):
         A, B, C, _, Zinv = realize(x)
@@ -524,16 +566,40 @@ def pr_projection(
         s = rng.choice((-1.0, 1.0), n2 // 2) * np.exp(0.4 * rng.normal(size=n2 // 2))
         starts.append(start(np.kron(np.diag(s), J)))
 
-    sols = [optimize.leastsq(residuals, x0, Dfun=jacobian, full_output=True, ftol=1e-14,
-                             xtol=1e-14, gtol=1e-8, maxfev=max_nfev) for x0 in starts]
-    costs = [0.5 * np.dot(sol[2]["fvec"], sol[2]["fvec"]) for sol in sols]
-    k = min(range(len(costs)), key=costs.__getitem__)  # the first best start
-    if sols[k][-1] == 5:  # MINPACK stopped at maxfev
+    # the estimate's own certificate (the other output row left zero) and
+    # each start's set the scale past which that start is stopped
+    C0 = np.zeros((2, n2))
+    C0[row] = Cmhat[0]
+    z_est = _certificate_lstsq(Ahat, Bhat, C0, D)[iz]
+    z_max = np.inf  # the bound on |z|^2 of the running start
+
+    def solve(x0):
+        """(cost, solution, MINPACK status); no solution for a stopped start."""
+        nonlocal z_max
+        z_max = _Z_GROWTH**2 * max(x0[ms + mb :] @ x0[ms + mb :], z_est @ z_est)
+        try:
+            x, _, info, _, ier = optimize.leastsq(
+                residuals, x0, Dfun=jacobian, full_output=True, ftol=1e-14,
+                xtol=1e-14, gtol=1e-8, maxfev=max_nfev)
+        except _Runaway as stop:
+            return stop.args[0], None, None
+        return 0.5 * (info["fvec"] @ info["fvec"]), x, ier
+
+    sols = [solve(x0) for x0 in starts]
+    costs = [sol[0] for sol in sols]
+    kept = [k for k, sol in enumerate(sols) if sol[1] is not None]
+    if not kept:
+        raise OptimizationFailed(
+            f"every start ran toward an infinite certificate Z (|Z| past {_Z_GROWTH:g}x "
+            f"its scale); the estimate has no projection at finite Z"
+        )
+    k = min(kept, key=costs.__getitem__)  # the first best start that was not stopped
+    if sols[k][2] == 5:  # MINPACK stopped at maxfev
         raise OptimizationFailed(
             f"projection stopped at max_nfev={max_nfev} before converging "
             f"(cost {costs[k]:.3e})"
         )
-    A, B, C_full, Z, _ = realize(sols[k][0])
+    A, B, C_full, Z, _ = realize(sols[k][1])
     feas = np.max(np.abs(_pr_equations(A, B, C_full, D, Z)))
     if not np.isfinite(feas) or feas > 1e-6 * max(1.0, np.abs(A).max()):
         raise OptimizationFailed(

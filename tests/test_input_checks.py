@@ -21,6 +21,7 @@ from qiokit.linear import (
     build_linear_system,
     gamma_rigidity,
     random_symplectic,
+    symplectic_form,
 )
 from qiokit.markov_qfi import GaugeElement
 from qiokit.operators import (
@@ -32,6 +33,7 @@ from qiokit.operators import (
     qcrb_trace_bound,
     qfi_matrix,
     sld,
+    unvec,
 )
 from qiokit.sysid import PipelineConfig, SysIdDataset, fpe_order_select, subspace_id
 from qiokit.trajectories import (
@@ -105,6 +107,13 @@ def _boundary_calls():
                                          lambda: gamma_rigidity(np.eye(2), n_samples=2.5)),
         "random_symplectic n 0": ("n must be positive and integral",
                                   lambda: random_symplectic(0, np.random.default_rng(0))),
+        "symplectic_form n 2.5": ("n must be nonnegative and integral",
+                                  lambda: symplectic_form(2.5)),
+        "symplectic_form n -1": ("n must be nonnegative and integral",
+                                 lambda: symplectic_form(-1)),
+        "unvec d 2.5": ("d must be nonnegative and integral", lambda: unvec(np.zeros(4), 2.5)),
+        "unvec size mismatch": ("v must have d \\* d = 9 entries",
+                                lambda: unvec(np.zeros(4), 3)),
         "subspace_id nan D": ("D contains non-finite", lambda: subspace_id(data, 1, 3, D=NAN2)),
         "fpe_order_select 3 x 3 D": ("D must have shape", lambda: fpe_order_select(
             data, [1], 3, D=np.eye(3))),

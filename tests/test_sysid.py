@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -385,6 +386,47 @@ class TestProjection:
         with pytest.raises(OptimizationFailed, match="max_nfev"):
             pr_projection((est.A, est.B, est.C), np.eye(2), "Q", max_nfev=1)
 
+    def test_runaway_starts_are_stopped(self, monkeypatch):
+        # on this estimate five of the eight starts run toward |Z| = infinity,
+        # where C -> 0; unstopped they took 47-49 evaluations each
+        leastsq, nfev = scipy.optimize.leastsq, []
+
+        def counting_leastsq(func, x0, *args, **kwargs):
+            calls = []
+
+            def counted(x):
+                calls.append(1)
+                return func(x)
+
+            try:
+                return leastsq(counted, x0, *args, **kwargs)
+            finally:
+                nfev.append(len(calls))
+
+        monkeypatch.setattr(scipy.optimize, "leastsq", counting_leastsq)
+        _, data = cavity_dataset(seed=2)
+        est = subspace_id(data, 1, 10)
+        proj = pr_projection((est.A, est.B, est.C), np.eye(2), "Q", seed=2)
+        assert len(nfev) == 8 and max(nfev) <= 20
+        assert proj.cost == pytest.approx(8.392559553412e-4, rel=1e-10)
+
+    def test_no_projection_at_finite_z_raises(self):
+        # every start runs to the boundary at infinity, whose limit cost here
+        # is (tr A)^2 / 4 + |Cm|^2 / 2 = 0: a certificate that holds only in
+        # the limit is not a projection
+        raw = ([[0.0, 1.0], [-1.0, 0.0]], -np.sqrt(2.0) * np.eye(2), [0.0, 0.0])
+        with pytest.raises(OptimizationFailed, match="infinite certificate"):
+            pr_projection(raw, np.eye(2), "Q", seed=0)
+
+    @pytest.mark.parametrize("a", [0.05, 20.0, 50.0])
+    def test_stop_is_free_of_the_realization_scale(self, a):
+        # in the basis T = a I the cavity's certificate is a^2 J, up to 2,500
+        # times the starts' Z = J_n, and the converging starts climb to it
+        G = cavity()
+        proj = pr_projection((G.A, a * G.B, G.C[:1] / a), G.D, "Q", seed=0)
+        assert proj.cost <= 1e-20 * max(a, 1 / a) ** 2
+        assert proj.Z[0, 1] == pytest.approx(a**2, rel=1e-10)
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
            det_sign=st.sampled_from([-1.0, 1.0]), theta=st.floats(-np.pi, np.pi))
@@ -716,12 +758,13 @@ class TestPipeline:
         assert a.nmse == b.nmse and a.cost == b.cost
 
     def test_one_factorization_per_dataset(self, monkeypatch):
-        tall = []
+        # counts the matrix rows entering QR, stacked or not: the j Hankel
+        # columns are factored once, and the small factors add fewer rows
+        rows = []
         qr = np.linalg.qr
 
         def counting_qr(a, *args, **kwargs):
-            if np.shape(a)[0] > 1000:
-                tall.append(np.shape(a))
+            rows.append(int(np.prod(np.shape(a)[:-1])))
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
@@ -729,7 +772,8 @@ class TestPipeline:
         cfg = PipelineConfig(dt=data.dt, T=600.0, prbs_amplitude=50.0, orders=(1, 2, 3),
                              seed=2, dataset=data)
         run_pipeline(cfg)
-        assert len(tall) == 1
+        j = data.split_index - 2 * 10 + 1
+        assert j <= sum(rows) < 2 * j
 
     def test_one_discrete_fit_per_order(self, monkeypatch):
         # the selected order's fit is the one the FPE already made: one
