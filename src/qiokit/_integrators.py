@@ -20,7 +20,7 @@ same discretization scheme:
   apply rho -> L rho L^dag; both trace factors enter the likelihood.  The
   reference Poisson intensity enters in closed form as
   lam*T - N*log(lam), which makes the intensity-shift identity exact.
-  One engine, ``CountingLoglik``, serves simulation, replay and likelihood:
+  One engine, ``CountingLoglik``, serves simulation, replay, likelihood and score:
   it fuses each stretch between anchors (jumps and renormalization marks)
   into one map in the eigenbasis of the no-jump generator, so only the
   jumps, not the cells, run in Python.
@@ -28,7 +28,9 @@ same discretization scheme:
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -227,7 +229,7 @@ def _powers(M, k):
 
 
 class CountingLoglik:
-    """The counting engine: likelihood, grid replay and simulation.
+    """The counting engine: likelihood, score, grid replay and simulation.
 
     The no-jump Kraus maps 1 - delta G (G = iH + L^dag L/2) of whole cells
     and of the sub-steps that jumps cut out of a cell share the eigenvectors
@@ -236,14 +238,15 @@ class CountingLoglik:
     Marks fall every ``_chunk`` cells: per model, the most cells over which
     no mode changes the trace by more than exp(_SPAN), at most ``_CHUNK``.
     Models with cond(U) >= EIG_COND_MAX (near-defective G) take matrix
-    powers.  ``H``, ``L``: (n, d, d) stacks or one model.
+    powers.  ``H``, ``L``: (n, d, d) stacks or one model; ``dH``, ``dL``: their
+    derivatives along kp parameters, (n, kp, d, d), for ``loglik(score=True)``.
     """
 
     _CHUNK = 10_000  # renormalize at least this often, in cells
     _SPAN = np.log(1e100)  # largest log trace change of one stretch
     _BLOCK = 1 << 15  # complex entries in one block of maps or lookahead rates
 
-    def __init__(self, H, L, dt, lam=1.0):
+    def __init__(self, H, L, dt, lam=1.0, dH=None, dL=None):
         H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
         if L.ndim == 2:
             H, L = H[None], L[None]
@@ -268,39 +271,85 @@ class CountingLoglik:
             cells = self._SPAN / (2.0 * np.abs(self._logmu.real).max(axis=-1))
         self._chunk = np.clip(cells, 1, self._CHUNK).astype(int)
         self._bad, self._L = np.flatnonzero(~ok), L
+        if dH is not None:  # tangents (n, kp, d, d) along kp parameters
+            dH, self._dL = (np.asarray(x, dtype=complex).reshape(n, -1, d, d) for x in (dH, dL))
+            dG = 1j * dH + 0.5 * (dag(self._dL) @ L[:, None] + dag(L)[:, None] @ self._dL)
+            self._dGe = self._Uinv[:, None] @ dG @ self._U[:, None]
+            # for the divided differences in _maps: w_ij = mu_i/mu_j - 1 with mu = 1 - dt g,
+            # and log1p(w) to full precision (numpy's complex log1p is not)
+            self._dtmu = self.dt / (1.0 - self.dt * g[:, None, :])
+            w = (g[:, None, :] - g[:, :, None]) * self._dtmu
+            one = 1.0 + w
+            tiny = one == 1.0
+            self._l1p = np.where(tiny, w, np.log(one) * (w / np.where(tiny, 1.0, one - 1.0)))
+            self._same, self._winv = w == 0.0, 1.0 / np.where(w == 0.0, np.inf, w)
+            # [[G, dG_1, ..., dG_kp], [0, G, 0 ...], ...]: f of it has Df(G)[dG_a] top right
+            self._big = _kron(_identity(1 + dG.shape[1]), self._gen)
+            self._big[:, :d, d:] = dG.transpose(0, 2, 1, 3).reshape(n, d, -1)
 
-    def _maps(self, a, k, b, mi):
-        """No-jump maps M_b M_dt^k M_a of the models ``mi`` (index or slice), broadcast."""
+    def _maps(self, a, k, b, mi, tangent=False):
+        """No-jump maps M_b M_dt^k M_a of the models ``mi`` (index or slice),
+        broadcast; with ``tangent`` also their derivatives, (..., kp, d, d)."""
         a, k, b = (np.asarray(x) for x in (a, k, b))
         U, Uinv, g, logmu = (x[mi] for x in (self._U, self._Uinv, self._g, self._logmu))
-        nu = (1.0 - a[..., None] * g) * (1.0 - b[..., None] * g) * np.exp(k[..., None] * logmu)
-        N = (U * nu[..., None, :]) @ Uinv
+        u, v, q = 1.0 - a[..., None] * g, 1.0 - b[..., None] * g, np.exp(k[..., None] * logmu)
+        N = (U * (u * v * q)[..., None, :]) @ Uinv
+        if tangent:  # Daleckii-Krein: U [(U^-1 dG U) o F] U^-1, F the divided differences
+            # of f(x) = u v q = (1 - a x)(1 - b x)(1 - dt x)^k, f' on the diagonal
+            a2, k2, b2 = (x[..., None, None] for x in (a, k, b))
+            # R = ((mu_i / mu_j)^k - 1) / w_ij (k where w = 0): q[g_i, g_j] = -q_j R dt / mu_j
+            R = np.expm1(k2 * self._l1p[mi]) * self._winv[mi] + k2 * self._same[mi]
+            F = q[..., None, :] * (-a2 * v[..., None, :] - b2 * u[..., :, None]
+                                   - (u * v)[..., :, None] * R * self._dtmu[mi])
+            dN = self._dGe[mi] * F[..., None, :, :]
+            dN = U[..., None, :, :] @ dN @ Uinv[..., None, :, :]
         for r in self._bad:
             sel = np.broadcast_to(np.arange(len(self._L))[mi] == r, N.shape[:-2])
             ar, kr, br = (np.broadcast_to(x, sel.shape)[sel][:, None, None] for x in (a, k, b))
             gen = self._gen[r]
             cells = _powers(nojump_kraus(gen, self.dt), kr[:, 0, 0])
             N[sel] = nojump_kraus(gen, br) @ cells @ nojump_kraus(gen, ar)
-        return N
+            if tangent:  # Df(G)[dG_a] is the top right of f(self._big)
+                big, d = self._big[r], N.shape[-1]
+                f = nojump_kraus(big, br) @ _powers(nojump_kraus(big, self.dt), kr[:, 0, 0])
+                f = (f @ nojump_kraus(big, ar))[:, :d, d:]
+                dN[sel] = f.reshape(-1, d, dN.shape[-3], d).swapaxes(1, 2)
+        return (N, dN) if tangent else N
 
-    def _fused(self, a, k, b, is_jump):
+    def _fused(self, a, k, b, is_jump, tangent=False):
         """Per event, with N = M_b M_dt^k M_a and A = L N at a jump (else N):
-        rows on vec(rho) of A rho A^dag, Tr(A rho A^dag), Tr(N rho N^dag)."""
-        N = self._maps(a[:, None], k[:, None], b[:, None], slice(None))
-        A = np.where(is_jump[:, None, None, None], self._L @ N, N)
+        rows on vec(rho) of A rho A^dag, Tr(A rho A^dag), Tr(N rho N^dag).  With
+        ``tangent`` the rows act on [vec(rho); vec(z_1); ...] and add, per parameter,
+        dA rho A^dag + A rho dA^dag + A z A^dag, and last its trace (dA = dL N + L dN)."""
+        jump = is_jump[:, None, None, None]
+        N = self._maps(a[:, None], k[:, None], b[:, None], slice(None), tangent)
+        if tangent:
+            N, dN = N
+            dA = np.where(jump[..., None], self._dL @ N[:, :, None] + self._L[:, None] @ dN, dN)
+        A = np.where(jump, self._L @ N, N)
+        d2, kp = A.shape[-1] ** 2, dN.shape[2] if tangent else 0
+        m = (1 + kp) * d2
+        out = np.zeros(A.shape[:2] + (m + 2 + kp, m), dtype=complex)
         K = _kron(A.conj(), A)
-        del A  # free the block of maps before the next one is built
-        KN = _kron(N.conj(), N)
-        diag = np.arange(0, K.shape[-1], N.shape[-1] + 1)  # vec(rho) indices of Tr
-        traces = [X[..., diag, :].sum(axis=-2, keepdims=True) for X in (K, KN)]
-        return np.concatenate([K] + traces, axis=-2)
+        for j in range(1 + kp):  # block lower-triangular [[K, 0], [dK, K]] on [y; z]
+            out[..., j * d2:(j + 1) * d2, j * d2:(j + 1) * d2] = K
+        if tangent:
+            dK = _kron(dA.conj(), A[:, :, None]) + _kron(A[:, :, None].conj(), dA)
+            out[..., d2:m, :d2] = dK.reshape(dK.shape[:2] + (kp * d2, d2))
+        del A, K  # free the block of maps before the next one is built
+        diag = np.arange(0, d2, N.shape[-1] + 1)  # vec(rho) indices of Tr
+        out[..., m + 1, :d2] = _kron(N.conj(), N)[..., diag, :].sum(axis=-2)
+        for j in range(1 + kp):  # Tr of block row j: y's at row m, the z's after Tr(N rho N^dag)
+            out[..., m + j + (j > 0), :] = out[..., j * d2 + diag, :].sum(axis=-2)
+        return out
 
-    def _sweep(self, rho0, horizon, jumps, keep=False):
+    def _sweep(self, rho0, horizon, jumps, keep=False, tangent=False):
         """Apply the events (jumps, marks, horizon) in time order, each one
         matrix-vector product with the fused map (a, k, b) before it.  Returns
         the events, the log-likelihood up to each, whether each is dead (a jump
-        at rate <= DARK_RATE or a non-positive trace), the total, and with
-        ``keep`` the state after each."""
+        at rate <= DARK_RATE or a non-positive trace), the total, with ``keep``
+        the state after each, and with ``tangent`` the score: the tangents z
+        ride along y in the same products (``_fused``)."""
         dt, n_cells, chunk = self.dt, _n_cells(horizon, self.dt), int(self._chunk.min())
         taus = np.concatenate((jumps, np.arange(chunk, n_cells, chunk) * dt, [horizon]))
         order = np.argsort(taus, kind="stable")
@@ -320,32 +369,43 @@ class CountingLoglik:
             k=np.where(same, 0, cells - prev_cell - 1),
         )
         n, d2 = self._L.shape[0], self._L.shape[-1] ** 2
+        m = d2 * (1 + (self._dGe.shape[1] if tangent else 0))  # [y; z_1; ...] entries
         y = np.repeat(np.asarray(rho0, complex).reshape(1, -1, 1, order="F"), n, axis=0)
+        y = np.concatenate([y, np.zeros((n, m - d2, 1))], axis=1) if tangent else y
         S, ev.Q = np.empty((2, len(ev.taus), n))
         ev.Y = np.empty((len(ev.taus), n, d2), dtype=complex) if keep else None
-        block = max(1, self._BLOCK // (n * d2 * (d2 + 2)))
+        block = max(1, self._BLOCK // (n * m * (m + 1 + m // d2)))
         with np.errstate(all="ignore"):
             for lo in range(0, len(ev.taus), block):
                 part = slice(lo, lo + block)
-                G = self._fused(ev.a[part], ev.k[part], ev.b[part], ev.is_jump[part])
+                G = self._fused(ev.a[part], ev.k[part], ev.b[part], ev.is_jump[part], tangent)
                 X = np.empty(G.shape[:-1] + (1,), dtype=complex)
-                vecs, traces = X[:, :, :d2], X[:, :, d2:d2 + 1].real
+                vecs, traces = X[:, :, :m], X[:, :, m:m + 1].real
                 for i in range(len(G)):
                     np.matmul(G[i], y, out=X[i])
                     y = vecs[i] / traces[i]
                 if keep:
-                    ev.Y[part] = (vecs / traces)[..., 0]
-                S[part] = X[:, :, d2, 0].real
-                ev.Q[part] = X[:, :, d2 + 1, 0].real
+                    ev.Y[part] = (vecs[:, :, :d2] / traces)[..., 0]
+                S[part] = X[:, :, m, 0].real
+                ev.Q[part] = X[:, :, m + 1, 0].real
             ev.dead = ev.is_jump[:, None] & ~(S > DARK_RATE * ev.Q) | ~(ev.Q > 0.0)
             ev.cum = np.cumsum(np.log(S), axis=0)
-        ev.total = ev.cum[-1] + (self.lam * horizon - len(jumps) * np.log(self.lam))
+            # z = d(unnormalized state)/d(theta) / its trace: the score is Tr z at the horizon
+            ev.score = X[-1, :, m + 2:, 0].real / S[-1, :, None] if tangent else None
+            # an optimizer reads the score path: a compensated sum keeps it smooth in theta
+            last = np.array([math.fsum(c) for c in np.log(S).T]) if tangent else ev.cum[-1]
+        ev.total = last + (self.lam * horizon - len(jumps) * np.log(self.lam))
         ev.total[ev.dead.any(axis=0) | ~np.isfinite(ev.total)] = -np.inf
+        if tangent:
+            ev.score[ev.total == -np.inf] = np.nan
         return ev
 
-    def loglik(self, rho0, horizon, jumps):
-        """Record log-likelihood under each model, (n,); -inf where impossible."""
-        return self._sweep(rho0, horizon, np.asarray(jumps, dtype=float)).total
+    def loglik(self, rho0, horizon, jumps, score=False):
+        """Record log-likelihood under each model, (n,); -inf where impossible.
+        With ``score`` (an engine built with tangents) also its gradient along
+        the kp parameters, (n, kp), exact for the scheme; NaN where impossible."""
+        ev = self._sweep(rho0, horizon, np.asarray(jumps, dtype=float), tangent=score)
+        return (ev.total, ev.score) if score else ev.total
 
     def _stretch(self, y, a, m, out):
         """Unnormalized states N y N^dag of the first model into ``out``,
@@ -482,18 +542,18 @@ class CountingLoglik:
 
         U, Uinv, g, gen, L = (x[0] for x in (self._U, self._Uinv, self._g, self._gen, self._L))
         closed = not len(self._bad)
-        exponents = -(g[:, None] + g.conj()[None, :])
+        exponents = (-(g[:, None] + g.conj()[None, :])).ravel().tolist()
         gram = (dag(U) @ U).T
 
         def evolve(rho, tau):
             M = (U * np.exp(-g * tau)) @ Uinv if closed else linalg.expm(-tau * gen)
             return M @ rho @ dag(M)
 
-        def survival(rho):
+        def survival(rho):  # on Python scalars: brentq calls it ~16 times per jump
             if not closed:
                 return lambda tau: btrace(evolve(rho, tau)).real
-            c = (Uinv @ rho @ dag(Uinv)) * gram
-            return lambda tau: np.sum(c * np.exp(exponents * tau)).real
+            c = ((Uinv @ rho @ dag(Uinv)) * gram).ravel().tolist()
+            return lambda tau: sum(ci * cmath.exp(e * tau) for ci, e in zip(c, exponents)).real
 
         rho = np.asarray(rho0, dtype=complex).copy()
         t = 0.0

@@ -1,7 +1,7 @@
 """Parameter estimation from measurement records.
 
 Likelihood-based estimators (maximum likelihood on a coarse grid with
-Nelder-Mead refinement, Bayesian posterior grids with PM/MAP point
+refinement on the score, Bayesian posterior grids with PM/MAP point
 estimates, ABC rejection sampling) plus the linear counting statistics:
 stationary rate, asymptotic count variance, their Fisher ratio, and a
 Monte-Carlo estimator of the classical Fisher information of the full
@@ -23,7 +23,7 @@ from .exceptions import (
     ValidationError,
     ZeroVariance,
 )
-from .families import ParameterFamily, _central_step
+from .families import ParameterFamily, _central_step, _tangent
 from .operators import (
     QMarkovModel,
     _check_int,
@@ -48,6 +48,7 @@ __all__ = [
     "mc_classical_fisher",
 ]
 
+MAX_MOVES = 20  # times mle's refinement may move its region of one fine cell
 FLAT_TOL = 1e-9
 
 
@@ -110,9 +111,16 @@ def mle(
 
     Evaluates the summed log-likelihood on a coarse grid (``grid_points``
     per axis, parameter dimension at most 2) and refines from the best
-    grid point with Nelder-Mead, recording ``nfev`` and ``converged`` in
-    the diagnostics.  A numerically flat likelihood is reported there too
-    and resolved to the lowest-index grid point without refinement.  The
+    grid point with bounded L-BFGS-B on (-loglik, -score), recording
+    ``nfev`` (L-BFGS-B evaluations) and ``converged`` in the diagnostics.
+    The score is exact for counting records and a central difference for
+    diffusive ones.  The likelihood can have several maxima inside one grid
+    cell (a counting jump after a long dark wait has a factor that
+    oscillates in the parameters), so the refinement starts from the best
+    of finer points on the axes through the grid point, over the cells on
+    either side, and keeps within one fine cell of where it stands.  A
+    numerically flat likelihood is reported in the diagnostics too and
+    resolved to the lowest-index grid point without refinement.  The
     records must share one kind, ``rho0`` must be a density matrix.
     """
     records = list(records)
@@ -122,9 +130,14 @@ def mle(
         raise ValidationError("mle needs a bounded domain")
     if not records:
         raise ValidationError("need at least one record")
-    thetas = _grid_points(family.domain, _check_int(grid_points, "grid_points", 1))
+    n = _check_int(grid_points, "grid_points", 1)
+    thetas = _grid_points(family.domain, n)
     r0 = _state_array(rho0, family.base.dim)
-    logliks = _loglik_table(*_model_stack(family, thetas), r0, records, dt, lam).sum(axis=1)
+
+    def table(points):
+        return _loglik_table(*_model_stack(family, points), r0, records, dt, lam).sum(axis=1)
+
+    logliks = table(thetas)
     finite = np.isfinite(logliks)
     if not np.any(finite):
         raise AllRecordsImpossible(
@@ -143,19 +156,34 @@ def mle(
         return MLEResult(theta=theta0.copy(), loglik=float(logliks[best]),
                          diagnostics=diagnostics)
 
-    def neg(theta):
-        if not family.in_domain(theta):
-            return np.inf
-        H, L = _model_stack(family, [theta])
-        return -float(_loglik_table(H, L, r0, records, dt, lam).sum())
+    def neg(theta):  # -loglik and -score
+        m = family.model(theta)
+        ll, score = _loglik_table(m.H, m.L, r0, records, dt, lam, _tangent(family, theta))
+        f = -float(ll.sum())
+        return (f, -score.sum(axis=1)) if f < np.inf else (f, np.zeros(family.k))
 
-    res = optimize.minimize(
-        neg, theta0, method="Nelder-Mead",
-        bounds=[(lo, hi) for lo, hi in family.domain],
-        options={"xatol": 1e-6, "fatol": 1e-9},
-    )
-    diagnostics["nfev"] = int(res.nfev)
-    diagnostics["converged"] = bool(res.success)
+    # fine points: n // 2 per coarse cell, on the axes through theta0, inside the domain
+    lo, hi = family.domain.T
+    per_cell = max(n // 2, 1)
+    cell = (hi - lo) / max(n - 1, 1) / per_cell
+    fine = np.unique(theta0 + (np.arange(-per_cell, per_cell + 1)[:, None, None]
+                               * np.diag(cell)).reshape(-1, family.k), axis=0)
+    fine = fine[np.all((lo <= fine) & (fine <= hi), axis=1)]
+    fine_ll = table(fine)
+    x, nfev = fine[int(np.argmax(fine_ll))], 0
+    # gtol 1e-7 |loglik|: above the score's noise floor, ~1e-4 at |loglik| ~ 1e3
+    options = {"ftol": 1e-13, "gtol": 1e-7 * max(1.0, abs(fine_ll.max()))}
+    for _ in range(MAX_MOVES + 1):
+        region = np.clip(np.stack([x - cell, x + cell], axis=1), lo[:, None], hi[:, None])
+        res = optimize.minimize(neg, x, jac=True, method="L-BFGS-B", bounds=region,
+                                options=options)
+        x, nfev = res.x, nfev + res.nfev
+        # stopped on the region's edge inside the domain: move the region there
+        moved = np.any(((x == region[:, 0]) & (x > lo)) | ((x == region[:, 1]) & (x < hi)))
+        if not moved:
+            break
+    diagnostics["nfev"] = int(nfev)
+    diagnostics["converged"] = bool(res.success and not moved)
     if -res.fun >= logliks[best]:
         return MLEResult(theta=np.atleast_1d(res.x), loglik=float(-res.fun),
                          diagnostics=diagnostics)

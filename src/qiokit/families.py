@@ -109,6 +109,16 @@ class ParameterFamily:
         return [np.array(Li) for Li in self.l_dirs]
 
 
+_STEP = 1e-4  # central differences step by _STEP * max(1, |theta|)
+
+
+def _tangent(family: ParameterFamily, theta) -> tuple:
+    """(dH, dL, h) at theta: the (k, d, d) derivatives of H and L along each
+    parameter, and the central-difference step of each."""
+    t = family._theta(theta)
+    return np.stack(family.h_dot(t)), np.stack(family.l_dot(t)), _STEP * np.maximum(1.0, np.abs(t))
+
+
 def _central_step(family: ParameterFamily, theta, h, name: str) -> tuple[float, float]:
     """(theta, h) of a one-parameter central difference at theta +- h.
 
@@ -119,7 +129,7 @@ def _central_step(family: ParameterFamily, theta, h, name: str) -> tuple[float, 
         raise ValidationError(f"{name} handles one-parameter families")
     theta = float(family._theta(theta)[0])
     if h is None:
-        h = 1e-4 * max(1.0, abs(theta))
+        h = _STEP * max(1.0, abs(theta))
     if not 0 < h < np.inf:
         raise ValidationError(f"h must be positive and finite, got {h}")
     if not (family.in_domain(theta - h) and family.in_domain(theta + h)):

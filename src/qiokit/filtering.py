@@ -144,7 +144,7 @@ def log_likelihood_many(
     return _loglik_table(model.H, model.L, rho0, records, dt, lam)[0]
 
 
-def _loglik_table(H, L, rho0, records, dt: float, lam: float) -> np.ndarray:
+def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=None):
     """Log-likelihood of every record under every model, (n_models, n_records).
 
     ``H``, ``L``: one (d, d) model or an (n, d, d) stack.  Checks the record
@@ -153,6 +153,12 @@ def _loglik_table(H, L, rho0, records, dt: float, lam: float) -> np.ndarray:
     diffusive records that share a grid run in one sweep over model x
     record.  One model enters the sweep as (d, d), so each row has the bits
     of a simulated trajectory of that model.
+
+    ``tangent = (dH, dL, h)``, with one model, dH and dL its (k, d, d)
+    derivatives along k parameters and h (k,) steps, also returns the score,
+    (k, n_records).  Counting records carry the exact tangent through the
+    engine.  Diffusive records take the central difference over the models
+    (H, L) +- h_a (dH_a, dL_a), all in the one sweep with (H, L).
     """
     _check_intensity(lam)
     records = list(records)
@@ -161,8 +167,21 @@ def _loglik_table(H, L, rho0, records, dt: float, lam: float) -> np.ndarray:
         return np.empty((n_models, 0))
     if _record_kind(records) is CountingRecord:
         _step_guard(L, dt)
-        engine = integ.CountingLoglik(H, L, dt, lam=lam)
-        return np.stack([engine.loglik(rho0, r.horizon, r.jumps) for r in records], axis=1)
+        dH, dL = tangent[:2] if tangent else (None, None)
+        engine = integ.CountingLoglik(H, L, dt, lam=lam, dH=dH, dL=dL)
+        out = [engine.loglik(rho0, r.horizon, r.jumps, score=bool(tangent)) for r in records]
+        if tangent is None:
+            return np.stack(out, axis=1)
+        return np.stack([o[0] for o in out], axis=1), np.concatenate([o[1] for o in out]).T
+    if tangent is not None:  # rows (H, L), then (H, L) +- h_a (dH_a, dL_a) for each a
+        dH, dL, h = (np.asarray(x) for x in tangent)
+        step = np.array([1.0, -1.0])[None, :, None, None] * h[:, None, None, None]
+        Hs, Ls = ((X + step * dX[:, None]).reshape((-1,) + X.shape)
+                  for X, dX in ((H, dH), (L, dL)))
+        table = _loglik_table(np.concatenate([H[None], Hs]), np.concatenate([L[None], Ls]),
+                              rho0, records, dt, lam)
+        pm = table[1:].reshape(len(h), 2, -1)
+        return table[:1], (pm[:, 0] - pm[:, 1]) / (2 * h[:, None])
     table = np.empty((n_models, len(records)))
     for step, n in dict.fromkeys((r.dt, len(r)) for r in records):
         _step_guard(L, step)

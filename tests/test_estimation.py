@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from qiokit.estimation import (
     abc_rejection,
@@ -146,6 +146,87 @@ class TestMLE:
         assert res.diagnostics["nfev"] > 0
         assert res.diagnostics["converged"] is True
         assert mle(fam, [rec], MIXED, dt=1e-2).diagnostics == res.diagnostics
+
+    def test_refines_on_the_score_in_few_evaluations(self):
+        # criterion-7 size: T = 2000, dt = 1e-2, about 660 jumps
+        fam = rabi_family()
+        rec, _ = simulate_counting(fam.model([1.0]), MIXED, T=2000.0, dt=1e-2, seed=707,
+                                   keep_states=False, method="exact")
+        res = mle(fam, [rec], MIXED, dt=1e-2)
+        assert res.diagnostics["nfev"] <= 12
+        assert res.diagnostics["converged"] is True
+
+        def neg(theta):
+            return -log_likelihood(fam.model(theta), MIXED, rec, dt=1e-2)
+
+        nm = optimize.minimize(neg, res.diagnostics["grid_best"], method="Nelder-Mead",
+                               options={"xatol": 1e-9, "fatol": 1e-12})
+        assert abs(res.theta[0] - nm.x[0]) <= 1e-6
+        assert res.loglik >= -nm.fun - 1e-9
+
+    def test_degenerate_bound_of_a_two_parameter_family(self):
+        # theta_2 scales L = (1 + theta_2) sm and is pinned at 0 by its bound
+        base = QMarkovModel(H=ZERO2, L=SM)
+        fam = ParameterFamily.affine(base, [0.5 * SX, ZERO2], [ZERO2, SM],
+                                     domain=((0.2, 2.0), (0.0, 0.0)))
+        rec, _ = simulate_counting(fam.model([1.0, 0.0]), MIXED, T=200.0, dt=1e-2, seed=9,
+                                   keep_states=False, method="exact")
+        res = mle(fam, [rec], MIXED, dt=1e-2, grid_points=11)
+        one = mle(rabi_family(), [rec], MIXED, dt=1e-2, grid_points=11)
+        assert res.theta[1] == 0.0
+        assert res.diagnostics["converged"] is True
+        assert abs(res.theta[0] - one.theta[0]) <= 1e-6
+
+    def test_refinement_follows_a_correlated_two_parameter_ridge(self):
+        # theta_2 scales L = (1 + theta_2) sm; its estimate correlates with the Rabi
+        # frequency's, so the optimum lies more than one fine cell from the best fine point
+        base = QMarkovModel(H=ZERO2, L=SM)
+        fam = ParameterFamily.affine(base, [0.5 * SX, ZERO2], [ZERO2, SM],
+                                     domain=((0.2, 2.0), (-0.5, 0.5)))
+        rec, _ = simulate_counting(fam.model([1.0, 0.0]), MIXED, T=2000.0, dt=1e-2, seed=2,
+                                   keep_states=False, method="exact")
+        res = mle(fam, [rec], MIXED, dt=1e-2)
+        assert res.diagnostics["converged"] is True
+
+        def neg(theta):
+            return -log_likelihood(fam.model(theta), MIXED, rec, dt=1e-2)
+
+        nm = optimize.minimize(neg, res.diagnostics["grid_best"], method="Nelder-Mead",
+                               bounds=fam.domain, options={"xatol": 1e-9, "fatol": 1e-12})
+        assert np.max(np.abs(res.theta - nm.x)) <= 1e-6
+        assert res.loglik >= -nm.fun - 1e-9
+
+    @pytest.mark.parametrize("grid_points", [4, 20])
+    def test_even_grid_refines_to_the_same_optimum(self, grid_points):
+        # an even grid puts no point at the middle of the two cells around its best one
+        fam = rabi_family()
+        rec, _ = simulate_counting(fam.model([1.0]), MIXED, T=200.0, dt=1e-2, seed=9,
+                                   keep_states=False, method="exact")
+        odd = mle(fam, [rec], MIXED, dt=1e-2)
+        res = mle(fam, [rec], MIXED, dt=1e-2, grid_points=grid_points)
+        assert res.diagnostics["converged"] is True
+        assert abs(res.theta[0] - odd.theta[0]) <= 1e-6
+        assert res.loglik >= odd.loglik - 1e-9
+
+    @pytest.mark.parametrize("phase", [False, True])
+    def test_diffusive_refinement_matches_nelder_mead(self, phase):
+        # the diffusive score is a central difference along the family's tangent
+        if phase:
+            fam, true = ParameterFamily.phase_family(driven_qubit(), domain=((-1.0, 1.0),)), 0.3
+        else:
+            fam, true = rabi_family(domain=((0.5, 1.5),)), 1.0
+        rec, _ = simulate_homodyne(fam.model([true]), MIXED, T=30.0, dt=5e-3, seed=3,
+                                   keep_states=False)
+        res = mle(fam, [rec], MIXED)
+        assert res.diagnostics["converged"] is True
+
+        def neg(theta):
+            return -log_likelihood(fam.model(theta), MIXED, rec)
+
+        nm = optimize.minimize(neg, res.diagnostics["grid_best"], method="Nelder-Mead",
+                               bounds=fam.domain, options={"xatol": 1e-9, "fatol": 1e-12})
+        assert abs(res.theta[0] - nm.x[0]) <= 1e-6
+        assert res.loglik >= -nm.fun - 1e-9
 
     def test_mixed_record_kinds_raise(self):
         fam = rabi_family()

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from qiokit.estimation import posterior_grid
 from qiokit.exceptions import ValidationError, ZeroJumpRate
-from qiokit.families import ParameterFamily
+from qiokit.families import ParameterFamily, _tangent
 from qiokit.filtering import (
+    _loglik_table,
     log_likelihood,
     log_likelihood_many,
     run_filter,
@@ -33,6 +34,43 @@ from conftest import NON_PHYSICAL, SM, SX, driven_qubit, random_ergodic_model
 ZERO2 = np.zeros((2, 2), dtype=complex)
 MIXED = np.eye(2, dtype=complex) / 2
 GROUND = np.diag([1.0, 0.0]).astype(complex)
+
+
+def _rabi_case(omega):
+    """Driven qubit (kappa = 1) with unknown Rabi frequency, at omega; 0.5 is
+    the exceptional point kappa/2, where the engine takes matrix powers."""
+    base = QMarkovModel(H=ZERO2, L=SM)
+    return ParameterFamily.affine(base, [0.5 * SX], [ZERO2], domain=[[0.0, 3.0]]), [omega]
+
+
+def _random_case():
+    """d = 3 ergodic model with random H and L directions."""
+    rng = np.random.default_rng(5)
+    base = random_ergodic_model(3, rng, 0.7)
+    h_dir = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    l_dir = 0.2 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return ParameterFamily.affine(base, [h_dir + h_dir.conj().T], [l_dir]), [0.1]
+
+
+def _two_parameter_case():
+    """Drive and emission amplitude together: H = theta_1 sx/2, L = (1 + theta_2) sm."""
+    base = QMarkovModel(H=ZERO2, L=SM)
+    return ParameterFamily.affine(base, [0.5 * SX, ZERO2], [ZERO2, SM]), [0.8, 0.1]
+
+
+def _eig_cond(model):
+    """Condition number of the eigenvectors of the no-jump generator iH + L^dag L/2."""
+    return np.linalg.cond(np.linalg.eig(1j * model.H + 0.5 * model.L.conj().T @ model.L)[1])
+
+
+SCORE_CASES = {
+    "driven qubit": lambda: _rabi_case(1.0),
+    "omega 0.47": lambda: _rabi_case(0.47),
+    "omega 0.53": lambda: _rabi_case(0.53),
+    "exceptional point": lambda: _rabi_case(0.5),
+    "d = 3": _random_case,
+    "k = 2": _two_parameter_case,
+}
 
 
 @st.composite
@@ -152,6 +190,36 @@ class TestLogLikelihood:
         ll = log_likelihood(m, MIXED, rec, dt=dt)
         assert ll == pytest.approx(run_zakai(m, MIXED, rec, dt=dt).loglik,
                                    rel=1e-9, abs=0.0)
+
+    @settings(max_examples=60)
+    @given(counting_records(), st.sampled_from(sorted(SCORE_CASES)))
+    def test_counting_score_matches_central_difference_property(self, case, name):
+        # the score has no public entry of its own: mle and mc_classical_fisher
+        # read it through _loglik_table, which this property drives directly
+        dt, rec = case
+        family, theta = SCORE_CASES[name]()
+        d = family.base.dim
+        rho0 = np.eye(d, dtype=complex) / d
+        m = family.model(theta)
+        ll, score = _loglik_table(m.H, m.L, rho0, [rec], dt, 1.0, _tangent(family, theta))
+        plain = log_likelihood(m, rho0, rec, dt=dt)
+        assert ll[0, 0] == pytest.approx(plain, rel=1e-12, abs=0.0)
+        for a, e in enumerate(np.eye(family.k)):
+            def central(h):
+                return (log_likelihood(family.model(theta + h * e), rho0, rec, dt=dt)
+                        - log_likelihood(family.model(theta - h * e), rho0, rec, dt=dt)) / (2 * h)
+            # h = 1e-5 with one Richardson step: a jump after a long dark wait makes
+            # the loglik oscillate in theta, and the O(h^2) error alone reaches 1e-6
+            coarse, fine = central(1e-5), central(5e-6)
+            cd = (4 * fine - coarse) / 3
+            # abs: the differences' own round-off.  One loglik is off by at least
+            # delta = cond(U)^2 eps (1 + |loglik|), cond(U) of the eigenbasis of the
+            # no-jump generator (~400 next to the exceptional point, ~1 elsewhere), and
+            # by more where jumps a sliver of a cell apart or a long dark stretch make
+            # the engine cancel; the two differences then disagree by that much
+            delta = _eig_cond(family.model(theta + 5e-6 * e)) ** 2 * 2.2e-16 * (1 + abs(plain))
+            tol = 3 * delta / 1e-5 + 4 * abs(fine - coarse)
+            assert score[a, 0] == pytest.approx(cd, rel=1e-6, abs=tol)
 
     def test_counting_long_jump_free_record_does_not_underflow(self):
         # Tr of the unnormalized state is (1 - dt kappa/2)^(2n): exp(-5000) for
