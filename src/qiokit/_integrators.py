@@ -20,10 +20,10 @@ same discretization scheme:
   apply rho -> L rho L^dag; both trace factors enter the likelihood.  The
   reference Poisson intensity enters in closed form as
   lam*T - N*log(lam), which makes the intensity-shift identity exact.
-  One engine, ``CountingLoglik``, serves simulation, replay, likelihood and score:
-  it fuses each stretch between anchors (jumps and renormalization marks)
-  into one map in the eigenbasis of the no-jump generator, so only the
-  jumps, not the cells, run in Python.
+  One engine, ``CountingLoglik``, serves simulation, replay, likelihood and
+  score.  In the eigenbasis of the no-jump generator its likelihood sweep fuses
+  the cells between two anchors (jumps, renormalization marks) into one map, and
+  ``_stretch`` gives every grid state from its last anchor in closed form.
 """
 
 from __future__ import annotations
@@ -208,16 +208,6 @@ def _identity(d):
     return eye
 
 
-def nojump_kraus(gen, delta):
-    """First-order no-jump Kraus operator 1 - delta*gen from the generator."""
-    return _identity(gen.shape[-1]) - delta * gen
-
-
-def _n_cells(horizon, dt):
-    """Cells (c dt, (c+1) dt] up to the horizon, the last one possibly fractional."""
-    return max(int(np.ceil(horizon / dt - 1e-9)), 1)
-
-
 def _powers(M, k):
     """M^k for each integer of the array k, (len(k), d, d), by repeated squaring."""
     out = np.broadcast_to(_identity(len(M)), (len(k),) + M.shape).astype(complex)
@@ -245,6 +235,7 @@ class CountingLoglik:
     _CHUNK = 10_000  # renormalize at least this often, in cells
     _SPAN = np.log(1e100)  # largest log trace change of one stretch
     _BLOCK = 1 << 15  # complex entries in one block of maps or lookahead rates
+    _ROW = 128  # cells in one row of filled states; a block of rows holds _BLOCK/4 entries
 
     def __init__(self, H, L, dt, lam=1.0, dH=None, dL=None):
         H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
@@ -306,14 +297,13 @@ class CountingLoglik:
         for r in self._bad:
             sel = np.broadcast_to(np.arange(len(self._L))[mi] == r, N.shape[:-2])
             ar, kr, br = (np.broadcast_to(x, sel.shape)[sel][:, None, None] for x in (a, k, b))
-            gen = self._gen[r]
-            cells = _powers(nojump_kraus(gen, self.dt), kr[:, 0, 0])
-            N[sel] = nojump_kraus(gen, br) @ cells @ nojump_kraus(gen, ar)
+            def f(X):  # M_b M_dt^k M_a, M_delta = 1 - delta X the first-order Kraus map
+                one = _identity(X.shape[-1])
+                return (one - br * X) @ _powers(one - self.dt * X, kr[:, 0, 0]) @ (one - ar * X)
+            N[sel] = f(self._gen[r])
             if tangent:  # Df(G)[dG_a] is the top right of f(self._big)
-                big, d = self._big[r], N.shape[-1]
-                f = nojump_kraus(big, br) @ _powers(nojump_kraus(big, self.dt), kr[:, 0, 0])
-                f = (f @ nojump_kraus(big, ar))[:, :d, d:]
-                dN[sel] = f.reshape(-1, d, dN.shape[-3], d).swapaxes(1, 2)
+                d = N.shape[-1]
+                dN[sel] = f(self._big[r])[:, :d, d:].reshape(-1, d, dN.shape[-3], d).swapaxes(1, 2)
         return (N, dN) if tangent else N
 
     def _fused(self, a, k, b, is_jump, tangent=False):
@@ -350,7 +340,8 @@ class CountingLoglik:
         at rate <= DARK_RATE or a non-positive trace), the total, with ``keep``
         the state after each, and with ``tangent`` the score: the tangents z
         ride along y in the same products (``_fused``)."""
-        dt, n_cells, chunk = self.dt, _n_cells(horizon, self.dt), int(self._chunk.min())
+        dt, chunk = self.dt, int(self._chunk.min())
+        n_cells = max(int(np.ceil(horizon / dt - 1e-9)), 1)  # the last one may be fractional
         taus = np.concatenate((jumps, np.arange(chunk, n_cells, chunk) * dt, [horizon]))
         order = np.argsort(taus, kind="stable")
         taus, is_jump = taus[order], order < len(jumps)
@@ -363,7 +354,7 @@ class CountingLoglik:
         prev_cell = np.concatenate(([-1], cells[:-1]))
         same = cells == prev_cell
         ev = SimpleNamespace(
-            taus=taus, is_jump=is_jump, cells=cells, prev_cell=prev_cell,
+            taus=taus, is_jump=is_jump, cells=cells, n_cells=n_cells,
             a=np.where(same, 0.0, (prev_cell + 1) * dt - prev_tau),
             b=np.where(same, taus - prev_tau, taus - cells * dt),
             k=np.where(same, 0, cells - prev_cell - 1),
@@ -407,54 +398,64 @@ class CountingLoglik:
         ev = self._sweep(rho0, horizon, np.asarray(jumps, dtype=float), tangent=score)
         return (ev.total, ev.score) if score else ev.total
 
-    def _stretch(self, y, a, m, out):
-        """Unnormalized states N y N^dag of the first model into ``out``,
-        N = M_dt^m M_a for the whole-cell counts m, as one product with a
-        (d^2, d^2) matrix."""
+    def _stretch(self, Y, mi, k, a=0.0, b=0.0):
+        """Unnormalized states N Y N^dag, (r, c, d, d), of the anchor states Y
+        (r, d, d) under their models mi (r,), N = M_b M_dt^k M_a for the whole-cell
+        counts k (r, c), a and b scalars or (r,).  In the eigenbasis of G this is one
+        (c, d^2) x (d^2, d^2) product per anchor; ``_bad`` models take ``_maps``."""
+        a, b = (np.reshape(x, (-1, 1, 1)) for x in (a, b))
         if len(self._bad):
-            N = self._maps(a, m, 0.0, 0)
-            return np.matmul(N @ y, dag(N), out=out)
-        nu = (1.0 - a * self._g[0]) * np.exp(m[:, None] * self._logmu[0])
-        R = self._Uinv[0] @ y @ dag(self._Uinv[0])
-        T = _kron(self._U[0], self._U[0].conj()) * R.reshape(-1)
-        w = (nu[:, :, None] * nu.conj()[:, None, :]).reshape(len(m), -1)
-        np.matmul(w, T.T, out=out.reshape(len(m), -1))
+            N = self._maps(a[..., 0], k, b[..., 0], mi[:, None])
+            return N @ Y[:, None] @ dag(N)
+        U, Uinv, g = self._U[mi], self._Uinv[mi], self._g[mi, None]
+        nu = (1.0 - a * g) * (1.0 - b * g) * np.exp(k[..., None] * self._logmu[mi, None])
+        R = Uinv @ Y @ dag(Uinv)
+        T = _kron(U, U.conj()) * R.reshape(len(R), 1, -1)
+        w = (nu[..., :, None] * nu.conj()[..., None, :]).reshape(k.shape + (-1,))
+        return (w @ T.swapaxes(-1, -2)).reshape(k.shape + Y.shape[1:])
 
-    def replay(self, rho0, horizon, jumps, on_dark="dead", out=None):
-        """States (into ``out`` if given) and running log trace of one model on
-        the dt grid, jumps at their times.  A jump at zero rate raises
-        :class:`ZeroJumpRate` with ``on_dark="raise"``; otherwise the log trace
-        is -inf from that cell on and the state freezes at the one just before
-        the jump."""
-        jumps = np.asarray(jumps, dtype=float)
+    def _fill(self, states, Y, mi, bounds, a):
+        """Normalized states at the points bounds[i] <= s < bounds[i+1] of ``states``
+        from the anchor states Y[i] of models mi[i], a[i] before point bounds[i];
+        returns their traces before normalization.  The points of each anchor go to
+        ``_stretch`` as rows of _ROW cells, a bounded block of rows at a time."""
+        n, c, at = np.diff(bounds), self._ROW, bounds[0]
+        row = np.repeat(np.arange(len(n)), -(-n // c))  # the anchor of each row of c cells
+        k = c * (np.arange(len(row)) - np.searchsorted(row, row))[:, None] + np.arange(c)
+        block = max(1, self._BLOCK // (4 * c * states[0].size))
+        for r in (slice(lo, lo + block) for lo in range(0, len(row), block)):
+            st = self._stretch(Y[row[r]], mi[row[r]], k[r], a[row[r]])[k[r] < n[row[r], None]]
+            states[at:at + len(st)], at = st, at + len(st)  # the rows' points are consecutive
+        tr = btrace(states[bounds[0]:bounds[-1]]).real
+        states[bounds[0]:bounds[-1]] /= tr[:, None, None]
+        return tr
+
+    def replay(self, rho0, horizon, jumps, on_dark="dead"):
+        """States and running log trace of one model on the dt grid, jumps at
+        their times.  A jump at zero rate raises :class:`ZeroJumpRate` with
+        ``on_dark="raise"``; otherwise the log trace is -inf from that cell on and
+        the state freezes at the one just before the jump."""
         ev = self._sweep(rho0, horizon, jumps, keep=True)
-        d, n = self._L.shape[-1], _n_cells(horizon, self.dt)
+        d, n = self._L.shape[-1], ev.n_cells
         grid = np.append(np.arange(n) * self.dt, horizon)
         dead = np.flatnonzero(ev.dead[:, 0])
         last = dead[0] if len(dead) else len(ev.taus)
         if last < len(ev.taus) and on_dark == "raise" and ev.is_jump[last]:
             raise ZeroJumpRate(
                 f"record jumps at t={ev.taus[last]:.6g} while the jump rate is zero")
-        states = np.empty((n + 1, d, d), dtype=complex) if out is None else out
-        logtrace = np.full(n + 1, -np.inf)
-        y, before, seen = np.asarray(rho0, dtype=complex), 0.0, 0
-        for i in range(min(last + 1, len(ev.taus))):
-            lo, hi = ev.prev_cell[i] + 1, ev.cells[i] + 1
-            for s in range(lo, hi, self._BLOCK // (16 * d * d)):  # bounded blocks
-                st = states[s:min(hi, s + self._BLOCK // (16 * d * d))]
-                self._stretch(y, ev.a[i], np.arange(s - lo, s - lo + len(st)), st)
-                tr = btrace(st).real
-                st /= tr[:, None, None]
-                logtrace[s:s + len(st)] = before + np.log(tr) + (
-                    self.lam * grid[s:s + len(st)] - seen * np.log(self.lam))
-            if i < last:
-                y, before = ev.Y[i, 0].reshape(d, d).T, ev.cum[i, 0]
-                seen += ev.is_jump[i]
-        if last < len(ev.taus):
-            N = self._maps(ev.a[last], ev.k[last], ev.b[last], 0)
-            states[ev.cells[last] + 1:] = N @ y @ dag(N) / ev.Q[last, 0]
-        else:
-            states[n] = y
+        # anchor i (the start, then the state after event i-1) fills the points up to event i
+        Y = np.concatenate(([np.asarray(rho0, complex)], ev.Y[:, 0].reshape(-1, d, d).mT))
+        i = np.arange(min(last + 1, len(ev.taus)))
+        bounds = np.append(0, ev.cells[i] + 1)
+        states, logtrace = np.empty((n + 1, d, d), dtype=complex), np.full(n + 1, -np.inf)
+        tr = self._fill(states, Y, np.zeros_like(i), bounds, ev.a)
+        at, s = np.repeat(i, np.diff(bounds)), slice(bounds[-1])  # each filled point's anchor
+        before, seen = np.append(0.0, ev.cum[:, 0])[at], np.append(0, np.cumsum(ev.is_jump))[at]
+        logtrace[s] = before + np.log(tr) + (self.lam * grid[s] - seen * np.log(self.lam))
+        if last < len(ev.taus):  # the rest freezes at the state just before the dead event
+            Y[-1] = self._stretch(Y[last:last + 1], np.zeros(1, int), ev.k[last:last + 1, None],
+                                  ev.a[last], ev.b[last])[0, 0] / ev.Q[last, 0]
+        states[bounds[-1]:] = Y[-1]
         logtrace[n] = ev.total[0]
         return SimpleNamespace(times=grid, states=states, logtrace=logtrace,
                                loglik=float(logtrace[n]))
@@ -465,10 +466,11 @@ class CountingLoglik:
 
         Cell k jumps when u_k < Tr(L^dag L rho) dt at its start and the rate
         after its no-jump map is positive; the jump lands at the cell end
-        (k+1) dt.  Each row takes the states of later cells in closed form
-        from its last anchor (its start, jump or mark), so its numbers do not
-        depend on the batch.  Only cells with u_k below Tr(L^dag L) dt can
-        jump, and only those are evaluated, a bounded block per row at a time.
+        (k+1) dt.  Each row takes the states of later cells from its last
+        anchor (its start, jump or mark) by ``_stretch``, so its numbers do not
+        depend on the batch, and its kept states are filled from those anchors.
+        Only cells with u_k below Tr(L^dag L) dt can jump, and only those are
+        evaluated, a bounded block per row at a time.
         """
         b, n = uniforms.shape
         mi = np.arange(b) if len(self._L) > 1 else np.zeros(b, dtype=int)
@@ -480,7 +482,7 @@ class CountingLoglik:
         ptr, row_end = ptr[:-1].copy(), ptr[1:]
         y = np.tile(np.asarray(rho0, dtype=complex), (b, 1, 1))
         anchor, loglik = np.zeros(b, dtype=int), np.zeros(b)
-        jump_cells = [[] for _ in range(b)]
+        anchors = [(np.arange(b), anchor.copy(), y.copy(), np.zeros(b, bool))]
         live = np.arange(b)
         while live.size:
             m, at = mi[live], anchor[live]
@@ -491,10 +493,9 @@ class CountingLoglik:
             valid = (idx < row_end[live, None]) & (cells < stop[:, None])
             j = np.where(valid, cells - at[:, None], 0)
             # states at the start and the end of each candidate cell, then at the stop
-            N = self._maps(0.0, np.hstack((j, j + 1, (stop - at)[:, None])), 0.0, m[:, None])
-            st = N @ y[live, None] @ dag(N)
+            st = self._stretch(y[live], m, np.hstack((j, j + 1, (stop - at)[:, None])))
             f = btrace(st).real
-            rate = btrace(self._LdL[m][:, None] @ st).real / f
+            rate = expect(self._LdL[m][:, None], st).real / f
             u = uniforms[live[:, None], np.where(valid, cells, 0)]
             jump = valid & (u < rate[:, :look] * self.dt) & (rate[:, look:-1] > 0.0)
             hit = jump.any(axis=1)
@@ -514,16 +515,18 @@ class CountingLoglik:
             loglik[rr[hit]] += np.log(s)
             y[rr] = new
             anchor[rr] = np.where(hit, cells[move, col % look] + 1, stop[move])
-            for i in rr[hit]:
-                jump_cells[i].append(anchor[i] - 1)
+            anchors.append((rr, anchor[rr], new, hit))
             live = live[anchor[live] < n]
-        counts = np.array([len(c) for c in jump_cells])
+        row, at, Y, jumped = (np.concatenate(x) for x in zip(*anchors))
+        order = np.argsort(row, kind="stable")  # each row's anchors in time order
+        row, at, Y, jumped = row[order], at[order], Y[order], jumped[order]
+        counts = np.bincount(row[jumped], minlength=b)
         loglik += self.lam * n * self.dt - counts * np.log(self.lam)
-        times, states = [(np.asarray(c, dtype=int) + 1) * self.dt for c in jump_cells], None
-        if keep_states:  # the replay of each record at its jump times (one model)
-            states = np.empty((b, n + 1) + y.shape[1:], dtype=complex)
-            for i, t in enumerate(times):
-                self.replay(rho0, n * self.dt, t, out=states[i])
+        times, states = np.split(at[jumped] * self.dt, np.cumsum(counts)[:-1]), None
+        if keep_states:  # row r's anchors fill its points r (n+1) + [cell, next cell)
+            states = np.empty((b * (n + 1),) + y.shape[1:], dtype=complex)
+            self._fill(states, Y, mi[row], np.append(row * (n + 1) + at, len(states)), 0.0 * at)
+            states = states.reshape((b, n + 1) + y.shape[1:])
             states[:, -1] = y  # the final state does not depend on keep_states
         return SimpleNamespace(final=y, loglik=loglik, states=states, counts=counts,
                                jump_times=times)
@@ -561,15 +564,12 @@ class CountingLoglik:
         while t < T:
             u = rng.random()
             S = survival(rho)
-            if S(T - t) > u:
-                rho = evolve(rho, T - t)
-                rho /= btrace(rho).real
-                break
-            tau = optimize.brentq(lambda s: S(s) - u, 0.0, T - t, xtol=1e-14)
+            no_jump = S(T - t) > u  # no jump before T
+            tau = T - t if no_jump else optimize.brentq(lambda s: S(s) - u, 0.0, T - t, xtol=1e-14)
             rho = evolve(rho, tau)
             rho /= btrace(rho).real
             rate = expect(self._LdL[0], rho).real
-            if rate <= DARK_RATE:
+            if no_jump or rate <= DARK_RATE:
                 break
             rho = (L @ rho @ dag(L)) / rate
             t += tau

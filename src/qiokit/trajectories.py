@@ -96,10 +96,10 @@ MeasurementRecord = Union[DiffusiveRecord, CountingRecord]
 class FilterTrajectory:
     """Normalized conditional states on a time grid with the record log-likelihood.
 
-    ``states[k]`` is the conditional state at ``times[k]``; every state is
-    trace-renormalized and positivity-projected by the integrator.  A run
-    with ``keep_states=False`` holds only its final state: ``times`` is
-    ``[horizon]`` and ``states`` has shape (1, d, d).
+    ``states[k]`` is the conditional state at ``times[k]``, trace-normalized;
+    diffusive states are clipped to positivity, counting states are positive by
+    construction of the Kraus maps.  A run with ``keep_states=False`` holds only
+    its final state: ``times`` is ``[horizon]`` and ``states`` has shape (1, d, d).
     """
 
     times: np.ndarray

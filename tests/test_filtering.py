@@ -565,6 +565,16 @@ class TestDenseReference:
             assert np.array_equal(jumps, ref_jumps)
             self.check(np.array([ll]), states, ref_logtrace[-1:], ref_states)
 
+    def test_counting_kept_states_across_marks(self):
+        # 25,000 cells: the kept states cross the renormalization marks at 10,000
+        # and 20,000 cells, where the simulator re-anchors its rows
+        m, dt, n = driven_qubit(), 1e-3, 25_000
+        rec, traj = simulate_counting(m, MIXED, n * dt, dt, seed=53, index=1)
+        u = trajectory_rng(53, 1).random(size=n)
+        ref_jumps, ref_states, ref_logtrace = dense_counting(m.H, m.L, MIXED, dt, u=u)
+        assert np.array_equal(rec.jumps, ref_jumps)
+        self.check(np.array([traj.loglik]), traj.states, ref_logtrace[-1:], ref_states)
+
     def test_counting_jump_rule_at_step_guard(self):
         # at dt * kappa = 0.1 the rate at a cell's start and the rate after
         # its no-jump map differ by O(dt kappa) relative; on this record a
@@ -635,3 +645,20 @@ class TestDeadRows:
         assert np.all(np.isfinite(z.logtrace[:51]))
         assert np.all(z.logtrace[51:] == -np.inf)
         assert np.all(z.states[50:] == z.states[50])
+
+    def test_counting_zakai_state_frozen_from_dark_jump(self):
+        # the jump at 0.5 leaves no |1> population, so the one at 0.7 (the end of
+        # cell 699) has rate zero: from grid point 700 the log trace is -inf and
+        # the state is the one just before that jump, one Kraus cell past 699
+        e = np.eye(3)
+        m = QMarkovModel(H=1.3 * (np.outer(e[0], e[2]) + np.outer(e[2], e[0])),
+                         L=np.outer(e[0], e[1]))
+        rho0, dt = np.eye(3, dtype=complex) / 3, 1e-3
+        z = run_zakai(m, rho0, CountingRecord(horizon=1.0, jumps=[0.5, 0.7]), dt=dt)
+        assert np.all(np.isfinite(z.logtrace[:700]))
+        assert np.all(z.logtrace[700:] == -np.inf)
+        assert np.all(z.states[700:] == z.states[700])
+        M = np.eye(3) - dt * (1j * m.H + 0.5 * m.L.conj().T @ m.L)
+        want = M @ z.states[699] @ M.conj().T
+        assert np.max(np.abs(z.states[700] - want / np.trace(want).real)) < 1e-12
+        assert np.max(np.abs(z.states[700] - z.states[699])) > 1e-4
