@@ -208,6 +208,16 @@ def _identity(d):
     return eye
 
 
+def nojump_kraus(gen, delta):
+    """First-order no-jump Kraus operator 1 - delta*gen from the generator."""
+    return _identity(gen.shape[-1]) - delta * gen
+
+
+def _n_cells(horizon, dt):
+    """Cells (c dt, (c+1) dt] up to the horizon, the last one possibly fractional."""
+    return max(int(np.ceil(horizon / dt - 1e-9)), 1)
+
+
 def _powers(M, k):
     """M^k for each integer of the array k, (len(k), d, d), by repeated squaring."""
     out = np.broadcast_to(_identity(len(M)), (len(k),) + M.shape).astype(complex)
@@ -235,7 +245,7 @@ class CountingLoglik:
     _CHUNK = 10_000  # renormalize at least this often, in cells
     _SPAN = np.log(1e100)  # largest log trace change of one stretch
     _BLOCK = 1 << 15  # complex entries in one block of maps or lookahead rates
-    _ROW = 128  # cells in one row of filled states; a block of rows holds _BLOCK/4 entries
+    _ROW = 128  # most cells in one row of filled states; a block of rows holds _BLOCK/4 entries
 
     def __init__(self, H, L, dt, lam=1.0, dH=None, dL=None):
         H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
@@ -297,13 +307,14 @@ class CountingLoglik:
         for r in self._bad:
             sel = np.broadcast_to(np.arange(len(self._L))[mi] == r, N.shape[:-2])
             ar, kr, br = (np.broadcast_to(x, sel.shape)[sel][:, None, None] for x in (a, k, b))
-            def f(X):  # M_b M_dt^k M_a, M_delta = 1 - delta X the first-order Kraus map
-                one = _identity(X.shape[-1])
-                return (one - br * X) @ _powers(one - self.dt * X, kr[:, 0, 0]) @ (one - ar * X)
-            N[sel] = f(self._gen[r])
+            gen = self._gen[r]
+            cells = _powers(nojump_kraus(gen, self.dt), kr[:, 0, 0])
+            N[sel] = nojump_kraus(gen, br) @ cells @ nojump_kraus(gen, ar)
             if tangent:  # Df(G)[dG_a] is the top right of f(self._big)
-                d = N.shape[-1]
-                dN[sel] = f(self._big[r])[:, :d, d:].reshape(-1, d, dN.shape[-3], d).swapaxes(1, 2)
+                big, d = self._big[r], N.shape[-1]
+                f = nojump_kraus(big, br) @ _powers(nojump_kraus(big, self.dt), kr[:, 0, 0])
+                f = (f @ nojump_kraus(big, ar))[:, :d, d:]
+                dN[sel] = f.reshape(-1, d, dN.shape[-3], d).swapaxes(1, 2)
         return (N, dN) if tangent else N
 
     def _fused(self, a, k, b, is_jump, tangent=False):
@@ -340,8 +351,7 @@ class CountingLoglik:
         at rate <= DARK_RATE or a non-positive trace), the total, with ``keep``
         the state after each, and with ``tangent`` the score: the tangents z
         ride along y in the same products (``_fused``)."""
-        dt, chunk = self.dt, int(self._chunk.min())
-        n_cells = max(int(np.ceil(horizon / dt - 1e-9)), 1)  # the last one may be fractional
+        dt, n_cells, chunk = self.dt, _n_cells(horizon, self.dt), int(self._chunk.min())
         taus = np.concatenate((jumps, np.arange(chunk, n_cells, chunk) * dt, [horizon]))
         order = np.argsort(taus, kind="stable")
         taus, is_jump = taus[order], order < len(jumps)
@@ -354,7 +364,7 @@ class CountingLoglik:
         prev_cell = np.concatenate(([-1], cells[:-1]))
         same = cells == prev_cell
         ev = SimpleNamespace(
-            taus=taus, is_jump=is_jump, cells=cells, n_cells=n_cells,
+            taus=taus, is_jump=is_jump, cells=cells,
             a=np.where(same, 0.0, (prev_cell + 1) * dt - prev_tau),
             b=np.where(same, taus - prev_tau, taus - cells * dt),
             k=np.where(same, 0, cells - prev_cell - 1),
@@ -418,8 +428,9 @@ class CountingLoglik:
         """Normalized states at the points bounds[i] <= s < bounds[i+1] of ``states``
         from the anchor states Y[i] of models mi[i], a[i] before point bounds[i];
         returns their traces before normalization.  The points of each anchor go to
-        ``_stretch`` as rows of _ROW cells, a bounded block of rows at a time."""
-        n, c, at = np.diff(bounds), self._ROW, bounds[0]
+        ``_stretch`` as rows of at most _ROW cells, a bounded block of rows at a time."""
+        n, at = np.diff(bounds), bounds[0]
+        c = min(self._ROW, max(1, int(n.mean())))  # rows of about the mean span, padded
         row = np.repeat(np.arange(len(n)), -(-n // c))  # the anchor of each row of c cells
         k = c * (np.arange(len(row)) - np.searchsorted(row, row))[:, None] + np.arange(c)
         block = max(1, self._BLOCK // (4 * c * states[0].size))
@@ -436,7 +447,7 @@ class CountingLoglik:
         ``on_dark="raise"``; otherwise the log trace is -inf from that cell on and
         the state freezes at the one just before the jump."""
         ev = self._sweep(rho0, horizon, jumps, keep=True)
-        d, n = self._L.shape[-1], ev.n_cells
+        d, n = self._L.shape[-1], _n_cells(horizon, self.dt)
         grid = np.append(np.arange(n) * self.dt, horizon)
         dead = np.flatnonzero(ev.dead[:, 0])
         last = dead[0] if len(dead) else len(ev.taus)
@@ -444,7 +455,8 @@ class CountingLoglik:
             raise ZeroJumpRate(
                 f"record jumps at t={ev.taus[last]:.6g} while the jump rate is zero")
         # anchor i (the start, then the state after event i-1) fills the points up to event i
-        Y = np.concatenate(([np.asarray(rho0, complex)], ev.Y[:, 0].reshape(-1, d, d).mT))
+        Y = ev.Y[:, 0].reshape(-1, d, d).swapaxes(-1, -2)
+        Y = np.concatenate(([np.asarray(rho0, complex)], Y))
         i = np.arange(min(last + 1, len(ev.taus)))
         bounds = np.append(0, ev.cells[i] + 1)
         states, logtrace = np.empty((n + 1, d, d), dtype=complex), np.full(n + 1, -np.inf)
@@ -564,12 +576,15 @@ class CountingLoglik:
         while t < T:
             u = rng.random()
             S = survival(rho)
-            no_jump = S(T - t) > u  # no jump before T
-            tau = T - t if no_jump else optimize.brentq(lambda s: S(s) - u, 0.0, T - t, xtol=1e-14)
+            if S(T - t) > u:
+                rho = evolve(rho, T - t)
+                rho /= btrace(rho).real
+                break
+            tau = optimize.brentq(lambda s: S(s) - u, 0.0, T - t, xtol=1e-14)
             rho = evolve(rho, tau)
             rho /= btrace(rho).real
             rate = expect(self._LdL[0], rho).real
-            if no_jump or rate <= DARK_RATE:
+            if rate <= DARK_RATE:
                 break
             rho = (L @ rho @ dag(L)) / rate
             t += tau
