@@ -7,14 +7,15 @@ that simulation, filtering and likelihood evaluation follow one and the
 same discretization scheme:
 
 * diffusive records: Euler step of the linear (Zakai) update followed by
-  Hermitization, eigenvalue clipping at -1e-12 and trace renormalization;
-  the trace of the linear update is the per-step likelihood factor, so the
-  normalized filter equals the normalized Zakai solution identically and
-  the product of factors is the Zakai trace.  The step runs on the
-  vectorized states vec(rho): one product with a per-model step matrix
-  gives the update, the measurement mean and the factor, and a screen of
-  the smallest eigenvalue (closed form for d = 2, eigvalsh for d > 2)
-  sends only the rows that may need clipping to the exact eigvalsh clip.
+  eigenvalue clipping at -1e-12 and trace renormalization; the trace of the
+  linear update is the per-step likelihood factor, so the normalized filter
+  equals the normalized Zakai solution identically and the product of
+  factors is the Zakai trace.  States are held as d^2 real Hermitian
+  coordinates, so no step needs Hermitizing: one real product with a
+  per-model step matrix gives the update, its factor, the measurement mean
+  and the linear parts of a screen of the smallest eigenvalue (closed form
+  for d = 2, Gershgorin for d > 2), which sends only the rows that may need
+  clipping to the exact eigvalsh clip.
 * counting records: no-jump intervals advance with the first-order Kraus
   map M = 1 - dt (iH + L^dag L/2), which preserves positivity, and jumps
   apply rho -> L rho L^dag; both trace factors enter the likelihood.  The
@@ -41,6 +42,7 @@ from .operators import dag
 EIG_CLIP = -1e-12
 TRACE_FLOOR = 1e-290
 DARK_RATE = 1e-14  # a jump at this rate or below has likelihood zero
+_DIFFUSIVE_BLOCK = 1 << 14  # floats in the per-block buffers of the diffusive sweep
 # Largest condition number of the eigenvectors U of the no-jump generator for
 # which its eigenbasis is used; quantities built on it lose up to cond(U)^2 eps.
 EIG_COND_MAX = 1e3
@@ -63,49 +65,62 @@ def _kron(a, b):
     return prod.reshape(prod.shape[:-4] + (n, n))
 
 
-def _clip_negative(rho):
-    """Zero out eigenvalues below the clip threshold, batchwise, in place."""
-    w = np.linalg.eigvalsh(rho)
-    bad = w[..., 0] < EIG_CLIP
-    if np.any(bad):
-        wb, vb = np.linalg.eigh(rho[bad])
-        np.clip(wb, 0.0, None, out=wb)
-        rho[bad] = (vb * wb[..., None, :]) @ dag(vb)
-    return rho
+@functools.lru_cache(maxsize=None)
+def _hermitian_index(d):
+    """Row k of ``basis``: the (d, d) matrix of real coordinate k, C order, real and
+    imaginary parts interleaved; ``upper``: the coordinates' places in that layout."""
+    iu, ju = np.triu_indices(d, 1)
+    m, k = len(iu), np.arange(len(iu))
+    E = np.zeros((d * d, d, d), dtype=complex)
+    E[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    E[d + k, iu, ju] = E[d + k, ju, iu] = 1.0
+    E[d + m + k, iu, ju], E[d + m + k, ju, iu] = 1j, -1j
+    diag, up = 2 * (d + 1) * np.arange(d), 2 * (iu * d + ju)
+    return SimpleNamespace(basis=E.reshape(d * d, -1).view(float) + 0.0,
+                           upper=np.concatenate([diag, up, up + 1]))
 
 
-def _min_eig_screen(S):
-    """Smallest eigenvalue of each Hermitian S: closed form for d = 2,
-    eigvalsh for d > 2."""
-    if S.shape[-1] != 2:
-        return np.linalg.eigvalsh(S)[:, 0]
-    a, e = S[:, 0, 0].real, S[:, 1, 1].real
-    return 0.5 * (a + e - np.hypot(a - e, 2.0 * np.abs(S[:, 0, 1])))
+def _coords(v):
+    """Real coordinates of Hermitian matrices from vec(rho), (..., d^2): the diagonal,
+    then the real and then the imaginary parts of the upper triangle."""
+    upper = _hermitian_index(math.isqrt(v.shape[-1])).upper
+    return np.ascontiguousarray(v, dtype=complex).view(float)[..., upper]
+
+
+def _matrices(r):
+    """The complex (d, d) matrices of real coordinates r, (..., d^2), exactly."""
+    d = math.isqrt(r.shape[-1])
+    return (r @ _hermitian_index(d).basis).view(complex).reshape(r.shape[:-1] + (d, d))
+
+
+def _upper(r):
+    """The matrices of coordinates r, (k, d^2), with zeros below the diagonal: all
+    that ``eigvalsh`` and ``eigh`` read with UPLO="U"."""
+    d = math.isqrt(r.shape[-1])
+    v = np.zeros((len(r), 2 * d * d))
+    v[:, _hermitian_index(d).upper] = r
+    return v.view(complex).reshape(-1, d, d)
 
 
 def _diffusive_step_matrix(H, L, dt):
-    """Step matrix of the diffusive scheme on row vectors v = vec(rho), C order.
-
-    Columns: ``A0 = I + dt Lindblad`` (d^2), ``K: rho -> L rho + rho L^dag``
-    (d^2), then Tr((L+L^dag) rho), Tr(A0 rho) and Tr(K rho).  In this form
-    rho -> X rho Y is ``_kron(X^T, Y)``.  One model gives (d^2, 2d^2+3), a
-    stack of models (b, d^2, 2d^2+3).
-    """
+    """Step matrix M on the real coordinates r (``_coords``) as row vectors:
+    ``r @ M = [A0 r, A0 f, K r, K f, mean dt]``, A0 = I + dt Lindblad, K: rho ->
+    L rho + rho L^dag, mean = Tr((L+L^dag) rho), f the screen's linear parts: Tr,
+    s' = s - EIG_CLIP/2 Tr(rho) and for d = 2 z0, where [[a, x+iy], [x-iy, e]] has
+    smallest eigenvalue s - |(z0, x, y)|, s = (a+e)/2, z0 = (a-e)/2 (s = 0 for
+    d > 2).  (d^2, 2h+1) per model, h = d^2 + 2 (+1 for d = 2); stacks (b, d^2, 2h+1).
+    Row k holds the images of the matrix E_k of coordinate k."""
     d = L.shape[-1]
-    eye = _identity(d)
-    Lt = np.swapaxes(L, -1, -2)
-    Gt = np.swapaxes(nojump_generator(H, dag(L) @ L), -1, -2)
-
-    def both_sides(xt):  # rho -> x rho + rho x^dag, from xt = x^T
-        return _kron(xt, eye) + _kron(eye, xt.conj())
-
+    E = _matrices(np.eye(d * d))
+    L, G = L[..., None, :, :], nojump_generator(H, dag(L) @ L)[..., None, :, :]
     # Lindblad generator: rho -> L rho L^dag - G rho - rho G^dag
-    A0 = _identity(d * d) + dt * (_kron(Lt, Lt.conj()) - both_sides(Gt))
-    K = both_sides(Lt)
-    diag = np.arange(0, d * d, d + 1)  # vec(rho) indices of the diagonal
-    mean = (Lt + L.conj()).reshape(L.shape[:-2] + (d * d, 1))
-    traces = [X[..., diag].sum(axis=-1, keepdims=True) for X in (A0, K)]
-    return np.concatenate([A0, K, mean] + traces, axis=-1)
+    A0 = E + dt * (L @ E @ dag(L) - G @ E - E @ dag(G))
+    A0, K = (_coords(X.reshape(X.shape[:-2] + (d * d,))) for X in (A0, L @ E + E @ dag(L)))
+    mean = expect(L + dag(L), E).real[..., None] * dt
+    f, shift = np.zeros((2, d * d, 3 if d == 2 else 2))
+    f[:d, 0], shift[:d, 1] = 1.0, -0.5 * EIG_CLIP
+    f[:, 1:] = [[0.5, 0.5], [0.5, -0.5], [0, 0], [0, 0]] if d == 2 else 0.0
+    return np.concatenate([A0, A0 @ f + shift, K, K @ f, mean], axis=-1)
 
 
 def sweep_diffusive(H, L, rho0, dt, *, dY=None, dI=None, keep_states=False,
@@ -119,81 +134,97 @@ def sweep_diffusive(H, L, rho0, dt, *, dY=None, dI=None, keep_states=False,
     states, the accumulated log trace (the log-likelihood), and the
     simulated increments.
 
-    Each step is one stacked product ``W = v @ M`` of the states vec(rho),
-    (b, d^2), with the step matrix M (``_diffusive_step_matrix``); it gives
-    the Euler update ``A0 rho + dy K rho``, the measurement mean and the
-    likelihood factor ``Tr(A0 rho) + dy Tr(K rho)``.  The update is
-    Hermitized, clipped at ``EIG_CLIP`` and divided by its trace.  Only rows
-    whose Hermitized update has a smallest eigenvalue (``_min_eig_screen``)
-    below EIG_CLIP/2 go to the exact ``eigvalsh`` clip.  The product is stacked
-    per row, never one 2-D GEMM, so that a row's bits do not depend on the
-    batch width.  A row whose factor is not positive or whose clipped trace
-    is below ``TRACE_FLOOR`` is dead: its log-likelihood is -inf and its
-    state stays frozen from that step on.  While every row is alive, none
-    is screened and every factor is above the floor, the step uses no
-    boolean masks; the masked path does the same arithmetic per row.
+    Per step, ``r @ M`` (``_diffusive_step_matrix``) gives the mean, and one
+    multiply and one add of its halves give ``V = [U, Tr U, s', (z0)]``.  Rows
+    with s' <= t (t = |(z0, x, y)| for d = 2, Gershgorin for d > 2) go to
+    ``eigvalsh`` (once Gershgorin flags every row, to the end of the block).  Rows
+    below ``EIG_CLIP`` are divided by their clipped trace, all others by their
+    factor, so the screen changes no bit.  Products are stacked per row, never
+    one 2-D GEMM, so a row's bits do not depend on the batch width.  A row whose
+    factor is not positive or whose clipped trace is below ``TRACE_FLOOR`` is
+    dead: -inf from then on, its state frozen.  Blocks of steps fill buffers of
+    at most ``_DIFFUSIVE_BLOCK`` floats; one ``np.cumsum`` per block logs factors.
     """
     simulate = dI is not None
     noise = np.asarray(dI if simulate else dY, dtype=float)
     b, n = noise.shape
     L = np.asarray(L, dtype=complex)
     M = _diffusive_step_matrix(np.asarray(H, dtype=complex), L, dt)
-    d = L.shape[-1]
+    d, h = L.shape[-1], (M.shape[-1] - 1) // 2
     d2 = d * d
-    rho = np.tile(np.asarray(rho0, dtype=complex), (b, 1, 1))
-
-    loglik = np.zeros(b)
-    alive = np.ones(b, dtype=bool)
-    all_alive = True
     out_dY = np.empty((b, n)) if simulate else None
     states = np.empty((b, n + 1, d, d), dtype=complex) if keep_states else None
     logtrace = np.zeros((b, n + 1)) if keep_logtrace else None
     if keep_states:
-        states[:, 0] = rho
-    W = np.empty((b, 1, M.shape[-1]), dtype=complex)
-    A0_rho, K_rho = W[:, 0, :d2], W[:, 0, d2:2 * d2]
-    mean, trA, trK = (W[:, 0, 2 * d2 + j].real for j in range(3))
-    U = np.empty((b, d, d), dtype=complex)
-    U_vec = U.reshape(b, d2)
-
-    for k in range(n):
-        np.matmul(rho.reshape(b, 1, d2), M, out=W)
-        if simulate:
-            dy = noise[:, k] + mean * dt
-            out_dY[:, k] = dy
-        else:
-            dy = noise[:, k]
-        np.multiply(K_rho, dy[:, None], out=U_vec)
-        U_vec += A0_rho
-        S = U + np.conj(U.swapaxes(-1, -2))  # twice the Hermitized update
-        factor = trA + dy * trK
-        screen = _min_eig_screen(S)  # below EIG_CLIP: S/2 below EIG_CLIP/2
-        nxt = states[:, k + 1] if keep_states else rho
-        if all_alive and screen.min() >= EIG_CLIP and factor.min() > TRACE_FLOOR:
-            np.multiply(S, (0.5 / factor)[:, None, None], out=nxt)
-            loglik += np.log(factor)
-        else:  # dead rows, non-positive factors or rows to clip
-            tr = factor.copy()
-            suspect = np.flatnonzero((screen < EIG_CLIP) & alive)
-            if len(suspect):
-                h = _clip_negative(0.5 * S[suspect])
-                tr[suspect] = btrace(h).real
-                S[suspect] = 2.0 * h
+        states[:, 0] = rho0
+    B = min(n, max(1, _DIFFUSIVE_BLOCK // (b * (d2 + 2))))  # steps per block
+    R = np.empty((B + 1, b, 1, d2))  # R[j]: the states after step j of the block
+    R[0] = _coords(np.asarray(rho0, dtype=complex).reshape(d2))
+    dy, logs = np.empty((B, b, 1, 1)), np.empty((B + 1, b))  # logs: loglik, then factors
+    W, V = np.empty((b, 1, 2 * h + 1)), np.empty((b, 1, h))
+    A0_r, K_r, mean_dt = W[..., :h], W[..., h:2 * h], W[..., 2 * h:]
+    U, F, factor, head = V[..., :d2], V[..., d2:d2 + 1], V[:, 0, d2], V[:, 0, d2:d2 + 2]
+    diag, z0, (x, y) = V[:, 0, :d], V[:, 0, d2 + 2:], np.split(V[:, 0, d:d2], 2, axis=-1)
+    bound, gap = np.full((b, 2), TRACE_FLOOR), np.empty((b, 2))
+    t, iu, ju = bound[:, 1:], *np.triu_indices(d, 1)
+    pairs = ((np.arange(d) == iu[:, None]) | (np.arange(d) == ju[:, None])) * 1.0
+    alive, all_alive, loglik = np.ones(b, dtype=bool), True, np.zeros(b)
+    for k0 in range(0, n, B):
+        k, screened = min(B, n - k0), True
+        dy[:k, :, 0, 0] = noise[:, k0:k0 + k].T
+        for j in range(k):
+            np.matmul(R[j], M, out=W)
+            if simulate:
+                np.add(dy[j], mean_dt, out=dy[j])
+            np.multiply(K_r, dy[j], out=V)
+            V += A0_r
+            logs[j + 1] = factor
+            if screened:  # gap = [Tr U - TRACE_FLOOR, s' - t]
+                if d == 2:
+                    np.hypot(z0, np.hypot(x, y, out=t), out=t)
+                else:  # the largest Gershgorin radius less diagonal entry
+                    np.max(np.hypot(x, y) @ pairs - diag, -1, out=t, keepdims=True)
+                np.subtract(head, bound, out=gap)
+                if all_alive and gap.min() > 0.0:
+                    np.divide(U, F, out=R[j + 1])
+                    continue
+                flagged = (gap[:, 1] <= 0.0) & alive
+                screened = d == 2 or not flagged.all()  # Gershgorin: till the block ends
+            else:
+                flagged = alive
+            rho = _upper(U[:, 0] if flagged is alive and all_alive else U[flagged, 0])
+            low = np.linalg.eigvalsh(rho, UPLO="U")[:, 0]
+            if all_alive and low.min(initial=np.inf) >= EIG_CLIP and factor.min() > TRACE_FLOOR:
+                np.divide(U, F, out=R[j + 1])
+                continue
+            clip = low < EIG_CLIP
+            rows, tr = flagged.nonzero()[0][clip], factor.copy()
+            if len(rows):
+                w, v = np.linalg.eigh(rho[clip], UPLO="U")
+                rho = (v * np.clip(w, 0.0, None)[..., None, :]) @ dag(v)
+                U[rows, 0] = _coords(rho.reshape(-1, d2))
+                tr[rows] = U[rows, 0, :d].sum(axis=-1)
             ok = (factor > 0.0) & (tr > TRACE_FLOOR)
             keep = alive & ok
-            if nxt is not rho:
-                nxt[:] = rho
-            nxt[keep] = S[keep] * (0.5 / tr[keep])[:, None, None]
-            loglik[keep] += np.log(factor[keep])
-            loglik[alive & ~ok] = -np.inf
+            R[j + 1] = R[j]
+            R[j + 1, keep] = U[keep] / tr[keep, None, None]
+            logs[j + 1, ~keep] = 0.0  # logged as -inf
             alive &= ok
             all_alive = bool(alive.all())
-        rho = nxt
+        logs[0] = loglik
+        with np.errstate(divide="ignore"):
+            np.log(logs[1:k + 1], out=logs[1:k + 1])
+        loglik = np.cumsum(logs[:k + 1], axis=0, out=logs[:k + 1])[k].copy()
+        if simulate:
+            out_dY[:, k0:k0 + k] = dy[:k, :, 0, 0].T
         if keep_logtrace:
-            logtrace[:, k + 1] = loglik
-    return SimpleNamespace(
-        final=rho, loglik=loglik, states=states, logtrace=logtrace, dY=out_dY
-    )
+            logtrace[:, k0 + 1:k0 + k + 1] = logs[1:k + 1].T
+        if keep_states:
+            states[:, k0 + 1:k0 + k + 1] = _matrices(R[1:k + 1, :, 0]).swapaxes(0, 1)
+        R[0] = R[k]
+    final = states[:, -1] if keep_states else _matrices(R[0, :, 0])
+    return SimpleNamespace(final=final, loglik=loglik, states=states, logtrace=logtrace,
+                           dY=out_dY)
 
 
 def nojump_generator(H, LdL):

@@ -490,12 +490,15 @@ def _qutrit():
     return random_ergodic_model(3, np.random.default_rng(3), scale=0.7)
 
 
-# (model, initial state); the pure starts make the clip fire
+# (model, initial state); the pure starts make the clip fire, and d = 8 takes
+# the Gershgorin screen of the diffusive step
 SCHEME_CASES = {
     "qubit mixed": (driven_qubit, MIXED),
     "qubit ground": (driven_qubit, GROUND),
     "qutrit mixed": (_qutrit, np.eye(3, dtype=complex) / 3),
     "qutrit pure": (_qutrit, np.diag([1.0, 0.0, 0.0]).astype(complex)),
+    "d=8 pure": (lambda: random_ergodic_model(8, np.random.default_rng(8), scale=0.5),
+                 np.diag(np.eye(8)[0]).astype(complex)),
 }
 
 

@@ -257,18 +257,22 @@ class TestBatchWidth:
         return random_ergodic_model(2, np.random.default_rng(4), scale=0.8)
 
     def test_homodyne(self):
-        m = self.model()
-        ens = simulate_homodyne_ensemble(m, MIXED, T=0.3, dt=1e-3, n_traj=self.N_TRAJ,
-                                         seed=self.SEED)
-        for i in (0, 57, 99):
-            rec, traj = simulate_homodyne(m, MIXED, T=0.3, dt=1e-3, seed=self.SEED,
-                                          index=i, keep_states=False)
-            assert np.array_equal(ens.increments[i], rec.increments)
-            assert ens.logliks[i] == traj.loglik
-        records = [ens.record(i) for i in range(self.N_TRAJ)]
-        batch = log_likelihood_many(m, MIXED, records)
-        assert np.array_equal(batch, [log_likelihood(m, MIXED, r) for r in records])
-        assert np.array_equal(batch, ens.logliks)
+        # the qutrit's pure start makes the clip fire, on some rows and not others;
+        # from its mixed start the rows its screen flags depend on the batch width
+        qutrit = random_ergodic_model(3, np.random.default_rng(3), scale=0.7)
+        pure = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        for m, rho0 in ((self.model(), MIXED), (qutrit, pure), (qutrit, np.eye(3) / 3)):
+            ens = simulate_homodyne_ensemble(m, rho0, T=0.3, dt=1e-3, n_traj=self.N_TRAJ,
+                                             seed=self.SEED)
+            for i in (0, 57, 99):
+                rec, traj = simulate_homodyne(m, rho0, T=0.3, dt=1e-3, seed=self.SEED,
+                                              index=i, keep_states=False)
+                assert np.array_equal(ens.increments[i], rec.increments)
+                assert ens.logliks[i] == traj.loglik
+            records = [ens.record(i) for i in range(self.N_TRAJ)]
+            batch = log_likelihood_many(m, rho0, records)
+            assert np.array_equal(batch, [log_likelihood(m, rho0, r) for r in records])
+            assert np.array_equal(batch, ens.logliks)
 
     def test_counting(self):
         m = self.model()
