@@ -28,6 +28,7 @@ from .operators import (
     QMarkovModel,
     _check_int,
     _ergodic_stationary,
+    dag,
     _state_array,
     zero_mean_inverse,
 )
@@ -223,26 +224,49 @@ def posterior_grid(
     return PosteriorGrid(grid=grid, log_weights=logw, weights=w)
 
 
+def _check_record(record, kind, name: str) -> None:
+    if not isinstance(record, kind):
+        raise ValidationError(
+            f"{name} needs a {kind.__name__}, got {type(record).__name__}")
+
+
 def stat_total_counts(record: CountingRecord) -> int:
     """Total number of jumps in a counting record."""
+    _check_record(record, CountingRecord, "stat_total_counts")
     return int(record.n_jumps)
 
 
 def stat_two_time_corr(record: DiffusiveRecord, kernel) -> float:
-    """Two-time correlation statistic sum_{i<j} k((j-i) dt) dY_i dY_j."""
+    """Two-time correlation statistic sum_{i<j} k((j-i) dt) dY_i dY_j.
+
+    ``kernel`` must return a finite real scalar at each lag.
+    """
+    _check_record(record, DiffusiveRecord, "stat_two_time_corr")
     inc = record.increments
     n = len(inc)
     total = 0.0
     for lag in range(1, n):
-        kv = float(kernel(lag * record.dt))
+        kv = np.asarray(kernel(lag * record.dt))
+        if kv.shape or kv.dtype.kind not in "biuf" or not np.isfinite(kv):
+            raise ValidationError(f"kernel must return finite real scalars, got {kv!r}")
+        kv = float(kv)
         if kv != 0.0:
             total += kv * float(inc[:-lag] @ inc[lag:])
     return total
 
 
-def _counting_rate(model: QMarkovModel) -> float:
+def _counting_response(model: QMarkovModel) -> tuple:
+    """(rho_ss, mu, V, A), A the zero-mean solution of L^*(A) = L^dag L - mu I."""
+    L = model.L
     rho_ss = _ergodic_stationary(model).rho
-    return float(np.trace(rho_ss @ model.L.conj().T @ model.L).real)
+    LdL = L.conj().T @ L
+    mu = float(np.trace(rho_ss @ LdL).real)
+    A = zero_mean_inverse(model, LdL - mu * np.eye(model.dim))
+    corr = 2.0 * float(np.trace(rho_ss @ L.conj().T @ A @ L).real)
+    V = mu - corr
+    if V < -1e-8:
+        raise NumericsError(f"asymptotic variance came out negative ({V:.3e})")
+    return rho_ss, mu, V, A
 
 
 def counting_rate_and_variance(model: QMarkovModel) -> tuple[float, float]:
@@ -255,29 +279,28 @@ def counting_rate_and_variance(model: QMarkovModel) -> tuple[float, float]:
     is nonnegative, matches trajectory Monte-Carlo, and makes the
     phase-family identity ``qfi_rate = 4 V`` hold.
     """
-    L = model.L
-    if not np.any(L):
+    if not np.any(model.L):
         return 0.0, 0.0  # no emission channel, counts are identically zero
-    rho_ss = _ergodic_stationary(model).rho
-    LdL = L.conj().T @ L
-    mu = float(np.trace(rho_ss @ LdL).real)
-    A = zero_mean_inverse(model, LdL - mu * np.eye(model.dim))
-    corr = 2.0 * float(np.trace(rho_ss @ L.conj().T @ A @ L).real)
-    V = mu - corr
-    if V < -1e-8:
-        raise NumericsError(f"asymptotic variance came out negative ({V:.3e})")
-    return mu, V
+    return _counting_response(model)[1:3]
 
 
-def counting_fisher(family: ParameterFamily, theta: float, h: float | None = None) -> float:
-    """Fisher information of the total-counts statistic, (d mu/d theta)^2 / V."""
-    theta, h = _central_step(family, theta, h, "counting_fisher")
-    mu_plus = _counting_rate(family.model([theta + h]))
-    mu_minus = _counting_rate(family.model([theta - h]))
-    mu_dot = (mu_plus - mu_minus) / (2 * h)
-    _, V = counting_rate_and_variance(family.model([theta]))
+def counting_fisher(family: ParameterFamily, theta: float) -> float:
+    """Fisher information of the total-counts statistic, (d mu/d theta)^2 / V.
+
+    d mu = Tr(rho_ss d(L^dag L)) - Tr(dG(rho_ss) A) is exact by linear response,
+    A as in :func:`counting_rate_and_variance` and dG the generator's derivative.
+    """
+    if family.k != 1 or not family.in_domain(theta):
+        raise ValidationError("counting_fisher takes one parameter inside the family domain")
+    model = family.model(theta)
+    rho, _, V, A = _counting_response(model)
     if V <= 1e-14:
         raise ZeroVariance("asymptotic count variance is zero")
+    (dH,), (dL,), L = family.h_dot(theta), family.l_dot(theta), model.L
+    d_ldl = dag(dL) @ L + dag(L) @ dL
+    d_rho = (-1j * (dH @ rho - rho @ dH) + dL @ rho @ dag(L) + L @ rho @ dag(dL)
+             - 0.5 * (d_ldl @ rho + rho @ d_ldl))
+    mu_dot = float(np.trace(rho @ d_ldl).real - np.trace(d_rho @ A).real)
     return mu_dot**2 / V
 
 
@@ -328,21 +351,21 @@ def abc_rejection(
 
 def mc_classical_fisher(
     family: ParameterFamily, theta, rho0, kind: str, T: float, dt: float,
-    n_traj: int, h: float | None = None, seed: int = 0, lam: float = 1.0,
+    n_traj: int, seed: int = 0, lam: float = 1.0,
 ) -> FisherEstimate:
     """Monte-Carlo estimate of the classical Fisher information of the record.
 
-    Simulates ``n_traj`` records at theta and estimates the variance of
-    the central-difference score (loglik(theta+h) - loglik(theta-h))/2h.
-    The mean score is reported alongside; it should be consistent with
-    zero.
+    Simulates ``n_traj`` records at theta and estimates the variance of the
+    score (loglik(theta+h) - loglik(theta-h))/2h, h = 1e-4 max(1, |theta|),
+    with theta +- h inside the family domain.  The mean score is reported
+    alongside; it should be consistent with zero.
     """
-    theta, h = _central_step(family, theta, h, "mc_classical_fisher")
+    theta, h = _central_step(family, theta, "mc_classical_fisher")
     n_traj = _check_int(n_traj, "n_traj", 2)
     r0 = _state_array(rho0, family.base.dim)
     recs = _simulate_family_records(family, [np.array([theta])] * n_traj, r0, kind, T, dt, seed)
-    pair = _model_stack(family, [[theta + h], [theta - h]])
-    ll_plus, ll_minus = _loglik_table(*pair, r0, recs, dt, lam)
+    ll_plus, ll_minus = _loglik_table(*_model_stack(family, [[theta + h], [theta - h]]),
+                                      r0, recs, dt, lam)
     scores = (ll_plus - ll_minus) / (2 * h)
     scores = scores[np.isfinite(scores)]
     n = len(scores)

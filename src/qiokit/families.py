@@ -77,9 +77,14 @@ class ParameterFamily:
         return 1 if self.phase else len(self.h_dirs)
 
     def _theta(self, theta) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(theta, dtype=float))
+        try:
+            t = np.atleast_1d(np.asarray(theta, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"theta must be real numbers, got {theta!r}") from exc
         if t.shape != (self.k,):
             raise ValidationError(f"theta must have shape ({self.k},), got {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValidationError(f"theta must be finite, got {t}")
         return t
 
     def in_domain(self, theta) -> bool:
@@ -119,19 +124,13 @@ def _tangent(family: ParameterFamily, theta) -> tuple:
     return np.stack(family.h_dot(t)), np.stack(family.l_dot(t)), _STEP * np.maximum(1.0, np.abs(t))
 
 
-def _central_step(family: ParameterFamily, theta, h, name: str) -> tuple[float, float]:
-    """(theta, h) of a one-parameter central difference at theta +- h.
-
-    The default step is ``1e-4 * max(1, |theta|)``; ``h`` must be positive
-    and finite, and theta +- h must lie inside the family domain.
-    """
+def _central_step(family: ParameterFamily, theta, name: str) -> tuple[float, float]:
+    """(theta, h) of a one-parameter central difference at theta +- h, h the
+    step of :func:`_tangent`; theta +- h must lie inside the family domain."""
     if family.k != 1:
         raise ValidationError(f"{name} handles one-parameter families")
     theta = float(family._theta(theta)[0])
-    if h is None:
-        h = _STEP * max(1.0, abs(theta))
-    if not 0 < h < np.inf:
-        raise ValidationError(f"h must be positive and finite, got {h}")
+    h = float(_tangent(family, theta)[2][0])
     if not (family.in_domain(theta - h) and family.in_domain(theta + h)):
         raise ValidationError("theta +- h must stay inside the family domain")
     return theta, h

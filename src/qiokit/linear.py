@@ -260,8 +260,10 @@ def check_pr2(G: LinearQSystem, tol: float = 1e-8) -> PR2Result:
     residual also reads ``D J D^T = J``, which no Z can mend.  Raises
     :class:`NoSkewSolution` when the best residual exceeds ``tol`` and
     :class:`SingularZ` when Z is not invertible; otherwise also returns
-    the factor V with Z = V J_n V^T.
+    the factor V with Z = V J_n V^T.  ``tol`` must be positive and finite.
     """
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     Z = _certificate_lstsq(G.A, G.B, G.C, G.D)
     residual = float(np.max(np.abs(_pr_equations(G.A, G.B, G.C, G.D, Z))))
     if residual > tol:

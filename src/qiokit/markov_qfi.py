@@ -90,28 +90,25 @@ def qfi_rate(family: ParameterFamily, theta) -> np.ndarray:
 def gauge_transform(model: QMarkovModel, g: GaugeElement) -> QMarkovModel:
     """Apply (H, L) -> (W^dag (H + r) W, W^dag L W); output statistics invariant."""
     W = g.W
+    if W.shape != model.H.shape:
+        raise ValidationError(f"W has shape {W.shape}, the model dimension is {model.dim}")
     H = W.conj().T @ (model.H + g.r * np.eye(model.dim)) @ W
     L = W.conj().T @ model.L @ W
     H = (H + H.conj().T) / 2
     return QMarkovModel(H=H, L=L)
 
 
-def conditional_qfi(
-    family: ParameterFamily, theta, rho0, record,
-    *, h: float | None = None, dt: float = 1e-3,
-) -> float:
+def conditional_qfi(family: ParameterFamily, theta, rho0, record, *, dt: float = 1e-3) -> float:
     """QFI of the conditional state at the record horizon (one parameter).
 
-    Runs the filter at theta and theta +- h on the same record and takes
-    the central-difference state derivative; this is the final-measurement
-    information term in the combined Cramer-Rao bound.
+    Runs the filter on the record at theta and theta +- h, h = 1e-4 max(1, |theta|)
+    inside the family domain, and takes the central-difference state derivative;
+    this is the final-measurement information term in the combined Cramer-Rao bound.
     """
-    theta, h = _central_step(family, theta, h, "conditional_qfi")
-    center = run_filter(family.model([theta]), rho0, record, dt=dt).final_state
-    plus = run_filter(family.model([theta + h]), rho0, record, dt=dt).final_state
-    minus = run_filter(family.model([theta - h]), rho0, record, dt=dt).final_state
+    theta, h = _central_step(family, theta, "conditional_qfi")
+    center, plus, minus = (run_filter(family.model([t]), rho0, record, dt=dt).final_state
+                           for t in (theta, theta + h, theta - h))
     drho = (plus - minus) / (2 * h)
     drho = (drho + drho.conj().T) / 2
     drho = drho - (np.trace(drho).real / center.shape[0]) * np.eye(center.shape[0])
-    F = qfi_matrix(center, [drho])
-    return float(F[0, 0])
+    return float(qfi_matrix(center, [drho])[0, 0])

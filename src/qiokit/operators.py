@@ -149,7 +149,9 @@ class QMarkovModel:
             raise ValidationError(
                 f"H and L must share a dimension, got {H.shape} and {L.shape}"
             )
-        if H.size and np.max(np.abs(H - H.conj().T)) > HERM_TOL:
+        if not H.size:
+            raise ValidationError("H and L must have dimension at least 1")
+        if np.max(np.abs(H - H.conj().T)) > HERM_TOL:
             raise ValidationError("H is not Hermitian to 1e-12")
         _freeze(self, H=H, L=L)
 
@@ -413,13 +415,15 @@ def qfi_matrix(rho, drhos) -> np.ndarray:
 
 
 def pure_state_qfi(psi: np.ndarray, G: np.ndarray) -> float:
-    """QFI of the unitary family exp(-i theta G)|psi>: four times Var_psi(G)."""
+    """QFI of the unitary family exp(-i theta G)|psi>, G Hermitian: four times Var_psi(G)."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise ValidationError("psi must be normalized to 1e-10")
     G = _square_complex(G, "G")
     if len(G) != len(v):
         raise ValidationError(f"G has shape {G.shape}, psi length {len(v)}")
+    if np.max(np.abs(G - G.conj().T)) > HERM_TOL:
+        raise ValidationError("G is not Hermitian to 1e-12")
     g = G @ v
     mean = np.vdot(v, g).real
     second = np.vdot(g, g).real

@@ -6,6 +6,7 @@ these lists on purpose.
 
 import argparse
 import ast
+import inspect
 import pathlib
 import types
 
@@ -28,6 +29,15 @@ EXPORTS = {
     "simulate_innovation_form", "simulate_reference", "sld", "spectral_info",
     "stat_total_counts", "stat_two_time_corr", "stationary_state", "subspace_id",
     "symplectic_transform", "transfer_function", "validate_nmse", "zero_mean_inverse",
+}
+
+# the Fisher estimators take no step: counting_fisher is exact, and the two
+# central differences step by 1e-4 max(1, |theta|)
+FISHER_PARAMETERS = {
+    "counting_fisher": ["family", "theta"],
+    "mc_classical_fisher": ["family", "theta", "rho0", "kind", "T", "dt", "n_traj", "seed",
+                            "lam"],
+    "conditional_qfi": ["family", "theta", "rho0", "record", "dt"],
 }
 
 HELP = {"-h", "--help"}
@@ -55,6 +65,12 @@ def test_package_exports():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == EXPORTS
     assert qiokit.__version__ == "0.1.0"
+
+
+def test_fisher_estimator_parameters():
+    found = {name: list(inspect.signature(getattr(qiokit, name)).parameters)
+             for name in FISHER_PARAMETERS}
+    assert found == FISHER_PARAMETERS
 
 
 def test_cli_options():

@@ -413,6 +413,14 @@ class TestMalformedInputs:
         assert code == 2
         assert "domain bounds must not be NaN" in capsys.readouterr().err
 
+    def test_estimate_abc_on_homodyne_record(self, tmp_path, family_file, capsys):
+        rec = tmp_path / "rec.json"
+        serialize.save_record(DiffusiveRecord(dt=0.1, increments=[1.0, 2.0]), rec)
+        code = main(["estimate", "--family", family_file, "--records", str(rec),
+                     "--method", "abc", "--out", str(tmp_path / "est.json")])
+        assert code == 2
+        assert "stat_total_counts needs a CountingRecord" in capsys.readouterr().err
+
     def test_infinite_imaginary_part_is_a_validation_error(self, tmp_path, qubit_file):
         d = json.loads(open(qubit_file).read())
         d["H_im"][0][1] = float("inf")

@@ -483,11 +483,28 @@ class TestCountingFisher:
         fam = ParameterFamily.phase_family(driven_qubit(), domain=[[-1, 1]])
         assert counting_fisher(fam, 0.0) == 0.0
 
-    def test_step_halving_stable(self):
-        fam = rabi_family()
-        a = counting_fisher(fam, 1.0, h=1e-4)
-        b = counting_fisher(fam, 1.0, h=5e-5)
-        assert abs(a - b) <= 0.01 * max(abs(a), abs(b))
+    def test_rabi_closed_form(self):
+        # kappa = 1, Omega = 1: mu = kappa Omega^2 / (kappa^2 + 2 Omega^2) = 1/3,
+        # d mu / d Omega = 2 kappa^3 Omega / (kappa^2 + 2 Omega^2)^2 = 2/9, V = 1/9
+        _, V = counting_rate_and_variance(driven_qubit(1.0, 1.0))
+        assert abs(V - 1.0 / 9.0) < 1e-12
+        assert abs(counting_fisher(rabi_family(), 1.0) - 4.0 / 9.0) <= 1e-12 * 4.0 / 9.0
+
+    @pytest.mark.parametrize("h_dir, l_dir, base_h, theta", [
+        (0.5 * SX, ZERO2, ZERO2, 0.3), (ZERO2, SM, 0.5 * SX, 0.2),
+        (0.5 * SX, 0.3j * SM, 0.3 * SX, 0.7),
+    ], ids=["H direction", "L direction", "both"])
+    def test_matches_richardson_difference(self, h_dir, l_dir, base_h, theta):
+        fam = ParameterFamily.affine(QMarkovModel(H=base_h, L=SM), [h_dir], [l_dir])
+
+        def diff(h):
+            mu = [counting_rate_and_variance(fam.model([theta + s]))[0] for s in (h, -h)]
+            return (mu[0] - mu[1]) / (2 * h)
+
+        mu_dot = (4 * diff(5e-4) - diff(1e-3)) / 3
+        _, V = counting_rate_and_variance(fam.model([theta]))
+        want = mu_dot**2 / V
+        assert abs(counting_fisher(fam, theta) - want) <= 1e-9 * want
 
     def test_zero_variance_raises(self):
         base = QMarkovModel(H=ZERO2, L=ZERO2)
@@ -520,22 +537,27 @@ class TestMCFisher:
 
 
 FISHER_ESTIMATORS = {
-    "counting_fisher": lambda theta, **kw: counting_fisher(rabi_family(), theta, **kw),
-    "mc_classical_fisher": lambda theta, **kw: mc_classical_fisher(
-        rabi_family(), theta, MIXED, "counting", T=1.0, dt=1e-2, n_traj=5, **kw),
-    "conditional_qfi": lambda theta, **kw: conditional_qfi(
-        rabi_family(), theta, MIXED, CountingRecord(horizon=1.0, jumps=[]), dt=1e-2, **kw),
+    "counting_fisher": lambda theta: counting_fisher(rabi_family(), theta),
+    "mc_classical_fisher": lambda theta: mc_classical_fisher(
+        rabi_family(), theta, MIXED, "counting", T=1.0, dt=1e-2, n_traj=5),
+    "conditional_qfi": lambda theta: conditional_qfi(
+        rabi_family(), theta, MIXED, CountingRecord(horizon=1.0, jumps=[]), dt=1e-2),
 }
 
 
 @pytest.mark.parametrize("estimator", sorted(FISHER_ESTIMATORS))
-@pytest.mark.parametrize("theta, h, message", [
-    (5.0, None, "inside the family domain"), (1.0, 0.0, "positive and finite"),
-    (1.0, -1e-4, "positive and finite"), (1.0, np.nan, "positive and finite"),
-    (1.0, np.inf, "positive and finite"),
-])
-def test_fisher_central_difference_rule(estimator, theta, h, message):
-    """One rule for the three central-difference estimators: a positive
-    finite step and theta +- h inside the family domain."""
+@pytest.mark.parametrize("theta, message", [(5.0, "inside the family domain")],
+                         ids=["5.0-None-inside the family domain"])
+def test_fisher_central_difference_rule(estimator, theta, message):
+    """The three Fisher estimators take theta inside the family domain."""
     with pytest.raises(ValidationError, match=message):
-        FISHER_ESTIMATORS[estimator](theta, h=h)
+        FISHER_ESTIMATORS[estimator](theta)
+
+
+def test_only_central_differences_need_theta_plus_minus_h_inside():
+    """At the domain's edge the exact counting ratio has a value; the two
+    central differences, at h = 1e-4 max(1, |theta|), reach outside."""
+    assert counting_fisher(rabi_family(), 2.0) > 0
+    for estimator in ("mc_classical_fisher", "conditional_qfi"):
+        with pytest.raises(ValidationError, match="theta \\+- h must stay inside"):
+            FISHER_ESTIMATORS[estimator](2.0)

@@ -11,19 +11,27 @@ import numpy as np
 import pytest
 
 import qiokit
-from qiokit.estimation import abc_rejection, mc_classical_fisher, mle, stat_total_counts
+from qiokit.estimation import (
+    abc_rejection,
+    mc_classical_fisher,
+    mle,
+    stat_total_counts,
+    stat_two_time_corr,
+)
 from qiokit.exceptions import ValidationError
 from qiokit.families import ParameterFamily
 from qiokit.linear import (
     GaussianInput,
+    LinearQSystem,
     QuadraticSpec,
     SymplecticMatrix,
     build_linear_system,
+    check_pr2,
     gamma_rigidity,
     random_symplectic,
     symplectic_form,
 )
-from qiokit.markov_qfi import GaugeElement
+from qiokit.markov_qfi import GaugeElement, gauge_transform, qfi_rate
 from qiokit.operators import (
     DensityOperator,
     QMarkovModel,
@@ -62,6 +70,7 @@ def rabi_family():
 
 def _boundary_calls():
     m, fam, rec = driven_qubit(), rabi_family(), CountingRecord(horizon=1.0, jumps=[0.5])
+    drec = DiffusiveRecord(dt=0.1, increments=[1.0, 2.0])
     sim = (m, MIXED, 0.1, 0.01)
     data = SysIdDataset(dt=0.1, inputs=np.ones((10, 2)), outputs=np.arange(10.0),
                         split_index=5)
@@ -125,6 +134,27 @@ def _boundary_calls():
         "qcrb_trace_bound nan F": ("F contains non-finite", lambda: qcrb_trace_bound(NAN2)),
         "sld nan state": ("rho contains non-finite", lambda: sld(NAN2, ZERO2)),
         "sld 3 x 3 drho": ("drho has shape", lambda: sld(MIXED, np.zeros((3, 3)))),
+        "pure_state_qfi non-Hermitian G": ("G is not Hermitian",
+                                           lambda: pure_state_qfi([1.0, 0.0], SM)),
+        "gauge_transform 3 x 3 W": ("W has shape", lambda: gauge_transform(
+            m, GaugeElement(r=0.0, W=np.eye(3)))),
+        "qfi_rate theta 'a'": ("theta must be real numbers", lambda: qfi_rate(fam, "a")),
+        "phase family l_dot nan theta": ("theta must be finite", lambda: ParameterFamily
+                                         .phase_family(m).l_dot(np.nan)),
+        "QMarkovModel dimension 0": ("dimension at least 1", lambda: QMarkovModel(
+            H=np.zeros((0, 0)), L=np.zeros((0, 0)))),
+        "check_pr2 nan tol": ("tol must be positive and finite", lambda: check_pr2(
+            LinearQSystem(A=[[-1.0, 0.3], [0.0, -2.0]], B=np.eye(2), C=np.eye(2)), tol=np.nan)),
+        # summary statistics
+        "stat_total_counts diffusive record": ("stat_total_counts needs a CountingRecord",
+                                               lambda: stat_total_counts(drec)),
+        "stat_two_time_corr counting record": ("stat_two_time_corr needs a DiffusiveRecord",
+                                               lambda: stat_two_time_corr(rec, np.exp)),
+        **{f"stat_two_time_corr kernel {name}": (
+            "kernel must return finite real scalars",
+            lambda value=value: stat_two_time_corr(drec, lambda t: value))
+           for name, value in [("nan", np.nan), ("inf", np.inf), ("'a'", "a"),
+                               ("array", np.ones(2)), ("complex", 1j)]},
     }
 
 

@@ -13,7 +13,8 @@ from qiokit.markov_qfi import (
     qfi_rate,
     qfi_rate_raw,
 )
-from qiokit.operators import QMarkovModel, spectral_info
+from qiokit.filtering import run_filter
+from qiokit.operators import QMarkovModel, qfi_matrix, spectral_info
 from qiokit.trajectories import simulate_counting, simulate_homodyne
 
 from conftest import SM, SX, SZ, decay_qubit, driven_qubit, random_ergodic_model, random_hermitian
@@ -129,8 +130,18 @@ class TestConditionalQFI:
         base = QMarkovModel(H=ZERO2, L=SM)
         fam = ParameterFamily.affine(base, [0.5 * SX], [ZERO2], domain=[[0.2, 2.0]])
         rec, _ = simulate_homodyne(fam.model([1.0]), MIXED, T=2.0, dt=1e-3, seed=2)
-        a = conditional_qfi(fam, 1.0, MIXED, rec, h=1e-4, dt=1e-3)
-        b = conditional_qfi(fam, 1.0, MIXED, rec, h=5e-5, dt=1e-3)
+
+        def central_qfi(h):
+            plus, center, minus = (run_filter(fam.model([1.0 + s]), MIXED, rec, dt=1e-3)
+                                   .final_state for s in (h, 0.0, -h))
+            drho = (plus - minus) / (2 * h)
+            drho = (drho + drho.conj().T) / 2
+            drho = drho - (np.trace(drho).real / 2) * np.eye(2)
+            return qfi_matrix(center, [drho])[0, 0]
+
+        a = conditional_qfi(fam, 1.0, MIXED, rec, dt=1e-3)
+        assert a == central_qfi(1e-4)  # the documented step, 1e-4 max(1, |theta|)
+        b = central_qfi(5e-5)
         assert abs(a - b) <= 0.01 * max(abs(a), abs(b), 1e-12)
 
     def test_terminal_jump_state_carries_no_information(self):
