@@ -21,10 +21,10 @@ same discretization scheme:
   apply rho -> L rho L^dag; both trace factors enter the likelihood.  The
   reference Poisson intensity enters in closed form as
   lam*T - N*log(lam), which makes the intensity-shift identity exact.
-  One engine, ``CountingLoglik``, serves simulation, replay, likelihood and
-  score.  In the eigenbasis of the no-jump generator its likelihood sweep fuses
-  the cells between two anchors (jumps, renormalization marks) into one map, and
-  ``_stretch`` gives every grid state from its last anchor in closed form.
+  One engine, ``CountingLoglik``, serves simulation, replay, likelihood and score
+  (its sweep takes records x models as rows).  In the eigenbasis of the no-jump
+  generator the sweep fuses the cells between two anchors (jumps, renormalization
+  marks) into one map, and ``_stretch`` gives each grid state from its last anchor in closed form.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def _powers(M, k):
 
 
 class CountingLoglik:
-    """The counting engine: likelihood, score, grid replay and simulation.
+    """The counting engine: likelihood, score and final states of batches, replay, simulation.
 
     The no-jump Kraus maps 1 - delta G (G = iH + L^dag L/2) of whole cells
     and of the sub-steps that jumps cut out of a cell share the eigenvectors
@@ -270,7 +270,7 @@ class CountingLoglik:
     no mode changes the trace by more than exp(_SPAN), at most ``_CHUNK``.
     Models with cond(U) >= EIG_COND_MAX (near-defective G) take matrix
     powers.  ``H``, ``L``: (n, d, d) stacks or one model; ``dH``, ``dL``: their
-    derivatives along kp parameters, (n, kp, d, d), for ``loglik(score=True)``.
+    derivatives along kp parameters, (n, kp, d, d), for ``sweep(tangent=True)``.
     """
 
     _CHUNK = 10_000  # renormalize at least this often, in cells
@@ -320,7 +320,7 @@ class CountingLoglik:
             self._big[:, :d, d:] = dG.transpose(0, 2, 1, 3).reshape(n, d, -1)
 
     def _maps(self, a, k, b, mi, tangent=False):
-        """No-jump maps M_b M_dt^k M_a of the models ``mi`` (index or slice),
+        """No-jump maps M_b M_dt^k M_a of the models ``mi`` (model indices),
         broadcast; with ``tangent`` also their derivatives, (..., kp, d, d)."""
         a, k, b = (np.asarray(x) for x in (a, k, b))
         U, Uinv, g, logmu = (x[mi] for x in (self._U, self._Uinv, self._g, self._logmu))
@@ -348,17 +348,17 @@ class CountingLoglik:
                 dN[sel] = f.reshape(-1, d, dN.shape[-3], d).swapaxes(1, 2)
         return (N, dN) if tangent else N
 
-    def _fused(self, a, k, b, is_jump, tangent=False):
-        """Per event, with N = M_b M_dt^k M_a and A = L N at a jump (else N):
-        rows on vec(rho) of A rho A^dag, Tr(A rho A^dag), Tr(N rho N^dag).  With
-        ``tangent`` the rows act on [vec(rho); vec(z_1); ...] and add, per parameter,
-        dA rho A^dag + A rho dA^dag + A z A^dag, and last its trace (dA = dL N + L dN)."""
-        jump = is_jump[:, None, None, None]
-        N = self._maps(a[:, None], k[:, None], b[:, None], slice(None), tangent)
+    def _fused(self, a, k, b, is_jump, mi, tangent=False):
+        """Per event and row of the models ``mi``, with N = M_b M_dt^k M_a and A = L N
+        at a jump (else N): rows on vec(rho) of A rho A^dag, Tr(A rho A^dag), Tr(N rho
+        N^dag).  With ``tangent`` the rows act on [vec(rho); vec(z_1); ...] and add, per
+        parameter, dA rho A^dag + A rho dA^dag + A z A^dag, and last its trace."""
+        jump, L = is_jump[..., None, None], self._L[mi]
+        N = self._maps(a, k, b, mi, tangent)
         if tangent:
             N, dN = N
-            dA = np.where(jump[..., None], self._dL @ N[:, :, None] + self._L[:, None] @ dN, dN)
-        A = np.where(jump, self._L @ N, N)
+            dA = np.where(jump[..., None], self._dL[mi] @ N[:, :, None] + L[:, None] @ dN, dN)
+        A = np.where(jump, L @ N, N)
         d2, kp = A.shape[-1] ** 2, dN.shape[2] if tangent else 0
         m = (1 + kp) * d2
         out = np.zeros(A.shape[:2] + (m + 2 + kp, m), dtype=complex)
@@ -375,69 +375,79 @@ class CountingLoglik:
             out[..., m + j + (j > 0), :] = out[..., j * d2 + diag, :].sum(axis=-2)
         return out
 
-    def _sweep(self, rho0, horizon, jumps, keep=False, tangent=False):
-        """Apply the events (jumps, marks, horizon) in time order, each one
-        matrix-vector product with the fused map (a, k, b) before it.  Returns
-        the events, the log-likelihood up to each, whether each is dead (a jump
-        at rate <= DARK_RATE or a non-positive trace), the total, with ``keep``
-        the state after each, and with ``tangent`` the score: the tangents z
-        ride along y in the same products (``_fused``)."""
-        dt, n_cells, chunk = self.dt, _n_cells(horizon, self.dt), int(self._chunk.min())
-        taus = np.concatenate((jumps, np.arange(chunk, n_cells, chunk) * dt, [horizon]))
-        order = np.argsort(taus, kind="stable")
-        taus, is_jump = taus[order], order < len(jumps)
+    def sweep(self, rho0, horizons, jumps, keep=False, tangent=False):
+        """Sweep r records under the n models as n r rows (row i r + j: model i, record j):
+        step e applies event e of every row (a jump, renormalization mark or the horizon,
+        with the fused map (a, k, b) before it), or the identity once the row's events
+        are done.  Returns the events, per row and event the log-likelihood so far ``cum``,
+        ``dead`` (a jump at rate <= DARK_RATE or a non-positive trace) and with ``keep``
+        the state ``Y``; read at each row's last event, ``loglik`` (n, r), ``final`` (n, r,
+        d, d) and with ``tangent`` the ``score`` (kp, n r) and ``dfinal``."""
+        dt, chunk = self.dt, int(self._chunk.min())
+        n_cells = np.array([_n_cells(h, dt) for h in horizons])
+        parts = [np.concatenate((j, np.arange(chunk, n, chunk) * dt, [h]))
+                 for h, j, n in zip(horizons, jumps, n_cells)]
+        count, n_jumps = (np.array([len(x) for x in xs]) for xs in (parts, jumps))
+        rec, start = np.repeat(np.arange(len(parts)), count), np.cumsum(count) - count
+        pos = np.arange(len(rec)) - start[rec]  # the place within the record
+        order = np.lexsort((np.concatenate(parts), rec))  # stable: jumps, marks, then horizon
+        taus, is_jump = np.concatenate(parts)[order], pos[order] < n_jumps[rec]
         # cell c holds c dt < tau <= (c+1) dt: a jump on a boundary ends the cell before it
         cells = np.ceil(taus / dt).astype(int) - 1
         cells += (cells + 1) * dt < taus
         cells -= cells * dt >= taus
-        np.clip(cells, 0, n_cells - 1, out=cells)
-        prev_tau = np.concatenate(([0.0], taus[:-1]))
-        prev_cell = np.concatenate(([-1], cells[:-1]))
+        np.clip(cells, 0, n_cells[rec] - 1, out=cells)
+        prev_tau = np.where(pos == 0, 0.0, np.concatenate(([0.0], taus[:-1])))
+        prev_cell = np.where(pos == 0, -1, np.concatenate(([-1], cells[:-1])))
         same = cells == prev_cell
-        ev = SimpleNamespace(
-            taus=taus, is_jump=is_jump, cells=cells,
-            a=np.where(same, 0.0, (prev_cell + 1) * dt - prev_tau),
-            b=np.where(same, taus - prev_tau, taus - cells * dt),
-            k=np.where(same, 0, cells - prev_cell - 1),
-        )
-        n, d2 = self._L.shape[0], self._L.shape[-1] ** 2
-        m = d2 * (1 + (self._dGe.shape[1] if tangent else 0))  # [y; z_1; ...] entries
-        y = np.repeat(np.asarray(rho0, complex).reshape(1, -1, 1, order="F"), n, axis=0)
-        y = np.concatenate([y, np.zeros((n, m - d2, 1))], axis=1) if tangent else y
-        S, ev.Q = np.empty((2, len(ev.taus), n))
-        ev.Y = np.empty((len(ev.taus), n, d2), dtype=complex) if keep else None
-        block = max(1, self._BLOCK // (n * m * (m + 1 + m // d2)))
+        ev = SimpleNamespace(taus=taus, is_jump=is_jump, cells=cells,
+                             a=np.where(same, 0.0, (prev_cell + 1) * dt - prev_tau),
+                             b=np.where(same, taus - prev_tau, taus - cells * dt),
+                             k=np.where(same, 0, cells - prev_cell - 1))
+        n, r, d = len(self._L), len(parts), self._L.shape[-1]
+        mi, ri = np.repeat(np.arange(n), r), np.tile(np.arange(r), n)
+        e, last = np.arange(count.max())[:, None], count[ri] - 1
+        own = e <= last  # (E, n r): event e of row i r + j is event e of record j, if it has one
+        a, k, b, is_jump = (x[start[ri] + np.minimum(e, last)] * own
+                            for x in (ev.a, ev.k, ev.b, ev.is_jump))
+        m = d * d * (1 + (self._dGe.shape[1] if tangent else 0))  # [y; z_1; ...] entries
+        y = np.zeros((n * r, m, 1), dtype=complex)
+        y[:, :d * d, 0] = np.asarray(rho0, complex).reshape(-1, order="F")
+        S, ev.Q = np.empty((2,) + a.shape)
+        ev.Y = np.empty(a.shape + (d * d,), dtype=complex) if keep else None
+        end = np.empty((n * r, m + 2 + m // (d * d) - 1), dtype=complex)  # X at the last event
+        block = max(1, self._BLOCK // (n * r * m * (m + 1 + m // (d * d))))
         with np.errstate(all="ignore"):
-            for lo in range(0, len(ev.taus), block):
+            for lo in range(0, len(a), block):
                 part = slice(lo, lo + block)
-                G = self._fused(ev.a[part], ev.k[part], ev.b[part], ev.is_jump[part], tangent)
+                G = self._fused(a[part], k[part], b[part], is_jump[part], mi, tangent)
                 X = np.empty(G.shape[:-1] + (1,), dtype=complex)
                 vecs, traces = X[:, :, :m], X[:, :, m:m + 1].real
                 for i in range(len(G)):
                     np.matmul(G[i], y, out=X[i])
                     y = vecs[i] / traces[i]
                 if keep:
-                    ev.Y[part] = (vecs[:, :, :d2] / traces)[..., 0]
-                S[part] = X[:, :, m, 0].real
-                ev.Q[part] = X[:, :, m + 1, 0].real
-            ev.dead = ev.is_jump[:, None] & ~(S > DARK_RATE * ev.Q) | ~(ev.Q > 0.0)
-            ev.cum = np.cumsum(np.log(S), axis=0)
-            # z = d(unnormalized state)/d(theta) / its trace: the score is Tr z at the horizon
-            ev.score = X[-1, :, m + 2:, 0].real / S[-1, :, None] if tangent else None
+                    ev.Y[part] = (vecs[:, :, :d * d] / traces)[..., 0]
+                S[part], ev.Q[part] = X[:, :, m, 0].real, X[:, :, m + 1, 0].real
+                ends = np.flatnonzero((lo <= last) & (last < lo + len(G)))
+                end[ends] = X[last[ends] - lo, ends, :, 0]
+            ev.dead = own & (is_jump & ~(S > DARK_RATE * ev.Q) | ~(ev.Q > 0.0))
+            log_s = np.log(S)
+            ev.cum = np.cumsum(log_s, axis=0)
+            # [y; z_1; ...] / Tr y as matrices (vec is column-major): rho and the z
+            y = (end[:, :m] / end[:, m, None].real).reshape(n * r, -1, d, d).swapaxes(-1, -2)
+            rho, z = y[:, :1], y[:, 1:]
             # an optimizer reads the score path: a compensated sum keeps it smooth in theta
-            last = np.array([math.fsum(c) for c in np.log(S).T]) if tangent else ev.cum[-1]
-        ev.total = last + (self.lam * horizon - len(jumps) * np.log(self.lam))
-        ev.total[ev.dead.any(axis=0) | ~np.isfinite(ev.total)] = -np.inf
-        if tangent:
-            ev.score[ev.total == -np.inf] = np.nan
+            total = (np.array([math.fsum(log_s[:i + 1, j]) for j, i in enumerate(last)])
+                     if tangent else ev.cum[last, np.arange(n * r)])
+        total += self.lam * np.asarray(horizons)[ri] - n_jumps[ri] * np.log(self.lam)
+        total[ev.dead.any(axis=0) | ~np.isfinite(total)] = -np.inf
+        ev.loglik, ev.final = total.reshape(n, r), rho.reshape(n, r, d, d)
+        if tangent:  # z = d(unnormalized state)/d(theta) / its trace; parameters first
+            score = end[:, m + 2:].real / end[:, m, None].real
+            score[total == -np.inf] = np.nan
+            ev.score, ev.dfinal = score.T, (z - rho * score[..., None, None]).swapaxes(0, 1)
         return ev
-
-    def loglik(self, rho0, horizon, jumps, score=False):
-        """Record log-likelihood under each model, (n,); -inf where impossible.
-        With ``score`` (an engine built with tangents) also its gradient along
-        the kp parameters, (n, kp), exact for the scheme; NaN where impossible."""
-        ev = self._sweep(rho0, horizon, np.asarray(jumps, dtype=float), tangent=score)
-        return (ev.total, ev.score) if score else ev.total
 
     def _stretch(self, Y, mi, k, a=0.0, b=0.0):
         """Unnormalized states N Y N^dag, (r, c, d, d), of the anchor states Y
@@ -477,7 +487,7 @@ class CountingLoglik:
         their times.  A jump at zero rate raises :class:`ZeroJumpRate` with
         ``on_dark="raise"``; otherwise the log trace is -inf from that cell on and
         the state freezes at the one just before the jump."""
-        ev = self._sweep(rho0, horizon, jumps, keep=True)
+        ev = self.sweep(rho0, [horizon], [jumps], keep=True)
         d, n = self._L.shape[-1], _n_cells(horizon, self.dt)
         grid = np.append(np.arange(n) * self.dt, horizon)
         dead = np.flatnonzero(ev.dead[:, 0])
@@ -499,7 +509,7 @@ class CountingLoglik:
             Y[-1] = self._stretch(Y[last:last + 1], np.zeros(1, int), ev.k[last:last + 1, None],
                                   ev.a[last], ev.b[last])[0, 0] / ev.Q[last, 0]
         states[bounds[-1]:] = Y[-1]
-        logtrace[n] = ev.total[0]
+        logtrace[n] = ev.loglik[0, 0]
         return SimpleNamespace(times=grid, states=states, logtrace=logtrace,
                                loglik=float(logtrace[n]))
 

@@ -23,17 +23,17 @@ from .exceptions import (
     ValidationError,
     ZeroVariance,
 )
-from .families import ParameterFamily, _central_step, _tangent
+from .families import ParameterFamily, _one_parameter, _tangent
 from .operators import (
     QMarkovModel,
     _check_int,
+    _check_real,
     _ergodic_stationary,
     dag,
-    _state_array,
     zero_mean_inverse,
 )
 from .filtering import _loglik_table
-from .trajectories import CountingRecord, DiffusiveRecord, _simulate, trajectory_rng
+from .trajectories import CountingRecord, DiffusiveRecord, _record_list, _simulate, trajectory_rng
 
 __all__ = [
     "MLEResult",
@@ -124,7 +124,7 @@ def mle(
     resolved to the lowest-index grid point without refinement.  The
     records must share one kind, ``rho0`` must be a density matrix.
     """
-    records = list(records)
+    records = _record_list(records)
     if family.k > 2:
         raise ValidationError("grid search supports at most two parameters")
     if not np.all(np.isfinite(family.domain)):
@@ -133,10 +133,9 @@ def mle(
         raise ValidationError("need at least one record")
     n = _check_int(grid_points, "grid_points", 1)
     thetas = _grid_points(family.domain, n)
-    r0 = _state_array(rho0, family.base.dim)
 
     def table(points):
-        return _loglik_table(*_model_stack(family, points), r0, records, dt, lam).sum(axis=1)
+        return _loglik_table(*_model_stack(family, points), rho0, records, dt, lam).loglik.sum(1)
 
     logliks = table(thetas)
     finite = np.isfinite(logliks)
@@ -159,9 +158,9 @@ def mle(
 
     def neg(theta):  # -loglik and -score
         m = family.model(theta)
-        ll, score = _loglik_table(m.H, m.L, r0, records, dt, lam, _tangent(family, theta))
-        f = -float(ll.sum())
-        return (f, -score.sum(axis=1)) if f < np.inf else (f, np.zeros(family.k))
+        out = _loglik_table(m.H, m.L, rho0, records, dt, lam, _tangent(family, theta))
+        f = -float(out.loglik.sum())
+        return (f, -out.score.sum(axis=1)) if f < np.inf else (f, np.zeros(family.k))
 
     # fine points: n // 2 per coarse cell, on the axes through theta0, inside the domain
     lo, hi = family.domain.T
@@ -212,8 +211,7 @@ def posterior_grid(
         raise ValidationError("prior must assign one weight per grid point")
     if not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-8):
         raise ValidationError("prior must be a probability vector on the grid")
-    r0 = _state_array(rho0, family.base.dim)
-    logliks = _loglik_table(*_model_stack(family, grid), r0, [record], dt, lam)[:, 0]
+    logliks = _loglik_table(*_model_stack(family, grid), rho0, [record], dt, lam).loglik[:, 0]
     with np.errstate(divide="ignore"):
         logw = logliks + np.log(prior)
     if not np.any(np.isfinite(logw)):
@@ -290,9 +288,8 @@ def counting_fisher(family: ParameterFamily, theta: float) -> float:
     d mu = Tr(rho_ss d(L^dag L)) - Tr(dG(rho_ss) A) is exact by linear response,
     A as in :func:`counting_rate_and_variance` and dG the generator's derivative.
     """
-    if family.k != 1 or not family.in_domain(theta):
-        raise ValidationError("counting_fisher takes one parameter inside the family domain")
-    model = family.model(theta)
+    theta = _one_parameter(family, theta, "counting_fisher")
+    model = family.model([theta])
     rho, _, V, A = _counting_response(model)
     if V <= 1e-14:
         raise ZeroVariance("asymptotic count variance is zero")
@@ -302,6 +299,19 @@ def counting_fisher(family: ParameterFamily, theta: float) -> float:
              - 0.5 * (d_ldl @ rho + rho @ d_ldl))
     mu_dot = float(np.trace(rho @ d_ldl).real - np.trace(d_rho @ A).real)
     return mu_dot**2 / V
+
+
+def _finite_vector(value, name: str, n=None) -> np.ndarray:
+    """``value`` as a 1-D array of finite reals, of length ``n`` when given."""
+    try:
+        v = np.atleast_1d(np.asarray(value))
+    except ValueError:  # a ragged sequence
+        v = np.array([value], dtype=object)
+    if v.ndim != 1 or v.dtype.kind not in "biuf" or not np.all(np.isfinite(v)) or (
+            n is not None and len(v) != n):
+        length = "" if n is None else f" of length {n}"
+        raise ValidationError(f"{name} must be a finite real vector{length}, got {value!r}")
+    return v.astype(float)
 
 
 def _simulate_family_records(family, thetas, rho0, kind, T, dt, seed):
@@ -325,17 +335,21 @@ def abc_rejection(
     ``n_pilot`` pilot simulations.  Parameter draws and record rows share
     one index: sample i (the pilots first, then the ``n_sims`` candidates)
     draws theta from ``trajectory_rng(seed, i)`` and its record from
-    ``trajectory_rng(seed + 1, i)``, all in one simulation call.  An empty
-    result is reported with a warning, not an error.
+    ``trajectory_rng(seed + 1, i)``, all in one simulation call.  The
+    observed statistics, the draws and the statistics of each sample must be
+    finite real vectors, the statistics of the observed length; otherwise a
+    ValidationError names the sample.  An empty result is reported with a
+    warning, not an error.
     """
-    if not epsilon >= 0:
+    if not _check_real(epsilon, "epsilon") >= 0:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
     n_sims, n_pilot = _check_int(n_sims, "n_sims", 1), _check_int(n_pilot, "n_pilot", 2)
-    obs = np.atleast_1d(np.asarray(observed_stats, dtype=float))
-    thetas = [np.atleast_1d(np.asarray(prior_sampler(trajectory_rng(seed, i)), dtype=float))
+    obs = _finite_vector(observed_stats, "observed statistics")
+    thetas = [_finite_vector(prior_sampler(trajectory_rng(seed, i)), f"prior draw of sample {i}")
               for i in range(n_pilot + n_sims)]
     recs = _simulate_family_records(family, thetas, rho0, kind, T, dt, seed + 1)
-    stats = [np.atleast_1d(np.asarray(stat_fn(r), dtype=float)) for r in recs]
+    stats = [_finite_vector(stat_fn(r), f"statistics of sample {i}", len(obs))
+             for i, r in enumerate(recs)]
     # the pilot rows fix the standardization
     sd = np.array(stats[:n_pilot]).std(axis=0, ddof=1)
     sd[sd == 0] = 1.0
@@ -355,18 +369,15 @@ def mc_classical_fisher(
 ) -> FisherEstimate:
     """Monte-Carlo estimate of the classical Fisher information of the record.
 
-    Simulates ``n_traj`` records at theta and estimates the variance of the
-    score (loglik(theta+h) - loglik(theta-h))/2h, h = 1e-4 max(1, |theta|),
-    with theta +- h inside the family domain.  The mean score is reported
-    alongside; it should be consistent with zero.
+    Simulates ``n_traj`` records at theta, inside the family domain, and
+    estimates the variance of their scores, which ``mle`` refines on too.  The
+    mean score is reported alongside; it should be consistent with zero.
     """
-    theta, h = _central_step(family, theta, "mc_classical_fisher")
+    theta = _one_parameter(family, theta, "mc_classical_fisher")
     n_traj = _check_int(n_traj, "n_traj", 2)
-    r0 = _state_array(rho0, family.base.dim)
-    recs = _simulate_family_records(family, [np.array([theta])] * n_traj, r0, kind, T, dt, seed)
-    ll_plus, ll_minus = _loglik_table(*_model_stack(family, [[theta + h], [theta - h]]),
-                                      r0, recs, dt, lam)
-    scores = (ll_plus - ll_minus) / (2 * h)
+    recs = _simulate_family_records(family, [np.array([theta])] * n_traj, rho0, kind, T, dt, seed)
+    m = family.model([theta])
+    scores = _loglik_table(m.H, m.L, rho0, recs, dt, lam, _tangent(family, theta)).score[0]
     scores = scores[np.isfinite(scores)]
     n = len(scores)
     if n < 2:

@@ -114,7 +114,7 @@ class ParameterFamily:
         return [np.array(Li) for Li in self.l_dirs]
 
 
-_STEP = 1e-4  # central differences step by _STEP * max(1, |theta|)
+_STEP = 1e-4  # the diffusive score's central difference steps by _STEP * max(1, |theta|)
 
 
 def _tangent(family: ParameterFamily, theta) -> tuple:
@@ -124,13 +124,8 @@ def _tangent(family: ParameterFamily, theta) -> tuple:
     return np.stack(family.h_dot(t)), np.stack(family.l_dot(t)), _STEP * np.maximum(1.0, np.abs(t))
 
 
-def _central_step(family: ParameterFamily, theta, name: str) -> tuple[float, float]:
-    """(theta, h) of a one-parameter central difference at theta +- h, h the
-    step of :func:`_tangent`; theta +- h must lie inside the family domain."""
-    if family.k != 1:
-        raise ValidationError(f"{name} handles one-parameter families")
-    theta = float(family._theta(theta)[0])
-    h = float(_tangent(family, theta)[2][0])
-    if not (family.in_domain(theta - h) and family.in_domain(theta + h)):
-        raise ValidationError("theta +- h must stay inside the family domain")
-    return theta, h
+def _one_parameter(family: ParameterFamily, theta, name: str) -> float:
+    """theta of a one-parameter Fisher estimator, which must lie inside the family domain."""
+    if family.k != 1 or not family.in_domain(theta):
+        raise ValidationError(f"{name} takes one parameter inside the family domain")
+    return float(family._theta(theta)[0])

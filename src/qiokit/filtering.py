@@ -14,6 +14,7 @@ exact and the maximizer over model parameters independent of ``lam``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .trajectories import (
     MeasurementRecord,
     _check_intensity,
     _record_kind,
+    _record_list,
     _step_guard,
 )
 
@@ -135,54 +137,43 @@ def log_likelihood_many(
 
     Diffusive records are grouped by grid (dt and length), each group one
     vectorized sweep, so records of any grids may share a batch; counting
-    batches share one likelihood engine, built once, with one pass over
-    each record's jumps.  Each value equals ``log_likelihood`` of its
-    record.  Mixing record kinds raises :class:`ValidationError`, as does
-    a ``rho0`` that is not a density matrix of the model's dimension.
+    records are the rows of one engine sweep.  Each value equals
+    ``log_likelihood`` of its record bit for bit.  ``records`` must be a list
+    of records of one kind and ``rho0`` a density matrix of the model's
+    dimension, or :class:`ValidationError` is raised.
     """
-    rho0 = _state_array(rho0, model.dim)
-    return _loglik_table(model.H, model.L, rho0, records, dt, lam)[0]
+    return _loglik_table(model.H, model.L, rho0, records, dt, lam).loglik[0]
 
 
 def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=None):
-    """Log-likelihood of every record under every model, (n_models, n_records).
-
-    ``H``, ``L``: one (d, d) model or an (n, d, d) stack.  Checks the record
-    kind, the reference intensity and the step guard of every model.
-    Counting records run through one engine batched over the models;
-    diffusive records that share a grid run in one sweep over model x
-    record.  One model enters the sweep as (d, d), so each row has the bits
-    of a simulated trajectory of that model.
+    """``loglik`` (n_models, n_records) and final states ``final`` (n_models,
+    n_records, d, d) of every record under every model, ``H``, ``L`` one (d, d)
+    model or an (n, d, d) stack.  Checks the record list and kind, the reference
+    intensity, the initial state and the step guard of every model.  Counting
+    records are the rows (model, record) of one engine sweep; diffusive records
+    on a shared grid run in one sweep over model x record, one model as (d, d),
+    so that each row has the bits of a simulated trajectory of that model.
 
     ``tangent = (dH, dL, h)``, with one model, dH and dL its (k, d, d)
-    derivatives along k parameters and h (k,) steps, also returns the score,
-    (k, n_records).  Counting records carry the exact tangent through the
-    engine.  Diffusive records take the central difference over the models
-    (H, L) +- h_a (dH_a, dL_a), all in the one sweep with (H, L).
+    derivatives along k parameters and h (k,) steps, adds ``score`` (k, n_records)
+    and ``dfinal`` (k, n_records, d, d): exact for counting records, the central
+    difference over the models (H, L) +- h_a (dH_a, dL_a) for diffusive ones.
     """
     _check_intensity(lam)
-    records = list(records)
-    n_models = 1 if L.ndim == 2 else len(L)
-    if not records:
-        return np.empty((n_models, 0))
-    if _record_kind(records) is CountingRecord:
+    records, rho0 = _record_list(records), _state_array(rho0, L.shape[-1])
+    if records and _record_kind(records) is CountingRecord:
         _step_guard(L, dt)
         dH, dL = tangent[:2] if tangent else (None, None)
-        engine = integ.CountingLoglik(H, L, dt, lam=lam, dH=dH, dL=dL)
-        out = [engine.loglik(rho0, r.horizon, r.jumps, score=bool(tangent)) for r in records]
-        if tangent is None:
-            return np.stack(out, axis=1)
-        return np.stack([o[0] for o in out], axis=1), np.concatenate([o[1] for o in out]).T
+        return integ.CountingLoglik(H, L, dt, lam=lam, dH=dH, dL=dL).sweep(
+            rho0, [r.horizon for r in records], [r.jumps for r in records], tangent=bool(tangent))
     if tangent is not None:  # rows (H, L), then (H, L) +- h_a (dH_a, dL_a) for each a
-        dH, dL, h = (np.asarray(x) for x in tangent)
+        dH, dL, h = tangent
         step = np.array([1.0, -1.0])[None, :, None, None] * h[:, None, None, None]
-        Hs, Ls = ((X + step * dX[:, None]).reshape((-1,) + X.shape)
-                  for X, dX in ((H, dH), (L, dL)))
-        table = _loglik_table(np.concatenate([H[None], Hs]), np.concatenate([L[None], Ls]),
-                              rho0, records, dt, lam)
-        pm = table[1:].reshape(len(h), 2, -1)
-        return table[:1], (pm[:, 0] - pm[:, 1]) / (2 * h[:, None])
-    table = np.empty((n_models, len(records)))
+        H, L = (np.concatenate([X[None], (X + step * dX[:, None]).reshape((-1,) + X.shape)])
+                for X, dX in ((H, dH), (L, dL)))
+    n_models, d = 1 if L.ndim == 2 else len(L), L.shape[-1]
+    out = SimpleNamespace(loglik=np.empty((n_models, len(records))),
+                          final=np.empty((n_models, len(records), d, d), dtype=complex))
     for step, n in dict.fromkeys((r.dt, len(r)) for r in records):
         _step_guard(L, step)
         idx = [j for j, r in enumerate(records) if (r.dt, len(r)) == (step, n)]
@@ -191,6 +182,12 @@ def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=None):
         if L.ndim == 3:  # row (model i, record j) at i * len(idx) + j
             Hs, Ls = np.repeat(H, len(idx), axis=0), np.repeat(L, len(idx), axis=0)
             dY = np.tile(dY, (n_models, 1))
-        out = integ.sweep_diffusive(Hs, Ls, rho0, step, dY=dY)
-        table[:, idx] = out.loglik.reshape(n_models, len(idx))
-    return table
+        sweep = integ.sweep_diffusive(Hs, Ls, rho0, step, dY=dY)
+        out.loglik[:, idx] = sweep.loglik.reshape(n_models, len(idx))
+        out.final[:, idx] = sweep.final.reshape(n_models, len(idx), d, d)
+    if tangent is None:
+        return out
+    ll, fin = (x[1:].reshape((len(h), 2) + x.shape[1:]) for x in (out.loglik, out.final))
+    return SimpleNamespace(loglik=out.loglik[:1], final=out.final[:1],
+                           score=(ll[:, 0] - ll[:, 1]) / (2 * h[:, None]),
+                           dfinal=(fin[:, 0] - fin[:, 1]) / (2 * h[:, None, None, None]))

@@ -31,7 +31,7 @@ from .exceptions import (
     StepTooLarge,
     ValidationError,
 )
-from .operators import _check_int, _even_square, _freeze, _real_matrix
+from .operators import _check_int, _check_positive, _even_square, _freeze, _real_matrix
 from .trajectories import STEP_GUARD, DiffusiveRecord, _draws, _grid_steps
 
 __all__ = [
@@ -262,8 +262,7 @@ def check_pr2(G: LinearQSystem, tol: float = 1e-8) -> PR2Result:
     :class:`SingularZ` when Z is not invertible; otherwise also returns
     the factor V with Z = V J_n V^T.  ``tol`` must be positive and finite.
     """
-    if not 0 < tol < np.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
+    tol = _check_positive(tol, "tol")
     Z = _certificate_lstsq(G.A, G.B, G.C, G.D)
     residual = float(np.max(np.abs(_pr_equations(G.A, G.B, G.C, G.D, Z))))
     if residual > tol:

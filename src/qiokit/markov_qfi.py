@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ValidationError
-from .families import ParameterFamily, _central_step
-from .filtering import run_filter
+from .exceptions import ValidationError, ZeroJumpRate
+from .families import ParameterFamily, _one_parameter, _tangent
+from .filtering import _loglik_table
 from .operators import (
     QMarkovModel,
     _ergodic_stationary,
@@ -32,6 +32,7 @@ from .operators import (
     qfi_matrix,
     zero_mean_inverse,
 )
+from .trajectories import CountingRecord
 
 __all__ = ["GaugeElement", "qfi_rate", "qfi_rate_raw", "gauge_transform", "conditional_qfi"]
 
@@ -101,14 +102,17 @@ def gauge_transform(model: QMarkovModel, g: GaugeElement) -> QMarkovModel:
 def conditional_qfi(family: ParameterFamily, theta, rho0, record, *, dt: float = 1e-3) -> float:
     """QFI of the conditional state at the record horizon (one parameter).
 
-    Runs the filter on the record at theta and theta +- h, h = 1e-4 max(1, |theta|)
-    inside the family domain, and takes the central-difference state derivative;
-    this is the final-measurement information term in the combined Cramer-Rao bound.
+    The final state and its derivative are the likelihood tangent's at theta,
+    inside the family domain (exact for counting records); this is the
+    final-measurement information term in the combined Cramer-Rao bound.  A
+    counting record of likelihood zero raises :class:`ZeroJumpRate`.
     """
-    theta, h = _central_step(family, theta, "conditional_qfi")
-    center, plus, minus = (run_filter(family.model([t]), rho0, record, dt=dt).final_state
-                           for t in (theta, theta + h, theta - h))
-    drho = (plus - minus) / (2 * h)
+    theta = _one_parameter(family, theta, "conditional_qfi")
+    model = family.model([theta])
+    out = _loglik_table(model.H, model.L, rho0, [record], dt, 1.0, _tangent(family, theta))
+    if isinstance(record, CountingRecord) and out.loglik[0, 0] == -np.inf:
+        raise ZeroJumpRate("the record has likelihood zero at theta")
+    center, drho = out.final[0, 0], out.dfinal[0, 0]
     drho = (drho + drho.conj().T) / 2
     drho = drho - (np.trace(drho).real / center.shape[0]) * np.eye(center.shape[0])
     return float(qfi_matrix(center, [drho])[0, 0])

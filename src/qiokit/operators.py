@@ -94,6 +94,22 @@ def _check_int(value, name: str, least: float = -np.inf) -> int:
     return int(value)
 
 
+def _check_real(value, name: str) -> float:
+    """``value`` as a float; anything but a real scalar (a string, None, a complex
+    number, an array) is invalid."""
+    v = np.asarray(value)
+    if v.shape or v.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(v)
+
+
+def _check_positive(value, name: str) -> float:
+    """``value`` as a float in (0, inf); a non-number, NaN, 0 or inf is invalid."""
+    if not 0 < _check_real(value, name) < np.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def _real_matrix(m, name, shape=None):
     a = np.array(m, dtype=float)
     if shape is not None and a.shape != shape:

@@ -47,7 +47,14 @@ from .linear import (
     simulate_innovation_form,
     symplectic_form,
 )
-from .operators import _check_int, _even_square, _freeze, _real_matrix
+from .operators import (
+    _check_int,
+    _check_positive,
+    _check_real,
+    _even_square,
+    _freeze,
+    _real_matrix,
+)
 from .trajectories import DiffusiveRecord, _grid_steps
 
 __all__ = [
@@ -103,8 +110,7 @@ def prbs(length: int, amplitude: float, seed: int,
     nbits-step transition matrix over GF(2), doubled on each round.
     """
     length = _check_int(length, "length", 1)
-    if not 0 < amplitude < np.inf:
-        raise ValidationError("amplitude must be positive and finite")
+    _check_positive(amplitude, "amplitude")
     nbits = _auto_register(length) if register is None else _check_int(register, "register")
     if nbits not in _LFSR_TAPS:
         raise ValidationError(
@@ -163,8 +169,7 @@ class SysIdDataset:
             raise ValidationError("inputs and outputs must have equal length")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
             raise ValidationError("inputs and outputs must be finite")
-        if not 0 < self.dt < np.inf:
-            raise ValidationError("dt must be positive and finite")
+        _check_positive(self.dt, "dt")
         if not (0 < _check_int(self.split_index, "split_index") < len(y)):
             raise ValidationError("both splits must be nonempty")
         _freeze(self, inputs=u, outputs=y)
@@ -740,7 +745,8 @@ class PipelineConfig:
         _check_int(self.horizon, "horizon", 1)
         if not 0 < self.split < 1:
             raise ValidationError("split must lie in (0, 1)")
-        if not (0 < self.dt < np.inf and (self.dataset is not None or 0 < self.T < np.inf)):
+        if not (0 < _check_real(self.dt, "dt") < np.inf
+                and (self.dataset is not None or 0 < _check_real(self.T, "T") < np.inf)):
             raise ValidationError("dt must be positive and finite, and T too when simulating")
 
 

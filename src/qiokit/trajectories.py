@@ -12,6 +12,7 @@ same index.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Union
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import _integrators as integ
 from .exceptions import StepTooLarge, ValidationError
-from .operators import QMarkovModel, _check_int, _freeze, _state_array
+from .operators import QMarkovModel, _check_int, _check_positive, _check_real, _freeze, _state_array
 
 __all__ = [
     "DiffusiveRecord",
@@ -47,14 +48,13 @@ class DiffusiveRecord:
     increments: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ValidationError("dt must be positive and finite")
+        dt = _check_positive(self.dt, "dt")
         inc = np.array(self.increments, dtype=float).reshape(-1)
         if inc.size < 1:
             raise ValidationError("a diffusive record needs at least one increment")
         if not np.all(np.isfinite(inc)):
             raise ValidationError("increments must be finite")
-        _freeze(self, increments=inc, dt=float(self.dt))
+        _freeze(self, increments=inc, dt=dt)
 
     @property
     def t_final(self) -> float:
@@ -72,17 +72,16 @@ class CountingRecord:
     jumps: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.horizon < np.inf:
-            raise ValidationError("horizon must be positive and finite")
+        horizon = _check_positive(self.horizon, "horizon")
         j = np.array(self.jumps, dtype=float).reshape(-1)
         if j.size:
             if not np.all(np.isfinite(j)):
                 raise ValidationError("jump times must be finite")
             if j[0] <= 0 or np.any(np.diff(j) <= 0):
                 raise ValidationError("jump times must be strictly increasing and > 0")
-            if j[-1] > self.horizon:
+            if j[-1] > horizon:
                 raise ValidationError("jump times must not exceed the horizon")
-        _freeze(self, jumps=j, horizon=float(self.horizon))
+        _freeze(self, jumps=j, horizon=horizon)
 
     @property
     def n_jumps(self) -> int:
@@ -159,8 +158,7 @@ def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
 def _step_guard(L, dt: float) -> None:
     """Raise ValidationError unless 0 < dt < inf, and StepTooLarge when
     dt*||L||^2 exceeds the guard; L may be a stack."""
-    if not 0 < dt < np.inf:
-        raise ValidationError(f"dt must be positive and finite, got {dt}")
+    dt = _check_positive(dt, "dt")
     lnorm2 = float(np.max(np.linalg.norm(L, 2, axis=(-2, -1)))) ** 2
     if dt * lnorm2 > STEP_GUARD:
         raise StepTooLarge(
@@ -170,8 +168,14 @@ def _step_guard(L, dt: float) -> None:
 
 def _check_intensity(lam: float) -> None:
     """Raise ValidationError unless the Poisson intensity lam is positive and finite."""
-    if not 0 < lam < np.inf:
-        raise ValidationError(f"reference intensity lam must be positive and finite, got {lam}")
+    _check_positive(lam, "reference intensity lam")
+
+
+def _record_list(records) -> list:
+    """``records``, an iterable of records, as a list; ValidationError otherwise."""
+    if isinstance(records, (DiffusiveRecord, CountingRecord)) or not isinstance(records, Iterable):
+        raise ValidationError(f"records must be a list of records, got {type(records).__name__}")
+    return list(records)
 
 
 def _record_kind(records) -> type:
@@ -187,6 +191,7 @@ def _record_kind(records) -> type:
 
 def _grid_steps(T: float, dt: float) -> int:
     """round(T/dt) steps; the one step-count rule of every simulator."""
+    T, dt = _check_real(T, "T"), _check_real(dt, "dt")
     if not (0 < dt <= T * (1 + 1e-12) < np.inf):
         raise ValidationError(f"dt and T must be positive with dt <= T < inf, got {dt} and {T}")
     return max(1, int(round(T / dt)))
@@ -294,7 +299,7 @@ def simulate_counting(
                                         loglik=out.loglik)
     # the final state comes from the exact propagation, not the grid scheme
     return record, FilterTrajectory(times=np.array([T]), states=rho_T[None],
-                                    loglik=float(engine.loglik(rho0, T, times)[0]))
+                                    loglik=float(engine.sweep(rho0, [T], [times]).loglik[0, 0]))
 
 
 def simulate_counting_ensemble(
@@ -316,8 +321,7 @@ def simulate_reference(
         return DiffusiveRecord(dt=dt, increments=dI[0])
     if kind == "poisson":
         _check_intensity(lam)
-        if not 0 < T < np.inf:
-            raise ValidationError("horizon must be positive and finite")
+        T = _check_positive(T, "horizon")
         rng = trajectory_rng(seed, index)
         n = rng.poisson(lam * T)
         times = np.sort(rng.uniform(0.0, T, size=n))

@@ -554,10 +554,9 @@ def test_fisher_central_difference_rule(estimator, theta, message):
         FISHER_ESTIMATORS[estimator](theta)
 
 
-def test_only_central_differences_need_theta_plus_minus_h_inside():
-    """At the domain's edge the exact counting ratio has a value; the two
-    central differences, at h = 1e-4 max(1, |theta|), reach outside."""
-    assert counting_fisher(rabi_family(), 2.0) > 0
-    for estimator in ("mc_classical_fisher", "conditional_qfi"):
-        with pytest.raises(ValidationError, match="theta \\+- h must stay inside"):
-            FISHER_ESTIMATORS[estimator](2.0)
+def test_fisher_estimators_at_the_domain_edge():
+    """Each estimator has a finite value at theta = 2.0, the domain's edge:
+    none of them steps outside the domain."""
+    for estimator in FISHER_ESTIMATORS.values():
+        value = estimator(2.0)
+        assert np.isfinite(getattr(value, "value", value))

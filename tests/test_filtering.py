@@ -74,14 +74,15 @@ SCORE_CASES = {
 
 
 @st.composite
-def counting_records(draw):
+def counting_records(draw, dt=None):
     """Jump records on a dt grid with the cases the likelihood engine fuses.
 
     Several jumps in one cell, jumps exactly on cell boundaries, a
     fractional last cell, and optionally a jump-free gap of more than
-    10,000 cells between the early and the late jumps.
+    10,000 cells between the early and the late jumps.  ``dt`` is drawn
+    unless given.
     """
-    dt = draw(st.sampled_from([1e-2, 2e-2]))
+    dt = draw(st.sampled_from([1e-2, 2e-2])) if dt is None else dt
     head = draw(st.integers(1, 30))
     gap = draw(st.sampled_from([0, 10_050]))
     tail = draw(st.integers(0, 5))
@@ -95,6 +96,19 @@ def counting_records(draw):
     times |= {(c + off) * dt for c, off in inside}
     times |= {(head + gap) * dt + u * (horizon - (head + gap) * dt) for u in late}
     return dt, CountingRecord(horizon=horizon, jumps=sorted(times))
+
+
+@st.composite
+def counting_batches(draw):
+    """Counting records of mixed lengths on one dt grid, in drawn order: drawn
+    records, one with no jumps, one that jumps at its horizon and one longer
+    than the engine's 10,000-cell renormalization interval."""
+    dt = draw(st.sampled_from([1e-2, 2e-2]))
+    recs = [rec for _, rec in draw(st.lists(counting_records(dt), min_size=1, max_size=4))]
+    T = draw(st.integers(1, 40)) * dt
+    recs += [CountingRecord(horizon=T, jumps=[]), CountingRecord(horizon=T, jumps=[T / 3, T]),
+             CountingRecord(horizon=12_345.5 * dt, jumps=[2.5 * dt, 11_000 * dt])]
+    return dt, [recs[i] for i in draw(st.permutations(range(len(recs))))]
 
 
 class TestRunFilter:
@@ -201,7 +215,8 @@ class TestLogLikelihood:
         d = family.base.dim
         rho0 = np.eye(d, dtype=complex) / d
         m = family.model(theta)
-        ll, score = _loglik_table(m.H, m.L, rho0, [rec], dt, 1.0, _tangent(family, theta))
+        out = _loglik_table(m.H, m.L, rho0, [rec], dt, 1.0, _tangent(family, theta))
+        ll, score = out.loglik, out.score
         plain = log_likelihood(m, rho0, rec, dt=dt)
         assert ll[0, 0] == pytest.approx(plain, rel=1e-12, abs=0.0)
         for a, e in enumerate(np.eye(family.k)):
@@ -220,6 +235,29 @@ class TestLogLikelihood:
             delta = _eig_cond(family.model(theta + 5e-6 * e)) ** 2 * 2.2e-16 * (1 + abs(plain))
             tol = 3 * delta / 1e-5 + 4 * abs(fine - coarse)
             assert score[a, 0] == pytest.approx(cd, rel=1e-6, abs=tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(counting_batches(), st.sampled_from(sorted(SCORE_CASES)))
+    def test_counting_rows_match_single_records_property(self, case, name):
+        # a batch is one sweep with the records as rows; every value, score and final
+        # state must have the bits of the record swept alone
+        dt, recs = case
+        family, theta = SCORE_CASES[name]()
+        d = family.base.dim
+        rho0 = np.eye(d, dtype=complex) / d
+        models = [family.model(np.add(theta, s)) for s in (0.0, 0.05, -0.1)]
+        H, L = np.stack([m.H for m in models]), np.stack([m.L for m in models])
+        batch = _loglik_table(H, L, rho0, recs, dt, 1.0)
+        singles = [_loglik_table(H, L, rho0, [r], dt, 1.0) for r in recs]
+        assert np.array_equal(batch.loglik, np.hstack([o.loglik for o in singles]))
+        assert np.array_equal(batch.final, np.hstack([o.final for o in singles]), equal_nan=True)
+        m, tangent = models[0], _tangent(family, theta)
+        batch = _loglik_table(m.H, m.L, rho0, recs, dt, 1.0, tangent)
+        singles = [_loglik_table(m.H, m.L, rho0, [r], dt, 1.0, tangent) for r in recs]
+        for key in ("loglik", "score", "final", "dfinal"):
+            assert np.array_equal(getattr(batch, key),
+                                  np.concatenate([getattr(o, key) for o in singles], axis=1),
+                                  equal_nan=True), key
 
     def test_counting_long_jump_free_record_does_not_underflow(self):
         # Tr of the unnormalized state is (1 - dt kappa/2)^(2n): exp(-5000) for
@@ -353,7 +391,7 @@ class TestLogLikelihood:
         ]
         batch = log_likelihood_many(m, MIXED, recs, dt=1e-3)
         singles = [log_likelihood(m, MIXED, r, dt=1e-3) for r in recs]
-        assert np.allclose(batch, singles, atol=1e-12)
+        assert np.array_equal(batch, singles)
         wrecs = [
             simulate_reference("wiener", 1.0, T=0.5, dt=1e-3, seed=43, index=i)
             for i in range(5)

@@ -4,6 +4,7 @@ one helper each, and every value type is frozen by one helper."""
 import ast
 import dataclasses
 import importlib
+import itertools
 import pathlib
 import warnings
 
@@ -20,6 +21,7 @@ from qiokit.estimation import (
 )
 from qiokit.exceptions import ValidationError
 from qiokit.families import ParameterFamily
+from qiokit.filtering import log_likelihood, log_likelihood_many, run_filter
 from qiokit.linear import (
     GaussianInput,
     LinearQSystem,
@@ -43,7 +45,7 @@ from qiokit.operators import (
     sld,
     unvec,
 )
-from qiokit.sysid import PipelineConfig, SysIdDataset, fpe_order_select, subspace_id
+from qiokit.sysid import PipelineConfig, SysIdDataset, fpe_order_select, prbs, subspace_id
 from qiokit.trajectories import (
     CountingRecord,
     DiffusiveRecord,
@@ -66,6 +68,18 @@ INF2 = np.array([[np.inf, 0.0], [0.0, 1.0]])
 def rabi_family():
     base = QMarkovModel(H=ZERO2, L=SM)
     return ParameterFamily.affine(base, [0.5 * SX], [ZERO2], domain=[[0.2, 2.0]])
+
+
+def _abc(observed=(1.0,), sampler=lambda rng: 1.0, stat_fn=lambda r: 1.0, epsilon=1.0):
+    """A small ABC run on the Rabi family; each argument may be replaced."""
+    return abc_rejection(rabi_family(), observed, sampler, stat_fn, n_sims=2, epsilon=epsilon,
+                         seed=0, rho0=MIXED, T=1.0, dt=0.01, n_pilot=2)
+
+
+def _growing_statistics():
+    """A stat_fn whose vector gains an entry from the second sample on."""
+    calls = itertools.count()
+    return lambda record: [1.0] * min(next(calls) + 1, 2)
 
 
 def _boundary_calls():
@@ -145,6 +159,59 @@ def _boundary_calls():
             H=np.zeros((0, 0)), L=np.zeros((0, 0)))),
         "check_pr2 nan tol": ("tol must be positive and finite", lambda: check_pr2(
             LinearQSystem(A=[[-1.0, 0.3], [0.0, -2.0]], B=np.eye(2), C=np.eye(2)), tol=np.nan)),
+        # records that are not a list of records
+        "log_likelihood_many records None": ("records must be a list of records, got NoneType",
+                                             lambda: log_likelihood_many(m, MIXED, None)),
+        "log_likelihood_many one record": ("records must be a list of records, got Counting",
+                                           lambda: log_likelihood_many(m, MIXED, rec)),
+        "mle records None": ("records must be a list of records",
+                             lambda: mle(fam, None, MIXED)),
+        "mle records 3": ("records must be a list of records", lambda: mle(fam, 3, MIXED)),
+        # scalars that are not real numbers
+        "log_likelihood dt 'a'": ("dt must be a real number",
+                                  lambda: log_likelihood(m, MIXED, rec, dt="a")),
+        "run_filter dt None": ("dt must be a real number",
+                               lambda: run_filter(m, MIXED, rec, dt=None)),
+        "simulate_homodyne dt complex": ("dt must be a real number",
+                                         lambda: simulate_homodyne(m, MIXED, 0.1, 0.01j, 0)),
+        "simulate_counting T 'a'": ("T must be a real number",
+                                    lambda: simulate_counting(m, MIXED, "a", 0.01, 0)),
+        "log_likelihood lam 'a'": ("reference intensity lam must be a real number",
+                                   lambda: log_likelihood(m, MIXED, rec, lam="a")),
+        "simulate_reference lam None": ("reference intensity lam must be a real number",
+                                        lambda: simulate_reference("poisson", None, 1.0, 0.01, 0)),
+        "simulate_reference T 'a'": ("horizon must be a real number",
+                                     lambda: simulate_reference("poisson", 1.0, "a", 0.01, 0)),
+        "DiffusiveRecord dt 'a'": ("dt must be a real number",
+                                   lambda: DiffusiveRecord(dt="a", increments=[1.0])),
+        "CountingRecord horizon None": ("horizon must be a real number",
+                                        lambda: CountingRecord(horizon=None, jumps=[])),
+        "prbs amplitude 'a'": ("amplitude must be a real number", lambda: prbs(10, "a", 0)),
+        "SysIdDataset dt 'a'": ("dt must be a real number", lambda: SysIdDataset(
+            dt="a", inputs=np.ones((10, 2)), outputs=np.arange(10.0), split_index=5)),
+        "PipelineConfig T 'a'": ("T must be a real number", lambda: PipelineConfig(
+            dt=0.1, T="a", prbs_amplitude=1.0, orders=(1,), system=LinearQSystem(
+                A=[[-1.0, 0.3], [0.0, -2.0]], B=np.eye(2), C=np.eye(2)))),
+        "check_pr2 tol complex": ("tol must be a real number", lambda: check_pr2(
+            LinearQSystem(A=[[-1.0, 0.3], [0.0, -2.0]], B=np.eye(2), C=np.eye(2)), tol=1j)),
+        "abc epsilon 'a'": ("epsilon must be a real number", lambda: _abc(epsilon="a")),
+        # ABC statistics and prior draws
+        "abc observed 'a'": ("observed statistics must be a finite real vector",
+                             lambda: _abc(observed="a")),
+        "abc observed nan": ("observed statistics must be a finite real vector",
+                             lambda: _abc(observed=[np.nan])),
+        "abc prior draw 'a'": ("prior draw of sample 0 must be",
+                               lambda: _abc(sampler=lambda rng: "a")),
+        "abc statistics 'a'": ("statistics of sample 0 must be",
+                               lambda: _abc(stat_fn=lambda r: "a")),
+        "abc statistics nan": ("statistics of sample 0 must be",
+                               lambda: _abc(stat_fn=lambda r: np.nan)),
+        "abc statistics longer than observed": (
+            "statistics of sample 0 must be a finite real vector of length 1",
+            lambda: _abc(stat_fn=lambda r: [1.0, 2.0])),
+        "abc statistics lengths differ between samples": (
+            "statistics of sample 1 must be a finite real vector of length 1",
+            lambda: _abc(stat_fn=_growing_statistics())),
         # summary statistics
         "stat_total_counts diffusive record": ("stat_total_counts needs a CountingRecord",
                                                lambda: stat_total_counts(drec)),
@@ -284,5 +351,6 @@ def test_one_freeze_and_one_checker_each():
     defs = [(path.stem, node.name) for path in SRC.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef)]
-    for name in ("_check_int", "_real_matrix", "_even_square", "_square_complex"):
+    for name in ("_check_int", "_check_real", "_check_positive", "_real_matrix", "_even_square",
+                 "_square_complex"):
         assert [d for d in defs if d[1] == name] == [("operators", name)]

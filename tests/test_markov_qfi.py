@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qiokit.estimation import counting_rate_and_variance
-from qiokit.exceptions import NotErgodic, SingularState, ValidationError
+from qiokit.exceptions import NotErgodic, ValidationError
 from qiokit.families import ParameterFamily
 from qiokit.markov_qfi import (
     GaugeElement,
@@ -164,30 +164,53 @@ class TestConditionalQFI:
     def test_combined_bound_below_mle_mse(self):
         # 1/(I_record + E[conditional QFI]) lower-bounds the MLE MSE
         from qiokit.estimation import mc_classical_fisher, mle
-        from qiokit.trajectories import simulate_counting
 
-        base = QMarkovModel(H=ZERO2, L=SM)
-        fam = ParameterFamily.affine(base, [0.5 * SX], [ZERO2], domain=[[0.2, 2.0]])
-        true = 1.0
-        model = fam.model([true])
-        # horizon short enough that the conditional state has not yet purified
-        # past the SLD eigenvalue cutoff
+        fam = rabi_family()
         T, dt, reps = 20.0, 2e-2, 40
         errors = []
         cond = []
-        for rep in range(reps):
-            rec, _ = simulate_counting(model, MIXED, T=T, dt=dt, seed=900,
-                                       index=rep, keep_states=False)
+        for rep, rec in enumerate(seed_900_records(reps)):
             res = mle(fam, [rec], MIXED, dt=dt, grid_points=15)
-            errors.append((res.theta[0] - true) ** 2)
-            if rep < 15:
-                try:
-                    cond.append(conditional_qfi(fam, true, MIXED, rec, dt=dt))
-                except SingularState:
-                    pass  # record ends at a jump; near-pure state, SLD undefined
+            errors.append((res.theta[0] - 1.0) ** 2)
+            if rep < 15:  # conditional_qfi reads the exact tangent: finite on pure states too
+                cond.append(conditional_qfi(fam, 1.0, MIXED, rec, dt=dt))
         mse = float(np.mean(errors))
         mse_se = float(np.std(errors, ddof=1) / np.sqrt(reps))
-        fisher = mc_classical_fisher(fam, true, MIXED, "counting", T=T, dt=dt,
+        fisher = mc_classical_fisher(fam, 1.0, MIXED, "counting", T=T, dt=dt,
                                      n_traj=200, seed=901)
         bound = 1.0 / (fisher.value + np.mean(cond))
         assert bound <= mse + 3 * mse_se
+
+    def test_counting_matches_richardson_difference_of_filter_states(self):
+        # after its first jump the state of a rank-one L is pure, so its QFI is
+        # F = 2 Tr(rho'^2), rho' here from the public filter by Richardson extrapolation
+        fam = rabi_family()
+
+        def final(rec, theta):
+            return run_filter(fam.model([theta]), MIXED, rec, dt=2e-2).final_state
+
+        for rec in seed_900_records(15):
+            assert rec.n_jumps > 0
+            rho = final(rec, 1.0)
+            assert abs(1.0 - np.trace(rho @ rho).real) < 1e-12
+
+            def central(h):
+                return (final(rec, 1.0 + h) - final(rec, 1.0 - h)) / (2 * h)
+
+            drho = (4 * central(2.5e-4) - central(5e-4)) / 3
+            want = 2.0 * np.trace(drho @ drho).real
+            got = conditional_qfi(fam, 1.0, MIXED, rec, dt=2e-2)
+            assert np.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+def rabi_family():
+    base = QMarkovModel(H=ZERO2, L=SM)
+    return ParameterFamily.affine(base, [0.5 * SX], [ZERO2], domain=[[0.2, 2.0]])
+
+
+def seed_900_records(n):
+    """Counting records of the Rabi family at theta = 1: T = 20, dt = 2e-2, seed 900."""
+    model = rabi_family().model([1.0])
+    return [simulate_counting(model, MIXED, T=20.0, dt=2e-2, seed=900, index=rep,
+                              keep_states=False)[0] for rep in range(n)]
