@@ -20,11 +20,11 @@ same discretization scheme:
   map M = 1 - dt (iH + L^dag L/2), which preserves positivity, and jumps
   apply rho -> L rho L^dag; both trace factors enter the likelihood.  The
   reference Poisson intensity enters in closed form as
-  lam*T - N*log(lam), which makes the intensity-shift identity exact.
-  One engine, ``CountingLoglik``, serves simulation, replay, likelihood and score
-  (its sweep takes records x models as rows).  In the eigenbasis of the no-jump
-  generator the sweep fuses the cells between two anchors (jumps, renormalization
-  marks) into one map, and ``_stretch`` gives each grid state from its last anchor in closed form.
+  lam*T - N*log(lam), which makes the intensity-shift identity exact.  One
+  engine, ``CountingLoglik``, serves simulation, replay, likelihood and score.
+  Its sweep takes records x models as rows and fuses the cells between two
+  anchors (jumps, renormalization marks) into one map, built from amplitudes:
+  fixed-order sums over the eigenvectors of the no-jump generator.
 """
 
 from __future__ import annotations
@@ -250,11 +250,11 @@ def _n_cells(horizon, dt):
 
 
 def _powers(M, k):
-    """M^k for each integer of the array k, (len(k), d, d), by repeated squaring."""
-    out = np.broadcast_to(_identity(len(M)), (len(k),) + M.shape).astype(complex)
+    """M_i^k_i for the stack M (len(k), d, d) and the integers k, by repeated squaring."""
+    out = np.broadcast_to(_identity(M.shape[-1]), M.shape).astype(complex)
     for bit in range(int(k.max(initial=0)).bit_length()):
         sel = ((k >> bit) & 1).astype(bool)
-        out[sel] = out[sel] @ M
+        out[sel] = out[sel] @ M[sel]
         M = M @ M
     return out
 
@@ -262,15 +262,14 @@ def _powers(M, k):
 class CountingLoglik:
     """The counting engine: likelihood, score and final states of batches, replay, simulation.
 
-    The no-jump Kraus maps 1 - delta G (G = iH + L^dag L/2) of whole cells
-    and of the sub-steps that jumps cut out of a cell share the eigenvectors
-    U of G.  So the stretch from an anchor (the state after a jump, or at a
-    renormalization mark) to any later time is one map U diag(nu) U^-1.
-    Marks fall every ``_chunk`` cells: per model, the most cells over which
-    no mode changes the trace by more than exp(_SPAN), at most ``_CHUNK``.
-    Models with cond(U) >= EIG_COND_MAX (near-defective G) take matrix
-    powers.  ``H``, ``L``: (n, d, d) stacks or one model; ``dH``, ``dL``: their
-    derivatives along kp parameters, (n, kp, d, d), for ``sweep(tangent=True)``.
+    The no-jump Kraus maps 1 - delta G (G = iH + L^dag L/2) of whole cells and of
+    the sub-steps that jumps cut out of a cell share the eigenvectors U of G, so
+    the stretch from an anchor (a jump, or a renormalization mark every ``_chunk``
+    cells: per model the most over which no mode changes the trace by more than
+    exp(_SPAN), at most ``_CHUNK``) to any later time is one map U diag(nu) U^-1.
+    Models with cond(U) >= EIG_COND_MAX (near-defective G) take matrix powers.
+    ``H``, ``L``: (n, d, d) stacks or one model; ``dH``, ``dL``: their derivatives
+    along kp parameters, (n, kp, d, d), for ``sweep(tangent=True)``.
     """
 
     _CHUNK = 10_000  # renormalize at least this often, in cells
@@ -302,7 +301,10 @@ class CountingLoglik:
         with np.errstate(divide="ignore"):
             cells = self._SPAN / (2.0 * np.abs(self._logmu.real).max(axis=-1))
         self._chunk = np.clip(cells, 1, self._CHUNK).astype(int)
-        self._bad, self._L = np.flatnonzero(~ok), L
+        self._bad, self._L = ~ok, L
+        # amplitude bases [u_i v_l^T, L u_i v_l^T] at i d + l (U = [u_i], U^-1 = [v_l^T])
+        uv = self._U.swapaxes(1, 2)[:, :, None, :, None] * self._Uinv[:, None, :, None, :]
+        self._B = np.stack((uv, L[:, None, None] @ uv), axis=3).reshape(n, d * d, 2, d, d)
         if dH is not None:  # tangents (n, kp, d, d) along kp parameters
             dH, self._dL = (np.asarray(x, dtype=complex).reshape(n, -1, d, d) for x in (dH, dL))
             dG = 1j * dH + 0.5 * (dag(self._dL) @ L[:, None] + dag(L)[:, None] @ self._dL)
@@ -320,69 +322,65 @@ class CountingLoglik:
             self._big[:, :d, d:] = dG.transpose(0, 2, 1, 3).reshape(n, d, -1)
 
     def _maps(self, a, k, b, mi, tangent=False):
-        """No-jump maps M_b M_dt^k M_a of the models ``mi`` (model indices),
-        broadcast; with ``tangent`` also their derivatives, (..., kp, d, d)."""
-        a, k, b = (np.asarray(x) for x in (a, k, b))
-        U, Uinv, g, logmu = (x[mi] for x in (self._U, self._Uinv, self._g, self._logmu))
-        u, v, q = 1.0 - a[..., None] * g, 1.0 - b[..., None] * g, np.exp(k[..., None] * logmu)
-        N = (U * (u * v * q)[..., None, :]) @ Uinv
-        if tangent:  # Daleckii-Krein: U [(U^-1 dG U) o F] U^-1, F the divided differences
-            # of f(x) = u v q = (1 - a x)(1 - b x)(1 - dt x)^k, f' on the diagonal
-            a2, k2, b2 = (x[..., None, None] for x in (a, k, b))
+        """Amplitudes [N, L N], then with ``tangent`` [dN, dL N + L dN] per parameter, (R,
+        1 + kp, 2, d, d, E), of N = M_b M_dt^k M_a for a, k, b (R, E) and models ``mi`` (R,):
+        N = sum_i f_i u_i v_i^T, f = (1 - a g)(1 - b g) mu^k, dN = sum_il F_il (U^-1 dG U)_il
+        u_i v_l^T (F: divided differences of f).  Events with k = 0 (the sum would cancel to I)
+        and ``_bad`` models take the Kraus products, dN the top right of f([[G, dG], [0, G]])."""
+        a, k, b = np.broadcast_arrays(a, k, b)
+        d, g, B = self._L.shape[-1], self._g[mi][..., None], self._B[mi][:, :, None, ..., None]
+        u, v = 1.0 - a[:, None] * g, 1.0 - b[:, None] * g
+        q = np.exp(k[:, None] * self._logmu[mi][..., None])
+        # sums over a short outer axis, which numpy adds in order: a row's bits are its own
+        W = ((u * v * q)[:, :, None, None, None, None] * B[:, ::d + 1]).sum(1)
+        if tangent:
+            a2, k2, b2 = (x[:, None, None] for x in (a, k, b))
             # R = ((mu_i / mu_j)^k - 1) / w_ij (k where w = 0): q[g_i, g_j] = -q_j R dt / mu_j
-            R = np.expm1(k2 * self._l1p[mi]) * self._winv[mi] + k2 * self._same[mi]
-            F = q[..., None, :] * (-a2 * v[..., None, :] - b2 * u[..., :, None]
-                                   - (u * v)[..., :, None] * R * self._dtmu[mi])
-            dN = self._dGe[mi] * F[..., None, :, :]
-            dN = U[..., None, :, :] @ dN @ Uinv[..., None, :, :]
-        for r in self._bad:
-            sel = np.broadcast_to(np.arange(len(self._L))[mi] == r, N.shape[:-2])
-            ar, kr, br = (np.broadcast_to(x, sel.shape)[sel][:, None, None] for x in (a, k, b))
-            gen = self._gen[r]
-            cells = _powers(nojump_kraus(gen, self.dt), kr[:, 0, 0])
-            N[sel] = nojump_kraus(gen, br) @ cells @ nojump_kraus(gen, ar)
-            if tangent:  # Df(G)[dG_a] is the top right of f(self._big)
-                big, d = self._big[r], N.shape[-1]
-                f = nojump_kraus(big, br) @ _powers(nojump_kraus(big, self.dt), kr[:, 0, 0])
-                f = (f @ nojump_kraus(big, ar))[:, :d, d:]
-                dN[sel] = f.reshape(-1, d, dN.shape[-3], d).swapaxes(1, 2)
-        return (N, dN) if tangent else N
+            R = (np.expm1(k2 * self._l1p[mi][..., None]) * self._winv[mi][..., None]
+                 + k2 * self._same[mi][..., None])
+            F = q[:, None] * (-a2 * v[:, None] - b2 * u[:, :, None]
+                              - (u * v)[:, :, None] * R * self._dtmu[mi][..., None])
+            w = (self._dGe[mi][..., None] * F[:, None]).reshape(len(mi), -1, d * d, a.shape[1])
+            W = np.concatenate((W, (w.swapaxes(1, 2)[..., None, None, None, :] * B).sum(1)), 1)
+        r, e = np.nonzero((k == 0) | self._bad[mi, None])
+        if len(r):
+            gen, at = (self._big if tangent else self._gen)[mi[r]], (r, e, None, None)
+            M = nojump_kraus(gen, b[at]) @ _powers(nojump_kraus(gen, self.dt), k[r, e])
+            M = np.stack(np.split((M @ nojump_kraus(gen, a[at]))[:, :d], W.shape[1], 2), 1)
+            W[r, ..., e] = np.stack((M, self._L[mi[r], None] @ M), axis=2)
+        if tangent:  # dL N, added to L dN
+            W[:, 1:, 1] += (self._dL[mi][..., None, None] * W[:, None, None, 0, 0]).sum(3)
+        return W
 
     def _fused(self, a, k, b, is_jump, mi, tangent=False):
-        """Per event and row of the models ``mi``, with N = M_b M_dt^k M_a and A = L N
-        at a jump (else N): rows on vec(rho) of A rho A^dag, Tr(A rho A^dag), Tr(N rho
-        N^dag).  With ``tangent`` the rows act on [vec(rho); vec(z_1); ...] and add, per
-        parameter, dA rho A^dag + A rho dA^dag + A z A^dag, and last its trace."""
-        jump, L = is_jump[..., None, None], self._L[mi]
-        N = self._maps(a, k, b, mi, tangent)
-        if tangent:
-            N, dN = N
-            dA = np.where(jump[..., None], self._dL[mi] @ N[:, :, None] + L[:, None] @ dN, dN)
-        A = np.where(jump, L @ N, N)
-        d2, kp = A.shape[-1] ** 2, dN.shape[2] if tangent else 0
-        m = (1 + kp) * d2
-        out = np.zeros(A.shape[:2] + (m + 2 + kp, m), dtype=complex)
-        K = _kron(A.conj(), A)
-        for j in range(1 + kp):  # block lower-triangular [[K, 0], [dK, K]] on [y; z]
-            out[..., j * d2:(j + 1) * d2, j * d2:(j + 1) * d2] = K
-        if tangent:
-            dK = _kron(dA.conj(), A[:, :, None]) + _kron(A[:, :, None].conj(), dA)
-            out[..., d2:m, :d2] = dK.reshape(dK.shape[:2] + (kp * d2, d2))
-        del A, K  # free the block of maps before the next one is built
-        diag = np.arange(0, d2, N.shape[-1] + 1)  # vec(rho) indices of Tr
-        out[..., m + 1, :d2] = _kron(N.conj(), N)[..., diag, :].sum(axis=-2)
+        """Maps of the events (a, k, b, is_jump), (R, E) each, of the models ``mi``: rows on
+        vec(rho) of A rho A^dag, Tr(A rho A^dag), Tr(N rho N^dag), (R, d^2 + 2, d^2, E), A = L N
+        at a jump (else N).  With ``tangent`` on [vec(rho); vec(z_1); ...], adding dA rho A^dag
+        + A rho dA^dag + A z A^dag per parameter, and last its trace: products of amplitudes."""
+        W = self._maps(a, k, b, mi, tangent)
+        A = np.where(is_jump[:, None, None, None], W[:, :, 1], W[:, :, 0])  # [A, dA_1, ...]
+        n, kp, d, E = len(A), A.shape[1] - 1, A.shape[2], A.shape[-1]
+        d2, m, Ac, N = d * d, A.shape[1] * d * d, A.conj(), W[:, 0, 0]
+        # a spare event keeps maps strided: one (non-BLAS) matmul loop; kp = 0 writes all entries
+        out = (np.zeros if kp else np.empty)((n, m + 2 + kp, m, E + 1), dtype=complex)[..., :E]
+        K = out[:, :m, :d2].reshape(n, 1 + kp, d, d, d, d, E)  # K = kron(conj A, A), then dK
+        np.multiply(Ac[:, :, :, None, :, None], A[:, :1, None, :, None, :], out=K)
+        K[:, 1:] += Ac[:, :1, :, None, :, None] * A[:, 1:, None, :, None, :]
+        for j in range(1, 1 + kp):  # block lower-triangular [[K, 0], [dK, K]] on [y; z]
+            out[:, j * d2:(j + 1) * d2, j * d2:(j + 1) * d2] = out[:, :d2, :d2]
         for j in range(1 + kp):  # Tr of block row j: y's at row m, the z's after Tr(N rho N^dag)
-            out[..., m + j + (j > 0), :] = out[..., j * d2 + diag, :].sum(axis=-2)
+            out[:, m + j + (j > 0)] = out[:, j * d2:(j + 1) * d2:d + 1].sum(1)
+        out[:, m + 1, :d2] = (N.conj()[:, :, :, None] * N[:, :, None]).sum(1).reshape(n, d2, E)
         return out
 
     def sweep(self, rho0, horizons, jumps, keep=False, tangent=False):
         """Sweep r records under the n models as n r rows (row i r + j: model i, record j):
-        step e applies event e of every row (a jump, renormalization mark or the horizon,
-        with the fused map (a, k, b) before it), or the identity once the row's events
-        are done.  Returns the events, per row and event the log-likelihood so far ``cum``,
-        ``dead`` (a jump at rate <= DARK_RATE or a non-positive trace) and with ``keep``
-        the state ``Y``; read at each row's last event, ``loglik`` (n, r), ``final`` (n, r,
-        d, d) and with ``tangent`` the ``score`` (kp, n r) and ``dfinal``."""
+        step e applies event e (a jump, renormalization mark or the horizon, with the fused
+        map (a, k, b) before it) to the rows with events left, a prefix of the rows ordered
+        by event count, and the identity after a row's last event.  Returns the events, per
+        row and event the log-likelihood so far ``cum``, ``dead`` (a jump at rate <= DARK_RATE
+        or a non-positive trace) and with ``keep`` the state ``Y``; read at each row's last
+        event, ``loglik`` (n, r), ``final`` (n, r, d, d), ``score`` (kp, n r), ``dfinal``."""
         dt, chunk = self.dt, int(self._chunk.min())
         n_cells = np.array([_n_cells(h, dt) for h in horizons])
         parts = [np.concatenate((j, np.arange(chunk, n, chunk) * dt, [h]))
@@ -410,27 +408,29 @@ class CountingLoglik:
         own = e <= last  # (E, n r): event e of row i r + j is event e of record j, if it has one
         a, k, b, is_jump = (x[start[ri] + np.minimum(e, last)] * own
                             for x in (ev.a, ev.k, ev.b, ev.is_jump))
+        rows = np.argsort(-last, kind="stable")  # most events first: the running rows, a prefix
         m = d * d * (1 + (self._dGe.shape[1] if tangent else 0))  # [y; z_1; ...] entries
         y = np.zeros((n * r, m, 1), dtype=complex)
         y[:, :d * d, 0] = np.asarray(rho0, complex).reshape(-1, order="F")
-        S, ev.Q = np.empty((2,) + a.shape)
+        S, ev.Q = np.ones((2,) + a.shape)  # log 1 = 0 where a row's events are done
         ev.Y = np.empty(a.shape + (d * d,), dtype=complex) if keep else None
-        end = np.empty((n * r, m + 2 + m // (d * d) - 1), dtype=complex)  # X at the last event
-        block = max(1, self._BLOCK // (n * r * m * (m + 1 + m // (d * d))))
+        width = m + 2 + m // (d * d) - 1  # rows of a map: [y; z], Tr y, Tr(N rho N^dag), Tr z
+        end, lo = np.empty((n * r, width), dtype=complex), 0  # end: X at each row's last event
         with np.errstate(all="ignore"):
-            for lo in range(0, len(a), block):
-                part = slice(lo, lo + block)
-                G = self._fused(a[part], k[part], b[part], is_jump[part], mi, tangent)
-                X = np.empty(G.shape[:-1] + (1,), dtype=complex)
-                vecs, traces = X[:, :, :m], X[:, :, m:m + 1].real
-                for i in range(len(G)):
-                    np.matmul(G[i], y, out=X[i])
+            while lo < len(a):
+                live = rows[:np.count_nonzero(last >= lo)]
+                hi = min(len(a), lo + max(1, self._BLOCK // (len(live) * m * width)))
+                G = self._fused(*(x[lo:hi, live].T for x in (a, k, b, is_jump)), mi[live], tangent)
+                X = np.empty((hi - lo, len(live), width, 1), dtype=complex)
+                vecs, traces, y = X[:, :, :m], X[:, :, m:m + 1].real, y[:len(live)]
+                for i in range(hi - lo):
+                    np.matmul(G[..., i], y, out=X[i])
                     y = vecs[i] / traces[i]
                 if keep:
-                    ev.Y[part] = (vecs[:, :, :d * d] / traces)[..., 0]
-                S[part], ev.Q[part] = X[:, :, m, 0].real, X[:, :, m + 1, 0].real
-                ends = np.flatnonzero((lo <= last) & (last < lo + len(G)))
-                end[ends] = X[last[ends] - lo, ends, :, 0]
+                    ev.Y[lo:hi, live] = (vecs[:, :, :d * d] / traces)[..., 0]
+                S[lo:hi, live], ev.Q[lo:hi, live] = X[:, :, m, 0].real, X[:, :, m + 1, 0].real
+                end[live] = X[np.minimum(last[live] - lo, hi - lo - 1), range(len(live)), :, 0]
+                lo = hi
             ev.dead = own & (is_jump & ~(S > DARK_RATE * ev.Q) | ~(ev.Q > 0.0))
             log_s = np.log(S)
             ev.cum = np.cumsum(log_s, axis=0)
@@ -455,8 +455,8 @@ class CountingLoglik:
         counts k (r, c), a and b scalars or (r,).  In the eigenbasis of G this is one
         (c, d^2) x (d^2, d^2) product per anchor; ``_bad`` models take ``_maps``."""
         a, b = (np.reshape(x, (-1, 1, 1)) for x in (a, b))
-        if len(self._bad):
-            N = self._maps(a[..., 0], k, b[..., 0], mi[:, None])
+        if self._bad.any():
+            N = np.moveaxis(self._maps(a[..., 0], k, b[..., 0], mi)[:, 0, 0], -1, 1)
             return N @ Y[:, None] @ dag(N)
         U, Uinv, g = self._U[mi], self._Uinv[mi], self._g[mi, None]
         nu = (1.0 - a * g) * (1.0 - b * g) * np.exp(k[..., None] * self._logmu[mi, None])
@@ -597,7 +597,7 @@ class CountingLoglik:
         from scipy import linalg, optimize  # at module level: 15 ms slower import
 
         U, Uinv, g, gen, L = (x[0] for x in (self._U, self._Uinv, self._g, self._gen, self._L))
-        closed = not len(self._bad)
+        closed = not self._bad.any()
         exponents = (-(g[:, None] + g.conj()[None, :])).ravel().tolist()
         gram = (dag(U) @ U).T
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qiokit.estimation import posterior_grid
@@ -109,6 +109,19 @@ def counting_batches(draw):
     recs += [CountingRecord(horizon=T, jumps=[]), CountingRecord(horizon=T, jumps=[T / 3, T]),
              CountingRecord(horizon=12_345.5 * dt, jumps=[2.5 * dt, 11_000 * dt])]
     return dt, [recs[i] for i in draw(st.permutations(range(len(recs))))]
+
+
+def wide_counting_batch():
+    """72 records on a dt = 1e-2 grid, 3 to 359 cells long, each with 0 to 8 jumps
+    drawn uniformly, one on a cell boundary and in every other record a second
+    jump in that boundary's cell, so that the records end at different steps."""
+    rng, dt, recs = np.random.default_rng(20), 1e-2, []
+    for j in range(72):
+        horizon = (3 + 5 * j + 0.25 * (j % 3)) * dt
+        times = [*rng.uniform(0.0, horizon, size=j % 9), (1 + j % 3) * dt]
+        times += [(1.001 + j % 3) * dt] if j % 2 else []
+        recs.append(CountingRecord(horizon=horizon, jumps=sorted(times)))
+    return dt, recs
 
 
 class TestRunFilter:
@@ -237,15 +250,18 @@ class TestLogLikelihood:
             assert score[a, 0] == pytest.approx(cd, rel=1e-6, abs=tol)
 
     @settings(max_examples=30, deadline=None)
-    @given(counting_batches(), st.sampled_from(sorted(SCORE_CASES)))
-    def test_counting_rows_match_single_records_property(self, case, name):
+    @given(counting_batches(), st.sampled_from(sorted(SCORE_CASES)), st.just((0.0, 0.05, -0.1)))
+    # wide: 72 records under 21 models (the exceptional point among them), 1,512 rows
+    @example(wide_counting_batch(), "driven qubit", tuple(np.linspace(-0.5, 0.5, 21)))
+    @example(wide_counting_batch(), "d = 3", tuple(np.linspace(-0.1, 0.1, 21)))
+    def test_counting_rows_match_single_records_property(self, case, name, shifts):
         # a batch is one sweep with the records as rows; every value, score and final
         # state must have the bits of the record swept alone
         dt, recs = case
         family, theta = SCORE_CASES[name]()
         d = family.base.dim
         rho0 = np.eye(d, dtype=complex) / d
-        models = [family.model(np.add(theta, s)) for s in (0.0, 0.05, -0.1)]
+        models = [family.model(np.add(theta, s)) for s in shifts]
         H, L = np.stack([m.H for m in models]), np.stack([m.L for m in models])
         batch = _loglik_table(H, L, rho0, recs, dt, 1.0)
         singles = [_loglik_table(H, L, rho0, [r], dt, 1.0) for r in recs]
@@ -642,6 +658,24 @@ class TestDenseReference:
         self.check(z.logtrace, z.states, ref_logtrace, ref_states)
         f = run_filter(m, rho0, rec, dt=dt)
         self.check(np.array([f.loglik]), f.states, ref_logtrace[-1:], ref_states)
+
+    def test_counting_jumps_a_sliver_apart(self):
+        # the stretch between the jumps holds no whole cell; as a sum over the
+        # eigenvectors (cond(U) ~ 5.7) its map cancels to I and loses 8e-10
+        m, dt = driven_qubit(omega=0.47), 1e-2
+        rec = CountingRecord(horizon=5.0, jumps=[1.2345, 1.2345 + 1e-6])
+        ref = dense_counting(m.H, m.L, MIXED, dt, horizon=rec.horizon, jumps=rec.jumps)[2]
+        assert log_likelihood(m, MIXED, rec, dt=dt) == pytest.approx(ref[-1], rel=0.0, abs=1e-12)
+
+    def test_counting_jump_just_after_a_rabi_node(self):
+        # <e|exp(-G t)|g> vanishes at t = pi / w: each jump after the first comes 1e-4
+        # after such a node, so its rate is a small difference of O(1) terms of the map
+        omega, dt = 1.55, 1e-2
+        tau = np.pi / np.sqrt(omega ** 2 / 4 - 1 / 16) + 1e-4
+        m = driven_qubit(omega=omega)
+        rec = CountingRecord(horizon=12.0, jumps=[1.0, 1.0 + tau, 1.0 + 2 * tau])
+        ref = dense_counting(m.H, m.L, MIXED, dt, horizon=rec.horizon, jumps=rec.jumps)[2]
+        assert log_likelihood(m, MIXED, rec, dt=dt) == pytest.approx(ref[-1], rel=0.0, abs=1e-10)
 
     @pytest.mark.parametrize("case", ["qubit ground", "qubit mixed"])
     def test_posterior_grid_theta_stack(self, case):
