@@ -37,7 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .exceptions import ZeroJumpRate
-from .operators import dag
+from .operators import _lindblad_tangent, _nojump_generator, _nojump_tangent, dag
 
 EIG_CLIP = -1e-12
 TRACE_FLOOR = 1e-290
@@ -93,46 +93,61 @@ def _matrices(r):
     return (r @ _hermitian_index(d).basis).view(complex).reshape(r.shape[:-1] + (d, d))
 
 
-def _upper(r):
-    """The matrices of coordinates r, (k, d^2), with zeros below the diagonal: all
-    that ``eigvalsh`` and ``eigh`` read with UPLO="U"."""
-    d = math.isqrt(r.shape[-1])
-    v = np.zeros((len(r), 2 * d * d))
-    v[:, _hermitian_index(d).upper] = r
-    return v.view(complex).reshape(-1, d, d)
-
-
-def _diffusive_step_matrix(H, L, dt):
+def _diffusive_step_matrix(H, L, dt, dH=None, dL=None):
     """Step matrix M on the real coordinates r (``_coords``) as row vectors:
     ``r @ M = [A0 r, A0 f, K r, K f, mean dt]``, A0 = I + dt Lindblad, K: rho ->
     L rho + rho L^dag, mean = Tr((L+L^dag) rho), f the screen's linear parts: Tr,
     s' = s - EIG_CLIP/2 Tr(rho) and for d = 2 z0, where [[a, x+iy], [x-iy, e]] has
     smallest eigenvalue s - |(z0, x, y)|, s = (a+e)/2, z0 = (a-e)/2 (s = 0 for
     d > 2).  (d^2, 2h+1) per model, h = d^2 + 2 (+1 for d = 2); stacks (b, d^2, 2h+1).
-    Row k holds the images of the matrix E_k of coordinate k."""
+    Row k holds the images of the matrix E_k of coordinate k.  Derivatives dH, dL (k, d, d)
+    lift A0, K onto (1 + k) d^2 rows [r, z_1, ..., z_k], for d^2 above; f and mean read r."""
     d = L.shape[-1]
     E = _matrices(np.eye(d * d))
-    L, G = L[..., None, :, :], nojump_generator(H, dag(L) @ L)[..., None, :, :]
-    # Lindblad generator: rho -> L rho L^dag - G rho - rho G^dag
-    A0 = E + dt * (L @ E @ dag(L) - G @ E - E @ dag(G))
-    A0, K = (_coords(X.reshape(X.shape[:-2] + (d * d,))) for X in (A0, L @ E + E @ dag(L)))
-    mean = expect(L + dag(L), E).real[..., None] * dt
-    f, shift = np.zeros((2, d * d, 3 if d == 2 else 2))
+    L, G = L[..., None, :, :], _nojump_generator(H, dag(L) @ L)[..., None, :, :]
+    # Lindblad generator: rho -> L rho L^dag - G rho - rho G^dag, and its derivatives
+    maps = [E + dt * (L @ E @ dag(L) - G @ E - E @ dag(G)), L @ E + E @ dag(L)]
+    if dH is not None:  # the parameter axis before E's
+        Lk, dL = L[..., None, :, :], dL[..., None, :, :]
+        dG = _nojump_tangent(Lk, dH[..., None, :, :], dL)
+        maps += [dt * _lindblad_tangent(Lk, dL, dG, E), dL @ E + E @ dag(dL)]
+    A0, K, *dX = (_coords(X.reshape(X.shape[:-2] + (d * d,))) for X in maps)
+    if dX:  # lifted: [[X, dX_1, ..., dX_k], [0, X, 0, ...], ...] acts on [r, z_1, ..., z_k]
+        A0, K = (_kron(_identity(1 + dX[0].shape[-3]), X) for X in (A0, K))
+        for X, dXa in zip((A0, K), dX):
+            X[..., :d * d, d * d:] = dXa.swapaxes(-3, -2).reshape(X.shape[:-2] + (d * d, -1))
+    mean = np.zeros(A0.shape[:-1] + (1,))
+    mean[..., :d * d, :] = expect(L + dag(L), E).real[..., None] * dt
+    f, shift = np.zeros((2, A0.shape[-1], 3 if d == 2 else 2))
     f[:d, 0], shift[:d, 1] = 1.0, -0.5 * EIG_CLIP
-    f[:, 1:] = [[0.5, 0.5], [0.5, -0.5], [0, 0], [0, 0]] if d == 2 else 0.0
+    f[:d * d, 1:] = [[0.5, 0.5], [0.5, -0.5], [0, 0], [0, 0]] if d == 2 else 0.0
     return np.concatenate([A0, A0 @ f + shift, K, K @ f, mean], axis=-1)
 
 
-def sweep_diffusive(H, L, rho0, dt, *, dY=None, dI=None, keep_states=False,
+def _clip_tangent(w, v, rho, z, factor, tr):
+    """Tangents z (r, k d^2) through the clip rho = v max(w, 0) v^dag, of trace tr (factor
+    before): Dclip[z] + rho (Tr z / factor - Tr Dclip[z] / tr), Dclip by Daleckii-Krein."""
+    Z, v, vh = _matrices(z.reshape(len(z), -1, w.shape[-1] ** 2)), v[:, None], dag(v)[:, None]
+    dw, pos = w[:, :, None] - w[:, None, :], np.clip(w, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):  # equal eigenvalues: max(x, 0)'
+        F = np.where(dw == 0.0, w[:, :, None] > 0.0, (pos[:, :, None] - pos[:, None, :]) / dw)
+        D = v @ (F[:, None] * (vh @ Z @ v)) @ vh
+        scale = btrace(Z).real / factor[:, None] - btrace(D).real / tr[:, None]
+        D += rho[:, None] * scale[..., None, None]
+    return _coords(D.reshape(D.shape[:2] + (-1,))).reshape(len(z), -1)
+
+
+def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_states=False,
                     keep_logtrace=False):
     """Run the diffusive core over a batch of b trajectories.
 
     Exactly one of ``dY`` (replay of given records) or ``dI`` (simulation:
     innovation draws, output increments returned) must be supplied, each
-    shaped (b, n).  ``H``, ``L``: one model (d, d) or one per row (b, d, d);
-    ``rho0``: one (d, d) state for every row.  Returns final/optional full
-    states, the accumulated log trace (the log-likelihood), and the
-    simulated increments.
+    shaped (b, n).  ``H``, ``L``: one model (d, d) or one per row (b, d, d), ``dH``,
+    ``dL`` its derivatives (k, d, d) along k parameters, none by default; ``rho0``:
+    one (d, d) state for every row.  Returns final/optional full states, the
+    accumulated log trace (the log-likelihood), the simulated increments, and the
+    exact derivatives ``score`` (k, b) and ``dfinal`` (k, b, d, d) of loglik and final.
 
     Per step, ``r @ M`` (``_diffusive_step_matrix``) gives the mean, and one
     multiply and one add of its halves give ``V = [U, Tr U, s', (z0)]``.  Rows
@@ -149,22 +164,22 @@ def sweep_diffusive(H, L, rho0, dt, *, dY=None, dI=None, keep_states=False,
     noise = np.asarray(dI if simulate else dY, dtype=float)
     b, n = noise.shape
     L = np.asarray(L, dtype=complex)
-    M = _diffusive_step_matrix(np.asarray(H, dtype=complex), L, dt)
-    d, h = L.shape[-1], (M.shape[-1] - 1) // 2
+    M = _diffusive_step_matrix(np.asarray(H, dtype=complex), L, dt, dH, dL)
+    d, m, h = L.shape[-1], M.shape[-2], (M.shape[-1] - 1) // 2
     d2 = d * d
     out_dY = np.empty((b, n)) if simulate else None
     states = np.empty((b, n + 1, d, d), dtype=complex) if keep_states else None
     logtrace = np.zeros((b, n + 1)) if keep_logtrace else None
     if keep_states:
         states[:, 0] = rho0
-    B = min(n, max(1, _DIFFUSIVE_BLOCK // (b * (d2 + 2))))  # steps per block
-    R = np.empty((B + 1, b, 1, d2))  # R[j]: the states after step j of the block
-    R[0] = _coords(np.asarray(rho0, dtype=complex).reshape(d2))
+    B = min(n, max(1, _DIFFUSIVE_BLOCK // (b * (m + 2))))  # steps per block
+    R = np.zeros((B + 1, b, 1, m))  # R[j]: the states [r, z_1, ...] after step j of the block
+    R[0, ..., :d2] = _coords(np.asarray(rho0, dtype=complex).reshape(d2))
     dy, logs = np.empty((B, b, 1, 1)), np.empty((B + 1, b))  # logs: loglik, then factors
     W, V = np.empty((b, 1, 2 * h + 1)), np.empty((b, 1, h))
     A0_r, K_r, mean_dt = W[..., :h], W[..., h:2 * h], W[..., 2 * h:]
-    U, F, factor, head = V[..., :d2], V[..., d2:d2 + 1], V[:, 0, d2], V[:, 0, d2:d2 + 2]
-    diag, z0, (x, y) = V[:, 0, :d], V[:, 0, d2 + 2:], np.split(V[:, 0, d:d2], 2, axis=-1)
+    U, F, factor, head = V[..., :m], V[..., m:m + 1], V[:, 0, m], V[:, 0, m:m + 2]
+    diag, z0, (x, y) = V[:, 0, :d], V[:, 0, m + 2:], np.split(V[:, 0, d:d2], 2, axis=-1)
     bound, gap = np.full((b, 2), TRACE_FLOOR), np.empty((b, 2))
     t, iu, ju = bound[:, 1:], *np.triu_indices(d, 1)
     pairs = ((np.arange(d) == iu[:, None]) | (np.arange(d) == ju[:, None])) * 1.0
@@ -192,7 +207,7 @@ def sweep_diffusive(H, L, rho0, dt, *, dY=None, dI=None, keep_states=False,
                 screened = d == 2 or not flagged.all()  # Gershgorin: till the block ends
             else:
                 flagged = alive
-            rho = _upper(U[:, 0] if flagged is alive and all_alive else U[flagged, 0])
+            rho = _matrices(U[:, 0, :d2] if flagged is alive and all_alive else U[flagged, 0, :d2])
             low = np.linalg.eigvalsh(rho, UPLO="U")[:, 0]
             if all_alive and low.min(initial=np.inf) >= EIG_CLIP and factor.min() > TRACE_FLOOR:
                 np.divide(U, F, out=R[j + 1])
@@ -202,8 +217,11 @@ def sweep_diffusive(H, L, rho0, dt, *, dY=None, dI=None, keep_states=False,
             if len(rows):
                 w, v = np.linalg.eigh(rho[clip], UPLO="U")
                 rho = (v * np.clip(w, 0.0, None)[..., None, :]) @ dag(v)
-                U[rows, 0] = _coords(rho.reshape(-1, d2))
+                U[rows, 0, :d2] = _coords(rho.reshape(-1, d2))
                 tr[rows] = U[rows, 0, :d].sum(axis=-1)
+                if m > d2:
+                    U[rows, 0, d2:] = _clip_tangent(w, v, rho, U[rows, 0, d2:], factor[rows],
+                                                    tr[rows])
             ok = (factor > 0.0) & (tr > TRACE_FLOOR)
             keep = alive & ok
             R[j + 1] = R[j]
@@ -220,16 +238,14 @@ def sweep_diffusive(H, L, rho0, dt, *, dY=None, dI=None, keep_states=False,
         if keep_logtrace:
             logtrace[:, k0 + 1:k0 + k + 1] = logs[1:k + 1].T
         if keep_states:
-            states[:, k0 + 1:k0 + k + 1] = _matrices(R[1:k + 1, :, 0]).swapaxes(0, 1)
+            states[:, k0 + 1:k0 + k + 1] = _matrices(R[1:k + 1, :, 0, :d2]).swapaxes(0, 1)
         R[0] = R[k]
-    final = states[:, -1] if keep_states else _matrices(R[0, :, 0])
+    final = states[:, -1] if keep_states else _matrices(R[0, :, 0, :d2])
+    z = R[0, :, 0, d2:].reshape(b, m // d2 - 1, d2)  # d(unnormalized state)/d(theta) / its trace
+    score = np.where(loglik[:, None] == -np.inf, np.nan, z[..., :d].sum(axis=-1))
+    dfinal = _matrices(z) - final[:, None] * score[..., None, None]
     return SimpleNamespace(final=final, loglik=loglik, states=states, logtrace=logtrace,
-                           dY=out_dY)
-
-
-def nojump_generator(H, LdL):
-    """Generator iH + L^dag L/2 of the no-jump evolution."""
-    return 1j * H + 0.5 * LdL
+                           dY=out_dY, score=score.T, dfinal=dfinal.swapaxes(0, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,7 +285,7 @@ class CountingLoglik:
     exp(_SPAN), at most ``_CHUNK``) to any later time is one map U diag(nu) U^-1.
     Models with cond(U) >= EIG_COND_MAX (near-defective G) take matrix powers.
     ``H``, ``L``: (n, d, d) stacks or one model; ``dH``, ``dL``: their derivatives
-    along kp parameters, (n, kp, d, d), for ``sweep(tangent=True)``.
+    along kp parameters, (n, kp, d, d), for a ``sweep`` that carries the tangent.
     """
 
     _CHUNK = 10_000  # renormalize at least this often, in cells
@@ -285,7 +301,7 @@ class CountingLoglik:
         n, d = L.shape[0], L.shape[-1]
         eye = _identity(d)
         self._LdL = dag(L) @ L
-        self._gen = nojump_generator(H, self._LdL)
+        self._gen = _nojump_generator(H, self._LdL)
         try:
             g, U = np.linalg.eig(self._gen)
             with np.errstate(all="ignore"):
@@ -301,13 +317,13 @@ class CountingLoglik:
         with np.errstate(divide="ignore"):
             cells = self._SPAN / (2.0 * np.abs(self._logmu.real).max(axis=-1))
         self._chunk = np.clip(cells, 1, self._CHUNK).astype(int)
-        self._bad, self._L = ~ok, L
+        self._bad, self._L, self._tangent = ~ok, L, dH is not None
         # amplitude bases [u_i v_l^T, L u_i v_l^T] at i d + l (U = [u_i], U^-1 = [v_l^T])
         uv = self._U.swapaxes(1, 2)[:, :, None, :, None] * self._Uinv[:, None, :, None, :]
         self._B = np.stack((uv, L[:, None, None] @ uv), axis=3).reshape(n, d * d, 2, d, d)
         if dH is not None:  # tangents (n, kp, d, d) along kp parameters
             dH, self._dL = (np.asarray(x, dtype=complex).reshape(n, -1, d, d) for x in (dH, dL))
-            dG = 1j * dH + 0.5 * (dag(self._dL) @ L[:, None] + dag(L)[:, None] @ self._dL)
+            dG = _nojump_tangent(L[:, None], dH, self._dL)
             self._dGe = self._Uinv[:, None] @ dG @ self._U[:, None]
             # for the divided differences in _maps: w_ij = mu_i/mu_j - 1 with mu = 1 - dt g,
             # and log1p(w) to full precision (numpy's complex log1p is not)
@@ -373,15 +389,15 @@ class CountingLoglik:
         out[:, m + 1, :d2] = (N.conj()[:, :, :, None] * N[:, :, None]).sum(1).reshape(n, d2, E)
         return out
 
-    def sweep(self, rho0, horizons, jumps, keep=False, tangent=False):
+    def sweep(self, rho0, horizons, jumps, keep=False):
         """Sweep r records under the n models as n r rows (row i r + j: model i, record j):
         step e applies event e (a jump, renormalization mark or the horizon, with the fused
         map (a, k, b) before it) to the rows with events left, a prefix of the rows ordered
         by event count, and the identity after a row's last event.  Returns the events, per
         row and event the log-likelihood so far ``cum``, ``dead`` (a jump at rate <= DARK_RATE
         or a non-positive trace) and with ``keep`` the state ``Y``; read at each row's last
-        event, ``loglik`` (n, r), ``final`` (n, r, d, d), ``score`` (kp, n r), ``dfinal``."""
-        dt, chunk = self.dt, int(self._chunk.min())
+        event, ``loglik`` (n, r), ``final`` (n, r, d, d), with dH ``score`` (kp, nr), ``dfinal``."""
+        dt, chunk, tangent = self.dt, int(self._chunk.min()), self._tangent
         n_cells = np.array([_n_cells(h, dt) for h in horizons])
         parts = [np.concatenate((j, np.arange(chunk, n, chunk) * dt, [h]))
                  for h, j, n in zip(horizons, jumps, n_cells)]

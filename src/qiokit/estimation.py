@@ -29,6 +29,8 @@ from .operators import (
     _check_int,
     _check_real,
     _ergodic_stationary,
+    _lindblad_tangent,
+    _nojump_tangent,
     dag,
     zero_mean_inverse,
 )
@@ -114,9 +116,9 @@ def mle(
     per axis, parameter dimension at most 2) and refines from the best
     grid point with bounded L-BFGS-B on (-loglik, -score), recording
     ``nfev`` (L-BFGS-B evaluations) and ``converged`` in the diagnostics.
-    The score is exact for counting records and a central difference for
-    diffusive ones.  The likelihood can have several maxima inside one grid
-    cell (a counting jump after a long dark wait has a factor that
+    The score is exact for both record kinds (the engines carry the
+    likelihood tangent).  The likelihood can have several maxima inside one
+    grid cell (a counting jump after a long dark wait has a factor that
     oscillates in the parameters), so the refinement starts from the best
     of finer points on the axes through the grid point, over the cells on
     either side, and keeps within one fine cell of where it stands.  A
@@ -294,10 +296,9 @@ def counting_fisher(family: ParameterFamily, theta: float) -> float:
     if V <= 1e-14:
         raise ZeroVariance("asymptotic count variance is zero")
     (dH,), (dL,), L = family.h_dot(theta), family.l_dot(theta), model.L
-    d_ldl = dag(dL) @ L + dag(L) @ dL
-    d_rho = (-1j * (dH @ rho - rho @ dH) + dL @ rho @ dag(L) + L @ rho @ dag(dL)
-             - 0.5 * (d_ldl @ rho + rho @ d_ldl))
-    mu_dot = float(np.trace(rho @ d_ldl).real - np.trace(d_rho @ A).real)
+    dG = _nojump_tangent(L, dH, dL)  # (L^dag L)' = dG + dG^dag
+    d_rho = _lindblad_tangent(L, dL, dG, rho)
+    mu_dot = float(np.trace(rho @ (dG + dag(dG))).real - np.trace(d_rho @ A).real)
     return mu_dot**2 / V
 
 

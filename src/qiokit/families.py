@@ -114,14 +114,9 @@ class ParameterFamily:
         return [np.array(Li) for Li in self.l_dirs]
 
 
-_STEP = 1e-4  # the diffusive score's central difference steps by _STEP * max(1, |theta|)
-
-
 def _tangent(family: ParameterFamily, theta) -> tuple:
-    """(dH, dL, h) at theta: the (k, d, d) derivatives of H and L along each
-    parameter, and the central-difference step of each."""
-    t = family._theta(theta)
-    return np.stack(family.h_dot(t)), np.stack(family.l_dot(t)), _STEP * np.maximum(1.0, np.abs(t))
+    """(dH, dL) at theta: the (k, d, d) derivatives of H and L along each parameter."""
+    return np.stack(family.h_dot(theta)), np.stack(family.l_dot(theta))
 
 
 def _one_parameter(family: ParameterFamily, theta, name: str) -> float:

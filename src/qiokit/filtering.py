@@ -145,7 +145,7 @@ def log_likelihood_many(
     return _loglik_table(model.H, model.L, rho0, records, dt, lam).loglik[0]
 
 
-def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=None):
+def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=()):
     """``loglik`` (n_models, n_records) and final states ``final`` (n_models,
     n_records, d, d) of every record under every model, ``H``, ``L`` one (d, d)
     model or an (n, d, d) stack.  Checks the record list and kind, the reference
@@ -154,26 +154,22 @@ def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=None):
     on a shared grid run in one sweep over model x record, one model as (d, d),
     so that each row has the bits of a simulated trajectory of that model.
 
-    ``tangent = (dH, dL, h)``, with one model, dH and dL its (k, d, d)
-    derivatives along k parameters and h (k,) steps, adds ``score`` (k, n_records)
-    and ``dfinal`` (k, n_records, d, d): exact for counting records, the central
-    difference over the models (H, L) +- h_a (dH_a, dL_a) for diffusive ones.
+    ``tangent = (dH, dL)``, with one model, dH and dL its (k, d, d) derivatives
+    along k parameters, adds ``score`` (k, n_records) and ``dfinal`` (k,
+    n_records, d, d): the exact derivatives that either engine carries.
     """
     _check_intensity(lam)
     records, rho0 = _record_list(records), _state_array(rho0, L.shape[-1])
     if records and _record_kind(records) is CountingRecord:
         _step_guard(L, dt)
-        dH, dL = tangent[:2] if tangent else (None, None)
-        return integ.CountingLoglik(H, L, dt, lam=lam, dH=dH, dL=dL).sweep(
-            rho0, [r.horizon for r in records], [r.jumps for r in records], tangent=bool(tangent))
-    if tangent is not None:  # rows (H, L), then (H, L) +- h_a (dH_a, dL_a) for each a
-        dH, dL, h = tangent
-        step = np.array([1.0, -1.0])[None, :, None, None] * h[:, None, None, None]
-        H, L = (np.concatenate([X[None], (X + step * dX[:, None]).reshape((-1,) + X.shape)])
-                for X, dX in ((H, dH), (L, dL)))
+        return integ.CountingLoglik(H, L, dt, lam, *tangent).sweep(
+            rho0, [r.horizon for r in records], [r.jumps for r in records])
     n_models, d = 1 if L.ndim == 2 else len(L), L.shape[-1]
     out = SimpleNamespace(loglik=np.empty((n_models, len(records))),
                           final=np.empty((n_models, len(records), d, d), dtype=complex))
+    if tangent:
+        out.score, out.dfinal = np.empty((len(tangent[0]), len(records))), np.empty(
+            (len(tangent[0]), len(records), d, d), dtype=complex)
     for step, n in dict.fromkeys((r.dt, len(r)) for r in records):
         _step_guard(L, step)
         idx = [j for j, r in enumerate(records) if (r.dt, len(r)) == (step, n)]
@@ -182,12 +178,9 @@ def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=None):
         if L.ndim == 3:  # row (model i, record j) at i * len(idx) + j
             Hs, Ls = np.repeat(H, len(idx), axis=0), np.repeat(L, len(idx), axis=0)
             dY = np.tile(dY, (n_models, 1))
-        sweep = integ.sweep_diffusive(Hs, Ls, rho0, step, dY=dY)
+        sweep = integ.sweep_diffusive(Hs, Ls, rho0, step, *tangent, dY=dY)
         out.loglik[:, idx] = sweep.loglik.reshape(n_models, len(idx))
         out.final[:, idx] = sweep.final.reshape(n_models, len(idx), d, d)
-    if tangent is None:
-        return out
-    ll, fin = (x[1:].reshape((len(h), 2) + x.shape[1:]) for x in (out.loglik, out.final))
-    return SimpleNamespace(loglik=out.loglik[:1], final=out.final[:1],
-                           score=(ll[:, 0] - ll[:, 1]) / (2 * h[:, None]),
-                           dfinal=(fin[:, 0] - fin[:, 1]) / (2 * h[:, None, None, None]))
+        if tangent:
+            out.score[:, idx], out.dfinal[:, idx] = sweep.score, sweep.dfinal
+    return out

@@ -103,7 +103,7 @@ def conditional_qfi(family: ParameterFamily, theta, rho0, record, *, dt: float =
     """QFI of the conditional state at the record horizon (one parameter).
 
     The final state and its derivative are the likelihood tangent's at theta,
-    inside the family domain (exact for counting records); this is the
+    inside the family domain (exact for both record kinds); this is the
     final-measurement information term in the combined Cramer-Rao bound.  A
     counting record of likelihood zero raises :class:`ZeroJumpRate`.
     """

@@ -306,6 +306,21 @@ def lindblad_generator(model: QMarkovModel, picture: str = "schrodinger") -> Sup
     return Superoperator(mat=mat, picture=picture)
 
 
+def _nojump_generator(H, LdL):
+    """Generator iH + L^dag L/2 of the no-jump evolution."""
+    return 1j * H + 0.5 * LdL
+
+
+def _nojump_tangent(L, dH, dL):
+    """Derivative dG = i dH + (dL^dag L + L^dag dL)/2 of the no-jump generator along (dH, dL)."""
+    return _nojump_generator(dH, dag(dL) @ L + dag(L) @ dL)
+
+
+def _lindblad_tangent(L, dL, dG, X):
+    """Derivative dL X L^dag + L X dL^dag - dG X - X dG^dag of L X L^dag - G X - X G^dag."""
+    return dL @ X @ dag(L) + L @ X @ dag(dL) - dG @ X - X @ dag(dG)
+
+
 def stationary_state(model: QMarkovModel) -> DensityOperator:
     """Unique stationary state of the model's Lindblad generator.
 

@@ -31,8 +31,8 @@ EXPORTS = {
     "symplectic_transform", "transfer_function", "validate_nmse", "zero_mean_inverse",
 }
 
-# the Fisher estimators take no step: counting_fisher is exact, and the two
-# central differences step by 1e-4 max(1, |theta|)
+# the Fisher estimators take no step: counting_fisher is exact by linear
+# response, and the other two read the exact likelihood tangent
 FISHER_PARAMETERS = {
     "counting_fisher": ["family", "theta"],
     "mc_classical_fisher": ["family", "theta", "rho0", "kind", "T", "dt", "n_traj", "seed",

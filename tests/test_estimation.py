@@ -210,7 +210,7 @@ class TestMLE:
 
     @pytest.mark.parametrize("phase", [False, True])
     def test_diffusive_refinement_matches_nelder_mead(self, phase):
-        # the diffusive score is a central difference along the family's tangent
+        # the diffusive score is the exact tangent that the sweep carries
         if phase:
             fam, true = ParameterFamily.phase_family(driven_qubit(), domain=((-1.0, 1.0),)), 0.3
         else:
@@ -520,10 +520,12 @@ class TestMCFisher:
                                   n_traj=100, seed=15)
         assert abs(est.value) <= 3 * est.stderr + 1e-9
 
-    def test_mean_score_near_zero(self):
+    @pytest.mark.parametrize("kind, T, dt, n_traj", [("counting", 50.0, 1e-2, 400),
+                                                     ("diffusive", 2.0, 1e-3, 1000)],
+                             ids=["counting", "diffusive"])
+    def test_mean_score_near_zero(self, kind, T, dt, n_traj):
         fam = rabi_family()
-        est = mc_classical_fisher(fam, 1.0, MIXED, "counting", T=50.0, dt=1e-2,
-                                  n_traj=400, seed=16)
+        est = mc_classical_fisher(fam, 1.0, MIXED, kind, T=T, dt=dt, n_traj=n_traj, seed=16)
         assert abs(est.mean_score) < 4 * est.mean_score_stderr
 
     def test_record_dominates_total_counts_statistic(self):

@@ -73,6 +73,22 @@ SCORE_CASES = {
 }
 
 
+def _purifying_case():
+    """Strong emission, L = 3 sm, under the Rabi drive: from the excited state the
+    filter purifies and clips hundreds of steps of a T = 5 record."""
+    base = QMarkovModel(H=ZERO2, L=3 * SM)
+    return ParameterFamily.affine(base, [0.5 * SX], [ZERO2], domain=[[0.0, 3.0]]), [1.0]
+
+
+DIFFUSIVE_SCORE_CASES = {
+    "driven qubit": lambda: _rabi_case(1.0),
+    "phase": lambda: (ParameterFamily.phase_family(driven_qubit(), domain=[[-1.0, 1.0]]), [0.3]),
+    "d = 3": _random_case,
+    "k = 2": _two_parameter_case,
+    "purifying": _purifying_case,
+}
+
+
 @st.composite
 def counting_records(draw, dt=None):
     """Jump records on a dt grid with the cases the likelihood engine fuses.
@@ -274,6 +290,50 @@ class TestLogLikelihood:
             assert np.array_equal(getattr(batch, key),
                                   np.concatenate([getattr(o, key) for o in singles], axis=1),
                                   equal_nan=True), key
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(DIFFUSIVE_SCORE_CASES)), st.booleans(), st.integers(0, 2**16),
+           st.sampled_from([0.5, 2.0]))
+    @example("purifying", True, 1, 5.0)  # 212 clipped steps
+    def test_diffusive_score_matches_central_difference_property(self, name, pure, seed, T):
+        # score and dfinal against Richardson differences of rows at theta +- h; a
+        # pure start (the last basis state) makes the filter clip
+        family, theta = DIFFUSIVE_SCORE_CASES[name]()
+        d = family.base.dim
+        rho0 = np.diag(np.eye(d)[-1]).astype(complex) if pure else np.eye(d, dtype=complex) / d
+        m = family.model(theta)
+        rec, _ = simulate_homodyne(m, rho0, T=T, dt=1e-3, seed=seed, keep_states=False)
+        out = _loglik_table(m.H, m.L, rho0, [rec], rec.dt, 1.0, _tangent(family, theta))
+        plain = log_likelihood(m, rho0, rec)
+        assert out.loglik[0, 0] == pytest.approx(plain, rel=1e-12, abs=0.0)
+        for a, e in enumerate(np.eye(family.k)):
+            # small steps: a step that clips on one side of theta only kinks the loglik
+            models = [family.model(theta + h * e) for h in (1e-5, -1e-5, 5e-6, -5e-6)]
+            rows = _loglik_table(np.stack([x.H for x in models]), np.stack([x.L for x in models]),
+                                 rho0, [rec], rec.dt, 1.0)
+            # abs: the differences' round-off, about sqrt(n) eps (1 + |loglik|) / h over
+            # n steps, and the gap between the two differences
+            tol = 3 * np.sqrt(len(rec)) * 2.2e-16 * (1 + abs(plain)) / 5e-6
+            for got, x in ((out.score[a, 0], rows.loglik[:, 0]),
+                           (out.dfinal[a, 0], rows.final[:, 0])):
+                coarse, fine = (x[0] - x[1]) / 2e-5, (x[2] - x[3]) / 1e-5
+                cd = (4 * fine - coarse) / 3
+                assert np.all(np.abs(got - cd) <= 1e-6 * np.abs(cd) + tol + 4 * abs(fine - coarse))
+
+    def test_diffusive_rows_match_single_records(self):
+        # as for counting records: a batch's values, scores and states, tangent or not,
+        # have the bits of each record swept alone
+        family, theta = _rabi_case(1.0)
+        m = family.model(theta)
+        ens = simulate_homodyne_ensemble(m, MIXED, T=1.0, dt=1e-3, n_traj=50, seed=45)
+        recs = [ens.record(i) for i in range(50)]
+        for tangent in ((), _tangent(family, theta)):
+            batch = _loglik_table(m.H, m.L, MIXED, recs, 1e-3, 1.0, tangent)
+            singles = [_loglik_table(m.H, m.L, MIXED, [r], 1e-3, 1.0, tangent) for r in recs]
+            for key in ("loglik", "final") + (("score", "dfinal") if tangent else ()):
+                assert np.array_equal(getattr(batch, key),
+                                      np.concatenate([getattr(o, key) for o in singles], axis=1),
+                                      equal_nan=True), key
 
     def test_counting_long_jump_free_record_does_not_underflow(self):
         # Tr of the unnormalized state is (1 - dt kappa/2)^(2n): exp(-5000) for

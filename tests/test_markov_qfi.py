@@ -129,9 +129,8 @@ class TestConditionalQFI:
     def test_step_halving_stability(self):
         base = QMarkovModel(H=ZERO2, L=SM)
         fam = ParameterFamily.affine(base, [0.5 * SX], [ZERO2], domain=[[0.2, 2.0]])
-        rec, _ = simulate_homodyne(fam.model([1.0]), MIXED, T=2.0, dt=1e-3, seed=2)
 
-        def central_qfi(h):
+        def central_qfi(rec, h):
             plus, center, minus = (run_filter(fam.model([1.0 + s]), MIXED, rec, dt=1e-3)
                                    .final_state for s in (h, 0.0, -h))
             drho = (plus - minus) / (2 * h)
@@ -139,10 +138,13 @@ class TestConditionalQFI:
             drho = drho - (np.trace(drho).real / 2) * np.eye(2)
             return qfi_matrix(center, [drho])[0, 0]
 
-        a = conditional_qfi(fam, 1.0, MIXED, rec, dt=1e-3)
-        assert a == central_qfi(1e-4)  # the documented step, 1e-4 max(1, |theta|)
-        b = central_qfi(5e-5)
-        assert abs(a - b) <= 0.01 * max(abs(a), abs(b), 1e-12)
+        for seed in (2, 3):
+            rec, _ = simulate_homodyne(fam.model([1.0]), MIXED, T=2.0, dt=1e-3, seed=seed)
+            a = conditional_qfi(fam, 1.0, MIXED, rec, dt=1e-3)
+            coarse, fine = central_qfi(rec, 1e-4), central_qfi(rec, 5e-5)
+            # the exact tangent against a Richardson step of the public filter's differences
+            assert a == pytest.approx((4 * fine - coarse) / 3, rel=1e-9, abs=0.0)
+            assert abs(a - fine) <= 0.01 * max(abs(a), abs(fine), 1e-12)
 
     def test_terminal_jump_state_carries_no_information(self):
         # a record ending at a jump leaves |g><g| for every theta: zero QFI
