@@ -608,7 +608,8 @@ class CountingLoglik:
         c = (U^-1 rho U^-dag) * (U^dag U)^T, and each waiting time is the root of
         S(t) = u, u uniform, by Brent's method on [0, T - t].  A near-defective
         G (cond(U) >= EIG_COND_MAX) takes S(t) = Tr(M rho M^dag), M from expm.
-        Returns (jump_times, final normalized state).  For small dimensions.
+        Returns the jump times on (0, T] only: their states and likelihood are
+        the scheme's, from ``sweep`` or ``replay``.  For small dimensions.
         """
         from scipy import linalg, optimize  # at module level: 15 ms slower import
 
@@ -634,8 +635,6 @@ class CountingLoglik:
             u = rng.random()
             S = survival(rho)
             if S(T - t) > u:
-                rho = evolve(rho, T - t)
-                rho /= btrace(rho).real
                 break
             tau = optimize.brentq(lambda s: S(s) - u, 0.0, T - t, xtol=1e-14)
             rho = evolve(rho, tau)
@@ -646,4 +645,4 @@ class CountingLoglik:
             rho = (L @ rho @ dag(L)) / rate
             t += tau
             times.append(min(t, T))
-        return np.asarray(times), rho
+        return np.asarray(times)

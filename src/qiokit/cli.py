@@ -342,6 +342,8 @@ def _check_args(args) -> None:
         raise ValidationError("--grid must be at least 1")
     if args.command == "linsys" and args.omega_points < 0:
         raise ValidationError("--omega-points must be nonnegative")
+    if args.command == "linsys" and not np.isfinite([args.omega_min, args.omega_max]).all():
+        raise ValidationError("--omega-min and --omega-max must be finite")
 
 
 def main(argv=None) -> int:

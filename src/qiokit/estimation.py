@@ -173,7 +173,8 @@ def mle(
     fine = fine[np.all((lo <= fine) & (fine <= hi), axis=1)]
     fine_ll = table(fine)
     x, nfev = fine[int(np.argmax(fine_ll))], 0
-    # gtol 1e-7 |loglik|: above the score's noise floor, ~1e-4 at |loglik| ~ 1e3
+    # gtol 1e-7 |loglik| (~1e-4 at |loglik| ~ 1e3): the score is exact, so this value
+    # sets where L-BFGS-B stops, and with it the estimates and the evaluation counts
     options = {"ftol": 1e-13, "gtol": 1e-7 * max(1.0, abs(fine_ll.max()))}
     for _ in range(MAX_MOVES + 1):
         region = np.clip(np.stack([x - cell, x + cell], axis=1), lo[:, None], hi[:, None])

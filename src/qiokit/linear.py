@@ -31,7 +31,14 @@ from .exceptions import (
     StepTooLarge,
     ValidationError,
 )
-from .operators import _check_int, _check_positive, _even_square, _freeze, _real_matrix
+from .operators import (
+    _check_finite,
+    _check_int,
+    _check_positive,
+    _even_square,
+    _freeze,
+    _real_matrix,
+)
 from .trajectories import STEP_GUARD, DiffusiveRecord, _draws, _grid_steps
 
 __all__ = [
@@ -279,8 +286,11 @@ def check_pr2(G: LinearQSystem, tol: float = 1e-8) -> PR2Result:
 
 
 def transfer_function(G: LinearQSystem, s: complex) -> np.ndarray:
-    """Xi(s) = C (sI - A)^{-1} B + D."""
-    m = s * np.eye(2 * G.n) - G.A
+    """Xi(s) = C (sI - A)^{-1} B + D at a finite complex s."""
+    v = np.asarray(s)
+    if v.shape or v.dtype.kind not in "biufc" or not np.isfinite(v):
+        raise ValidationError(f"s must be a finite complex number, got {s!r}")
+    m = v * np.eye(2 * G.n) - G.A
     try:
         sol = np.linalg.solve(m, G.B)
     except np.linalg.LinAlgError as exc:
@@ -297,9 +307,10 @@ def _require_hurwitz(G: LinearQSystem):
 
 
 def power_spectrum(G: LinearQSystem, inp: GaussianInput, omega: float) -> np.ndarray:
-    """Output power spectrum Phi(i w) = Xi(i w)^# Gamma Xi(i w)^T."""
+    """Output power spectrum Phi(i w) = Xi(i w)^# Gamma Xi(i w)^T at a finite real w."""
+    omega = _check_finite(omega, "omega")
     _require_hurwitz(G)
-    xi = transfer_function(G, 1j * float(omega))
+    xi = transfer_function(G, 1j * omega)
     return xi.conj() @ inp.Gamma @ xi.T
 
 

@@ -25,6 +25,7 @@ from .families import ParameterFamily, _one_parameter, _tangent
 from .filtering import _loglik_table
 from .operators import (
     QMarkovModel,
+    _check_finite,
     _ergodic_stationary,
     _freeze,
     _square_complex,
@@ -49,10 +50,7 @@ class GaugeElement:
         d = W.shape[0]
         if np.max(np.abs(W.conj().T @ W - np.eye(d))) > 1e-10:
             raise ValidationError("W must be unitary to 1e-10")
-        r = float(self.r)
-        if not np.isfinite(r):
-            raise ValidationError(f"r must be finite, got {r}")
-        _freeze(self, W=W, r=r)
+        _freeze(self, W=W, r=_check_finite(self.r, "r"))
 
 
 def _generators(family: ParameterFamily, theta):

@@ -110,6 +110,13 @@ def _check_positive(value, name: str) -> float:
     return float(value)
 
 
+def _check_finite(value, name: str) -> float:
+    """``value`` as a float in (-inf, inf); a non-number, NaN or inf is invalid."""
+    if not np.isfinite(_check_real(value, name)):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def _real_matrix(m, name, shape=None):
     a = np.array(m, dtype=float)
     if shape is not None and a.shape != shape:

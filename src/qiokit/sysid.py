@@ -151,6 +151,13 @@ def prbs_pair(length: int, amplitude: float, seed: int) -> np.ndarray:
     )
 
 
+def _check_split(split) -> float:
+    """``split``, the estimation share of a record, as a real number in (0, 1)."""
+    if not 0 < _check_real(split, "split") < 1:
+        raise ValidationError(f"split must lie in (0, 1), got {split!r}")
+    return float(split)
+
+
 @dataclass(frozen=True)
 class SysIdDataset:
     """Sampled input/output data with a contiguous estimation/validation split."""
@@ -177,7 +184,7 @@ class SysIdDataset:
     @classmethod
     def from_record(cls, record: DiffusiveRecord, inputs, split: float = 0.7):
         y = record.increments / record.dt
-        idx = int(round(split * len(y)))
+        idx = int(round(_check_split(split) * len(y)))
         idx = min(max(idx, 1), len(y) - 1)
         return cls(dt=record.dt, inputs=np.asarray(inputs, float),
                    outputs=y, split_index=idx)
@@ -743,8 +750,7 @@ class PipelineConfig:
         _freeze(self, orders=tuple(_check_orders(self.orders)))
         _check_int(self.seed, "seed", 0)
         _check_int(self.horizon, "horizon", 1)
-        if not 0 < self.split < 1:
-            raise ValidationError("split must lie in (0, 1)")
+        _check_split(self.split)
         if not (0 < _check_real(self.dt, "dt") < np.inf
                 and (self.dataset is not None or 0 < _check_real(self.T, "T") < np.inf)):
             raise ValidationError("dt must be positive and finite, and T too when simulating")

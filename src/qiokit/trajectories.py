@@ -213,31 +213,43 @@ def _simulate(kind, H, L, rho0, T, dt, seed, start, b, keep_states=False):
 
     Checks the kind, the row count, the grid, the step guard over the
     models and the initial state, in that order, then runs row i on the
-    draws of ``trajectory_rng(seed, start + i)``.  Returns a
+    draws of ``trajectory_rng(seed, start + i)``.  The ``"exact"`` kind takes
+    one model of dimension <= 8: the stream gives its jump times on (0, T]
+    from the survival law, and the counting scheme their states and
+    log-likelihood, as ``run_filter`` reads the record.  Returns a
     HomodyneEnsemble or a CountingEnsemble.
     """
-    if kind not in ("counting", "diffusive"):
+    if kind not in ("counting", "diffusive", "exact"):
         raise ValidationError(f"unknown simulation kind {kind!r}")
     b = _check_int(b, "n_traj", 1)
     n = _grid_steps(T, dt)
     _step_guard(L, dt)
     rho0 = _state_array(rho0, L.shape[-1])
-    draws = _draws(kind, seed, start, b, n, dt)
     if kind == "diffusive":
-        out = integ.sweep_diffusive(H, L, rho0, dt, dI=draws, keep_states=keep_states)
+        out = integ.sweep_diffusive(H, L, rho0, dt, dI=_draws(kind, seed, start, b, n, dt),
+                                    keep_states=keep_states)
         return HomodyneEnsemble(dt=dt, increments=out.dY, logliks=out.loglik,
                                 final_states=out.final, states=out.states)
-    out = integ.CountingLoglik(H, L, dt).simulate(rho0, draws, keep_states=keep_states)
-    return CountingEnsemble(horizon=n * dt, jump_times=out.jump_times, counts=out.counts,
-                            logliks=out.loglik, final_states=out.final, states=out.states)
+    engine = integ.CountingLoglik(H, L, dt)
+    if kind == "counting":
+        out = engine.simulate(rho0, _draws(kind, seed, start, b, n, dt), keep_states=keep_states)
+        return CountingEnsemble(horizon=n * dt, jump_times=out.jump_times, counts=out.counts,
+                                logliks=out.loglik, final_states=out.final, states=out.states)
+    if L.ndim > 2 or L.shape[-1] > 8:
+        raise ValidationError("exact sampling takes one model of dimension <= 8")
+    jumps = [engine.sample_exact(rho0, T, trajectory_rng(seed, start))]
+    out = engine.replay(rho0, T, jumps[0]) if keep_states else engine.sweep(rho0, [T], jumps)
+    final, states = (out.states[-1:], out.states[None]) if keep_states else (out.final[0], None)
+    return CountingEnsemble(horizon=T, jump_times=jumps, counts=np.array([len(jumps[0])]),
+                            logliks=np.ravel(out.loglik), final_states=final, states=states)
 
 
 def _single_run(ens, horizon: float, dt: float) -> FilterTrajectory:
-    """Row 0 of a one-row ensemble as a single run's trajectory."""
+    """Row 0 of a one-row ensemble as a single run's trajectory, on the replay's grid."""
     if ens.states is None:
         return FilterTrajectory(times=np.array([horizon]), states=ens.final_states,
                                 loglik=float(ens.logliks[0]))
-    return FilterTrajectory(times=np.arange(ens.states.shape[1]) * dt,
+    return FilterTrajectory(times=np.append(np.arange(ens.states.shape[1] - 1) * dt, horizon),
                             states=ens.states[0], loglik=float(ens.logliks[0]))
 
 
@@ -276,30 +288,15 @@ def simulate_counting(
 
     ``method="bernoulli"`` (default) is row ``index`` of
     ``simulate_counting_ensemble`` with the same seed, bit for bit.
-    ``method="exact"`` samples waiting times from the effective-Hamiltonian
-    survival law (small dimensions) and reports states on the dt grid.
+    ``method="exact"`` samples the jump times from the effective-Hamiltonian
+    survival law (dimensions <= 8); its trajectory is the scheme's reading of
+    the record, ``run_filter(model, rho0, record, dt=dt)`` bit for bit.
     """
-    if method == "bernoulli":
-        ens = simulate_counting_ensemble(model, rho0, T, dt, 1, seed,
-                                         keep_states=keep_states, start_index=index)
-        return ens.record(0), _single_run(ens, ens.horizon, dt)
-    if method != "exact":
+    kinds = {"bernoulli": "counting", "exact": "exact"}
+    if method not in kinds:
         raise ValidationError(f"unknown counting method {method!r}")
-    _grid_steps(T, dt)
-    _step_guard(model.L, dt)
-    rho0 = _state_array(rho0, model.dim)
-    if model.dim > 8:
-        raise ValidationError("exact sampling is supported for dim <= 8")
-    engine = integ.CountingLoglik(model.H, model.L, dt)
-    times, rho_T = engine.sample_exact(rho0, T, trajectory_rng(seed, index))
-    record = CountingRecord(horizon=T, jumps=times)
-    if keep_states:
-        out = engine.replay(rho0, T, times, on_dark="dead")
-        return record, FilterTrajectory(times=out.times, states=out.states,
-                                        loglik=out.loglik)
-    # the final state comes from the exact propagation, not the grid scheme
-    return record, FilterTrajectory(times=np.array([T]), states=rho_T[None],
-                                    loglik=float(engine.sweep(rho0, [T], [times]).loglik[0, 0]))
+    ens = _simulate(kinds[method], model.H, model.L, rho0, T, dt, seed, index, 1, keep_states)
+    return ens.record(0), _single_run(ens, ens.horizon, dt)
 
 
 def simulate_counting_ensemble(

@@ -82,8 +82,8 @@ def test_cli_options():
 
 
 def test_only_the_front_ends_reach_the_engines():
-    """Simulation goes through ``trajectories`` and replay through
-    ``filtering``; no other module imports the integration engines."""
+    """Simulation goes through ``trajectories._simulate`` and replay through
+    ``filtering``; no other module or function reaches the integration engines."""
     importers = set()
     for path in pathlib.Path(qiokit.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -96,3 +96,10 @@ def test_only_the_front_ends_reach_the_engines():
             if any(n.split(".")[-1] == "_integrators" for n in names):
                 importers.add(path.stem)
     assert importers == {"trajectories", "filtering"}
+    tree = ast.parse((pathlib.Path(qiokit.__file__).parent / "trajectories.py").read_text())
+    bound = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names if "_integrators" in (node.module or "", a.name)}
+    users = {getattr(stmt, "name", "<module>") for stmt in tree.body
+             if not isinstance(stmt, ast.ImportFrom)
+             and any(isinstance(n, ast.Name) and n.id in bound for n in ast.walk(stmt))}
+    assert bound and users == {"_simulate"}

@@ -401,6 +401,14 @@ class TestMalformedInputs:
         assert code == 2
         assert "A contains non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["transfer", "spectrum"])
+    @pytest.mark.parametrize("bound", ["--omega-min=nan", "--omega-max=inf"])
+    def test_linsys_non_finite_frequency(self, tmp_path, cavity_file, capsys, task, bound):
+        code = main(["linsys", "--task", task, "--system", cavity_file, bound,
+                     "--out", str(tmp_path / "t.json")])
+        assert code == 2
+        assert "--omega-min and --omega-max must be finite" in capsys.readouterr().err
+
     def test_estimate_nan_domain_bound(self, tmp_path, family_file, capsys):
         d = json.loads(open(family_file).read())
         d["domain"] = [[float("nan"), 2.0]]

@@ -417,6 +417,13 @@ class TestSimulationChecks:
         with pytest.raises(ValidationError, match="unknown simulation kind"):
             mc_classical_fisher(rabi_family(), 1.0, MIXED, "poisson", 1.0, 1e-2, n_traj=5)
 
+    def test_exact_kind(self):
+        # exact sampling runs one model; the records here are one model per row
+        with pytest.raises(ValidationError, match="exact sampling takes one model"):
+            mc_classical_fisher(rabi_family(), 1.0, MIXED, "exact", 1.0, 1e-2, n_traj=5)
+        with pytest.raises(ValidationError, match="exact sampling takes one model"):
+            self.abc(kind="exact")
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_sample_counts(self, n):
         with pytest.raises(ValidationError, match="n_pilot must be at least 2"):

@@ -30,8 +30,10 @@ from qiokit.linear import (
     build_linear_system,
     check_pr2,
     gamma_rigidity,
+    power_spectrum,
     random_symplectic,
     symplectic_form,
+    transfer_function,
 )
 from qiokit.markov_qfi import GaugeElement, gauge_transform, qfi_rate
 from qiokit.operators import (
@@ -88,7 +90,20 @@ def _boundary_calls():
     sim = (m, MIXED, 0.1, 0.01)
     data = SysIdDataset(dt=0.1, inputs=np.ones((10, 2)), outputs=np.arange(10.0),
                         split_index=5)
+    cavity = LinearQSystem(A=[[-1.0, 0.3], [0.0, -2.0]], B=np.eye(2), C=np.eye(2))
+    d9 = QMarkovModel(H=np.zeros((9, 9)), L=0.5 * np.eye(9))
     cases = {}
+    for value, rule in [(np.nan, "finite"), (np.inf, "finite"), ("a", "a real number"),
+                        (None, "a real number")]:
+        cases[f"transfer_function s {value!r}"] = (
+            "s must be a finite complex number", lambda v=value: transfer_function(cavity, v))
+        cases[f"power_spectrum omega {value!r}"] = (
+            f"omega must be {rule}",
+            lambda v=value: power_spectrum(cavity, GaussianInput.vacuum(), v))
+    for value in (np.nan, 0, 1, 2, -1, "a", None):
+        rule = "be a real number" if value in ("a", None) else "lie in \\(0, 1\\)"
+        cases[f"from_record split {value!r}"] = (f"split must {rule}", lambda v=value: (
+            SysIdDataset.from_record(drec, np.ones((2, 2)), split=v)))
     for n in (0, -1, 2.5):
         cases[f"homodyne ensemble n_traj={n}"] = (
             "n_traj must be positive and integral",
@@ -125,6 +140,15 @@ def _boundary_calls():
                                                     picture="schrodinger")),
         "GaugeElement nan r": ("r must be finite",
                                lambda: GaugeElement(r=np.nan, W=np.eye(2))),
+        "GaugeElement r 'a'": ("r must be a real number",
+                               lambda: GaugeElement(r="a", W=np.eye(2))),
+        "GaugeElement r None": ("r must be a real number",
+                                lambda: GaugeElement(r=None, W=np.eye(2))),
+        "PipelineConfig split 'a'": ("split must be a real number", lambda: PipelineConfig(
+            dt=0.1, T=1.0, prbs_amplitude=1.0, orders=(1,), system=cavity, split="a")),
+        "exact sampling d = 9": ("exact sampling takes one model of dimension <= 8",
+                                 lambda: simulate_counting(d9, np.eye(9) / 9, 0.1, 0.01, 0,
+                                                           method="exact")),
         "gamma_rigidity nan Gamma": ("Gamma contains non-finite", lambda: gamma_rigidity(NAN2)),
         "gamma_rigidity n_samples 2.5": ("n_samples must be positive and integral",
                                          lambda: gamma_rigidity(np.eye(2), n_samples=2.5)),

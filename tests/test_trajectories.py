@@ -299,21 +299,30 @@ def test_no_keep_trajectory_holds_one_final_state(path):
             return simulate_homodyne(m, MIXED, T, dt, **kw)
         return simulate_counting(m, MIXED, T, dt, method=path, **kw)
 
-    rec, traj = run(False)
+    _, traj = run(False)
     assert np.array_equal(traj.times, [T])
     assert traj.states.shape == (1, 2, 2)
     assert traj.final_state.shape == (2, 2)
-    if path == "exact":
-        rho = traj.final_state
-        assert rec.n_jumps > 0
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
-        assert abs(np.trace(rho).real - 1.0) < 1e-12
-        assert np.linalg.eigvalsh(rho).min() >= -1e-12
-        return
     _, kept = run(True)
     assert kept.times[-1] == T
     assert np.array_equal(traj.final_state, kept.final_state)
     assert traj.loglik == kept.loglik
+
+
+@pytest.mark.parametrize("seed", [21, 707])
+def test_exact_trajectory_is_the_filter_on_its_record(seed):
+    # the sampler gives the jump times only; states and likelihood are the scheme's
+    m, T, dt = driven_qubit(), 10.0, 1e-2
+    for keep in (False, True):
+        rec, traj = simulate_counting(m, MIXED, T, dt, seed, index=3, keep_states=keep,
+                                      method="exact")
+        ref = run_filter(m, MIXED, rec, dt=dt)
+        assert rec.n_jumps > 0
+        assert np.array_equal(traj.final_state, ref.final_state)
+        assert traj.loglik == ref.loglik
+        if keep:
+            assert np.array_equal(traj.states, ref.states)
+            assert np.array_equal(traj.times, ref.times)
 
 
 _DREC = DiffusiveRecord(dt=1e-3, increments=np.zeros(10))
