@@ -22,9 +22,11 @@ same discretization scheme:
   reference Poisson intensity enters in closed form as
   lam*T - N*log(lam), which makes the intensity-shift identity exact.  One
   engine, ``CountingLoglik``, serves simulation, replay, likelihood and score.
-  Its sweep takes records x models as rows and fuses the cells between two
-  anchors (jumps, renormalization marks) into one map, built from amplitudes:
-  fixed-order sums over the eigenvectors of the no-jump generator.
+  Its two samplers return jump times only.  Its sweep, the one place that sums
+  a counting log-likelihood, takes rows (model, record) and fuses the cells
+  between two anchors (jumps, renormalization marks) into one map, built from
+  amplitudes: fixed-order sums over the eigenvectors of the no-jump generator.
+  A jump at rate <= DARK_RATE has likelihood zero, and no sampler records one.
 """
 
 from __future__ import annotations
@@ -276,7 +278,8 @@ def _powers(M, k):
 
 
 class CountingLoglik:
-    """The counting engine: likelihood, score and final states of batches, replay, simulation.
+    """The counting engine: likelihood, score and final states of rows (model, record),
+    replay, and the jump times of Bernoulli and exact sampling.
 
     The no-jump Kraus maps 1 - delta G (G = iH + L^dag L/2) of whole cells and of
     the sub-steps that jumps cut out of a cell share the eigenvectors U of G, so
@@ -291,7 +294,7 @@ class CountingLoglik:
     _CHUNK = 10_000  # renormalize at least this often, in cells
     _SPAN = np.log(1e100)  # largest log trace change of one stretch
     _BLOCK = 1 << 15  # complex entries in one block of maps or lookahead rates
-    _ROW = 128  # most cells in one row of filled states; a block of rows holds _BLOCK/4 entries
+    _ROW = 128  # most cells in one row of replayed states; a block of rows holds _BLOCK/4 entries
 
     def __init__(self, H, L, dt, lam=1.0, dH=None, dL=None):
         H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
@@ -389,14 +392,15 @@ class CountingLoglik:
         out[:, m + 1, :d2] = (N.conj()[:, :, :, None] * N[:, :, None]).sum(1).reshape(n, d2, E)
         return out
 
-    def sweep(self, rho0, horizons, jumps, keep=False):
-        """Sweep r records under the n models as n r rows (row i r + j: model i, record j):
-        step e applies event e (a jump, renormalization mark or the horizon, with the fused
-        map (a, k, b) before it) to the rows with events left, a prefix of the rows ordered
-        by event count, and the identity after a row's last event.  Returns the events, per
-        row and event the log-likelihood so far ``cum``, ``dead`` (a jump at rate <= DARK_RATE
-        or a non-positive trace) and with ``keep`` the state ``Y``; read at each row's last
-        event, ``loglik`` (n, r), ``final`` (n, r, d, d), with dH ``score`` (kp, nr), ``dfinal``."""
+    def sweep(self, rho0, horizons, jumps, mi, ri, keep=False):
+        """Sweep the R rows i (model mi[i], record ri[i]) of the records (horizons, jumps), the
+        one place that sums a counting log-likelihood: step e applies event e (a jump,
+        renormalization mark or the horizon, with the fused map (a, k, b) before it) to the
+        rows with events left, a prefix of the rows ordered by event count, and the identity
+        after a row's last event.  Returns the events, per row and event the log-likelihood
+        so far ``cum``, ``dead`` (a jump at rate <= DARK_RATE or a non-positive trace) and
+        with ``keep`` the state ``Y``; read at each row's last event, ``loglik`` (R,),
+        ``final`` (R, d, d), with dH ``score`` (kp, R) and ``dfinal`` (kp, R, d, d)."""
         dt, chunk, tangent = self.dt, int(self._chunk.min()), self._tangent
         n_cells = np.array([_n_cells(h, dt) for h in horizons])
         parts = [np.concatenate((j, np.arange(chunk, n, chunk) * dt, [h]))
@@ -418,20 +422,19 @@ class CountingLoglik:
                              a=np.where(same, 0.0, (prev_cell + 1) * dt - prev_tau),
                              b=np.where(same, taus - prev_tau, taus - cells * dt),
                              k=np.where(same, 0, cells - prev_cell - 1))
-        n, r, d = len(self._L), len(parts), self._L.shape[-1]
-        mi, ri = np.repeat(np.arange(n), r), np.tile(np.arange(r), n)
+        mi, ri, d = np.asarray(mi), np.asarray(ri), self._L.shape[-1]
         e, last = np.arange(count.max())[:, None], count[ri] - 1
-        own = e <= last  # (E, n r): event e of row i r + j is event e of record j, if it has one
+        own = e <= last  # (E, R): event e of row i is event e of record ri[i], if it has one
         a, k, b, is_jump = (x[start[ri] + np.minimum(e, last)] * own
                             for x in (ev.a, ev.k, ev.b, ev.is_jump))
         rows = np.argsort(-last, kind="stable")  # most events first: the running rows, a prefix
         m = d * d * (1 + (self._dGe.shape[1] if tangent else 0))  # [y; z_1; ...] entries
-        y = np.zeros((n * r, m, 1), dtype=complex)
+        y = np.zeros((len(ri), m, 1), dtype=complex)
         y[:, :d * d, 0] = np.asarray(rho0, complex).reshape(-1, order="F")
         S, ev.Q = np.ones((2,) + a.shape)  # log 1 = 0 where a row's events are done
         ev.Y = np.empty(a.shape + (d * d,), dtype=complex) if keep else None
         width = m + 2 + m // (d * d) - 1  # rows of a map: [y; z], Tr y, Tr(N rho N^dag), Tr z
-        end, lo = np.empty((n * r, width), dtype=complex), 0  # end: X at each row's last event
+        end, lo = np.empty((len(ri), width), dtype=complex), 0  # end: X at each row's last event
         with np.errstate(all="ignore"):
             while lo < len(a):
                 live = rows[:np.count_nonzero(last >= lo)]
@@ -451,14 +454,14 @@ class CountingLoglik:
             log_s = np.log(S)
             ev.cum = np.cumsum(log_s, axis=0)
             # [y; z_1; ...] / Tr y as matrices (vec is column-major): rho and the z
-            y = (end[:, :m] / end[:, m, None].real).reshape(n * r, -1, d, d).swapaxes(-1, -2)
+            y = (end[:, :m] / end[:, m, None].real).reshape(len(ri), -1, d, d).swapaxes(-1, -2)
             rho, z = y[:, :1], y[:, 1:]
             # an optimizer reads the score path: a compensated sum keeps it smooth in theta
             total = (np.array([math.fsum(log_s[:i + 1, j]) for j, i in enumerate(last)])
-                     if tangent else ev.cum[last, np.arange(n * r)])
+                     if tangent else ev.cum[last, np.arange(len(ri))])
         total += self.lam * np.asarray(horizons)[ri] - n_jumps[ri] * np.log(self.lam)
         total[ev.dead.any(axis=0) | ~np.isfinite(total)] = -np.inf
-        ev.loglik, ev.final = total.reshape(n, r), rho.reshape(n, r, d, d)
+        ev.loglik, ev.final = total, rho[:, 0]
         if tangent:  # z = d(unnormalized state)/d(theta) / its trace; parameters first
             score = end[:, m + 2:].real / end[:, m, None].real
             score[total == -np.inf] = np.nan
@@ -481,29 +484,12 @@ class CountingLoglik:
         w = (nu[..., :, None] * nu.conj()[..., None, :]).reshape(k.shape + (-1,))
         return (w @ T.swapaxes(-1, -2)).reshape(k.shape + Y.shape[1:])
 
-    def _fill(self, states, Y, mi, bounds, a):
-        """Normalized states at the points bounds[i] <= s < bounds[i+1] of ``states``
-        from the anchor states Y[i] of models mi[i], a[i] before point bounds[i];
-        returns their traces before normalization.  The points of each anchor go to
-        ``_stretch`` as rows of at most _ROW cells, a bounded block of rows at a time."""
-        n, at = np.diff(bounds), bounds[0]
-        c = min(self._ROW, max(1, int(n.mean())))  # rows of about the mean span, padded
-        row = np.repeat(np.arange(len(n)), -(-n // c))  # the anchor of each row of c cells
-        k = c * (np.arange(len(row)) - np.searchsorted(row, row))[:, None] + np.arange(c)
-        block = max(1, self._BLOCK // (4 * c * states[0].size))
-        for r in (slice(lo, lo + block) for lo in range(0, len(row), block)):
-            st = self._stretch(Y[row[r]], mi[row[r]], k[r], a[row[r]])[k[r] < n[row[r], None]]
-            states[at:at + len(st)], at = st, at + len(st)  # the rows' points are consecutive
-        tr = btrace(states[bounds[0]:bounds[-1]]).real
-        states[bounds[0]:bounds[-1]] /= tr[:, None, None]
-        return tr
-
     def replay(self, rho0, horizon, jumps, on_dark="dead"):
         """States and running log trace of one model on the dt grid, jumps at
         their times.  A jump at zero rate raises :class:`ZeroJumpRate` with
         ``on_dark="raise"``; otherwise the log trace is -inf from that cell on and
         the state freezes at the one just before the jump."""
-        ev = self.sweep(rho0, [horizon], [jumps], keep=True)
+        ev = self.sweep(rho0, [horizon], [jumps], [0], [0], keep=True)
         d, n = self._L.shape[-1], _n_cells(horizon, self.dt)
         grid = np.append(np.arange(n) * self.dt, horizon)
         dead = np.flatnonzero(ev.dead[:, 0])
@@ -515,31 +501,43 @@ class CountingLoglik:
         Y = ev.Y[:, 0].reshape(-1, d, d).swapaxes(-1, -2)
         Y = np.concatenate(([np.asarray(rho0, complex)], Y))
         i = np.arange(min(last + 1, len(ev.taus)))
-        bounds = np.append(0, ev.cells[i] + 1)
+        span = np.diff(np.append(0, ev.cells[i] + 1))
         states, logtrace = np.empty((n + 1, d, d), dtype=complex), np.full(n + 1, -np.inf)
-        tr = self._fill(states, Y, np.zeros_like(i), bounds, ev.a)
-        at, s = np.repeat(i, np.diff(bounds)), slice(bounds[-1])  # each filled point's anchor
+        # the points go to _stretch as rows of c cells of one anchor, a bounded block at a time
+        c = min(self._ROW, max(1, int(span.mean())))  # rows of about the mean span, padded
+        row = np.repeat(i, -(-span // c))  # the anchor of each row
+        k = c * (np.arange(len(row)) - np.searchsorted(row, row))[:, None] + np.arange(c)
+        block, end = max(1, self._BLOCK // (4 * c * d * d)), 0
+        for lo in range(0, len(row), block):
+            r, kr = row[lo:lo + block], k[lo:lo + block]
+            st = self._stretch(Y[r], 0 * r, kr, ev.a[r])[kr < span[r, None]]
+            states[end:end + len(st)], end = st, end + len(st)  # a row's points are consecutive
+        tr = btrace(states[:end]).real
+        states[:end] /= tr[:, None, None]
+        at = np.repeat(i, span)  # each filled point's anchor
         before, seen = np.append(0.0, ev.cum[:, 0])[at], np.append(0, np.cumsum(ev.is_jump))[at]
-        logtrace[s] = before + np.log(tr) + (self.lam * grid[s] - seen * np.log(self.lam))
+        logtrace[:end] = before + np.log(tr) + (self.lam * grid[:end] - seen * np.log(self.lam))
         if last < len(ev.taus):  # the rest freezes at the state just before the dead event
             Y[-1] = self._stretch(Y[last:last + 1], np.zeros(1, int), ev.k[last:last + 1, None],
                                   ev.a[last], ev.b[last])[0, 0] / ev.Q[last, 0]
-        states[bounds[-1]:] = Y[-1]
-        logtrace[n] = ev.loglik[0, 0]
+        states[end:] = Y[-1]
+        logtrace[n] = ev.loglik[0]
         return SimpleNamespace(times=grid, states=states, logtrace=logtrace,
                                loglik=float(logtrace[n]))
 
-    def simulate(self, rho0, uniforms, keep_states=False):
-        """Bernoulli-thinning simulation from the one (d, d) state ``rho0``;
-        row i of ``uniforms`` (b, n) runs model i, or the one model.
+    def simulate(self, rho0, uniforms):
+        """Bernoulli-thinning jump times from the one (d, d) state ``rho0``; row i
+        of ``uniforms`` (b, n) runs model i, or the one model.
 
         Cell k jumps when u_k < Tr(L^dag L rho) dt at its start and the rate
-        after its no-jump map is positive; the jump lands at the cell end
-        (k+1) dt.  Each row takes the states of later cells from its last
-        anchor (its start, jump or mark) by ``_stretch``, so its numbers do not
-        depend on the batch, and its kept states are filled from those anchors.
+        after its no-jump map is above DARK_RATE, the rate at which ``sweep``
+        calls a jump dead; the jump lands at the cell end (k+1) dt.  Each row
+        takes the states of later cells from its last anchor (its start, jump
+        or mark) by ``_stretch``, so its jumps do not depend on the batch.
         Only cells with u_k below Tr(L^dag L) dt can jump, and only those are
-        evaluated, a bounded block per row at a time.
+        evaluated, a bounded block per row at a time.  Returns the jump times
+        of each row only: their states and likelihood are the scheme's, from
+        ``sweep`` or ``replay``.
         """
         b, n = uniforms.shape
         mi = np.arange(b) if len(self._L) > 1 else np.zeros(b, dtype=int)
@@ -550,8 +548,7 @@ class CountingLoglik:
         ptr = np.searchsorted(rows, np.arange(b + 1))
         ptr, row_end = ptr[:-1].copy(), ptr[1:]
         y = np.tile(np.asarray(rho0, dtype=complex), (b, 1, 1))
-        anchor, loglik = np.zeros(b, dtype=int), np.zeros(b)
-        anchors = [(np.arange(b), anchor.copy(), y.copy(), np.zeros(b, bool))]
+        anchor, jumps = np.zeros(b, dtype=int), [(np.zeros(0, int), np.zeros(0, int))]
         live = np.arange(b)
         while live.size:
             m, at = mi[live], anchor[live]
@@ -566,7 +563,7 @@ class CountingLoglik:
             f = btrace(st).real
             rate = expect(self._LdL[m][:, None], st).real / f
             u = uniforms[live[:, None], np.where(valid, cells, 0)]
-            jump = valid & (u < rate[:, :look] * self.dt) & (rate[:, look:-1] > 0.0)
+            jump = valid & (u < rate[:, :look] * self.dt) & (rate[:, look:-1] > DARK_RATE)
             hit = jump.any(axis=1)
             n_valid = valid.sum(axis=1)
             q = np.where(hit, jump.argmax(axis=1), n_valid)
@@ -576,29 +573,16 @@ class CountingLoglik:
             col = np.where(hit, look + q, 2 * look)[move]
             rr, hit = live[move], hit[move]
             new = st[move, col] / f[move, col, None, None]
-            loglik[rr] += np.log(f[move, col])
             Lj = self._L[mi[rr[hit]]]
             post = Lj @ new[hit] @ dag(Lj)
-            s = btrace(post).real
-            new[hit] = post / s[:, None, None]
-            loglik[rr[hit]] += np.log(s)
+            new[hit] = post / btrace(post).real[:, None, None]
             y[rr] = new
             anchor[rr] = np.where(hit, cells[move, col % look] + 1, stop[move])
-            anchors.append((rr, anchor[rr], new, hit))
+            jumps.append((rr[hit], anchor[rr[hit]]))
             live = live[anchor[live] < n]
-        row, at, Y, jumped = (np.concatenate(x) for x in zip(*anchors))
-        order = np.argsort(row, kind="stable")  # each row's anchors in time order
-        row, at, Y, jumped = row[order], at[order], Y[order], jumped[order]
-        counts = np.bincount(row[jumped], minlength=b)
-        loglik += self.lam * n * self.dt - counts * np.log(self.lam)
-        times, states = np.split(at[jumped] * self.dt, np.cumsum(counts)[:-1]), None
-        if keep_states:  # row r's anchors fill its points r (n+1) + [cell, next cell)
-            states = np.empty((b * (n + 1),) + y.shape[1:], dtype=complex)
-            self._fill(states, Y, mi[row], np.append(row * (n + 1) + at, len(states)), 0.0 * at)
-            states = states.reshape((b, n + 1) + y.shape[1:])
-            states[:, -1] = y  # the final state does not depend on keep_states
-        return SimpleNamespace(final=y, loglik=loglik, states=states, counts=counts,
-                               jump_times=times)
+        row, at = (np.concatenate(x) for x in zip(*jumps))
+        order = np.argsort(row, kind="stable")  # each row's jumps in time order
+        return np.split(at[order] * self.dt, np.cumsum(np.bincount(row, minlength=b))[:-1])
 
     def sample_exact(self, rho0, T, rng):
         """Exact waiting-time sampling of jump times under the first model.

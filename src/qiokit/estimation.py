@@ -31,6 +31,7 @@ from .operators import (
     _ergodic_stationary,
     _lindblad_tangent,
     _nojump_tangent,
+    _real_array,
     dag,
     zero_mean_inverse,
 )
@@ -204,12 +205,11 @@ def posterior_grid(
     max-shifted log posterior; the PM/MAP point estimates hang off the
     returned object.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid, prior = _real_array(grid, "grid"), _real_array(prior, "prior")
     if grid.ndim == 1:
         grid = grid[:, None]
     if grid.ndim != 2 or grid.shape[1] != family.k:
         raise ValidationError(f"grid must be (n, {family.k})")
-    prior = np.asarray(prior, dtype=float)
     if prior.shape != (len(grid),):
         raise ValidationError("prior must assign one weight per grid point")
     if not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-8):

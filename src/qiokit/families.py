@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ValidationError
-from .operators import QMarkovModel, _freeze, _square_complex
+from .operators import QMarkovModel, _freeze, _real_array, _square_complex
 
 __all__ = ["ParameterFamily"]
 
@@ -77,10 +77,7 @@ class ParameterFamily:
         return 1 if self.phase else len(self.h_dirs)
 
     def _theta(self, theta) -> np.ndarray:
-        try:
-            t = np.atleast_1d(np.asarray(theta, dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"theta must be real numbers, got {theta!r}") from exc
+        t = np.atleast_1d(_real_array(theta, "theta"))
         if t.shape != (self.k,):
             raise ValidationError(f"theta must have shape ({self.k},), got {t.shape}")
         if not np.all(np.isfinite(t)):

@@ -160,16 +160,20 @@ def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=()):
     """
     _check_intensity(lam)
     records, rho0 = _record_list(records), _state_array(rho0, L.shape[-1])
+    n_models, n_rec, d = 1 if L.ndim == 2 else len(L), len(records), L.shape[-1]
     if records and _record_kind(records) is CountingRecord:
         _step_guard(L, dt)
-        return integ.CountingLoglik(H, L, dt, lam, *tangent).sweep(
-            rho0, [r.horizon for r in records], [r.jumps for r in records])
-    n_models, d = 1 if L.ndim == 2 else len(L), L.shape[-1]
-    out = SimpleNamespace(loglik=np.empty((n_models, len(records))),
-                          final=np.empty((n_models, len(records), d, d), dtype=complex))
+        mi, ri = np.divmod(np.arange(n_models * n_rec), n_rec)  # row i n_rec + j: (i, j)
+        out = integ.CountingLoglik(H, L, dt, lam, *tangent).sweep(
+            rho0, [r.horizon for r in records], [r.jumps for r in records], mi, ri)
+        out.loglik, out.final = out.loglik.reshape(n_models, n_rec), out.final.reshape(
+            n_models, n_rec, d, d)
+        return out
+    out = SimpleNamespace(loglik=np.empty((n_models, n_rec)),
+                          final=np.empty((n_models, n_rec, d, d), dtype=complex))
     if tangent:
-        out.score, out.dfinal = np.empty((len(tangent[0]), len(records))), np.empty(
-            (len(tangent[0]), len(records), d, d), dtype=complex)
+        out.score, out.dfinal = np.empty((len(tangent[0]), n_rec)), np.empty(
+            (len(tangent[0]), n_rec, d, d), dtype=complex)
     for step, n in dict.fromkeys((r.dt, len(r)) for r in records):
         _step_guard(L, step)
         idx = [j for j, r in enumerate(records) if (r.dt, len(r)) == (step, n)]

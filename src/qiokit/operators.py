@@ -103,6 +103,14 @@ def _check_real(value, name: str) -> float:
     return float(v)
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a non-numeric or ragged value is invalid."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be real numbers, got {value!r}") from exc
+
+
 def _check_positive(value, name: str) -> float:
     """``value`` as a float in (0, inf); a non-number, NaN, 0 or inf is invalid."""
     if not 0 < _check_real(value, name) < np.inf:

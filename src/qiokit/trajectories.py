@@ -213,11 +213,13 @@ def _simulate(kind, H, L, rho0, T, dt, seed, start, b, keep_states=False):
 
     Checks the kind, the row count, the grid, the step guard over the
     models and the initial state, in that order, then runs row i on the
-    draws of ``trajectory_rng(seed, start + i)``.  The ``"exact"`` kind takes
-    one model of dimension <= 8: the stream gives its jump times on (0, T]
-    from the survival law, and the counting scheme their states and
-    log-likelihood, as ``run_filter`` reads the record.  Returns a
-    HomodyneEnsemble or a CountingEnsemble.
+    draws of ``trajectory_rng(seed, start + i)``.  A counting sampler gives
+    the jump times only: ``"counting"`` by Bernoulli thinning on the dt grid,
+    ``"exact"`` (one model of dimension <= 8) from the survival law on
+    (0, T].  Their states and log-likelihoods are the counting scheme's, as
+    ``run_filter`` reads each record: one ``sweep`` of the rows gives the
+    log-likelihoods and final states, one ``replay`` per row the kept states.
+    Returns a HomodyneEnsemble or a CountingEnsemble.
     """
     if kind not in ("counting", "diffusive", "exact"):
         raise ValidationError(f"unknown simulation kind {kind!r}")
@@ -232,16 +234,23 @@ def _simulate(kind, H, L, rho0, T, dt, seed, start, b, keep_states=False):
                                 final_states=out.final, states=out.states)
     engine = integ.CountingLoglik(H, L, dt)
     if kind == "counting":
-        out = engine.simulate(rho0, _draws(kind, seed, start, b, n, dt), keep_states=keep_states)
-        return CountingEnsemble(horizon=n * dt, jump_times=out.jump_times, counts=out.counts,
-                                logliks=out.loglik, final_states=out.final, states=out.states)
-    if L.ndim > 2 or L.shape[-1] > 8:
+        horizon, jumps = n * dt, engine.simulate(rho0, _draws(kind, seed, start, b, n, dt))
+    elif L.ndim > 2 or L.shape[-1] > 8:
         raise ValidationError("exact sampling takes one model of dimension <= 8")
-    jumps = [engine.sample_exact(rho0, T, trajectory_rng(seed, start))]
-    out = engine.replay(rho0, T, jumps[0]) if keep_states else engine.sweep(rho0, [T], jumps)
-    final, states = (out.states[-1:], out.states[None]) if keep_states else (out.final[0], None)
-    return CountingEnsemble(horizon=T, jump_times=jumps, counts=np.array([len(jumps[0])]),
-                            logliks=np.ravel(out.loglik), final_states=final, states=states)
+    else:
+        horizon = T
+        jumps = [engine.sample_exact(rho0, T, trajectory_rng(seed, start + i)) for i in range(b)]
+    if keep_states:  # row i on its own model's engine, as run_filter builds it
+        runs = [(engine if L.ndim == 2 else integ.CountingLoglik(H[i], L[i], dt)).replay(
+            rho0, horizon, j) for i, j in enumerate(jumps)]
+        states = np.stack([r.states for r in runs])
+        logliks, final = np.array([r.loglik for r in runs]), states[:, -1]
+    else:  # row i: model i of a stack, or the one model
+        rows, states = np.arange(b), None
+        out = engine.sweep(rho0, [horizon] * b, jumps, rows * (L.ndim > 2), rows)
+        logliks, final = out.loglik, out.final
+    return CountingEnsemble(horizon=horizon, jump_times=jumps, counts=np.array(
+        [len(j) for j in jumps]), logliks=logliks, final_states=final, states=states)
 
 
 def _single_run(ens, horizon: float, dt: float) -> FilterTrajectory:
@@ -304,7 +313,8 @@ def simulate_counting_ensemble(
     *, keep_states: bool = False, start_index: int = 0,
 ) -> CountingEnsemble:
     """Vectorized batch of counting trajectories: Bernoulli thinning per grid
-    cell with probability Tr(L^dag L rho) dt, jumps placed at cell ends."""
+    cell with probability Tr(L^dag L rho) dt gives the jump times, at cell ends;
+    row i's states and log-likelihood are ``run_filter``'s of its record."""
     return _simulate("counting", model.H, model.L, rho0, T, dt, seed, start_index, n_traj,
                      keep_states)
 
@@ -319,6 +329,9 @@ def simulate_reference(
     if kind == "poisson":
         _check_intensity(lam)
         T = _check_positive(T, "horizon")
+        if lam * T > 1e18:  # numpy arrays hold at most 2^63 bytes: 1.15e18 jump times
+            raise ValidationError(f"the expected jump count lam*T must be at most 1e18, "
+                                  f"got {lam * T:.3g}")
         rng = trajectory_rng(seed, index)
         n = rng.poisson(lam * T)
         times = np.sort(rng.uniform(0.0, T, size=n))

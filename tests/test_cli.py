@@ -391,6 +391,12 @@ class TestMalformedInputs:
         assert code == 2
         assert "needs --model" in capsys.readouterr().err
 
+    def test_poisson_jump_count_too_large(self, tmp_path, capsys):
+        code = main(["simulate", "--kind", "poisson", "--lambda", "1e300", "--T", "1",
+                     "--dt", "1e-2", "--seed", "0", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "expected jump count lam*T must be at most 1e18" in capsys.readouterr().err
+
     def test_linsys_non_finite_drift(self, tmp_path, cavity_file, capsys):
         d = json.loads(open(cavity_file).read())
         d["A"][0][1] = float("nan")

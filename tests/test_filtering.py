@@ -551,8 +551,9 @@ def dense_counting(H, L, rho0, dt, *, u=None, horizon=None, jumps=()):
     """The README counting scheme, one (d, d) cell at a time, at lam = 1.
 
     With uniforms ``u`` it simulates: cell k jumps when u[k] < Tr(L^dag L rho)
-    dt at its start and the rate after its no-jump Kraus map is positive; the
-    jump lands at the cell end.  Otherwise it replays ``jumps`` on the cells of
+    dt at its start and the rate after its no-jump Kraus map is above the dark
+    rate 1e-14, at or below which a jump has likelihood zero; the jump lands at
+    the cell end.  Otherwise it replays ``jumps`` on the cells of
     ``horizon``, the jumps in a cell (t0, t1] cutting it into no-jump
     sub-steps.  Returns jump times, states and running log-likelihood.
     """
@@ -578,7 +579,7 @@ def dense_counting(H, L, rho0, dt, *, u=None, horizon=None, jumps=()):
             rate0 = np.trace(LdL @ rho).real
             rho, f = nojump(rho, dt)
             log += f
-            if u[k] < rate0 * dt and np.trace(LdL @ rho).real > 0.0:
+            if u[k] < rate0 * dt and np.trace(LdL @ rho).real > 1e-14:
                 rho, f = jump(rho)
                 log += f
                 out.append((k + 1) * dt)

@@ -16,6 +16,7 @@ from qiokit.estimation import (
     abc_rejection,
     mc_classical_fisher,
     mle,
+    posterior_grid,
     stat_total_counts,
     stat_two_time_corr,
 )
@@ -206,6 +207,16 @@ def _boundary_calls():
                                         lambda: simulate_reference("poisson", None, 1.0, 0.01, 0)),
         "simulate_reference T 'a'": ("horizon must be a real number",
                                      lambda: simulate_reference("poisson", 1.0, "a", 0.01, 0)),
+        # the Poisson sampler's count and jump times must fit in a numpy array
+        "simulate_reference lam*T 1e19": ("expected jump count lam\\*T must be at most 1e18",
+                                          lambda: simulate_reference("poisson", 1e19, 1.0, 0.01, 0)),
+        # grids and priors that are not arrays of real numbers
+        "posterior_grid grid 'a'": ("grid must be real numbers", lambda: posterior_grid(
+            fam, rec, MIXED, ["a", 1.0], [0.5, 0.5])),
+        "posterior_grid ragged grid": ("grid must be real numbers", lambda: posterior_grid(
+            fam, rec, MIXED, [[0.5], [1.0, 2.0]], [0.5, 0.5])),
+        "posterior_grid prior 'a'": ("prior must be real numbers", lambda: posterior_grid(
+            fam, rec, MIXED, [0.5, 1.0], ["a", 0.5])),
         "DiffusiveRecord dt 'a'": ("dt must be a real number",
                                    lambda: DiffusiveRecord(dt="a", increments=[1.0])),
         "CountingRecord horizon None": ("horizon must be a real number",

@@ -287,6 +287,8 @@ class TestBatchWidth:
                 assert ens.logliks[i] == traj.loglik
                 if keep_states:
                     assert np.array_equal(ens.states[i], traj.states)
+            records = [ens.record(i) for i in range(self.N_TRAJ)]
+            assert np.array_equal(log_likelihood_many(m, MIXED, records), ens.logliks)
 
 
 @pytest.mark.parametrize("path", ["homodyne", "bernoulli", "exact"])
@@ -310,12 +312,13 @@ def test_no_keep_trajectory_holds_one_final_state(path):
 
 
 @pytest.mark.parametrize("seed", [21, 707])
-def test_exact_trajectory_is_the_filter_on_its_record(seed):
-    # the sampler gives the jump times only; states and likelihood are the scheme's
+@pytest.mark.parametrize("method", ["bernoulli", "exact"])
+def test_counting_trajectory_is_the_filter_on_its_record(method, seed):
+    # the samplers give the jump times only; states and likelihood are the scheme's
     m, T, dt = driven_qubit(), 10.0, 1e-2
     for keep in (False, True):
         rec, traj = simulate_counting(m, MIXED, T, dt, seed, index=3, keep_states=keep,
-                                      method="exact")
+                                      method=method)
         ref = run_filter(m, MIXED, rec, dt=dt)
         assert rec.n_jumps > 0
         assert np.array_equal(traj.final_state, ref.final_state)
@@ -323,6 +326,20 @@ def test_exact_trajectory_is_the_filter_on_its_record(seed):
         if keep:
             assert np.array_equal(traj.states, ref.states)
             assert np.array_equal(traj.times, ref.times)
+
+
+def test_bernoulli_sampler_skips_a_dark_jump():
+    # the rate after cell 0's no-jump map is positive but below the dark rate
+    # 1e-14, at which the likelihood calls a jump impossible: no jump is recorded
+    m = QMarkovModel(H=50.0 * SX, L=SM)
+    psi = np.array([1.0, 1j * 0.5 / 0.995 * (1 + 1e-7)])
+    rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    for keep in (False, True):
+        rec, traj = simulate_counting(m, rho0, 0.05, 0.01, seed=5, index=248, keep_states=keep)
+        ref = run_filter(m, rho0, rec, dt=0.01)
+        assert np.isfinite(traj.loglik)
+        assert traj.loglik == ref.loglik
+        assert np.array_equal(traj.final_state, ref.final_state)
 
 
 _DREC = DiffusiveRecord(dt=1e-3, increments=np.zeros(10))
