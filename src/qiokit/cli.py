@@ -174,13 +174,12 @@ def _cmd_estimate(args) -> dict:
 
 def _cmd_qfi(args) -> dict:
     family = serialize.load_family(args.family)
-    theta = np.asarray(args.theta, dtype=float)
-    F = qfi_rate(family, theta)
-    model = family.model(theta)
+    F = qfi_rate(family, args.theta)
+    model = family.model(args.theta)
     info = spectral_info(model)
     mu, V = counting_rate_and_variance(model)
     print(f"qfi rate: {F.tolist()}  (gap {info.gap:.6g}, mu {mu:.6g}, V {V:.6g})")
-    return {"theta": theta.tolist(), "qfi_rate": F.tolist(), "gap": info.gap, "mu": mu, "V": V}
+    return {"theta": args.theta, "qfi_rate": F.tolist(), "gap": info.gap, "mu": mu, "V": V}
 
 
 def _cmd_linsys(args) -> dict:
@@ -227,11 +226,8 @@ def _pipeline_config(cfg_dict) -> PipelineConfig:
         system = serialize.load_linear_system(cfg_dict["system_file"])
     if "dataset_file" in cfg_dict:
         d = serialize.parse_json_file(cfg_dict["dataset_file"])
-        dataset = SysIdDataset(
-            dt=float(d["dt"]), inputs=np.asarray(d["inputs"], float),
-            outputs=np.asarray(d["outputs"], float),
-            split_index=d["split_index"],
-        )
+        dataset = SysIdDataset(dt=float(d["dt"]), inputs=d["inputs"], outputs=d["outputs"],
+                               split_index=d["split_index"])
     return PipelineConfig(
         dt=float(cfg_dict["dt"]), T=float(cfg_dict.get("T", 0.0)),
         prbs_amplitude=float(cfg_dict.get("prbs_amplitude", 1.0)),

@@ -26,12 +26,12 @@ from .exceptions import (
 from .families import ParameterFamily, _one_parameter, _tangent
 from .operators import (
     QMarkovModel,
+    _array,
     _check_int,
     _check_real,
     _ergodic_stationary,
     _lindblad_tangent,
     _nojump_tangent,
-    _real_array,
     dag,
     zero_mean_inverse,
 )
@@ -205,7 +205,7 @@ def posterior_grid(
     max-shifted log posterior; the PM/MAP point estimates hang off the
     returned object.
     """
-    grid, prior = _real_array(grid, "grid"), _real_array(prior, "prior")
+    grid, prior = _array(grid, "grid"), _array(prior, "prior")
     if grid.ndim == 1:
         grid = grid[:, None]
     if grid.ndim != 2 or grid.shape[1] != family.k:
@@ -306,20 +306,13 @@ def counting_fisher(family: ParameterFamily, theta: float) -> float:
 def _finite_vector(value, name: str, n=None) -> np.ndarray:
     """``value`` as a 1-D array of finite reals, of length ``n`` when given."""
     try:
-        v = np.atleast_1d(np.asarray(value))
-    except ValueError:  # a ragged sequence
-        v = np.array([value], dtype=object)
-    if v.ndim != 1 or v.dtype.kind not in "biuf" or not np.all(np.isfinite(v)) or (
-            n is not None and len(v) != n):
+        v = np.atleast_1d(_array(value, name))
+    except ValidationError:
+        v = None
+    if v is None or v.ndim != 1 or (n is not None and len(v) != n):
         length = "" if n is None else f" of length {n}"
         raise ValidationError(f"{name} must be a finite real vector{length}, got {value!r}")
-    return v.astype(float)
-
-
-def _simulate_family_records(family, thetas, rho0, kind, T, dt, seed):
-    """Record i at ``thetas[i]``, from the Philox stream ``(seed, i)``."""
-    ens = _simulate(kind, *_model_stack(family, thetas), rho0, T, dt, seed, 0, len(thetas))
-    return [ens.record(i) for i in range(len(thetas))]
+    return v
 
 
 def abc_rejection(
@@ -349,9 +342,9 @@ def abc_rejection(
     obs = _finite_vector(observed_stats, "observed statistics")
     thetas = [_finite_vector(prior_sampler(trajectory_rng(seed, i)), f"prior draw of sample {i}")
               for i in range(n_pilot + n_sims)]
-    recs = _simulate_family_records(family, thetas, rho0, kind, T, dt, seed + 1)
-    stats = [_finite_vector(stat_fn(r), f"statistics of sample {i}", len(obs))
-             for i, r in enumerate(recs)]
+    ens = _simulate(kind, *_model_stack(family, thetas), rho0, T, dt, seed + 1, 0, len(thetas))
+    stats = [_finite_vector(stat_fn(ens.record(i)), f"statistics of sample {i}", len(obs))
+             for i in range(len(thetas))]
     # the pilot rows fix the standardization
     sd = np.array(stats[:n_pilot]).std(axis=0, ddof=1)
     sd[sd == 0] = 1.0
@@ -377,8 +370,12 @@ def mc_classical_fisher(
     """
     theta = _one_parameter(family, theta, "mc_classical_fisher")
     n_traj = _check_int(n_traj, "n_traj", 2)
-    recs = _simulate_family_records(family, [np.array([theta])] * n_traj, rho0, kind, T, dt, seed)
+    if kind == "exact":  # the simulation kinds here are the record kinds
+        raise ValidationError("exact sampling takes one model, in simulate_counting only; "
+                              "kind must be 'counting' or 'diffusive'")
     m = family.model([theta])
+    ens = _simulate(kind, m.H, m.L, rho0, T, dt, seed, 0, n_traj)
+    recs = [ens.record(i) for i in range(n_traj)]
     scores = _loglik_table(m.H, m.L, rho0, recs, dt, lam, _tangent(family, theta)).score[0]
     scores = scores[np.isfinite(scores)]
     n = len(scores)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ValidationError
-from .operators import QMarkovModel, _freeze, _real_array, _square_complex
+from .operators import QMarkovModel, _array, _freeze, _square_complex
 
 __all__ = ["ParameterFamily"]
 
@@ -54,10 +54,8 @@ class ParameterFamily:
                 if np.max(np.abs(x - x.conj().T)) > 1e-12:
                     raise ValidationError("H directions must be Hermitian")
         k = 1 if self.phase else len(h)
-        dom = np.array(
-            self.domain if self.domain is not None else [[-1.0, 1.0]] * k,
-            dtype=float,
-        )
+        dom = _array([[-1.0, 1.0]] * k if self.domain is None else self.domain, "domain",
+                     finite=False)
         if dom.shape != (k, 2) or np.any(dom[:, 0] > dom[:, 1]):
             raise ValidationError(f"domain must be a ({k}, 2) array of ordered bounds")
         if np.any(np.isnan(dom)):  # NaN passes the ordering test; infinite bounds are legal
@@ -77,11 +75,9 @@ class ParameterFamily:
         return 1 if self.phase else len(self.h_dirs)
 
     def _theta(self, theta) -> np.ndarray:
-        t = np.atleast_1d(_real_array(theta, "theta"))
+        t = np.atleast_1d(_array(theta, "theta"))
         if t.shape != (self.k,):
             raise ValidationError(f"theta must have shape ({self.k},), got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError(f"theta must be finite, got {t}")
         return t
 
     def in_domain(self, theta) -> bool:

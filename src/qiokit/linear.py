@@ -32,12 +32,14 @@ from .exceptions import (
     ValidationError,
 )
 from .operators import (
+    _array,
     _check_finite,
     _check_int,
     _check_positive,
     _even_square,
     _freeze,
     _real_matrix,
+    _real_vector,
 )
 from .trajectories import STEP_GUARD, DiffusiveRecord, _draws, _grid_steps
 
@@ -112,9 +114,9 @@ class QuadraticSpec:
         R = _even_square(self.R, "R")
         if np.max(np.abs(R - R.T)) > 1e-12:
             raise ValidationError("R must be symmetric to 1e-12")
-        K = np.array(self.K, dtype=complex).reshape(-1)
-        if K.shape[0] != R.shape[0] or not np.all(np.isfinite(K)):
-            raise ValidationError("K must be a finite complex row of length 2n")
+        K = _array(self.K, "K", complex).reshape(-1)
+        if K.shape[0] != R.shape[0]:
+            raise ValidationError("K must be a complex row of length 2n")
         _freeze(self, R=R, K=K)
 
     @property
@@ -218,7 +220,7 @@ def skew_symplectic_factor(Z: np.ndarray) -> np.ndarray:
     Uses the real Schur form of Z, whose 2x2 blocks are s_i J; columns are
     swapped so every s_i > 0 and V = Q diag(sqrt(s_i)) absorbs the scales.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z = _even_square(Z, "Z")
     m = Z.shape[0]
     T, Q = scipy.linalg.schur(Z, output="real")
     scales = np.empty(m)
@@ -421,15 +423,13 @@ def simulate_innovation_form(
     """
     row = _quad_row(quadrature)
     n_steps = _grid_steps(T, dt)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (n_steps, 2):
-        raise ValidationError(f"f must have shape ({n_steps}, 2) to match the grid")
+    f = _real_matrix(f, "f", (n_steps, 2))
     rad = float(np.max(np.abs(np.linalg.eigvals(G.A))))
     if dt * rad > STEP_GUARD:
         raise StepTooLarge(f"dt * spectral_radius(A) = {dt * rad:.3g} exceeds {STEP_GUARD}")
     Cm = G.C[row]
     Dm = G.D[row]
-    L_m = _real_matrix(np.reshape(L_m, -1), "L_m", (2 * G.n,))
+    L_m = _real_vector(L_m, "L_m", 2 * G.n)
     dnu = _draws("diffusive", seed, index, 1, n_steps, dt)[0] if noise else np.zeros(n_steps)
     # z' = (I + A dt) z + B f dt + L_m dnu; the output follows from the trajectory
     traj = _lti_run(np.eye(2 * G.n) + G.A * dt, (f @ G.B.T) * dt + np.outer(dnu, L_m))

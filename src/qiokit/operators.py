@@ -103,14 +103,6 @@ def _check_real(value, name: str) -> float:
     return float(v)
 
 
-def _real_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array; a non-numeric or ragged value is invalid."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be real numbers, got {value!r}") from exc
-
-
 def _check_positive(value, name: str) -> float:
     """``value`` as a float in (0, inf); a non-number, NaN, 0 or inf is invalid."""
     if not 0 < _check_real(value, name) < np.inf:
@@ -125,12 +117,38 @@ def _check_finite(value, name: str) -> float:
     return float(value)
 
 
+def _array(value, name: str, dtype=float, finite: bool = True) -> np.ndarray:
+    """``value`` as a new array of ``dtype``, float or complex: the one reading of
+    an outside array.  Only numbers are accepted, so a string, None or a ragged
+    nest is invalid, and so is a complex value for a float array and, when
+    ``finite``, a NaN or infinite entry."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind == "O" and all(isinstance(x, numbers.Number) for x in a.flat):
+            a = a.astype(dtype)  # e.g. integers too large for int64
+    except (TypeError, ValueError, OverflowError):  # a ragged nest, or a complex number
+        a = None
+    if a is None or a.dtype.kind not in ("biuf" if dtype is float else "biufc"):
+        raise ValidationError(f"{name} must be {'real ' if dtype is float else ''}numbers")
+    a = np.array(a, dtype=dtype)
+    if finite and not np.all(np.isfinite(a)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    return a
+
+
 def _real_matrix(m, name, shape=None):
-    a = np.array(m, dtype=float)
+    """``m`` as a finite real array, of ``shape`` when given."""
+    a = _array(m, name)
     if shape is not None and a.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{name} contains non-finite entries")
+    return a
+
+
+def _real_vector(v, name: str, n: int) -> np.ndarray:
+    """``v`` flattened, checked as ``n`` finite real numbers."""
+    a = _array(v, name).reshape(-1)
+    if a.shape != (n,):
+        raise ValidationError(f"{name} must have {n} entries, got {a.size}")
     return a
 
 
@@ -143,11 +161,10 @@ def _even_square(m, name):
 
 
 def _square_complex(m, name: str) -> np.ndarray:
-    a = np.array(m, dtype=complex)
+    """``m`` as a finite complex square matrix."""
+    a = _array(m, name, complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{name} contains non-finite entries")
     return a
 
 
@@ -272,7 +289,7 @@ class Superoperator:
         return int(round(self.mat.shape[0] ** 0.5))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.mat @ vec(np.asarray(x, dtype=complex)), self.dim)
+        return unvec(self.mat @ vec(_array(x, "x", complex)), self.dim)
 
 
 @dataclass(frozen=True)
@@ -462,7 +479,7 @@ def qfi_matrix(rho, drhos) -> np.ndarray:
 
 def pure_state_qfi(psi: np.ndarray, G: np.ndarray) -> float:
     """QFI of the unitary family exp(-i theta G)|psi>, G Hermitian: four times Var_psi(G)."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
+    v = _array(psi, "psi", complex).reshape(-1)
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise ValidationError("psi must be normalized to 1e-10")
     G = _square_complex(G, "G")
@@ -496,7 +513,9 @@ def zero_mean_inverse(model: QMarkovModel, X: np.ndarray) -> np.ndarray:
     with the inverse of the restriction of L to zero-mean operators.
     """
     rho_ss = _ergodic_stationary(model).rho
-    x = np.asarray(X, dtype=complex)
+    x = _square_complex(X, "X")
+    if x.shape != rho_ss.shape:
+        raise ValidationError(f"X must have shape {rho_ss.shape}, got {x.shape}")
     mean = np.trace(rho_ss @ x)
     if abs(mean) > 1e-8:
         raise NotZeroMean(f"Tr(rho_ss X) = {mean:.3e} is not zero to 1e-8")

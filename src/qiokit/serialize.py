@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import QiokitError, ValidationError
 from .families import ParameterFamily
 from .linear import LinearQSystem
-from .operators import QMarkovModel
+from .operators import QMarkovModel, _array, _real_matrix
 from .trajectories import CountingRecord, DiffusiveRecord, MeasurementRecord
 
 __all__ = [
@@ -43,13 +43,10 @@ def schema_errors(what: str):
 
 
 def _cmat(entry_re, entry_im, name):
-    re = np.asarray(entry_re, dtype=float)
-    im = np.asarray(entry_im, dtype=float)
+    # checked apart: combining an infinite imaginary part makes 0 * inf
+    re, im = _array(entry_re, name), _array(entry_im, name)
     if re.shape != im.shape:
         raise ValidationError(f"{name}: real and imaginary parts differ in shape")
-    # checked apart: combining an infinite imaginary part makes 0 * inf
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise ValidationError(f"{name} contains non-finite entries")
     return re + 1j * im
 
 
@@ -137,10 +134,7 @@ def linear_system_to_dict(G: LinearQSystem) -> dict:
 
 @schema_errors("linear-system file")
 def linear_system_from_dict(d: dict) -> LinearQSystem:
-    n = int(d["n"])
-    A = np.asarray(d["A"], dtype=float)
-    if A.shape != (2 * n, 2 * n):
-        raise ValidationError("A does not match the declared mode count")
+    A = _real_matrix(d["A"], "A", (2 * int(d["n"]),) * 2)  # the declared mode count n
     return LinearQSystem(A=A, B=d["B"], C=d["C"], D=d.get("D"))
 
 

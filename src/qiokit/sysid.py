@@ -48,12 +48,14 @@ from .linear import (
     symplectic_form,
 )
 from .operators import (
+    _array,
     _check_int,
     _check_positive,
     _check_real,
     _even_square,
     _freeze,
     _real_matrix,
+    _real_vector,
 )
 from .trajectories import DiffusiveRecord, _grid_steps
 
@@ -168,14 +170,11 @@ class SysIdDataset:
     split_index: int
 
     def __post_init__(self):
-        u = np.array(self.inputs, dtype=float)
-        y = np.array(self.outputs, dtype=float).reshape(-1)
+        u, y = _array(self.inputs, "inputs"), _array(self.outputs, "outputs").reshape(-1)
         if u.ndim != 2 or u.shape[1] != 2:
             raise ValidationError("inputs must be (N, 2)")
         if len(u) != len(y):
             raise ValidationError("inputs and outputs must have equal length")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
-            raise ValidationError("inputs and outputs must be finite")
         _check_positive(self.dt, "dt")
         if not (0 < _check_int(self.split_index, "split_index") < len(y)):
             raise ValidationError("both splits must be nonempty")
@@ -186,8 +185,7 @@ class SysIdDataset:
         y = record.increments / record.dt
         idx = int(round(_check_split(split) * len(y)))
         idx = min(max(idx, 1), len(y) - 1)
-        return cls(dt=record.dt, inputs=np.asarray(inputs, float),
-                   outputs=y, split_index=idx)
+        return cls(dt=record.dt, inputs=inputs, outputs=y, split_index=idx)
 
     @property
     def n_samples(self) -> int:
@@ -526,7 +524,7 @@ def pr_projection(
     Ahat = _even_square(raw[0], "Ahat")
     n2 = Ahat.shape[0]
     Bhat = _real_matrix(raw[1], "Bhat", (n2, 2))
-    Cmhat = _real_matrix(np.reshape(raw[2], (1, -1)), "Cmhat", (1, n2))
+    Cmhat = _real_vector(raw[2], "Cmhat", n2)[None]
     J, Jn = symplectic_form(1), symplectic_form(n2 // 2)
     # the last four realizability residuals, D J D^T - J, depend on D alone
     scatter = np.max(np.abs(_pr_equations(Ahat, Bhat, np.zeros((2, n2)), D, Jn)[-4:]))
@@ -643,7 +641,7 @@ def recover_full_c(
     row = None if measured_row is None else _quad_row(measured_row)
     C = -np.linalg.solve(Z, B @ J @ D.T).T
     if row is not None and c_m is not None:
-        C[row] = _real_matrix(np.reshape(c_m, -1), "c_m", (len(Z),))
+        C[row] = _real_vector(c_m, "c_m", len(Z))
     return C
 
 
@@ -719,7 +717,7 @@ def validate_nmse(
         raise DegenerateOutput("validation output has zero variance")
     u, y = data.inputs, data.outputs
     Cm, Dm = G.C[row], G.D[row]
-    L_m = _real_matrix(np.reshape(L_m, -1), "L_m", (2 * G.n,))
+    L_m = _real_vector(L_m, "L_m", 2 * G.n)
     # z' = z + (A z + B u) dt + L (y - Cm z - Dm u) dt
     Z = _lti_run(np.eye(2 * G.n) + (G.A - np.outer(L_m, Cm)) * data.dt,
                  (u @ (G.B - np.outer(L_m, Dm)).T + y[:, None] * L_m) * data.dt)

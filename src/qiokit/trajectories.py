@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _integrators as integ
 from .exceptions import StepTooLarge, ValidationError
-from .operators import QMarkovModel, _check_int, _check_positive, _check_real, _freeze, _state_array
+from .operators import (QMarkovModel, _array, _check_int, _check_positive, _check_real, _freeze,
+                        _state_array)
 
 __all__ = [
     "DiffusiveRecord",
@@ -49,11 +50,9 @@ class DiffusiveRecord:
 
     def __post_init__(self):
         dt = _check_positive(self.dt, "dt")
-        inc = np.array(self.increments, dtype=float).reshape(-1)
+        inc = _array(self.increments, "increments").reshape(-1)
         if inc.size < 1:
             raise ValidationError("a diffusive record needs at least one increment")
-        if not np.all(np.isfinite(inc)):
-            raise ValidationError("increments must be finite")
         _freeze(self, increments=inc, dt=dt)
 
     @property
@@ -73,10 +72,8 @@ class CountingRecord:
 
     def __post_init__(self):
         horizon = _check_positive(self.horizon, "horizon")
-        j = np.array(self.jumps, dtype=float).reshape(-1)
+        j = _array(self.jumps, "jumps").reshape(-1)
         if j.size:
-            if not np.all(np.isfinite(j)):
-                raise ValidationError("jump times must be finite")
             if j[0] <= 0 or np.any(np.diff(j) <= 0):
                 raise ValidationError("jump times must be strictly increasing and > 0")
             if j[-1] > horizon:

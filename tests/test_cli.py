@@ -459,7 +459,7 @@ class TestMalformedInputs:
         cfg.write_text(json.dumps({"dataset_file": str(data), "dt": 0.05, "orders": [1]}))
         code = main(["sysid", "--config", str(cfg), "--out", str(tmp_path / "s.json")])
         assert code == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert "contains non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("seed", 1.7), ("seed", True), ("horizon", 10.9), ("horizon", 10.0),

@@ -332,7 +332,7 @@ class TestPosterior:
     def test_nan_prior_entry_raises(self):
         rec = CountingRecord(horizon=1.0, jumps=[0.5])
         prior = np.array([0.5, 0.5, np.nan])
-        with pytest.raises(ValidationError, match="probability vector"):
+        with pytest.raises(ValidationError, match="prior contains non-finite"):
             posterior_grid(rabi_family(), rec, MIXED, [0.5, 1.0, 1.5], prior, dt=1e-2)
 
 

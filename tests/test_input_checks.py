@@ -33,6 +33,7 @@ from qiokit.linear import (
     gamma_rigidity,
     power_spectrum,
     random_symplectic,
+    simulate_innovation_form,
     symplectic_form,
     transfer_function,
 )
@@ -47,8 +48,16 @@ from qiokit.operators import (
     qfi_matrix,
     sld,
     unvec,
+    zero_mean_inverse,
 )
-from qiokit.sysid import PipelineConfig, SysIdDataset, fpe_order_select, prbs, subspace_id
+from qiokit.sysid import (
+    PipelineConfig,
+    SysIdDataset,
+    fpe_order_select,
+    pr_projection,
+    prbs,
+    subspace_id,
+)
 from qiokit.trajectories import (
     CountingRecord,
     DiffusiveRecord,
@@ -105,6 +114,34 @@ def _boundary_calls():
         rule = "be a real number" if value in ("a", None) else "lie in \\(0, 1\\)"
         cases[f"from_record split {value!r}"] = (f"split must {rule}", lambda v=value: (
             SysIdDataset.from_record(drec, np.ones((2, 2)), split=v)))
+    intake = {  # every array from outside: (field name, entry point)
+        "DiffusiveRecord increments": ("increments", lambda v: DiffusiveRecord(
+            dt=0.1, increments=v)),
+        "CountingRecord jumps": ("jumps", lambda v: CountingRecord(horizon=1.0, jumps=v)),
+        "QMarkovModel H": ("H", lambda v: QMarkovModel(H=v, L=SM)),
+        "run_filter rho0": ("rho", lambda v: run_filter(m, v, rec, dt=0.01)),
+        "LinearQSystem A": ("A", lambda v: LinearQSystem(A=v, B=np.eye(2), C=np.eye(2))),
+        "GaussianInput Gamma": ("Gamma", lambda v: GaussianInput(Gamma=v)),
+        "SymplecticMatrix V": ("V", lambda v: SymplecticMatrix(V=v)),
+        "QuadraticSpec K": ("K", lambda v: QuadraticSpec(R=np.eye(2), K=v)),
+        "SysIdDataset outputs": ("outputs", lambda v: SysIdDataset(
+            dt=0.1, inputs=np.ones((10, 2)), outputs=v, split_index=5)),
+        "from_record inputs": ("inputs", lambda v: SysIdDataset.from_record(drec, v)),
+        "ParameterFamily domain": ("domain", lambda v: ParameterFamily.affine(
+            m, [SX], [ZERO2], domain=v)),
+        "ParameterFamily h_dirs": ("h_dir", lambda v: ParameterFamily.affine(m, [v], [ZERO2])),
+        "simulate_innovation_form f": ("f", lambda v: simulate_innovation_form(
+            cavity, [0.0, 0.0], "Q", v, T=1.0, dt=0.05, seed=0)),
+        "pr_projection raw C": ("Cmhat", lambda v: pr_projection(
+            (cavity.A, cavity.B, v), cavity.D)),
+        "sld drho": ("drho", lambda v: sld(MIXED, v)),
+        "pure_state_qfi psi": ("psi", lambda v: pure_state_qfi(v, SZ)),
+        "zero_mean_inverse X": ("X", lambda v: zero_mean_inverse(m, v)),
+    }
+    for entry, (field, fn) in intake.items():
+        for label, value in [("'a'", "a"), ("ragged", [[0.1], [0.2, 0.3]])]:
+            cases[f"{entry} {label}"] = (f"{field} must be (real )?numbers",
+                                         lambda fn=fn, v=value: fn(v))
     for n in (0, -1, 2.5):
         cases[f"homodyne ensemble n_traj={n}"] = (
             "n_traj must be positive and integral",
@@ -130,11 +167,20 @@ def _boundary_calls():
         "mc_classical_fisher n_traj 2.5": ("n_traj must be at least 2 and integral",
                                            lambda: mc_classical_fisher(
                                                fam, 1.0, MIXED, "counting", 1.0, 0.01, 2.5)),
+        # complex values and numeric strings are not real numbers
+        "LinearQSystem complex A": ("A must be real numbers", lambda: LinearQSystem(
+            A=[[-1.0, 1j], [0.0, -1.0]], B=np.eye(2), C=np.eye(2))),
+        "DiffusiveRecord complex increments": ("increments must be real numbers", lambda: (
+            DiffusiveRecord(dt=0.1, increments=np.array([0.1 + 0.5j])))),
+        "CountingRecord numeric string jumps": ("jumps must be real numbers", lambda: (
+            CountingRecord(horizon=1.0, jumps=["0.5"]))),
+        "zero_mean_inverse 3 x 3 X": ("X must have shape \\(2, 2\\)",
+                                      lambda: zero_mean_inverse(m, np.zeros((3, 3)))),
         "SymplecticMatrix nan": ("V contains non-finite", lambda: SymplecticMatrix(V=NAN2)),
         "SymplecticMatrix inf": ("V contains non-finite", lambda: SymplecticMatrix(V=INF2)),
         "QuadraticSpec nan R": ("R contains non-finite",
                                 lambda: QuadraticSpec(R=NAN2, K=[1.0, 1j])),
-        "QuadraticSpec nan K": ("K must be a finite",
+        "QuadraticSpec nan K": ("K contains non-finite",
                                 lambda: QuadraticSpec(R=np.eye(2), K=[np.nan, 1j])),
         "Superoperator nan": ("superoperator matrix contains non-finite",
                               lambda: Superoperator(mat=np.full((4, 4), np.nan),
@@ -178,7 +224,7 @@ def _boundary_calls():
         "gauge_transform 3 x 3 W": ("W has shape", lambda: gauge_transform(
             m, GaugeElement(r=0.0, W=np.eye(3)))),
         "qfi_rate theta 'a'": ("theta must be real numbers", lambda: qfi_rate(fam, "a")),
-        "phase family l_dot nan theta": ("theta must be finite", lambda: ParameterFamily
+        "phase family l_dot nan theta": ("theta contains non-finite", lambda: ParameterFamily
                                          .phase_family(m).l_dot(np.nan)),
         "QMarkovModel dimension 0": ("dimension at least 1", lambda: QMarkovModel(
             H=np.zeros((0, 0)), L=np.zeros((0, 0)))),
@@ -376,7 +422,7 @@ def _calls_that_freeze():
 def test_one_freeze_and_one_checker_each():
     """Value types freeze their fields through ``operators._freeze``; only the
     two read-only caches mark arrays themselves.  Each input checker is
-    defined once."""
+    defined once, and no value type converts an array itself."""
     assert _calls_that_freeze() == {
         ("operators", "_freeze", "setflags"),
         ("operators", "_freeze", "__setattr__"),
@@ -386,6 +432,15 @@ def test_one_freeze_and_one_checker_each():
     defs = [(path.stem, node.name) for path in SRC.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef)]
-    for name in ("_check_int", "_check_real", "_check_positive", "_real_matrix", "_even_square",
-                 "_square_complex"):
+    for name in ("_check_int", "_check_real", "_check_positive", "_array", "_real_matrix",
+                 "_real_vector", "_even_square", "_square_complex"):
         assert [d for d in defs if d[1] == name] == [("operators", name)]
+    # value types read their arrays through operators._array only
+    post_inits = [node for path in SRC.glob("*.py")
+                  for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+    assert len(post_inits) == 13
+    for fn in post_inits:
+        assert not [c for c in ast.walk(fn) if isinstance(c, ast.Attribute)
+                    and c.attr in ("array", "asarray") and getattr(c.value, "id", None) == "np"]

@@ -206,7 +206,7 @@ class TestDataset:
     def test_non_finite_data_raises(self, field, bad):
         data = {"inputs": np.zeros((10, 2)), "outputs": np.zeros(10)}
         data[field][3] = bad
-        with pytest.raises(ValidationError, match="must be finite"):
+        with pytest.raises(ValidationError, match="contains non-finite"):
             SysIdDataset(dt=0.1, split_index=5, **data)
 
 
