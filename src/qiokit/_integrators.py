@@ -34,9 +34,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg import expm
 
 from .exceptions import ZeroJumpRate
 from .operators import _lindblad_tangent, _nojump_generator, _nojump_tangent, dag
@@ -585,48 +587,47 @@ class CountingLoglik:
         return np.split(at[order] * self.dt, np.cumsum(np.bincount(row, minlength=b))[:-1])
 
     def sample_exact(self, rho0, T, rng):
-        """Exact waiting-time sampling of jump times under the first model.
+        """Exact waiting-time sampling of jump times under the first model, in the eigen
+        coordinates R = U^-1 rho U^-dag of G = U diag(g) U^-1: R_ij exp(-(g_i + conj g_j) t)
+        between jumps, R -> J R J^dag / rate at one (J = U^-1 L U).  Each waiting time solves
+        S(t) = Tr rho(t) = u, u uniform, by Newton's method on log(S/u) from -log(u)/gamma
+        (gamma the slowest decay rate), bisecting [0, T - t] where a step leaves the bracket or
+        S <= 0, until a step is below 1e-14 + 8.9e-16 t; S and S' share d real and d(d-1)/2
+        complex exponentials.  A near-defective G takes U = 1 and M R M^dag, M = expm(-G t)."""
+        g, G, d, bad = self._g[0], self._gen[0], self._L.shape[-1], self._bad.any()
+        U, Uinv = (_identity(d),) * 2 if bad else (self._U[0], self._Uinv[0])
+        W, dW, K = ((dag(U) @ x @ U).T for x in (_identity(d), -G - dag(G), self._LdL[0]))
+        J, A, (i, j) = Uinv @ self._L[0] @ U, -(g[:, None] + g.conj()), np.triu_indices(d)
+        a, up = A[i, j].tolist(), i * d + j  # a Hermitian sum: its upper triangle, doubled
+        cw = np.stack((W[i, j], dW[i, j])) * np.where(i == j, 1.0, 2.0)
+        slow = max((0.5 / x for x in g.real.tolist() if x > 0), default=math.inf)  # 1 / gamma
 
-        Between jumps rho(t) = M rho M^dag, M = expm(-G t).  With G = U diag(g)
-        U^-1 the survival is S(t) = Re sum_ij c_ij exp(-(g_i + conj g_j) t),
-        c = (U^-1 rho U^-dag) * (U^dag U)^T, and each waiting time is the root of
-        S(t) = u, u uniform, by Brent's method on [0, T - t].  A near-defective
-        G (cond(U) >= EIG_COND_MAX) takes S(t) = Tr(M rho M^dag), M from expm.
-        Returns the jump times on (0, T] only: their states and likelihood are
-        the scheme's, from ``sweep`` or ``replay``.  For small dimensions.
-        """
-        from scipy import linalg, optimize  # at module level: 15 ms slower import
+        def survival(tau):  # S and S' at t + tau
+            if bad:
+                Y = (M := expm(-tau * G)) @ X @ dag(M)
+                return (Y * W).sum().real, (Y * dW).sum().real
+            e = [cmath.exp(x * tau) for x in a]
+            return sum(map(operator.mul, c, e)).real, sum(map(operator.mul, dc, e)).real
 
-        U, Uinv, g, gen, L = (x[0] for x in (self._U, self._Uinv, self._g, self._gen, self._L))
-        closed = not self._bad.any()
-        exponents = (-(g[:, None] + g.conj()[None, :])).ravel().tolist()
-        gram = (dag(U) @ U).T
-
-        def evolve(rho, tau):
-            M = (U * np.exp(-g * tau)) @ Uinv if closed else linalg.expm(-tau * gen)
-            return M @ rho @ dag(M)
-
-        def survival(rho):  # on Python scalars: brentq calls it ~16 times per jump
-            if not closed:
-                return lambda tau: btrace(evolve(rho, tau)).real
-            c = ((Uinv @ rho @ dag(Uinv)) * gram).ravel().tolist()
-            return lambda tau: sum(ci * cmath.exp(e * tau) for ci, e in zip(c, exponents)).real
-
-        rho = np.asarray(rho0, dtype=complex).copy()
-        t = 0.0
-        times = []
+        X, t, times = Uinv @ np.asarray(rho0, dtype=complex) @ dag(Uinv), 0.0, []
         while t < T:
-            u = rng.random()
-            S = survival(rho)
-            if S(T - t) > u:
+            u, lo, hi, step, tol = rng.random(), 0.0, T - t, math.inf, 0.0
+            c, dc = (X.ravel()[up] * cw).tolist()
+            if survival(hi)[0] > u:
                 break
-            tau = optimize.brentq(lambda s: S(s) - u, 0.0, T - t, xtol=1e-14)
-            rho = evolve(rho, tau)
-            rho /= btrace(rho).real
-            rate = expect(self._LdL[0], rho).real
-            if rate <= DARK_RATE:
+            tau = min(hi, -math.log(u) * slow)
+            while abs(step) > tol:  # Newton; bisect where a step leaves (lo, hi) or S <= 0
+                s, ds = survival(tau)
+                f = math.log(s / u) if s > 0 else -math.inf  # S <= 0: past the root
+                lo, hi = (tau, hi) if f > 0 else (lo, tau)
+                step, tol = f * s / ds if ds < 0 < s else math.nan, 1e-14 + 8.9e-16 * tau
+                if not (abs(step) <= tol or lo < tau - step < hi):
+                    step = tau - 0.5 * (lo + hi)
+                tau -= step
+            X = (M := expm(-tau * G)) @ X @ dag(M) if bad else X * np.exp(A * tau)
+            s, r = ((X * y).sum().real for y in (W, K))
+            if r <= DARK_RATE * s:
                 break
-            rho = (L @ rho @ dag(L)) / rate
-            t += tau
+            X, t = J @ X @ dag(J) / r, t + tau
             times.append(min(t, T))
         return np.asarray(times)

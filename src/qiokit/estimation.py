@@ -30,6 +30,7 @@ from .operators import (
     _check_int,
     _check_real,
     _ergodic_stationary,
+    _instance,
     _lindblad_tangent,
     _nojump_tangent,
     dag,
@@ -280,7 +281,7 @@ def counting_rate_and_variance(model: QMarkovModel) -> tuple[float, float]:
     is nonnegative, matches trajectory Monte-Carlo, and makes the
     phase-family identity ``qfi_rate = 4 V`` hold.
     """
-    if not np.any(model.L):
+    if not np.any(_instance(model, QMarkovModel, "model").L):
         return 0.0, 0.0  # no emission channel, counts are identically zero
     return _counting_response(model)[1:3]
 

@@ -28,6 +28,7 @@ from .operators import (
     _check_finite,
     _ergodic_stationary,
     _freeze,
+    _instance,
     _square_complex,
     op_imag,
     qfi_matrix,
@@ -88,7 +89,7 @@ def qfi_rate(family: ParameterFamily, theta) -> np.ndarray:
 
 def gauge_transform(model: QMarkovModel, g: GaugeElement) -> QMarkovModel:
     """Apply (H, L) -> (W^dag (H + r) W, W^dag L W); output statistics invariant."""
-    W = g.W
+    model, W = _instance(model, QMarkovModel, "model"), _instance(g, GaugeElement, "g").W
     if W.shape != model.H.shape:
         raise ValidationError(f"W has shape {W.shape}, the model dimension is {model.dim}")
     H = W.conj().T @ (model.H + g.r * np.eye(model.dim)) @ W

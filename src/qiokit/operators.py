@@ -19,6 +19,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,13 +74,13 @@ def op_imag(x: np.ndarray) -> np.ndarray:
 
 
 def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(x).reshape(-1, order="F")
+    """Column-stacking vectorization, complex."""
+    return _array(x, "x", complex).reshape(-1, order="F")
 
 
 def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a d x d matrix."""
-    v, d = np.asarray(v), _check_int(d, "d", 0)
+    """Inverse of :func:`vec` for a d x d matrix, complex."""
+    v, d = _array(v, "v", complex), _check_int(d, "d", 0)
     if v.size != d * d:
         raise ValidationError(f"v must have d * d = {d * d} entries, got {v.size}")
     return v.reshape((d, d), order="F")
@@ -92,6 +93,13 @@ def _check_int(value, name: str, least: float = -np.inf) -> int:
             least, f"at least {least} and ")
         raise ValidationError(f"{name} must be {sign}integral, got {value!r}")
     return int(value)
+
+
+def _instance(value, kind: type, name: str):
+    """``value`` if it is a ``kind``; anything else is invalid."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _check_real(value, name: str) -> float:
@@ -289,7 +297,7 @@ class Superoperator:
         return int(round(self.mat.shape[0] ** 0.5))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.mat @ vec(_array(x, "x", complex)), self.dim)
+        return unvec(self.mat @ vec(x), self.dim)
 
 
 @dataclass(frozen=True)
@@ -360,7 +368,7 @@ def stationary_state(model: QMarkovModel) -> DensityOperator:
     raises :class:`NonUniqueStationaryState` when that null space has
     dimension greater than one.
     """
-    gen = lindblad_generator(model, "schrodinger")
+    gen = lindblad_generator(_instance(model, QMarkovModel, "model"), "schrodinger")
     d = model.dim
     u, s, vh = np.linalg.svd(gen.mat)
     scale = float(s[0]) if s.size else 0.0
@@ -466,6 +474,8 @@ def qfi_matrix(rho, drhos) -> np.ndarray:
     numerical error.
     """
     r = _rho_array(rho)
+    if not isinstance(drhos, Iterable):
+        raise ValidationError(f"drhos must be a list of matrices, got {type(drhos).__name__}")
     slds = [sld(r, dr) for dr in drhos]
     k = len(slds)
     F = np.empty((k, k))

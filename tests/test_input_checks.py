@@ -14,6 +14,7 @@ import pytest
 import qiokit
 from qiokit.estimation import (
     abc_rejection,
+    counting_rate_and_variance,
     mc_classical_fisher,
     mle,
     posterior_grid,
@@ -47,7 +48,9 @@ from qiokit.operators import (
     qcrb_trace_bound,
     qfi_matrix,
     sld,
+    stationary_state,
     unvec,
+    vec,
     zero_mean_inverse,
 )
 from qiokit.sysid import (
@@ -293,6 +296,26 @@ def _boundary_calls():
         "abc statistics lengths differ between samples": (
             "statistics of sample 1 must be a finite real vector of length 1",
             lambda: _abc(stat_fn=_growing_statistics())),
+        # value types: a wrong object is named, not read for its attributes
+        "stationary_state model None": ("model must be a QMarkovModel, got NoneType",
+                                        lambda: stationary_state(None)),
+        "counting_rate_and_variance model 'a'": (
+            "model must be a QMarkovModel, got str", lambda: counting_rate_and_variance("a")),
+        "transfer_function G None": ("G must be a LinearQSystem, got NoneType",
+                                     lambda: transfer_function(None, 1.0)),
+        "power_spectrum input None": ("inp must be a GaussianInput, got NoneType",
+                                      lambda: power_spectrum(cavity, None, 1.0)),
+        "power_spectrum G model": ("G must be a LinearQSystem, got QMarkovModel", lambda: (
+            power_spectrum(m, GaussianInput.vacuum(), 1.0))),
+        "gauge_transform element None": ("g must be a GaugeElement, got NoneType",
+                                         lambda: gauge_transform(m, None)),
+        "gauge_transform model None": ("model must be a QMarkovModel, got NoneType",
+                                       lambda: gauge_transform(None, GaugeElement(
+                                           r=0.0, W=np.eye(2)))),
+        "qfi_matrix drhos None": ("drhos must be a list of matrices, got NoneType",
+                                  lambda: qfi_matrix(MIXED, None)),
+        "vec 'a'": ("x must be numbers", lambda: vec(np.array([["a", "b"], ["c", "d"]]))),
+        "unvec 'a'": ("v must be numbers", lambda: unvec(["a", "b", "c", "d"], 2)),
         # summary statistics
         "stat_total_counts diffusive record": ("stat_total_counts needs a CountingRecord",
                                                lambda: stat_total_counts(drec)),

@@ -1,5 +1,7 @@
 """Trajectory-engine tests: record generation, statistics, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from conftest import NON_PHYSICAL, SM, SX, decay_qubit, driven_qubit, random_erg
 ZERO2 = np.zeros((2, 2), dtype=complex)
 MIXED = np.eye(2, dtype=complex) / 2
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
+GROUND = np.diag([1.0, 0.0]).astype(complex)
 
 
 class TestRecordTypes:
@@ -177,6 +180,42 @@ class TestCounting:
         at, near = jumps(0.5), jumps(0.5 + 1e-5)
         assert len(at) == len(near) > 0
         assert np.max(np.abs(at - near)) < 1e-3
+
+    def test_exact_sampler_with_a_dark_mode(self):
+        # from the mixed state half the weight sits in the ground state, which never
+        # decays (slowest decay rate 0): about half the records have no jump, the rest
+        # one at an Exp(kappa) time, and no warning is raised
+        m = decay_qubit(kappa=2.0)
+        times, empty = [], 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(400):
+                rec, _ = simulate_counting(m, MIXED, T=20.0, dt=0.01, seed=6, index=i,
+                                           method="exact", keep_states=False)
+                assert rec.n_jumps <= 1
+                empty += rec.n_jumps == 0
+                times.extend(rec.jumps)
+        assert abs(empty / 400 - 0.5) < 3 * np.sqrt(0.25 / 400)
+        times = np.asarray(times)
+        assert abs(times.mean() - 0.5) < 3 * times.std(ddof=1) / np.sqrt(len(times))
+
+    def test_exact_sampler_from_a_dark_state(self):
+        # the ground state of the decay qubit survives with certainty: S = 1, no jump
+        rec, traj = simulate_counting(decay_qubit(), GROUND, T=2000.0, dt=0.01, seed=3,
+                                      method="exact", keep_states=False)
+        assert rec.n_jumps == 0
+        assert np.isfinite(traj.loglik)
+
+    @pytest.mark.parametrize("index, n_jumps", [(42, 679), (82, 671)])
+    def test_exact_sampler_survives_an_underflowing_survival(self, index, n_jumps):
+        # criterion-7 records: just after a jump, with u near 1, a root search can try a
+        # time a thousand units past the root, where every term of the survival has
+        # underflowed to 0; the sampler must step back, not take log(0)
+        rec, traj = simulate_counting(driven_qubit(), MIXED, T=2000.0, dt=0.01, seed=707,
+                                      index=index, method="exact", keep_states=False)
+        assert rec.n_jumps == n_jumps
+        assert np.all(np.diff(rec.jumps) > 0) and 0 < rec.jumps[0] and rec.jumps[-1] <= 2000.0
+        assert np.isfinite(traj.loglik)
 
     def test_exact_matches_bernoulli_rate(self):
         m = driven_qubit()
