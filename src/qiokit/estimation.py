@@ -37,7 +37,8 @@ from .operators import (
     zero_mean_inverse,
 )
 from .filtering import _loglik_table
-from .trajectories import CountingRecord, DiffusiveRecord, _record_list, _simulate, trajectory_rng
+from .trajectories import (CountingRecord, DiffusiveRecord, _check_intensity, _record_list,
+                           _simulate, trajectory_rng)
 
 __all__ = [
     "MLEResult",
@@ -331,11 +332,11 @@ def abc_rejection(
     ``n_pilot`` pilot simulations.  Parameter draws and record rows share
     one index: sample i (the pilots first, then the ``n_sims`` candidates)
     draws theta from ``trajectory_rng(seed, i)`` and its record from
-    ``trajectory_rng(seed + 1, i)``, all in one simulation call.  The
-    observed statistics, the draws and the statistics of each sample must be
-    finite real vectors, the statistics of the observed length; otherwise a
-    ValidationError names the sample.  An empty result is reported with a
-    warning, not an error.
+    ``trajectory_rng(seed + 1, i)``, all in one simulation call that reads
+    the records only.  The observed statistics, the draws and the statistics of
+    each sample must be finite real vectors, the statistics of the observed
+    length; otherwise a ValidationError names the sample.  An empty result is
+    reported with a warning, not an error.
     """
     if not _check_real(epsilon, "epsilon") >= 0:
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
@@ -366,18 +367,17 @@ def mc_classical_fisher(
     """Monte-Carlo estimate of the classical Fisher information of the record.
 
     Simulates ``n_traj`` records at theta, inside the family domain, and
-    estimates the variance of their scores, which ``mle`` refines on too.  The
-    mean score is reported alongside; it should be consistent with zero.
+    estimates the variance of their scores, the tangent of the simulation's own
+    sweep (no ``lam`` > 0 shifts it); their mean, reported too, should be near zero.
     """
     theta = _one_parameter(family, theta, "mc_classical_fisher")
     n_traj = _check_int(n_traj, "n_traj", 2)
     if kind == "exact":  # the simulation kinds here are the record kinds
         raise ValidationError("exact sampling takes one model, in simulate_counting only; "
                               "kind must be 'counting' or 'diffusive'")
-    m = family.model([theta])
-    ens = _simulate(kind, m.H, m.L, rho0, T, dt, seed, 0, n_traj)
-    recs = [ens.record(i) for i in range(n_traj)]
-    scores = _loglik_table(m.H, m.L, rho0, recs, dt, lam, _tangent(family, theta)).score[0]
+    _check_intensity(lam)
+    m, tangent = family.model([theta]), _tangent(family, theta)
+    scores = _simulate(kind, m.H, m.L, rho0, T, dt, seed, 0, n_traj, tangent=tangent)[0]
     scores = scores[np.isfinite(scores)]
     n = len(scores)
     if n < 2:

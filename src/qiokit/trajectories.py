@@ -204,19 +204,18 @@ def _draws(kind: str, seed: int, start: int, b: int, n: int, dt: float) -> np.nd
     return out
 
 
-def _simulate(kind, H, L, rho0, T, dt, seed, start, b, keep_states=False):
-    """The one path from a record simulation to an engine: ``b`` rows of one
-    model (d, d) or one model per row (b, d, d).
+def _simulate(kind, H, L, rho0, T, dt, seed, start, b, keep_states=False, tangent=()):
+    """The one path from a record simulation to an engine: ``b`` rows of one model (d, d),
+    or records only, row i of model i of a stack (b, d, d).
 
-    Checks the kind, the row count, the grid, the step guard over the
-    models and the initial state, in that order, then runs row i on the
-    draws of ``trajectory_rng(seed, start + i)``.  A counting sampler gives
-    the jump times only: ``"counting"`` by Bernoulli thinning on the dt grid,
-    ``"exact"`` (one model of dimension <= 8) from the survival law on
-    (0, T].  Their states and log-likelihoods are the counting scheme's, as
-    ``run_filter`` reads each record: one ``sweep`` of the rows gives the
-    log-likelihoods and final states, one ``replay`` per row the kept states.
-    Returns a HomodyneEnsemble or a CountingEnsemble.
+    Checks the kind, the row count, the grid, the step guard over the models and the initial
+    state, in that order, then runs row i on the draws of ``trajectory_rng(seed, start + i)``.
+    A counting sampler gives the jump times only: ``"counting"`` by Bernoulli thinning on the
+    dt grid, ``"exact"`` (one model of dimension <= 8) from the survival law on (0, T].  Each
+    row is read once, as ``run_filter`` reads its record: one ``sweep`` gives the
+    log-likelihoods and final states of a HomodyneEnsemble or CountingEnsemble, or with
+    ``tangent = (dH, dL)`` (k, d, d) the scores (k, b) alone; a ``replay`` per row gives kept
+    states.  Diffusive increments come out of their sweep, so every diffusive row is swept.
     """
     if kind not in ("counting", "diffusive", "exact"):
         raise ValidationError(f"unknown simulation kind {kind!r}")
@@ -225,11 +224,11 @@ def _simulate(kind, H, L, rho0, T, dt, seed, start, b, keep_states=False):
     _step_guard(L, dt)
     rho0 = _state_array(rho0, L.shape[-1])
     if kind == "diffusive":
-        out = integ.sweep_diffusive(H, L, rho0, dt, dI=_draws(kind, seed, start, b, n, dt),
-                                    keep_states=keep_states)
-        return HomodyneEnsemble(dt=dt, increments=out.dY, logliks=out.loglik,
-                                final_states=out.final, states=out.states)
-    engine = integ.CountingLoglik(H, L, dt)
+        dI = _draws(kind, seed, start, b, n, dt)
+        out = integ.sweep_diffusive(H, L, rho0, dt, *tangent, dI=dI, keep_states=keep_states)
+        return out.score if tangent else HomodyneEnsemble(
+            dt=dt, increments=out.dY, logliks=out.loglik, final_states=out.final, states=out.states)
+    engine = integ.CountingLoglik(H, L, dt, 1.0, *tangent)
     if kind == "counting":
         horizon, jumps = n * dt, engine.simulate(rho0, _draws(kind, seed, start, b, n, dt))
     elif L.ndim > 2 or L.shape[-1] > 8:
@@ -237,14 +236,15 @@ def _simulate(kind, H, L, rho0, T, dt, seed, start, b, keep_states=False):
     else:
         horizon = T
         jumps = [engine.sample_exact(rho0, T, trajectory_rng(seed, start + i)) for i in range(b)]
-    if keep_states:  # row i on its own model's engine, as run_filter builds it
-        runs = [(engine if L.ndim == 2 else integ.CountingLoglik(H[i], L[i], dt)).replay(
-            rho0, horizon, j) for i, j in enumerate(jumps)]
+    logliks = final = states = None
+    if keep_states:  # as run_filter replays each record
+        runs = [engine.replay(rho0, horizon, j) for j in jumps]
         states = np.stack([r.states for r in runs])
         logliks, final = np.array([r.loglik for r in runs]), states[:, -1]
-    else:  # row i: model i of a stack, or the one model
-        rows, states = np.arange(b), None
-        out = engine.sweep(rho0, [horizon] * b, jumps, rows * (L.ndim > 2), rows)
+    elif L.ndim == 2:
+        out = engine.sweep(rho0, [horizon] * b, jumps, np.zeros(b, int), np.arange(b))
+        if tangent:
+            return out.score
         logliks, final = out.loglik, out.final
     return CountingEnsemble(horizon=horizon, jump_times=jumps, counts=np.array(
         [len(j) for j in jumps]), logliks=logliks, final_states=final, states=states)

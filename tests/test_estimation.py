@@ -1,5 +1,7 @@
 """Estimation tests: MLE, posteriors, ABC, counting statistics, Fisher MC."""
 
+import collections
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
@@ -22,8 +24,9 @@ from qiokit.exceptions import (
     ValidationError,
     ZeroVariance,
 )
-from qiokit.families import ParameterFamily
-from qiokit.filtering import log_likelihood
+from qiokit import _integrators as integ
+from qiokit.families import ParameterFamily, _tangent
+from qiokit.filtering import _loglik_table, log_likelihood
 from qiokit.markov_qfi import conditional_qfi
 from qiokit.operators import DensityOperator
 from qiokit.operators import QMarkovModel
@@ -33,6 +36,7 @@ from qiokit.trajectories import (
     simulate_counting,
     simulate_counting_ensemble,
     simulate_homodyne,
+    simulate_homodyne_ensemble,
 )
 
 from conftest import NON_PHYSICAL, SM, SX, decay_qubit, driven_qubit
@@ -543,6 +547,51 @@ class TestMCFisher:
         per_time = est.value / 100.0
         se = est.stderr / 100.0
         assert per_time >= ic - 3 * se
+
+    @pytest.mark.parametrize("kind, T, dt, n_traj", [("counting", 20.0, 1e-2, 50),
+                                                     ("diffusive", 1.0, 1e-3, 20)],
+                             ids=["counting", "diffusive"])
+    def test_value_is_the_variance_of_the_replayed_scores(self, kind, T, dt, n_traj):
+        # the simulation pass scores its own rows, with the bits of a replay of its records
+        fam = rabi_family()
+        est = mc_classical_fisher(fam, 1.0, MIXED, kind, T=T, dt=dt, n_traj=n_traj, seed=3)
+        simulate = {"counting": simulate_counting_ensemble,
+                    "diffusive": simulate_homodyne_ensemble}[kind]
+        m = fam.model([1.0])
+        ens = simulate(m, MIXED, T, dt, n_traj, 3)
+        records = [ens.record(i) for i in range(n_traj)]
+        scores = _loglik_table(m.H, m.L, MIXED, records, dt, 1.0, _tangent(fam, 1.0)).score[0]
+        scores = scores[np.isfinite(scores)]
+        assert len(scores) == n_traj
+        assert est.value == scores.var(ddof=1)
+        assert est.mean_score == scores.mean()
+
+    def test_each_simulated_row_is_swept_once(self, monkeypatch):
+        # abc_rejection reads counting records only; mc_classical_fisher scores its rows in
+        # the one sweep that simulates them (diffusive) or that follows the sampler (counting)
+        calls = collections.Counter()
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(integ.CountingLoglik, "sweep",
+                            counted("counting", integ.CountingLoglik.sweep))
+        monkeypatch.setattr(integ, "sweep_diffusive", counted("diffusive", integ.sweep_diffusive))
+        fam, stat = rabi_family(), lambda r: [len(r.jumps)]
+        abc_rejection(fam, [3.0], lambda rng: rng.uniform(0.5, 1.5), stat, n_sims=5,
+                      epsilon=10.0, seed=0, rho0=MIXED, T=10.0, dt=1e-2, n_pilot=3)
+        assert calls == {}
+        abc_rejection(fam, [0.0], lambda rng: rng.uniform(0.5, 1.5),
+                      lambda r: [r.increments.sum()], n_sims=5, epsilon=10.0, seed=0,
+                      rho0=MIXED, kind="diffusive", T=1.0, dt=1e-2, n_pilot=3)
+        assert calls == {"diffusive": 1}
+        for kind in ("counting", "diffusive"):
+            calls.clear()
+            mc_classical_fisher(fam, 1.0, MIXED, kind, T=1.0, dt=1e-2, n_traj=5)
+            assert calls == {kind: 1}
 
 
 FISHER_ESTIMATORS = {

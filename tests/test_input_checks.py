@@ -145,6 +145,11 @@ def _boundary_calls():
         for label, value in [("'a'", "a"), ("ragged", [[0.1], [0.2, 0.3]])]:
             cases[f"{entry} {label}"] = (f"{field} must be (real )?numbers",
                                          lambda fn=fn, v=value: fn(v))
+    for lam, rule in [(-1, "positive and finite"), (0, "positive and finite"),
+                      (np.nan, "positive and finite"), ("a", "a real number")]:
+        cases[f"mc_classical_fisher lam {lam!r}"] = (
+            f"reference intensity lam must be {rule}", lambda v=lam: mc_classical_fisher(
+                fam, 1.0, MIXED, "counting", 1.0, 0.01, 2, lam=v))
     for n in (0, -1, 2.5):
         cases[f"homodyne ensemble n_traj={n}"] = (
             "n_traj must be positive and integral",
