@@ -403,13 +403,16 @@ class CountingLoglik:
         so far ``cum``, ``dead`` (a jump at rate <= DARK_RATE or a non-positive trace) and
         with ``keep`` the state ``Y``; read at each row's last event, ``loglik`` (R,),
         ``final`` (R, d, d), with dH ``score`` (kp, R) and ``dfinal`` (kp, R, d, d)."""
-        dt, chunk, tangent = self.dt, int(self._chunk.min()), self._tangent
+        dt, d, tangent, mi = self.dt, self._L.shape[-1], self._tangent, np.asarray(mi)
+        # one event list per (record, mark interval): a row's marks are its own model's
+        (src, chunks), ri = np.unique(np.stack((ri, self._chunk[mi])), axis=1, return_inverse=True)
+        horizons, jumps = np.asarray(horizons)[src], [jumps[r] for r in src]
         n_cells = np.array([_n_cells(h, dt) for h in horizons])
-        parts = [np.concatenate((j, np.arange(chunk, n, chunk) * dt, [h]))
-                 for h, j, n in zip(horizons, jumps, n_cells)]
+        parts = [np.concatenate((j, np.arange(c, n, c) * dt, [h]))
+                 for h, j, n, c in zip(horizons, jumps, n_cells, chunks)]
         count, n_jumps = (np.array([len(x) for x in xs]) for xs in (parts, jumps))
         rec, start = np.repeat(np.arange(len(parts)), count), np.cumsum(count) - count
-        pos = np.arange(len(rec)) - start[rec]  # the place within the record
+        pos = np.arange(len(rec)) - start[rec]  # the place within the list
         order = np.lexsort((np.concatenate(parts), rec))  # stable: jumps, marks, then horizon
         taus, is_jump = np.concatenate(parts)[order], pos[order] < n_jumps[rec]
         # cell c holds c dt < tau <= (c+1) dt: a jump on a boundary ends the cell before it
@@ -424,9 +427,8 @@ class CountingLoglik:
                              a=np.where(same, 0.0, (prev_cell + 1) * dt - prev_tau),
                              b=np.where(same, taus - prev_tau, taus - cells * dt),
                              k=np.where(same, 0, cells - prev_cell - 1))
-        mi, ri, d = np.asarray(mi), np.asarray(ri), self._L.shape[-1]
         e, last = np.arange(count.max())[:, None], count[ri] - 1
-        own = e <= last  # (E, R): event e of row i is event e of record ri[i], if it has one
+        own = e <= last  # (E, R): event e of row i is event e of list ri[i], if it has one
         a, k, b, is_jump = (x[start[ri] + np.minimum(e, last)] * own
                             for x in (ev.a, ev.k, ev.b, ev.is_jump))
         rows = np.argsort(-last, kind="stable")  # most events first: the running rows, a prefix

@@ -218,29 +218,17 @@ class PR2Result:
 def skew_symplectic_factor(Z: np.ndarray) -> np.ndarray:
     """Factor a real invertible skew-symmetric Z as V J_n V^T.
 
-    Uses the real Schur form of Z, whose 2x2 blocks are s_i J; columns are
-    swapped so every s_i > 0 and V = Q diag(sqrt(s_i)) absorbs the scales.
+    iZ is Hermitian with eigenvalues +-s_i; a unit eigenvector p + iq of +s_i
+    has p, q orthogonal of norm 1/sqrt(2), and gives V the columns sqrt(2 s_i) (q, p).
     """
     Z = _even_square(Z, "Z")
     m = Z.shape[0]
-    T, Q = scipy.linalg.schur(Z, output="real")
-    scales = np.empty(m)
-    Q = Q.copy()
-    for blk in range(m // 2):
-        i = 2 * blk
-        s = T[i, i + 1]
-        off = max(abs(T[i, i]), abs(T[i + 1, i + 1]))
-        if off > 1e-8 * max(1.0, abs(s)):
-            raise NumericsError("Schur form of skew matrix is not block diagonal")
-        if abs(s) <= 1e-12 * max(1.0, np.abs(Z).max()):
-            raise SingularZ("skew certificate Z is numerically singular")
-        if s < 0:
-            Q[:, [i, i + 1]] = Q[:, [i + 1, i]]
-            s = -s
-        scales[i] = scales[i + 1] = np.sqrt(s)
-    V = Q * scales[None, :]
-    Jn = symplectic_form(m // 2)
-    if np.max(np.abs(V @ Jn @ V.T - Z)) > 1e-7 * max(1.0, np.abs(Z).max()):
+    w, X = np.linalg.eigh(1j * Z)
+    s, X = w[m // 2:], X[:, m // 2:]
+    if s[0] <= 1e-12 * max(1.0, np.abs(Z).max()):
+        raise SingularZ("skew certificate Z is numerically singular")
+    V = (np.stack((X.imag, X.real), axis=-1) * np.sqrt(2.0 * s)[:, None]).reshape(m, m)
+    if np.max(np.abs(V @ symplectic_form(m // 2) @ V.T - Z)) > 1e-7 * max(1.0, np.abs(Z).max()):
         raise NumericsError("skew factorization failed its residual check")
     return V
 
@@ -449,14 +437,7 @@ def random_symplectic(n: int, rng: np.random.Generator, scale: float = 0.4) -> S
 
 def _unitary_to_orthosymplectic(U: np.ndarray) -> np.ndarray:
     """Real representation of U(n) inside the symplectic group, interleaved order."""
-    n = U.shape[0]
-    X, Y = U.real, U.imag
-    O = np.empty((2 * n, 2 * n))
-    O[0::2, 0::2] = X
-    O[0::2, 1::2] = -Y
-    O[1::2, 0::2] = Y
-    O[1::2, 1::2] = X
-    return O
+    return np.kron(U.real, np.eye(2)) + np.kron(U.imag, [[0.0, -1.0], [1.0, 0.0]])
 
 
 def gamma_rigidity(

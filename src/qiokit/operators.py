@@ -45,7 +45,6 @@ __all__ = [
     "lindblad_generator",
     "stationary_state",
     "spectral_info",
-    "is_ergodic",
     "sld",
     "qfi_matrix",
     "pure_state_qfi",
@@ -418,10 +417,6 @@ def spectral_info(model: QMarkovModel) -> SpectralInfo:
         is_ergodic=unique and full_rank,
         unique_stationary=unique,
     )
-
-
-def is_ergodic(model: QMarkovModel) -> bool:
-    return spectral_info(model).is_ergodic
 
 
 def _ergodic_stationary(model: QMarkovModel) -> DensityOperator:

@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import QiokitError, ValidationError
 from .families import ParameterFamily
 from .linear import LinearQSystem
-from .operators import QMarkovModel, _array, _real_matrix
+from .operators import QMarkovModel, _array, _check_int, _real_matrix
 from .trajectories import CountingRecord, DiffusiveRecord, MeasurementRecord
 
 __all__ = [
@@ -63,7 +63,7 @@ def model_to_dict(model: QMarkovModel) -> dict:
 
 @schema_errors("model file")
 def model_from_dict(d: dict) -> QMarkovModel:
-    dim = int(d["dim"])
+    dim = _check_int(d["dim"], "dim", 1)
     H = _cmat(d["H_re"], d["H_im"], "H")
     L = _cmat(d["L_re"], d["L_im"], "L")
     if H.shape != (dim, dim) or L.shape != (dim, dim):
@@ -134,7 +134,7 @@ def linear_system_to_dict(G: LinearQSystem) -> dict:
 
 @schema_errors("linear-system file")
 def linear_system_from_dict(d: dict) -> LinearQSystem:
-    A = _real_matrix(d["A"], "A", (2 * int(d["n"]),) * 2)  # the declared mode count n
+    A = _real_matrix(d["A"], "A", (2 * _check_int(d["n"], "n", 0),) * 2)  # the declared mode count
     return LinearQSystem(A=A, B=d["B"], C=d["C"], D=d.get("D"))
 
 

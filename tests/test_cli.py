@@ -407,6 +407,26 @@ class TestMalformedInputs:
         assert code == 2
         assert "A contains non-finite" in capsys.readouterr().err
 
+    # the values that int() would read as the file's true count (dim 2, n 1), and a bool
+    @pytest.mark.parametrize("kind, value", [
+        ("model", 2.7), ("model", "2"), ("model", True),
+        ("linear system", 1.7), ("linear system", "1"), ("linear system", True),
+    ])
+    def test_declared_count_must_be_an_integer(self, tmp_path, qubit_file, cavity_file,
+                                              capsys, kind, value):
+        src, key, name = {"model": (qubit_file, "dim", "--model"),
+                          "linear system": (cavity_file, "n", "--system")}[kind]
+        d = json.loads(open(src).read())
+        d[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        rec = tmp_path / "rec.json"
+        serialize.save_record(CountingRecord(horizon=2.0, jumps=[0.5]), rec)
+        argv = (["filter", name, str(bad), "--record", str(rec)] if kind == "model" else
+                ["linsys", "--task", "check-pr", name, str(bad)])
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("task", ["transfer", "spectrum"])
     @pytest.mark.parametrize("bound", ["--omega-min=nan", "--omega-max=inf"])
     def test_linsys_non_finite_frequency(self, tmp_path, cavity_file, capsys, task, bound):

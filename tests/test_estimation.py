@@ -284,6 +284,18 @@ class TestPosterior:
                 + np.log(p) for t, p in zip(grid, prior)]
         assert np.allclose(post.log_weights, want, rtol=1e-9, atol=0.0)
 
+    def test_log_weight_does_not_depend_on_the_other_grid_points(self):
+        # theta = 1.5 decays fast enough to need renormalization marks every 3,725 cells,
+        # theta = 0 every 10,000; each row is swept with its own model's marks
+        fam = ParameterFamily.affine(QMarkovModel(H=0.5 * SX, L=SM), [ZERO2], [SM])
+        rec, _ = simulate_counting(driven_qubit(), MIXED, T=300.0, dt=1e-2, seed=3,
+                                   method="exact", keep_states=False)
+        assert rec.n_jumps == 104
+        grid, prior = np.array([0.0, 1.5]), np.array([0.5, 0.5])
+        post = posterior_grid(fam, rec, MIXED, grid, prior, dt=1e-2)
+        for t, p, w in zip(grid, prior, post.log_weights):
+            assert w == log_likelihood(fam.model([t]), MIXED, rec, dt=1e-2) + np.log(p)
+
     def test_theta_independent_returns_prior(self):
         fam = null_family()
         rec, _ = simulate_counting(driven_qubit(), MIXED, T=10.0, dt=1e-2, seed=5)

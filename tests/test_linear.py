@@ -4,12 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qiokit.exceptions import (
     NoSkewSolution,
     NotHurwitz,
     RiccatiFailure,
     SingularResolvent,
+    SingularZ,
     StepTooLarge,
     ValidationError,
 )
@@ -156,6 +159,22 @@ class TestPR2:
             Z = V @ symplectic_form(n) @ V.T
             W = skew_symplectic_factor(Z)
             assert np.max(np.abs(W @ symplectic_form(n) @ W.T - Z)) < 1e-8
+
+    @given(n=st.integers(1, 5), c=st.sampled_from([-50.0, -1.7, -1e-3, 1e-3, 1.7, 50.0]),
+           seed=st.integers(0, 2**32 - 1), canonical=st.booleans())
+    def test_skew_factor_property(self, n, c, seed, canonical):
+        # Z = c V0 J_n V0^T, or +-J_n, whose s_i are all equal
+        Jn = symplectic_form(n)
+        V0 = random_symplectic(n, np.random.default_rng(seed)).V
+        Z = np.sign(c) * Jn if canonical else c * V0 @ Jn @ V0.T
+        V = skew_symplectic_factor(Z)
+        assert np.max(np.abs(V @ Jn @ V.T - Z)) <= 1e-13 * max(1.0, np.abs(Z).max())
+
+    def test_singular_skew_matrix_raises(self):
+        Z = np.zeros((4, 4))
+        Z[:2, :2] = symplectic_form(1)  # the second 2x2 block is zero
+        with pytest.raises(SingularZ):
+            skew_symplectic_factor(Z)
 
 
 class TestTransferFunction:
