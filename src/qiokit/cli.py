@@ -32,7 +32,7 @@ from .exceptions import (
     ValidationError,
     ZeroVariance,
 )
-from .filtering import log_likelihood, run_filter
+from .filtering import DEFAULT_DT, log_likelihood, run_filter
 from .linear import (
     GaussianInput,
     check_pr1,
@@ -225,18 +225,16 @@ def _pipeline_config(cfg_dict) -> PipelineConfig:
     if "system_file" in cfg_dict:
         system = serialize.load_linear_system(cfg_dict["system_file"])
     if "dataset_file" in cfg_dict:
-        d = serialize.parse_json_file(cfg_dict["dataset_file"])
-        dataset = SysIdDataset(dt=float(d["dt"]), inputs=d["inputs"], outputs=d["outputs"],
-                               split_index=d["split_index"])
+        with serialize.schema_errors("dataset file"):
+            d = serialize.parse_json_file(cfg_dict["dataset_file"])
+            dataset = SysIdDataset(dt=d["dt"], inputs=d["inputs"], outputs=d["outputs"],
+                                   split_index=d["split_index"])
+    # T and prbs_amplitude have no dataclass default; a dataset config reads neither
     return PipelineConfig(
-        dt=float(cfg_dict["dt"]), T=float(cfg_dict.get("T", 0.0)),
-        prbs_amplitude=float(cfg_dict.get("prbs_amplitude", 1.0)),
-        orders=tuple(cfg_dict["orders"]),
-        quadrature=cfg_dict.get("quadrature", "Q"),
-        seed=cfg_dict.get("seed", 0),
-        split=float(cfg_dict.get("split", 0.7)),
-        horizon=cfg_dict.get("horizon", 10),
+        dt=cfg_dict["dt"], T=cfg_dict.get("T", 0.0),
+        prbs_amplitude=cfg_dict.get("prbs_amplitude", 1.0), orders=cfg_dict["orders"],
         system=system, dataset=dataset,
+        **{k: cfg_dict[k] for k in ("quadrature", "seed", "split", "horizon") if k in cfg_dict},
     )
 
 
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     out, init, dt, lam = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     out.add_argument("--out", required=True)
     init.add_argument("--init", choices=["mixed", "stationary"], default="mixed")
-    dt.add_argument("--dt", type=float, default=1e-3)
+    dt.add_argument("--dt", type=float, default=DEFAULT_DT)
     lam.add_argument("--lambda", dest="lam", type=float, default=1.0)
 
     sim = sub.add_parser("simulate", parents=[out, init, lam],

@@ -36,7 +36,7 @@ from .operators import (
     dag,
     zero_mean_inverse,
 )
-from .filtering import _loglik_table
+from .filtering import DEFAULT_DT, _loglik_table
 from .trajectories import (CountingRecord, DiffusiveRecord, _check_intensity, _record_list,
                            _simulate, trajectory_rng)
 
@@ -110,7 +110,7 @@ def _model_stack(family, thetas):
 
 def mle(
     family: ParameterFamily, records, rho0,
-    *, dt: float = 1e-3, lam: float = 1.0, grid_points: int = 21,
+    *, dt: float = DEFAULT_DT, lam: float = 1.0, grid_points: int = 21,
     refine: bool = True,
 ) -> MLEResult:
     """Maximum-likelihood estimate over the family's box domain.
@@ -199,7 +199,7 @@ def mle(
 
 def posterior_grid(
     family: ParameterFamily, record, rho0, grid, prior,
-    *, dt: float = 1e-3, lam: float = 1.0,
+    *, dt: float = DEFAULT_DT, lam: float = 1.0,
 ) -> PosteriorGrid:
     """Posterior over a user-supplied grid of parameter points.
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import ValidationError, ZeroJumpRate
 from .families import ParameterFamily, _one_parameter, _tangent
-from .filtering import _loglik_table
+from .filtering import DEFAULT_DT, _loglik_table
 from .operators import (
     QMarkovModel,
     _check_finite,
@@ -98,7 +98,8 @@ def gauge_transform(model: QMarkovModel, g: GaugeElement) -> QMarkovModel:
     return QMarkovModel(H=H, L=L)
 
 
-def conditional_qfi(family: ParameterFamily, theta, rho0, record, *, dt: float = 1e-3) -> float:
+def conditional_qfi(family: ParameterFamily, theta, rho0, record, *,
+                    dt: float = DEFAULT_DT) -> float:
     """QFI of the conditional state at the record horizon (one parameter).
 
     The final state and its derivative are the likelihood tangent's at theta,

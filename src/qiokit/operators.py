@@ -102,10 +102,10 @@ def _instance(value, kind: type, name: str):
 
 
 def _check_real(value, name: str) -> float:
-    """``value`` as a float; anything but a real scalar (a string, None, a complex
-    number, an array) is invalid."""
+    """``value`` as a float; anything but a real scalar (a string, a bool, None, a
+    complex number, an array) is invalid."""
     v = np.asarray(value)
-    if v.shape or v.dtype.kind not in "biuf":
+    if v.shape or v.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     return float(v)
 
@@ -323,25 +323,19 @@ def lindblad_generator(model: QMarkovModel, picture: str = "schrodinger") -> Sup
 
     The two matrices are duals under the bilinear trace pairing.
     """
+    if picture not in ("schrodinger", "heisenberg"):
+        raise ValidationError(f"unknown picture {picture!r}")
     H, L = model.H, model.L
     d = model.dim
     eye = np.eye(d)
     LdL = L.conj().T @ L
-    anticomm = 0.5 * (np.kron(eye, LdL) + np.kron(LdL.T, eye))
-    if picture == "schrodinger":
-        mat = (
-            1j * (np.kron(H.T, eye) - np.kron(eye, H))
-            + np.kron(L.conj(), L)
-            - anticomm
-        )
-    elif picture == "heisenberg":
-        mat = (
-            1j * (np.kron(eye, H) - np.kron(H.T, eye))
-            + np.kron(L.T, L.conj().T)
-            - anticomm
-        )
-    else:
-        raise ValidationError(f"unknown picture {picture!r}")
+    mat = (
+        1j * (np.kron(H.T, eye) - np.kron(eye, H))
+        + np.kron(L.conj(), L)
+        - 0.5 * (np.kron(eye, LdL) + np.kron(LdL.T, eye))
+    )
+    if picture == "heisenberg":  # the trace dual: swap the row and column operator indices
+        mat = mat.reshape((d,) * 4).T.reshape(d * d, d * d)
     return Superoperator(mat=mat, picture=picture)
 
 

@@ -32,11 +32,14 @@ __all__ = [
 @contextlib.contextmanager
 def schema_errors(what: str):
     """Report a missing key or a value of the wrong type or form in a parsed
-    ``what`` as a :class:`ValidationError`; also usable as a decorator."""
+    ``what`` as a :class:`ValidationError` that names the file kind; also usable
+    as a decorator.  An error already naming an inner file's kind is kept."""
     try:
         yield
-    except QiokitError:
-        raise
+    except QiokitError as exc:
+        if not isinstance(exc, ValidationError) or str(exc).startswith("malformed "):
+            raise
+        raise ValidationError(f"malformed {what}: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ValidationError(f"malformed {what}: {detail}") from exc
@@ -91,9 +94,9 @@ def record_to_dict(record: MeasurementRecord) -> dict:
 def record_from_dict(d: dict) -> MeasurementRecord:
     kind = d.get("kind")
     if kind == "diffusive":
-        return DiffusiveRecord(dt=float(d["dt"]), increments=d["increments"])
+        return DiffusiveRecord(dt=d["dt"], increments=d["increments"])
     if kind == "counting":
-        return CountingRecord(horizon=float(d["horizon"]), jumps=d["jumps"])
+        return CountingRecord(horizon=d["horizon"], jumps=d["jumps"])
     raise ValidationError(f"unknown record kind {kind!r}")
 
 

@@ -54,6 +54,7 @@ from .operators import (
     _check_real,
     _even_square,
     _freeze,
+    _instance,
     _real_matrix,
     _real_vector,
 )
@@ -175,10 +176,10 @@ class SysIdDataset:
             raise ValidationError("inputs must be (N, 2)")
         if len(u) != len(y):
             raise ValidationError("inputs and outputs must have equal length")
-        _check_positive(self.dt, "dt")
+        dt = _check_positive(self.dt, "dt")
         if not (0 < _check_int(self.split_index, "split_index") < len(y)):
             raise ValidationError("both splits must be nonempty")
-        _freeze(self, inputs=u, outputs=y)
+        _freeze(self, inputs=u, outputs=y, dt=dt)
 
     @classmethod
     def from_record(cls, record: DiffusiveRecord, inputs, split: float = 0.7):
@@ -728,7 +729,8 @@ def validate_nmse(
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Configuration of the end-to-end identification run."""
+    """Configuration of the end-to-end identification run.  With a ``dataset``,
+    ``dt`` must be the dataset's, and ``T`` and ``prbs_amplitude`` are not read."""
 
     dt: float
     T: float
@@ -748,10 +750,12 @@ class PipelineConfig:
         _freeze(self, orders=tuple(_check_orders(self.orders)))
         _check_int(self.seed, "seed", 0)
         _check_int(self.horizon, "horizon", 1)
-        _check_split(self.split)
-        if not (0 < _check_real(self.dt, "dt") < np.inf
-                and (self.dataset is not None or 0 < _check_real(self.T, "T") < np.inf)):
-            raise ValidationError("dt must be positive and finite, and T too when simulating")
+        _freeze(self, split=_check_split(self.split), dt=_check_positive(self.dt, "dt"))
+        if self.dataset is None:
+            _freeze(self, T=_check_positive(self.T, "T"),
+                    prbs_amplitude=_check_positive(self.prbs_amplitude, "prbs_amplitude"))
+        elif self.dt != _instance(self.dataset, SysIdDataset, "dataset").dt:
+            raise ValidationError(f"dt {self.dt!r} is not the dataset's dt {self.dataset.dt!r}")
 
 
 @dataclass(frozen=True)

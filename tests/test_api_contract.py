@@ -12,6 +12,7 @@ import types
 
 import qiokit
 from qiokit.cli import build_parser
+from qiokit.filtering import DEFAULT_DT
 
 EXPORTS = {
     "CountingRecord", "DensityOperator", "DiffusiveRecord", "FilterTrajectory",
@@ -71,6 +72,18 @@ def test_fisher_estimator_parameters():
     found = {name: list(inspect.signature(getattr(qiokit, name)).parameters)
              for name in FISHER_PARAMETERS}
     assert found == FISHER_PARAMETERS
+
+
+def test_one_default_counting_step():
+    defaults = {name: inspect.signature(getattr(qiokit, name)).parameters["dt"].default
+                for name in ("run_filter", "run_zakai", "log_likelihood", "log_likelihood_many",
+                             "mle", "posterior_grid", "conditional_qfi")}
+    parser = build_parser()
+    defaults["cli --dt"] = parser.parse_args(["filter", "--model", "m", "--record", "r",
+                                              "--out", "o"]).dt
+    assert defaults == dict.fromkeys(defaults, DEFAULT_DT)
+    # the one constant itself, not a literal repeated in each signature
+    assert all(value is DEFAULT_DT for value in defaults.values())
 
 
 def test_cli_options():

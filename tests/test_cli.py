@@ -552,6 +552,60 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("validation error") and "Error:" not in err
 
+    # a numeric string and a bool, which float() would read as a number
+    @pytest.mark.parametrize("value", ["0.7", True], ids=repr)
+    @pytest.mark.parametrize("file, key", [
+        ("record file", "dt"), ("record file", "horizon"), ("sysid config", "dt"),
+        ("sysid config", "T"), ("sysid config", "prbs_amplitude"), ("sysid config", "split"),
+        ("dataset file", "dt"),
+    ])
+    def test_json_reals_are_numbers(self, tmp_path, qubit_file, cavity_file, capsys,
+                                    file, key, value):
+        rng = np.random.default_rng(0)
+        data = {"dt": 0.05, "inputs": rng.normal(size=(400, 2)).tolist(),
+                "outputs": rng.normal(size=400).tolist(), "split_index": 280}
+        cfg = {"system_file": cavity_file, "dt": 0.05, "T": 400.0,
+               "prbs_amplitude": 50.0, "orders": [1]}
+        rec = {"kind": "diffusive", "dt": 0.01, "increments": [0.1, -0.2]}
+        if key == "horizon":
+            rec = {"kind": "counting", "horizon": 2.0, "jumps": [0.5]}
+        {"record file": rec, "sysid config": cfg, "dataset file": data}[file][key] = value
+        if file == "dataset file":
+            (tmp_path / "data.json").write_text(json.dumps(data))
+            cfg = {"dataset_file": str(tmp_path / "data.json"), "dt": 0.05, "orders": [1]}
+        (tmp_path / "rec.json").write_text(json.dumps(rec))
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = (["filter", "--model", qubit_file, "--record", str(tmp_path / "rec.json"),
+                 "--dt", "1e-2"] if file == "record file" else
+                ["sysid", "--config", str(tmp_path / "cfg.json")])
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+        assert f"malformed {file}: {key} must be a real number" in capsys.readouterr().err
+
+    def test_file_errors_name_their_file_once(self, tmp_path, family_file, capsys):
+        d = json.loads(open(family_file).read())
+        d["base"]["dim"] = "2"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        rec = tmp_path / "rec.json"
+        serialize.save_record(CountingRecord(horizon=2.0, jumps=[0.5]), rec)
+        assert main(["estimate", "--family", str(bad), "--records", str(rec),
+                     "--out", str(tmp_path / "est.json")]) == 2
+        err = capsys.readouterr().err
+        assert "malformed model file: dim must be" in err and "family file" not in err
+
+    def test_sysid_config_dt_must_be_the_datasets(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "dt": 0.05, "inputs": rng.normal(size=(2000, 2)).tolist(),
+            "outputs": rng.normal(size=2000).tolist(), "split_index": 1400,
+        }))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset_file": str(data), "dt": 0.5, "orders": [1]}))
+        code = main(["sysid", "--config", str(cfg), "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "dt 0.5 is not the dataset's dt 0.05" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("orders", ["a"]), ("orders", [1.5]), ("orders", [-1]), ("orders", [0]),
         ("split", 2.0),

@@ -273,6 +273,8 @@ def _boundary_calls():
             fam, rec, MIXED, [0.5, 1.0], ["a", 0.5])),
         "DiffusiveRecord dt 'a'": ("dt must be a real number",
                                    lambda: DiffusiveRecord(dt="a", increments=[1.0])),
+        "DiffusiveRecord dt True": ("dt must be a real number",
+                                    lambda: DiffusiveRecord(dt=True, increments=[1.0])),
         "CountingRecord horizon None": ("horizon must be a real number",
                                         lambda: CountingRecord(horizon=None, jumps=[])),
         "prbs amplitude 'a'": ("amplitude must be a real number", lambda: prbs(10, "a", 0)),
@@ -280,6 +282,9 @@ def _boundary_calls():
             dt="a", inputs=np.ones((10, 2)), outputs=np.arange(10.0), split_index=5)),
         "PipelineConfig T 'a'": ("T must be a real number", lambda: PipelineConfig(
             dt=0.1, T="a", prbs_amplitude=1.0, orders=(1,), system=LinearQSystem(
+                A=[[-1.0, 0.3], [0.0, -2.0]], B=np.eye(2), C=np.eye(2)))),
+        "PipelineConfig split True": ("split must be a real number", lambda: PipelineConfig(
+            dt=0.1, T=1.0, prbs_amplitude=1.0, orders=(1,), split=True, system=LinearQSystem(
                 A=[[-1.0, 0.3], [0.0, -2.0]], B=np.eye(2), C=np.eye(2)))),
         "check_pr2 tol complex": ("tol must be a real number", lambda: check_pr2(
             LinearQSystem(A=[[-1.0, 0.3], [0.0, -2.0]], B=np.eye(2), C=np.eye(2)), tol=1j)),
@@ -317,6 +322,9 @@ def _boundary_calls():
         "gauge_transform model None": ("model must be a QMarkovModel, got NoneType",
                                        lambda: gauge_transform(None, GaugeElement(
                                            r=0.0, W=np.eye(2)))),
+        "PipelineConfig dataset 'a'": ("dataset must be a SysIdDataset, got str",
+                                       lambda: PipelineConfig(dt=0.1, T=1.0, prbs_amplitude=1.0,
+                                                              orders=(1,), dataset="a")),
         "qfi_matrix drhos None": ("drhos must be a list of matrices, got NoneType",
                                   lambda: qfi_matrix(MIXED, None)),
         "vec 'a'": ("x must be numbers", lambda: vec(np.array([["a", "b"], ["c", "d"]]))),

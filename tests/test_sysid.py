@@ -704,6 +704,12 @@ def test_split_must_lie_in_unit_interval(split):
                        system=cavity())
 
 
+def test_config_dt_must_be_the_datasets():
+    _, data = cavity_dataset(seed=2, T=200.0)
+    with pytest.raises(ValidationError, match="dt 0.5 is not the dataset's dt 0.05"):
+        PipelineConfig(dt=0.5, T=1.0, prbs_amplitude=1.0, orders=(1,), dataset=data)
+
+
 class TestPipeline:
     def test_round_trip_cavity(self):
         G = cavity()
