@@ -221,12 +221,15 @@ def _cmd_linsys(args) -> dict:
 
 @serialize.schema_errors("sysid config")
 def _pipeline_config(cfg_dict) -> PipelineConfig:
+    serialize.known_keys(cfg_dict, "system_file", "dataset_file", "dt", "T", "prbs_amplitude",
+                         "orders", "quadrature", "seed", "split", "horizon")
     system = dataset = None
     if "system_file" in cfg_dict:
         system = serialize.load_linear_system(cfg_dict["system_file"])
     if "dataset_file" in cfg_dict:
         with serialize.schema_errors("dataset file"):
-            d = serialize.parse_json_file(cfg_dict["dataset_file"])
+            d = serialize.known_keys(serialize.parse_json_file(cfg_dict["dataset_file"]), "dt",
+                                     "inputs", "outputs", "split_index")
             dataset = SysIdDataset(dt=d["dt"], inputs=d["inputs"], outputs=d["outputs"],
                                    split_index=d["split_index"])
     # T and prbs_amplitude have no dataclass default; a dataset config reads neither

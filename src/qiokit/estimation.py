@@ -27,18 +27,18 @@ from .families import ParameterFamily, _one_parameter, _tangent
 from .operators import (
     QMarkovModel,
     _array,
+    _check_arguments,
     _check_int,
     _check_real,
     _ergodic_stationary,
-    _instance,
     _lindblad_tangent,
     _nojump_tangent,
     dag,
     zero_mean_inverse,
 )
 from .filtering import DEFAULT_DT, _loglik_table
-from .trajectories import (CountingRecord, DiffusiveRecord, _check_intensity, _record_list,
-                           _simulate, trajectory_rng)
+from .trajectories import (CountingRecord, DiffusiveRecord, MeasurementRecord, _check_intensity,
+                           _record_list, _simulate, trajectory_rng)
 
 __all__ = [
     "MLEResult",
@@ -198,7 +198,7 @@ def mle(
 
 
 def posterior_grid(
-    family: ParameterFamily, record, rho0, grid, prior,
+    family: ParameterFamily, record: MeasurementRecord, rho0, grid, prior,
     *, dt: float = DEFAULT_DT, lam: float = 1.0,
 ) -> PosteriorGrid:
     """Posterior over a user-supplied grid of parameter points.
@@ -227,15 +227,8 @@ def posterior_grid(
     return PosteriorGrid(grid=grid, log_weights=logw, weights=w)
 
 
-def _check_record(record, kind, name: str) -> None:
-    if not isinstance(record, kind):
-        raise ValidationError(
-            f"{name} needs a {kind.__name__}, got {type(record).__name__}")
-
-
 def stat_total_counts(record: CountingRecord) -> int:
     """Total number of jumps in a counting record."""
-    _check_record(record, CountingRecord, "stat_total_counts")
     return int(record.n_jumps)
 
 
@@ -244,7 +237,6 @@ def stat_two_time_corr(record: DiffusiveRecord, kernel) -> float:
 
     ``kernel`` must return a finite real scalar at each lag.
     """
-    _check_record(record, DiffusiveRecord, "stat_two_time_corr")
     inc = record.increments
     n = len(inc)
     total = 0.0
@@ -282,7 +274,7 @@ def counting_rate_and_variance(model: QMarkovModel) -> tuple[float, float]:
     is nonnegative, matches trajectory Monte-Carlo, and makes the
     phase-family identity ``qfi_rate = 4 V`` hold.
     """
-    if not np.any(_instance(model, QMarkovModel, "model").L):
+    if not np.any(model.L):
         return 0.0, 0.0  # no emission channel, counts are identically zero
     return _counting_response(model)[1:3]
 
@@ -355,7 +347,7 @@ def abc_rejection(
     if not accepted:
         warnings.warn(
             f"ABC accepted no samples in {n_sims} simulations (epsilon={epsilon})",
-            stacklevel=2,
+            stacklevel=3,  # the caller, above the argument check of operators._check_arguments
         )
     return accepted
 
@@ -392,3 +384,6 @@ def mc_classical_fisher(
         mean_score=float(scores.mean()),
         mean_score_stderr=float(scores.std(ddof=1) / np.sqrt(n)),
     )
+
+
+_check_arguments(globals())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ValidationError
-from .operators import QMarkovModel, _array, _freeze, _square_complex
+from .operators import QMarkovModel, _array, _check_arguments, _freeze, _square_complex
 
 __all__ = ["ParameterFamily"]
 
@@ -117,3 +117,6 @@ def _one_parameter(family: ParameterFamily, theta, name: str) -> float:
     if family.k != 1 or not family.in_domain(theta):
         raise ValidationError(f"{name} takes one parameter inside the family domain")
     return float(family._theta(theta)[0])
+
+
+_check_arguments(globals())

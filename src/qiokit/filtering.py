@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _integrators as integ
 from .exceptions import ValidationError
-from .operators import QMarkovModel, _state_array
+from .operators import QMarkovModel, _check_arguments, _state_array
 from .trajectories import (
     CountingRecord,
     DiffusiveRecord,
@@ -80,13 +80,11 @@ def _replay(model: QMarkovModel, rho0, record, dt: float, lam: float, on_dark: s
             dY=record.increments[None, :], keep_states=True, keep_logtrace=True,
         )
         return np.arange(len(record) + 1) * record.dt, out.states[0], out.logtrace[0]
-    if isinstance(record, CountingRecord):
-        _step_guard(model.L, dt)
-        out = integ.CountingLoglik(model.H, model.L, dt, lam=lam).replay(
-            rho0, record.horizon, record.jumps, on_dark=on_dark
-        )
-        return out.times, out.states, out.logtrace
-    raise ValidationError(f"unsupported record type {type(record).__name__}")
+    _step_guard(model.L, dt)
+    out = integ.CountingLoglik(model.H, model.L, dt, lam=lam).replay(
+        rho0, record.horizon, record.jumps, on_dark=on_dark
+    )
+    return out.times, out.states, out.logtrace
 
 
 def run_filter(
@@ -188,3 +186,6 @@ def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=()):
         if tangent:
             out.score[:, idx], out.dfinal[:, idx] = sweep.score, sweep.dfinal
     return out
+
+
+_check_arguments(globals())

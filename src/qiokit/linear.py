@@ -33,12 +33,12 @@ from .exceptions import (
 )
 from .operators import (
     _array,
+    _check_arguments,
     _check_finite,
     _check_int,
     _check_positive,
     _even_square,
     _freeze,
-    _instance,
     _real_matrix,
     _real_vector,
 )
@@ -278,8 +278,8 @@ def check_pr2(G: LinearQSystem, tol: float = 1e-8) -> PR2Result:
 
 def transfer_function(G: LinearQSystem, s: complex) -> np.ndarray:
     """Xi(s) = C (sI - A)^{-1} B + D at a finite complex s."""
-    G, v = _instance(G, LinearQSystem, "G"), np.asarray(s)
-    if v.shape or v.dtype.kind not in "biufc" or not np.isfinite(v):
+    v = np.asarray(s)
+    if v.shape or v.dtype.kind not in "iufc" or not np.isfinite(v):
         raise ValidationError(f"s must be a finite complex number, got {s!r}")
     m = v * np.eye(2 * G.n) - G.A
     try:
@@ -300,8 +300,7 @@ def _require_hurwitz(G: LinearQSystem):
 def power_spectrum(G: LinearQSystem, inp: GaussianInput, omega: float) -> np.ndarray:
     """Output power spectrum Phi(i w) = Xi(i w)^# Gamma Xi(i w)^T at a finite real w."""
     omega = _check_finite(omega, "omega")
-    inp = _instance(inp, GaussianInput, "inp")
-    _require_hurwitz(_instance(G, LinearQSystem, "G"))
+    _require_hurwitz(G)
     xi = transfer_function(G, 1j * omega)
     return xi.conj() @ inp.Gamma @ xi.T
 
@@ -466,3 +465,6 @@ def gamma_rigidity(
         if np.max(np.abs(O @ big @ O.T - big)) <= tol:
             return False
     return True
+
+
+_check_arguments(globals())

@@ -25,16 +25,16 @@ from .families import ParameterFamily, _one_parameter, _tangent
 from .filtering import DEFAULT_DT, _loglik_table
 from .operators import (
     QMarkovModel,
+    _check_arguments,
     _check_finite,
     _ergodic_stationary,
     _freeze,
-    _instance,
     _square_complex,
     op_imag,
     qfi_matrix,
     zero_mean_inverse,
 )
-from .trajectories import CountingRecord
+from .trajectories import CountingRecord, MeasurementRecord
 
 __all__ = ["GaugeElement", "qfi_rate", "qfi_rate_raw", "gauge_transform", "conditional_qfi"]
 
@@ -89,7 +89,7 @@ def qfi_rate(family: ParameterFamily, theta) -> np.ndarray:
 
 def gauge_transform(model: QMarkovModel, g: GaugeElement) -> QMarkovModel:
     """Apply (H, L) -> (W^dag (H + r) W, W^dag L W); output statistics invariant."""
-    model, W = _instance(model, QMarkovModel, "model"), _instance(g, GaugeElement, "g").W
+    W = g.W
     if W.shape != model.H.shape:
         raise ValidationError(f"W has shape {W.shape}, the model dimension is {model.dim}")
     H = W.conj().T @ (model.H + g.r * np.eye(model.dim)) @ W
@@ -98,7 +98,7 @@ def gauge_transform(model: QMarkovModel, g: GaugeElement) -> QMarkovModel:
     return QMarkovModel(H=H, L=L)
 
 
-def conditional_qfi(family: ParameterFamily, theta, rho0, record, *,
+def conditional_qfi(family: ParameterFamily, theta, rho0, record: MeasurementRecord, *,
                     dt: float = DEFAULT_DT) -> float:
     """QFI of the conditional state at the record horizon (one parameter).
 
@@ -116,3 +116,6 @@ def conditional_qfi(family: ParameterFamily, theta, rho0, record, *,
     drho = (drho + drho.conj().T) / 2
     drho = drho - (np.trace(drho).real / center.shape[0]) * np.eye(center.shape[0])
     return float(qfi_matrix(center, [drho])[0, 0])
+
+
+_check_arguments(globals())

@@ -18,9 +18,13 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
+import inspect
 import numbers
+import types
+import typing
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -94,11 +98,44 @@ def _check_int(value, name: str, least: float = -np.inf) -> int:
     return int(value)
 
 
-def _instance(value, kind: type, name: str):
-    """``value`` if it is a ``kind``; anything else is invalid."""
-    if not isinstance(value, kind):
-        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
-    return value
+def _check_arguments(namespace: dict) -> None:
+    """Make each function in a module's ``__all__``, each public method of its classes and
+    the ``__init__`` of its value types (whose parameters are the fields) check first, in
+    signature order, each argument annotated with qiokit value types, ``X | None`` and
+    unions included: anything else raises ValidationError "{name} must be a {Type}[ or
+    {Type}], got {type}"."""
+    def checked(fn):
+        hints, params, rules = typing.get_type_hints(fn), inspect.signature(fn).parameters, []
+        for i, p in enumerate(params.values()):
+            hint = hints.get(p.name)
+            union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+            kinds = typing.get_args(hint) if union else (hint,)
+            named = [k for k in kinds if k is not type(None)]
+            if named and all(is_dataclass(k) and k.__module__.startswith("qiokit.") for k in named):
+                rules.append((i if p.kind <= p.POSITIONAL_OR_KEYWORD else len(params), p.name,
+                              kinds, " or ".join(k.__name__ for k in named)))
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            for i, name, kinds, label in rules:
+                if i < len(args) or name in kwargs:
+                    value = args[i] if i < len(args) else kwargs[name]
+                    if not isinstance(value, kinds):
+                        raise ValidationError(
+                            f"{name} must be a {label}, got {type(value).__name__}")
+            return fn(*args, **kwargs)
+        return wrapper if rules else fn
+
+    for name in namespace["__all__"]:
+        obj = namespace[name]
+        if inspect.isfunction(obj):
+            namespace[name] = checked(obj)
+        for attr, member in list(vars(obj).items()) if isinstance(obj, type) else ():
+            if isinstance(member, (classmethod, staticmethod)) and not attr.startswith("_"):
+                setattr(obj, attr, type(member)(checked(member.__func__)))
+            elif inspect.isfunction(member) and (not attr.startswith("_") or (
+                    attr == "__init__" and "__post_init__" in vars(obj))):
+                setattr(obj, attr, checked(member))
 
 
 def _check_real(value, name: str) -> float:
@@ -126,8 +163,8 @@ def _check_finite(value, name: str) -> float:
 
 def _array(value, name: str, dtype=float, finite: bool = True) -> np.ndarray:
     """``value`` as a new array of ``dtype``, float or complex: the one reading of
-    an outside array.  Only numbers are accepted, so a string, None or a ragged
-    nest is invalid, and so is a complex value for a float array and, when
+    an outside array.  Only numbers are accepted, so a string, a bool, None or a
+    ragged nest is invalid, and so is a complex value for a float array and, when
     ``finite``, a NaN or infinite entry."""
     try:
         a = np.asarray(value)
@@ -135,7 +172,7 @@ def _array(value, name: str, dtype=float, finite: bool = True) -> np.ndarray:
             a = a.astype(dtype)  # e.g. integers too large for int64
     except (TypeError, ValueError, OverflowError):  # a ragged nest, or a complex number
         a = None
-    if a is None or a.dtype.kind not in ("biuf" if dtype is float else "biufc"):
+    if a is None or a.dtype.kind not in ("iuf" if dtype is float else "iufc"):
         raise ValidationError(f"{name} must be {'real ' if dtype is float else ''}numbers")
     a = np.array(a, dtype=dtype)
     if finite and not np.all(np.isfinite(a)):
@@ -361,7 +398,7 @@ def stationary_state(model: QMarkovModel) -> DensityOperator:
     raises :class:`NonUniqueStationaryState` when that null space has
     dimension greater than one.
     """
-    gen = lindblad_generator(_instance(model, QMarkovModel, "model"), "schrodinger")
+    gen = lindblad_generator(model, "schrodinger")
     d = model.dim
     u, s, vh = np.linalg.svd(gen.mat)
     scale = float(s[0]) if s.size else 0.0
@@ -526,3 +563,6 @@ def zero_mean_inverse(model: QMarkovModel, X: np.ndarray) -> np.ndarray:
     if resid > 1e-8:
         raise NumericsError(f"zero-mean inverse residual {resid:.3e} exceeds 1e-8")
     return A
+
+
+_check_arguments(globals())

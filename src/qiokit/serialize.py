@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import QiokitError, ValidationError
 from .families import ParameterFamily
 from .linear import LinearQSystem
-from .operators import QMarkovModel, _array, _check_int, _real_matrix
+from .operators import QMarkovModel, _array, _check_arguments, _check_int, _real_matrix
 from .trajectories import CountingRecord, DiffusiveRecord, MeasurementRecord
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "family_to_dict", "family_from_dict", "save_family", "load_family",
     "linear_system_to_dict", "linear_system_from_dict",
     "save_linear_system", "load_linear_system",
-    "dump_json", "parse_json_file", "schema_errors",
+    "dump_json", "parse_json_file", "schema_errors", "known_keys",
 ]
 
 
@@ -43,6 +43,15 @@ def schema_errors(what: str):
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ValidationError(f"malformed {what}: {detail}") from exc
+
+
+def known_keys(d: dict, *keys: str) -> dict:
+    """``d``, a parsed JSON object, if it holds no key but ``keys``, so that a misspelt
+    key is an error and not a default taken in silence."""
+    unknown = sorted(d.keys() - set(keys))
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r}")
+    return d
 
 
 def _cmat(entry_re, entry_im, name):
@@ -66,6 +75,7 @@ def model_to_dict(model: QMarkovModel) -> dict:
 
 @schema_errors("model file")
 def model_from_dict(d: dict) -> QMarkovModel:
+    known_keys(d, "dim", "H_re", "H_im", "L_re", "L_im")
     dim = _check_int(d["dim"], "dim", 1)
     H = _cmat(d["H_re"], d["H_im"], "H")
     L = _cmat(d["L_re"], d["L_im"], "L")
@@ -81,21 +91,21 @@ def record_to_dict(record: MeasurementRecord) -> dict:
             "dt": record.dt,
             "increments": record.increments.tolist(),
         }
-    if isinstance(record, CountingRecord):
-        return {
-            "kind": "counting",
-            "horizon": record.horizon,
-            "jumps": record.jumps.tolist(),
-        }
-    raise ValidationError(f"unsupported record type {type(record).__name__}")
+    return {
+        "kind": "counting",
+        "horizon": record.horizon,
+        "jumps": record.jumps.tolist(),
+    }
 
 
 @schema_errors("record file")
 def record_from_dict(d: dict) -> MeasurementRecord:
     kind = d.get("kind")
     if kind == "diffusive":
+        known_keys(d, "kind", "dt", "increments")
         return DiffusiveRecord(dt=d["dt"], increments=d["increments"])
     if kind == "counting":
+        known_keys(d, "kind", "horizon", "jumps")
         return CountingRecord(horizon=d["horizon"], jumps=d["jumps"])
     raise ValidationError(f"unknown record kind {kind!r}")
 
@@ -113,15 +123,15 @@ def family_to_dict(family: ParameterFamily) -> dict:
 
 @schema_errors("family file")
 def family_from_dict(d: dict) -> ParameterFamily:
-    base = model_from_dict(d["base"])
-    domain = d.get("domain")
     kind = d.get("kind", "affine")
+    if kind not in ("affine", "phase"):
+        raise ValidationError(f"unknown family kind {kind!r}")
+    known_keys(d, "base", "domain", "kind", *(("h_dirs", "l_dirs") if kind == "affine" else ()))
+    base, domain = model_from_dict(d["base"]), d.get("domain")
     if kind == "phase":
         return ParameterFamily.phase_family(base, domain=domain)
-    if kind != "affine":
-        raise ValidationError(f"unknown family kind {kind!r}")
-    h_dirs = [_cmat(h["re"], h["im"], "h_dir") for h in d["h_dirs"]]
-    l_dirs = [_cmat(l["re"], l["im"], "l_dir") for l in d["l_dirs"]]
+    h_dirs = [_cmat(known_keys(h, "re", "im")["re"], h["im"], "h_dir") for h in d["h_dirs"]]
+    l_dirs = [_cmat(known_keys(l, "re", "im")["re"], l["im"], "l_dir") for l in d["l_dirs"]]
     return ParameterFamily.affine(base, h_dirs, l_dirs, domain=domain)
 
 
@@ -137,6 +147,7 @@ def linear_system_to_dict(G: LinearQSystem) -> dict:
 
 @schema_errors("linear-system file")
 def linear_system_from_dict(d: dict) -> LinearQSystem:
+    known_keys(d, "n", "A", "B", "C", "D")
     A = _real_matrix(d["A"], "A", (2 * _check_int(d["n"], "n", 0),) * 2)  # the declared mode count
     return LinearQSystem(A=A, B=d["B"], C=d["C"], D=d.get("D"))
 
@@ -189,3 +200,6 @@ def save_linear_system(G, path):
 
 def load_linear_system(path) -> LinearQSystem:
     return linear_system_from_dict(parse_json_file(path))
+
+
+_check_arguments(globals())

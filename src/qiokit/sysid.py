@@ -49,12 +49,12 @@ from .linear import (
 )
 from .operators import (
     _array,
+    _check_arguments,
     _check_int,
     _check_positive,
     _check_real,
     _even_square,
     _freeze,
-    _instance,
     _real_matrix,
     _real_vector,
 )
@@ -754,7 +754,7 @@ class PipelineConfig:
         if self.dataset is None:
             _freeze(self, T=_check_positive(self.T, "T"),
                     prbs_amplitude=_check_positive(self.prbs_amplitude, "prbs_amplitude"))
-        elif self.dt != _instance(self.dataset, SysIdDataset, "dataset").dt:
+        elif self.dt != self.dataset.dt:
             raise ValidationError(f"dt {self.dt!r} is not the dataset's dt {self.dataset.dt!r}")
 
 
@@ -821,3 +821,6 @@ def run_pipeline(config: PipelineConfig) -> SysIdResult:
         fpe=table[n_best], fpe_table=table, nmse=nmse,
         pr2_residual=float(pr2_res), config=config,
     )
+
+
+_check_arguments(globals())

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _integrators as integ
 from .exceptions import StepTooLarge, ValidationError
-from .operators import (QMarkovModel, _array, _check_int, _check_positive, _check_real, _freeze,
-                        _state_array)
+from .operators import (QMarkovModel, _array, _check_arguments, _check_int, _check_positive,
+                        _check_real, _freeze, _state_array)
 
 __all__ = [
     "DiffusiveRecord",
@@ -334,3 +334,6 @@ def simulate_reference(
         times = np.sort(rng.uniform(0.0, T, size=n))
         return CountingRecord(horizon=T, jumps=times)
     raise ValidationError(f"unknown reference kind {kind!r}")
+
+
+_check_arguments(globals())

@@ -453,7 +453,7 @@ class TestMalformedInputs:
         code = main(["estimate", "--family", family_file, "--records", str(rec),
                      "--method", "abc", "--out", str(tmp_path / "est.json")])
         assert code == 2
-        assert "stat_total_counts needs a CountingRecord" in capsys.readouterr().err
+        assert "record must be a CountingRecord, got DiffusiveRecord" in capsys.readouterr().err
 
     def test_infinite_imaginary_part_is_a_validation_error(self, tmp_path, qubit_file):
         d = json.loads(open(qubit_file).read())
@@ -580,6 +580,37 @@ class TestMalformedInputs:
                 ["sysid", "--config", str(tmp_path / "cfg.json")])
         assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
         assert f"malformed {file}: {key} must be a real number" in capsys.readouterr().err
+
+    # a misspelt key, which a reader would otherwise leave to its default
+    @pytest.mark.parametrize("file, key", [
+        ("model file", "H_Im"), ("record file", "horizn"), ("family file", "domian"),
+        ("linear-system file", "DD"), ("sysid config", "spilt"), ("dataset file", "split"),
+    ])
+    def test_unknown_keys_exit_2(self, tmp_path, qubit_file, family_file, cavity_file, capsys,
+                                 file, key):
+        path = lambda name: str(tmp_path / name)
+        rng = np.random.default_rng(0)
+        files = {
+            "model file": json.loads(open(qubit_file).read()),
+            "record file": {"kind": "counting", "horizon": 2.0, "jumps": [0.5]},
+            "family file": json.loads(open(family_file).read()),
+            "linear-system file": json.loads(open(cavity_file).read()),
+            "sysid config": {"dataset_file": path("data.json"), "dt": 0.05, "orders": [1]},
+            "dataset file": {"dt": 0.05, "inputs": rng.normal(size=(400, 2)).tolist(),
+                             "outputs": rng.normal(size=400).tolist(), "split_index": 280},
+        }
+        renamed = {"H_Im": "H_im", "domian": "domain", "DD": "D"}
+        files[file][key] = files[file].pop(renamed[key]) if key in renamed else 0.5
+        for name, d in zip(("model", "rec", "family", "cavity", "cfg", "data"), files.values()):
+            (tmp_path / f"{name}.json").write_text(json.dumps(d))
+        argv = {
+            "model file": ["filter", "--model", path("model.json"), "--record", path("rec.json")],
+            "record file": ["filter", "--model", qubit_file, "--record", path("rec.json")],
+            "family file": ["qfi", "--family", path("family.json"), "--theta", "0.5"],
+            "linear-system file": ["linsys", "--task", "check-pr", "--system", path("cavity.json")],
+        }.get(file, ["sysid", "--config", path("cfg.json")])
+        assert main(argv + ["--out", path("out.json")]) == 2
+        assert f"malformed {file}: unknown key '{key}'" in capsys.readouterr().err
 
     def test_file_errors_name_their_file_once(self, tmp_path, family_file, capsys):
         d = json.loads(open(family_file).read())

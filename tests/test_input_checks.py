@@ -4,8 +4,11 @@ one helper each, and every value type is frozen by one helper."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import itertools
 import pathlib
+import types
+import typing
 import warnings
 
 import numpy as np
@@ -107,7 +110,7 @@ def _boundary_calls():
     d9 = QMarkovModel(H=np.zeros((9, 9)), L=0.5 * np.eye(9))
     cases = {}
     for value, rule in [(np.nan, "finite"), (np.inf, "finite"), ("a", "a real number"),
-                        (None, "a real number")]:
+                        (None, "a real number"), (True, "a real number")]:
         cases[f"transfer_function s {value!r}"] = (
             "s must be a finite complex number", lambda v=value: transfer_function(cavity, v))
         cases[f"power_spectrum omega {value!r}"] = (
@@ -142,7 +145,8 @@ def _boundary_calls():
         "zero_mean_inverse X": ("X", lambda v: zero_mean_inverse(m, v)),
     }
     for entry, (field, fn) in intake.items():
-        for label, value in [("'a'", "a"), ("ragged", [[0.1], [0.2, 0.3]])]:
+        for label, value in [("'a'", "a"), ("ragged", [[0.1], [0.2, 0.3]]),
+                             ("bool", [[True, False], [False, True]])]:
             cases[f"{entry} {label}"] = (f"{field} must be (real )?numbers",
                                          lambda fn=fn, v=value: fn(v))
     for lam, rule in [(-1, "positive and finite"), (0, "positive and finite"),
@@ -330,10 +334,12 @@ def _boundary_calls():
         "vec 'a'": ("x must be numbers", lambda: vec(np.array([["a", "b"], ["c", "d"]]))),
         "unvec 'a'": ("v must be numbers", lambda: unvec(["a", "b", "c", "d"], 2)),
         # summary statistics
-        "stat_total_counts diffusive record": ("stat_total_counts needs a CountingRecord",
-                                               lambda: stat_total_counts(drec)),
-        "stat_two_time_corr counting record": ("stat_two_time_corr needs a DiffusiveRecord",
-                                               lambda: stat_two_time_corr(rec, np.exp)),
+        "stat_total_counts diffusive record": (
+            "record must be a CountingRecord, got DiffusiveRecord",
+            lambda: stat_total_counts(drec)),
+        "stat_two_time_corr counting record": (
+            "record must be a DiffusiveRecord, got CountingRecord",
+            lambda: stat_two_time_corr(rec, np.exp)),
         **{f"stat_two_time_corr kernel {name}": (
             "kernel must return finite real scalars",
             lambda value=value: stat_two_time_corr(drec, lambda t: value))
@@ -400,6 +406,100 @@ def test_every_checked_value_type_is_covered():
                and cls.__module__ == mod.__name__ and "__post_init__" in vars(cls)}
     assert checked == {type(v) for v in _value_types()}
     assert len(checked) == 13
+
+
+VALUES = _value_types()
+
+
+def _allowed(hint) -> tuple:
+    """The types a hint allows when it names value types only (``X | None`` and unions
+    included), else ()."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = typing.get_args(hint) if union else (hint,)
+    named = {type(v) for v in VALUES}
+    return kinds if all(k in named or k is type(None) for k in kinds) and kinds != (
+        type(None),) else ()
+
+
+def _call(fn, target: str, value):
+    """``fn`` called with ``value`` for ``target``, a value of its type for each value-typed
+    parameter before it and None for every other parameter without a default; positionally
+    up to ``target``, by keyword after it."""
+    args, kwargs, after = [], {}, False
+    hints = typing.get_type_hints(fn)
+    for p in inspect.signature(fn).parameters.values():
+        kinds = _allowed(hints.get(p.name))
+        if p.name == target:
+            v = value
+        elif kinds:
+            v = next(x for x in VALUES if isinstance(x, kinds))
+        else:
+            v = None if p.default is p.empty else p.default
+        if p.kind is p.POSITIONAL_OR_KEYWORD and not after:
+            args.append(v)
+        elif p.name == target or p.default is p.empty:
+            kwargs[p.name] = v
+        after = after or p.name == target
+    return fn(*args, **kwargs)
+
+
+def _value_typed_parameters():
+    """(label, parameter, allowed types, call with a value) for each parameter annotated
+    with value types: of the callables of every qiokit module's ``__all__``, of the public
+    methods of the exported classes and among the fields of the value types."""
+    found = []
+    for mod in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"qiokit.{mod.stem}")
+        for name in getattr(module, "__all__", ()):
+            obj, fns = getattr(module, name), []
+            if inspect.isfunction(obj):
+                fns = [(name, obj)]
+            elif isinstance(obj, type):  # an instance method is called with None for self
+                fns = [(f"{name}.{attr}", getattr(obj, attr)) for attr, member in vars(obj).items()
+                       if not attr.startswith("_") and isinstance(
+                           member, (classmethod, staticmethod, types.FunctionType))]
+            for label, fn in fns:
+                hints = typing.get_type_hints(fn)
+                found += [(label, p, _allowed(hints[p]), lambda v, fn=fn, p=p: _call(fn, p, v))
+                          for p in inspect.signature(fn).parameters if _allowed(hints.get(p))]
+            if isinstance(obj, type) and "__post_init__" in vars(obj):
+                value = next(v for v in VALUES if type(v) is obj)
+                hints = typing.get_type_hints(obj)
+                found += [(name, f.name, _allowed(hints[f.name]), lambda v, value=value, f=f: (
+                    dataclasses.replace(value, **{f.name: v})))
+                    for f in dataclasses.fields(obj) if _allowed(hints[f.name])]
+    return found
+
+
+def _wrong_values():
+    """For each value-typed parameter, None unless its annotation allows None, and an
+    instance of another value type."""
+    cases = {}
+    for label, param, kinds, call in _value_typed_parameters():
+        other = next(v for v in VALUES if not isinstance(v, kinds))
+        for value in ([] if type(None) in kinds else [None]) + [other]:
+            cases[f"{label} {param} {type(value).__name__}"] = (param, call, value)
+    return cases
+
+
+def test_generated_cases_reach_every_kind_of_callable():
+    labels = {(label, param) for label, param, *_ in _value_typed_parameters()}
+    assert {("run_filter", "record"), ("SysIdDataset.from_record", "record"),
+            ("ParameterFamily", "base"), ("PipelineConfig", "system"),
+            ("PipelineConfig", "dataset"), ("run_pipeline", "config")} <= labels
+
+
+WRONG_VALUES = _wrong_values()
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_VALUES))
+def test_value_typed_parameters_are_checked(case):
+    """Every argument annotated with a value type is checked against its annotation,
+    before the body runs: a wrong value is a ValidationError naming the parameter."""
+    param, call, value = WRONG_VALUES[case]
+    got = type(value).__name__
+    with pytest.raises(ValidationError, match=f"^{param} must be a .*, got {got}$"):
+        call(value)
 
 
 @pytest.mark.parametrize("value", _value_types(), ids=lambda v: type(v).__name__)
