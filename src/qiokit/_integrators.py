@@ -295,7 +295,7 @@ class CountingLoglik:
 
     _CHUNK = 10_000  # renormalize at least this often, in cells
     _SPAN = np.log(1e100)  # largest log trace change of one stretch
-    _BLOCK = 1 << 15  # complex entries in one block of maps or lookahead rates
+    _BLOCK = 1 << 15  # complex entries in one block of maps
     _ROW = 128  # most cells in one row of replayed states; a block of rows holds _BLOCK/4 entries
 
     def __init__(self, H, L, dt, lam=1.0, dH=None, dL=None):
@@ -455,14 +455,11 @@ class CountingLoglik:
                 end[live] = X[np.minimum(last[live] - lo, hi - lo - 1), range(len(live)), :, 0]
                 lo = hi
             ev.dead = own & (is_jump & ~(S > DARK_RATE * ev.Q) | ~(ev.Q > 0.0))
-            log_s = np.log(S)
-            ev.cum = np.cumsum(log_s, axis=0)
+            ev.cum = np.cumsum(np.log(S), axis=0)
             # [y; z_1; ...] / Tr y as matrices (vec is column-major): rho and the z
             y = (end[:, :m] / end[:, m, None].real).reshape(len(ri), -1, d, d).swapaxes(-1, -2)
             rho, z = y[:, :1], y[:, 1:]
-            # an optimizer reads the score path: a compensated sum keeps it smooth in theta
-            total = (np.array([math.fsum(log_s[:i + 1, j]) for j, i in enumerate(last)])
-                     if tangent else ev.cum[last, np.arange(len(ri))])
+            total = ev.cum[last, np.arange(len(ri))]
         total += self.lam * np.asarray(horizons)[ri] - n_jumps[ri] * np.log(self.lam)
         total[ev.dead.any(axis=0) | ~np.isfinite(total)] = -np.inf
         ev.loglik, ev.final = total, rho[:, 0]
@@ -539,7 +536,7 @@ class CountingLoglik:
         takes the states of later cells from its last anchor (its start, jump
         or mark) by ``_stretch``, so its jumps do not depend on the batch.
         Only cells with u_k below Tr(L^dag L) dt can jump, and only those are
-        evaluated, a bounded block per row at a time.  Returns the jump times
+        evaluated, one per row and pass.  Returns the jump times
         of each row only: their states and likelihood are the scheme's, from
         ``sweep`` or ``replay``.
         """
@@ -548,40 +545,35 @@ class CountingLoglik:
         chunk = self._chunk[mi]
         bound = btrace(self._LdL).real[mi] * self.dt * (1.0 + 1e-6)  # Tr >= top eigenvalue
         rows, cand = np.nonzero(uniforms < bound[:, None])
-        cand = np.append(cand, n)  # so that a block may read one past the end
+        cand = np.append(cand, n)  # a row past its last candidate reads n
         ptr = np.searchsorted(rows, np.arange(b + 1))
         ptr, row_end = ptr[:-1].copy(), ptr[1:]
         y = np.tile(np.asarray(rho0, dtype=complex), (b, 1, 1))
         anchor, jumps = np.zeros(b, dtype=int), [(np.zeros(0, int), np.zeros(0, int))]
         live = np.arange(b)
-        while live.size:
-            m, at = mi[live], anchor[live]
-            look = int(np.clip(self._BLOCK // (16 * y[0].size * len(live)), 1, 64))
+        while live.size:  # each live row reads its next candidate cell
+            m, at, p = mi[live], anchor[live], ptr[live]
             stop = np.minimum((at // chunk[live] + 1) * chunk[live], n)  # next mark or end
-            idx = np.minimum(ptr[live, None] + np.arange(look), len(cand) - 1)
-            cells = cand[idx]
-            valid = (idx < row_end[live, None]) & (cells < stop[:, None])
-            j = np.where(valid, cells - at[:, None], 0)
-            # states at the start and the end of each candidate cell, then at the stop
-            st = self._stretch(y[live], m, np.hstack((j, j + 1, (stop - at)[:, None])))
+            cell = cand[p]
+            valid = (p < row_end[live]) & (cell < stop)
+            j = np.where(valid, cell - at, 0)
+            # states at the start and the end of the candidate cell, then at the stop
+            st = self._stretch(y[live], m, np.stack((j, j + 1, stop - at), axis=1))
             f = btrace(st).real
             rate = expect(self._LdL[m][:, None], st).real / f
-            u = uniforms[live[:, None], np.where(valid, cells, 0)]
-            jump = valid & (u < rate[:, :look] * self.dt) & (rate[:, look:-1] > DARK_RATE)
-            hit = jump.any(axis=1)
-            n_valid = valid.sum(axis=1)
-            q = np.where(hit, jump.argmax(axis=1), n_valid)
-            ptr[live] += np.where(hit, q + 1, n_valid)
+            u = uniforms[live, np.where(valid, cell, 0)]
+            hit = valid & (u < rate[:, 0] * self.dt) & (rate[:, 1] > DARK_RATE)
+            ptr[live] += valid
             # rows that move their anchor: to a jump, or to the next mark or the end
-            move = np.flatnonzero(hit | (n_valid < look))
-            col = np.where(hit, look + q, 2 * look)[move]
+            move = np.flatnonzero(hit | ~valid)
             rr, hit = live[move], hit[move]
+            col = np.where(hit, 1, 2)
             new = st[move, col] / f[move, col, None, None]
             Lj = self._L[mi[rr[hit]]]
             post = Lj @ new[hit] @ dag(Lj)
             new[hit] = post / btrace(post).real[:, None, None]
             y[rr] = new
-            anchor[rr] = np.where(hit, cells[move, col % look] + 1, stop[move])
+            anchor[rr] = np.where(hit, cell[move] + 1, stop[move])
             jumps.append((rr[hit], anchor[rr[hit]]))
             live = live[anchor[live] < n]
         row, at = (np.concatenate(x) for x in zip(*jumps))

@@ -37,8 +37,8 @@ from .operators import (
     zero_mean_inverse,
 )
 from .filtering import DEFAULT_DT, _loglik_table
-from .trajectories import (CountingRecord, DiffusiveRecord, MeasurementRecord, _check_intensity,
-                           _record_list, _simulate, trajectory_rng)
+from .trajectories import (CountingRecord, DiffusiveRecord, MeasurementRecord, _record_list,
+                           _simulate, trajectory_rng)
 
 __all__ = [
     "MLEResult",
@@ -242,7 +242,7 @@ def stat_two_time_corr(record: DiffusiveRecord, kernel) -> float:
     total = 0.0
     for lag in range(1, n):
         kv = np.asarray(kernel(lag * record.dt))
-        if kv.shape or kv.dtype.kind not in "biuf" or not np.isfinite(kv):
+        if kv.shape or kv.dtype.kind not in "iuf" or not np.isfinite(kv):
             raise ValidationError(f"kernel must return finite real scalars, got {kv!r}")
         kv = float(kv)
         if kv != 0.0:
@@ -354,20 +354,19 @@ def abc_rejection(
 
 def mc_classical_fisher(
     family: ParameterFamily, theta, rho0, kind: str, T: float, dt: float,
-    n_traj: int, seed: int = 0, lam: float = 1.0,
+    n_traj: int, seed: int = 0,
 ) -> FisherEstimate:
     """Monte-Carlo estimate of the classical Fisher information of the record.
 
     Simulates ``n_traj`` records at theta, inside the family domain, and
     estimates the variance of their scores, the tangent of the simulation's own
-    sweep (no ``lam`` > 0 shifts it); their mean, reported too, should be near zero.
+    sweep; their mean, reported too, should be near zero.
     """
     theta = _one_parameter(family, theta, "mc_classical_fisher")
     n_traj = _check_int(n_traj, "n_traj", 2)
     if kind == "exact":  # the simulation kinds here are the record kinds
         raise ValidationError("exact sampling takes one model, in simulate_counting only; "
                               "kind must be 'counting' or 'diffusive'")
-    _check_intensity(lam)
     m, tangent = family.model([theta]), _tangent(family, theta)
     scores = _simulate(kind, m.H, m.L, rho0, T, dt, seed, 0, n_traj, tangent=tangent)[0]
     scores = scores[np.isfinite(scores)]

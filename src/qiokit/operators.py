@@ -163,13 +163,17 @@ def _check_finite(value, name: str) -> float:
 
 def _array(value, name: str, dtype=float, finite: bool = True) -> np.ndarray:
     """``value`` as a new array of ``dtype``, float or complex: the one reading of
-    an outside array.  Only numbers are accepted, so a string, a bool, None or a
-    ragged nest is invalid, and so is a complex value for a float array and, when
+    an outside array.  Only numbers are accepted, so a string, a bool anywhere, None or
+    a ragged nest is invalid, and so is a complex value for a float array and, when
     ``finite``, a NaN or infinite entry."""
     try:
         a = np.asarray(value)
-        if a.dtype.kind == "O" and all(isinstance(x, numbers.Number) for x in a.flat):
-            a = a.astype(dtype)  # e.g. integers too large for int64
+        if not isinstance(value, np.ndarray) or a.dtype.kind == "O":
+            # a bool anywhere is refused, though numpy reads [True, 0.5] as floats
+            if {bool, np.bool_} & set(map(type, np.asarray(value, dtype=object).flat)):
+                a = None
+            elif a.dtype.kind == "O" and all(isinstance(x, numbers.Number) for x in a.flat):
+                a = a.astype(dtype)  # e.g. integers too large for int64
     except (TypeError, ValueError, OverflowError):  # a ragged nest, or a complex number
         a = None
     if a is None or a.dtype.kind not in ("iuf" if dtype is float else "iufc"):

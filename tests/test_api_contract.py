@@ -36,8 +36,7 @@ EXPORTS = {
 # response, and the other two read the exact likelihood tangent
 FISHER_PARAMETERS = {
     "counting_fisher": ["family", "theta"],
-    "mc_classical_fisher": ["family", "theta", "rho0", "kind", "T", "dt", "n_traj", "seed",
-                            "lam"],
+    "mc_classical_fisher": ["family", "theta", "rho0", "kind", "T", "dt", "n_traj", "seed"],
     "conditional_qfi": ["family", "theta", "rho0", "record", "dt"],
 }
 

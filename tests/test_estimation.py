@@ -168,6 +168,16 @@ class TestMLE:
         assert abs(res.theta[0] - nm.x[0]) <= 1e-6
         assert res.loglik >= -nm.fun - 1e-9
 
+    def test_refined_loglik_is_the_likelihood_at_theta(self):
+        # the value sweep and the score sweep sum one log-likelihood, bit for bit
+        fam = rabi_family()
+        for i in range(3):
+            rec, _ = simulate_counting(fam.model([1.0]), MIXED, T=2000.0, dt=1e-2, seed=1,
+                                       index=i, keep_states=False, method="exact")
+            res = mle(fam, [rec], MIXED, dt=1e-2)
+            assert res.diagnostics["nfev"] > 0
+            assert res.loglik == log_likelihood(fam.model(res.theta), MIXED, rec, dt=1e-2)
+
     def test_degenerate_bound_of_a_two_parameter_family(self):
         # theta_2 scales L = (1 + theta_2) sm and is pinned at 0 by its bound
         base = QMarkovModel(H=ZERO2, L=SM)

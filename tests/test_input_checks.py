@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 
 import qiokit
+from qiokit.cli import _check_args, build_parser
 from qiokit.estimation import (
     abc_rejection,
-    counting_rate_and_variance,
     mc_classical_fisher,
     mle,
     posterior_grid,
     stat_total_counts,
     stat_two_time_corr,
 )
-from qiokit.exceptions import ValidationError
+from qiokit.exceptions import NumericsError, ValidationError, ZeroJumpRate
 from qiokit.families import ParameterFamily
 from qiokit.filtering import log_likelihood, log_likelihood_many, run_filter
 from qiokit.linear import (
@@ -39,9 +39,10 @@ from qiokit.linear import (
     random_symplectic,
     simulate_innovation_form,
     symplectic_form,
+    symplectic_transform,
     transfer_function,
 )
-from qiokit.markov_qfi import GaugeElement, gauge_transform, qfi_rate
+from qiokit.markov_qfi import GaugeElement, conditional_qfi, gauge_transform, qfi_rate
 from qiokit.operators import (
     DensityOperator,
     QMarkovModel,
@@ -51,11 +52,11 @@ from qiokit.operators import (
     qcrb_trace_bound,
     qfi_matrix,
     sld,
-    stationary_state,
     unvec,
     vec,
     zero_mean_inverse,
 )
+from qiokit.serialize import family_from_dict, model_from_dict
 from qiokit.sysid import (
     PipelineConfig,
     SysIdDataset,
@@ -146,14 +147,10 @@ def _boundary_calls():
     }
     for entry, (field, fn) in intake.items():
         for label, value in [("'a'", "a"), ("ragged", [[0.1], [0.2, 0.3]]),
-                             ("bool", [[True, False], [False, True]])]:
+                             ("bool", [[True, False], [False, True]]),
+                             ("mixed bool", [[True, 0.5], [0.5, 1.0]])]:
             cases[f"{entry} {label}"] = (f"{field} must be (real )?numbers",
                                          lambda fn=fn, v=value: fn(v))
-    for lam, rule in [(-1, "positive and finite"), (0, "positive and finite"),
-                      (np.nan, "positive and finite"), ("a", "a real number")]:
-        cases[f"mc_classical_fisher lam {lam!r}"] = (
-            f"reference intensity lam must be {rule}", lambda v=lam: mc_classical_fisher(
-                fam, 1.0, MIXED, "counting", 1.0, 0.01, 2, lam=v))
     for n in (0, -1, 2.5):
         cases[f"homodyne ensemble n_traj={n}"] = (
             "n_traj must be positive and integral",
@@ -310,50 +307,102 @@ def _boundary_calls():
         "abc statistics lengths differ between samples": (
             "statistics of sample 1 must be a finite real vector of length 1",
             lambda: _abc(stat_fn=_growing_statistics())),
-        # value types: a wrong object is named, not read for its attributes
-        "stationary_state model None": ("model must be a QMarkovModel, got NoneType",
-                                        lambda: stationary_state(None)),
-        "counting_rate_and_variance model 'a'": (
-            "model must be a QMarkovModel, got str", lambda: counting_rate_and_variance("a")),
-        "transfer_function G None": ("G must be a LinearQSystem, got NoneType",
-                                     lambda: transfer_function(None, 1.0)),
-        "power_spectrum input None": ("inp must be a GaussianInput, got NoneType",
-                                      lambda: power_spectrum(cavity, None, 1.0)),
-        "power_spectrum G model": ("G must be a LinearQSystem, got QMarkovModel", lambda: (
-            power_spectrum(m, GaussianInput.vacuum(), 1.0))),
-        "gauge_transform element None": ("g must be a GaugeElement, got NoneType",
-                                         lambda: gauge_transform(m, None)),
-        "gauge_transform model None": ("model must be a QMarkovModel, got NoneType",
-                                       lambda: gauge_transform(None, GaugeElement(
-                                           r=0.0, W=np.eye(2)))),
-        "PipelineConfig dataset 'a'": ("dataset must be a SysIdDataset, got str",
-                                       lambda: PipelineConfig(dt=0.1, T=1.0, prbs_amplitude=1.0,
-                                                              orders=(1,), dataset="a")),
         "qfi_matrix drhos None": ("drhos must be a list of matrices, got NoneType",
                                   lambda: qfi_matrix(MIXED, None)),
         "vec 'a'": ("x must be numbers", lambda: vec(np.array([["a", "b"], ["c", "d"]]))),
         "unvec 'a'": ("v must be numbers", lambda: unvec(["a", "b", "c", "d"], 2)),
         # summary statistics
-        "stat_total_counts diffusive record": (
-            "record must be a CountingRecord, got DiffusiveRecord",
-            lambda: stat_total_counts(drec)),
-        "stat_two_time_corr counting record": (
-            "record must be a DiffusiveRecord, got CountingRecord",
-            lambda: stat_two_time_corr(rec, np.exp)),
         **{f"stat_two_time_corr kernel {name}": (
             "kernel must return finite real scalars",
             lambda value=value: stat_two_time_corr(drec, lambda t: value))
            for name, value in [("nan", np.nan), ("inf", np.inf), ("'a'", "a"),
-                               ("array", np.ones(2)), ("complex", 1j)]},
+                               ("array", np.ones(2)), ("complex", 1j), ("bool", True)]},
+        # branches of the value types and entry points
+        "simulate_counting method 'x'": ("unknown counting method 'x'",
+                                         lambda: simulate_counting(*sim, 0, method="x")),
+        "mle three parameters": ("grid search supports at most two parameters", lambda: mle(
+            ParameterFamily.affine(m, [SX, SZ, SX], [ZERO2] * 3), [rec], MIXED)),
+        "mle unbounded domain": ("mle needs a bounded domain", lambda: mle(
+            ParameterFamily.affine(m, [SX], [ZERO2], domain=[[-np.inf, 1.0]]), [rec], MIXED)),
+        "mle no records": ("need at least one record", lambda: mle(fam, [], MIXED)),
+        "posterior_grid grid shape": ("grid must be \\(n, 1\\)", lambda: posterior_grid(
+            fam, rec, MIXED, np.ones((2, 2)), [0.5, 0.5])),
+        "posterior_grid prior length": ("prior must assign one weight per grid point",
+                                        lambda: posterior_grid(fam, rec, MIXED, [0.5, 1.0], [1.0])),
+        "posterior_grid prior sum": ("prior must be a probability vector", lambda: (
+            posterior_grid(fam, rec, MIXED, [0.5, 1.0], [0.5, 0.6]))),
+        "ParameterFamily phase with directions": (
+            "phase families take no direction operators",
+            lambda: ParameterFamily(base=m, h_dirs=(SX,), phase=True)),
+        "ParameterFamily unequal directions": ("need one H and one L direction per parameter",
+                                               lambda: ParameterFamily.affine(m, [SX], [])),
+        "ParameterFamily no directions": ("family needs at least one parameter",
+                                          lambda: ParameterFamily.affine(m, [], [])),
+        "ParameterFamily 3 x 3 direction": ("direction operators must match the model dimension",
+                                            lambda: ParameterFamily.affine(m, [np.eye(3)], [ZERO2])),
+        "QuadraticSpec non-symmetric R": ("R must be symmetric", lambda: QuadraticSpec(
+            R=[[1.0, 0.5], [0.0, 1.0]], K=[1.0, 1j])),
+        "QuadraticSpec short K": ("K must be a complex row of length 2n",
+                                  lambda: QuadraticSpec(R=np.eye(2), K=[1.0])),
+        "GaussianInput non-symmetric": ("Gamma must be symmetric", lambda: GaussianInput(
+            Gamma=[[1.0, 0.5], [0.0, 1.0]])),
+        "GaussianInput not PSD": ("Gamma must be positive semidefinite", lambda: GaussianInput(
+            Gamma=[[1.0, 0.0], [0.0, -1.0]])),
+        "symplectic_transform dimension": ("symplectic matrix dimension does not match",
+                                           lambda: symplectic_transform(
+                                               cavity, SymplecticMatrix(V=np.eye(4)))),
+        "pure_state_qfi unnormalized psi": ("psi must be normalized",
+                                            lambda: pure_state_qfi([1.0, 1.0], SZ)),
+        "pure_state_qfi 3 x 3 G": ("G has shape \\(3, 3\\), psi length 2",
+                                   lambda: pure_state_qfi([1.0, 0.0], np.eye(3))),
+        "qcrb_trace_bound non-square F": ("F must be square",
+                                          lambda: qcrb_trace_bound(np.ones((2, 3)))),
+        "qcrb_trace_bound singular F": ("QFI matrix is singular", lambda: qcrb_trace_bound(
+            np.zeros((2, 2))), NumericsError),
+        "Superoperator size 3": ("superoperator must act on vectorized square matrices",
+                                 lambda: Superoperator(mat=np.zeros((3, 3)), picture="schrodinger")),
+        "Superoperator schrodinger trace": ("schrodinger generator does not annihilate the trace",
+                                            lambda: Superoperator(mat=np.eye(4),
+                                                                  picture="schrodinger")),
+        "Superoperator heisenberg identity": (
+            "heisenberg generator does not annihilate the identity",
+            lambda: Superoperator(mat=np.eye(4), picture="heisenberg")),
+        "Superoperator picture 'x'": ("unknown picture 'x'", lambda: Superoperator(
+            mat=np.zeros((4, 4)), picture="x")),
+        "lindblad_generator picture 'x'": ("unknown picture 'x'",
+                                           lambda: lindblad_generator(m, picture="x")),
+        "QMarkovModel 2 x 3 H": ("H must be square", lambda: QMarkovModel(
+            H=np.zeros((2, 3)), L=SM)),
+        "DensityOperator non-Hermitian": ("rho is not Hermitian", lambda: DensityOperator(
+            [[0.5, 0.1], [0.0, 0.5]])),
+        "SysIdDataset (N, 3) inputs": ("inputs must be \\(N, 2\\)", lambda: SysIdDataset(
+            dt=0.1, inputs=np.ones((10, 3)), outputs=np.arange(10.0), split_index=5)),
+        "subspace_id horizon 2 at order 1": ("horizon must exceed the state dimension",
+                                             lambda: subspace_id(data, 1, 2)),
+        "prbs register 7": ("unsupported register size 7",
+                            lambda: prbs(10, 1.0, 0, register=7)),
+        "model_from_dict dimension": ("model matrices do not match the declared dimension",
+                                      lambda: model_from_dict({
+                                          "dim": 3, "H_re": ZERO2.real.tolist(),
+                                          "H_im": ZERO2.real.tolist(), "L_re": SM.real.tolist(),
+                                          "L_im": ZERO2.real.tolist()})),
+        "family_from_dict kind 'x'": ("unknown family kind 'x'",
+                                      lambda: family_from_dict({"kind": "x"})),
+        "conditional_qfi likelihood zero": ("the record has likelihood zero", lambda: (
+            conditional_qfi(ParameterFamily.affine(QMarkovModel(H=ZERO2, L=ZERO2), [SX],
+                                                   [ZERO2]), 0.5, MIXED, rec)), ZeroJumpRate),
+        "estimate --grid 0": ("--grid must be at least 1", lambda: _check_args(
+            build_parser().parse_args(["estimate", "--family", "f.json", "--records",
+                                       "r.json", "--grid", "0", "--out", "o.json"]))),
     }
 
 
 @pytest.mark.parametrize("call", sorted(_boundary_calls()))
 def test_boundary_inputs_are_validation_errors(call):
-    name, fn = _boundary_calls()[call]
+    name, fn, *error = _boundary_calls()[call]  # a ValidationError unless named
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=name):
+        with pytest.raises(error[0] if error else ValidationError, match=name):
             fn()
 
 
