@@ -24,8 +24,8 @@ same discretization scheme:
   engine, ``CountingLoglik``, serves simulation, replay, likelihood and score.
   Its two samplers return jump times only.  Its sweep, the one place that sums
   a counting log-likelihood, takes rows (model, record) and fuses the cells
-  between two anchors (jumps, renormalization marks) into one map, built from
-  amplitudes: fixed-order sums over the eigenvectors of the no-jump generator.
+  between two anchors (jumps, and marks where the float range asks) into one map,
+  built from amplitudes: fixed-order sums over the eigenvectors of the no-jump generator.
   A jump at rate <= DARK_RATE has likelihood zero, and no sampler records one.
 """
 
@@ -269,6 +269,12 @@ def _n_cells(horizon, dt):
     return max(int(np.ceil(horizon / dt - 1e-9)), 1)
 
 
+def _log1p(z):
+    """log(1 + z) for complex z to full precision: numpy's complex log1p is not."""
+    x, y = z.real, z.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
 def _powers(M, k):
     """M_i^k_i for the stack M (len(k), d, d) and the integers k, by repeated squaring."""
     out = np.broadcast_to(_identity(M.shape[-1]), M.shape).astype(complex)
@@ -287,13 +293,12 @@ class CountingLoglik:
     the sub-steps that jumps cut out of a cell share the eigenvectors U of G, so
     the stretch from an anchor (a jump, or a renormalization mark every ``_chunk``
     cells: per model the most over which no mode changes the trace by more than
-    exp(_SPAN), at most ``_CHUNK``) to any later time is one map U diag(nu) U^-1.
+    exp(_SPAN), rounded down to a power of two) to any later time is one map U diag(nu) U^-1.
     Models with cond(U) >= EIG_COND_MAX (near-defective G) take matrix powers.
     ``H``, ``L``: (n, d, d) stacks or one model; ``dH``, ``dL``: their derivatives
     along kp parameters, (n, kp, d, d), for a ``sweep`` that carries the tangent.
     """
 
-    _CHUNK = 10_000  # renormalize at least this often, in cells
     _SPAN = np.log(1e100)  # largest log trace change of one stretch
     _BLOCK = 1 << 15  # complex entries in one block of maps
     _ROW = 128  # most cells in one row of replayed states; a block of rows holds _BLOCK/4 entries
@@ -315,13 +320,14 @@ class CountingLoglik:
         except np.linalg.LinAlgError:
             g, U, ok = np.zeros((n, d), complex), eye, np.zeros(n, dtype=bool)
         self._U = np.where(ok[:, None, None], U, eye)
-        self._Uinv = np.linalg.inv(self._U)
-        self._g = g
+        self._Uinv, self._g = np.linalg.inv(self._U), g
         # log of the one-cell eigenvalues 1 - dt g, nonzero under the step guard
-        self._logmu = np.log(1.0 - self.dt * g)
+        self._logmu = _log1p(-self.dt * g)
         with np.errstate(divide="ignore"):
             cells = self._SPAN / (2.0 * np.abs(self._logmu.real).max(axis=-1))
-        self._chunk = np.clip(cells, 1, self._CHUNK).astype(int)
+        # rounded down to a power of two, so a sweep's models share few intervals; 2^62 (int64)
+        # means no mark.  g = 0 (except branch) gets none: no fixed cap bounds its true decay.
+        self._chunk = 2 ** np.log2(cells).clip(0, 62).astype(int)
         self._bad, self._L, self._tangent = ~ok, L, dH is not None
         # amplitude bases [u_i v_l^T, L u_i v_l^T] at i d + l (U = [u_i], U^-1 = [v_l^T])
         uv = self._U.swapaxes(1, 2)[:, :, None, :, None] * self._Uinv[:, None, :, None, :]
@@ -330,13 +336,10 @@ class CountingLoglik:
             dH, self._dL = (np.asarray(x, dtype=complex).reshape(n, -1, d, d) for x in (dH, dL))
             dG = _nojump_tangent(L[:, None], dH, self._dL)
             self._dGe = self._Uinv[:, None] @ dG @ self._U[:, None]
-            # for the divided differences in _maps: w_ij = mu_i/mu_j - 1 with mu = 1 - dt g,
-            # and log1p(w) to full precision (numpy's complex log1p is not)
+            # for the divided differences in _maps: w_ij = mu_i/mu_j - 1 with mu = 1 - dt g
             self._dtmu = self.dt / (1.0 - self.dt * g[:, None, :])
             w = (g[:, None, :] - g[:, :, None]) * self._dtmu
-            one = 1.0 + w
-            tiny = one == 1.0
-            self._l1p = np.where(tiny, w, np.log(one) * (w / np.where(tiny, 1.0, one - 1.0)))
+            self._l1p = _log1p(w)
             self._same, self._winv = w == 0.0, 1.0 / np.where(w == 0.0, np.inf, w)
             # [[G, dG_1, ..., dG_kp], [0, G, 0 ...], ...]: f of it has Df(G)[dG_a] top right
             self._big = _kron(_identity(1 + dG.shape[1]), self._gen)

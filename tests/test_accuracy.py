@@ -17,7 +17,7 @@ import pytest
 from qiokit.families import ParameterFamily, _tangent
 from qiokit.filtering import _loglik_table, log_likelihood
 from qiokit.operators import QMarkovModel
-from qiokit.trajectories import simulate_counting, trajectory_rng
+from qiokit.trajectories import CountingRecord, simulate_counting, trajectory_rng
 
 from conftest import SM, SX, driven_qubit, random_ergodic_model
 from reference import counting_loglik
@@ -87,21 +87,33 @@ def criterion_7_record(index):
 
 
 def rabi_row(index, theta):
-    """(model, initial state, record): criterion-7 record ``index`` under theta."""
-    return RABI.model([theta]), MIXED2, criterion_7_record(index)
+    """(model, initial state, record, dt): criterion-7 record ``index`` under theta."""
+    return RABI.model([theta]), MIXED2, criterion_7_record(index), DT
 
 
 def exact_row(model, rho0, T, seed):
-    """(model, initial state, record): an exact record of the model, index 0."""
+    """(model, initial state, record, dt): an exact record of the model, index 0."""
     return model, rho0, simulate_counting(model, rho0, T, DT, seed, keep_states=False,
-                                          method="exact")[0]
+                                          method="exact")[0], DT
 
 
-# label: a function giving (model, initial state, record), and the pinned bound on
+def dark_row(H, L, rho0, T, jumps, dt):
+    """(model, initial state, record, dt): a given record whose stretch without jumps is
+    long enough for the trace to leave the float range unless the engine renormalizes
+    within it."""
+    return QMarkovModel(H=H, L=L), rho0, CountingRecord(horizon=T, jumps=jumps), dt
+
+
+E01 = np.outer(np.eye(3)[0], np.eye(3)[1])  # |0><1| in d = 3
+# label: a function giving (model, initial state, record, dt), and the pinned bound on
 # |loglik - reference|.
 # Record 55 at theta = 1.91 has a jump just after a Rabi node, where the score is about 5e5.
 # The exceptional point (Omega = kappa/2) has a near-defective no-jump generator, which the
 # engine takes by matrix powers; it and the d = 3 record end in a fractional cell.
+# The last two rows are float-range guards, which read -inf without renormalization marks:
+# a strongly damped qubit at the step guard's 0.09 with no jump in 10^6 cells, and a
+# reducible d = 3 model (level 2 decoupled) whose state after its one jump has no weight
+# on the slowest mode, so that scaling a stretch by that mode would not keep it in range.
 LOGLIK_ROWS = {
     "record 55 at 1.91": (lambda: rabi_row(55, 1.91), 3e-8),
     "record 55 at 1.82": (lambda: rabi_row(55, 1.82), 3e-11),
@@ -111,6 +123,10 @@ LOGLIK_ROWS = {
     "exceptional point": (lambda: exact_row(driven_qubit(omega=0.5), MIXED2, 2000.005, 9), 2e-12),
     "d = 3": (lambda: exact_row(random_ergodic_model(3, np.random.default_rng(3), 0.7),
                                 np.eye(3) / 3, 300.004, 7), 1e-12),
+    "damped qubit, dark": (lambda: dark_row(30 * SX, np.sqrt(90) * SM, MIXED2, 1000.0, [], 1e-3),
+                           7e-11),
+    "reducible d = 3": (lambda: dark_row(0.5 * (E01 + E01.T), E01, np.eye(3) / 3, 2000.0, [0.5],
+                                         1e-2), 3e-11),
 }
 
 
@@ -118,9 +134,9 @@ LOGLIK_ROWS = {
 def test_counting_loglik_matches_the_reference(label):
     # the engine's log-likelihood against the scheme rebuilt from the record alone
     build, bound = LOGLIK_ROWS[label]
-    model, rho0, rec = build()
-    want = counting_loglik(model.H, model.L, rho0, DT, rec.horizon, rec.jumps)
-    err = float(abs(log_likelihood(model, rho0, rec, dt=DT) - want))
+    model, rho0, rec, dt = build()
+    want = counting_loglik(model.H, model.L, rho0, dt, rec.horizon, rec.jumps)
+    err = float(abs(log_likelihood(model, rho0, rec, dt=dt) - want))
     print(f"{label}: {rec.n_jumps} jumps, |loglik - reference| {err:.2e}")
     assert err <= bound
 

@@ -447,6 +447,23 @@ class TestMalformedInputs:
         assert code == 2
         assert "domain bounds must not be NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, message", [
+        ("pm", "grid posterior supports one parameter"),
+        ("map", "grid posterior supports one parameter"),
+        ("abc", "the CLI ABC path supports one parameter"),
+    ])
+    def test_estimate_one_parameter_methods_refuse_two(self, tmp_path, capsys, method, message):
+        fam = ParameterFamily.affine(QMarkovModel(H=ZERO2, L=SM), [0.5 * SX, ZERO2],
+                                     [ZERO2, SM], domain=[[0.2, 2.0], [0.5, 1.5]])
+        serialize.save_family(fam, tmp_path / "family.json")
+        serialize.save_record(CountingRecord(horizon=10.0, jumps=[1.0, 4.0]), tmp_path / "r.json")
+        code = main(["estimate", "--family", str(tmp_path / "family.json"), "--records",
+                     str(tmp_path / "r.json"), "--method", method, "--grid", "5",
+                     "--out", str(tmp_path / "est.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Error:" not in err
+
     def test_estimate_abc_on_homodyne_record(self, tmp_path, family_file, capsys):
         rec = tmp_path / "rec.json"
         serialize.save_record(DiffusiveRecord(dt=0.1, increments=[1.0, 2.0]), rec)

@@ -263,6 +263,19 @@ class TestSubspace:
         est = subspace_id(data, 1, 10)
         assert 0.2 < np.linalg.norm(est.B) / np.linalg.norm(est.C) < 5.0
 
+    def test_unstable_drift_takes_the_scalar_balance(self):
+        # an undamped oscillator, Euler-stepped, grows at dt/2: the fitted drift is not
+        # Hurwitz, so there are no Gramians and the balance is a scalar, with |B| = |C|
+        N, dt, A = 6000, 0.05, np.array([[0.0, 1.0], [-1.0, 0.0]])
+        u, noise = prbs_pair(N, 1.0, 3), 0.01 * np.random.default_rng(0).normal(size=N)
+        x, y = np.zeros(2), np.empty(N)
+        for k in range(N):
+            y[k] = x[0] + noise[k] + u[k, 0]
+            x = x + dt * (A @ x + np.array([0.0, u[k, 0]]))
+        est = subspace_id(SysIdDataset(dt=dt, inputs=u, outputs=y, split_index=4000), 1, 5)
+        assert np.all(np.linalg.eigvals(est.A).real > 0.0)
+        assert np.isclose(np.linalg.norm(est.B), np.linalg.norm(est.C), rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_fit_with_unstable_gain_falls_back_to_open_loop(self, seed):
         # noiseless data: the residual covariances are round-off, whose DARE
