@@ -38,7 +38,6 @@ import operator
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .exceptions import ZeroJumpRate
 from .operators import _lindblad_tangent, _nojump_generator, _nojump_tangent, dag
@@ -598,6 +597,8 @@ class CountingLoglik:
         a, up = A[i, j].tolist(), i * d + j  # a Hermitian sum: its upper triangle, doubled
         cw = np.stack((W[i, j], dW[i, j])) * np.where(i == j, 1.0, 2.0)
         slow = max((0.5 / x for x in g.real.tolist() if x > 0), default=math.inf)  # 1 / gamma
+        if bad:  # scipy loads on first use; only a near-defective G needs it
+            from scipy.linalg import expm
 
         def survival(tau):  # S and S' at t + tau
             if bad:

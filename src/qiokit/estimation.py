@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .exceptions import (
     AllRecordsImpossible,
@@ -179,6 +178,7 @@ def mle(
     # gtol 1e-7 |loglik| (~1e-4 at |loglik| ~ 1e3): the score is exact, so this value
     # sets where L-BFGS-B stops, and with it the estimates and the evaluation counts
     options = {"ftol": 1e-13, "gtol": 1e-7 * max(1.0, abs(fine_ll.max()))}
+    from scipy import optimize
     for _ in range(MAX_MOVES + 1):
         region = np.clip(np.stack([x - cell, x + cell], axis=1), lo[:, None], hi[:, None])
         res = optimize.minimize(neg, x, jac=True, method="L-BFGS-B", bounds=region,

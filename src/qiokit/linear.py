@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     NoSkewSolution,
@@ -347,6 +346,7 @@ def kalman_gain(G: LinearQSystem, quadrature: str) -> tuple[np.ndarray, np.ndarr
         raise ValidationError("measured row of D must have positive norm")
     q = G.B @ G.B.T
     s = G.B @ Dm.T
+    import scipy.linalg
     try:
         Q = scipy.linalg.solve_continuous_are(G.A.T, Cm.T, q, R, s=s)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -431,6 +431,7 @@ def random_symplectic(n: int, rng: np.random.Generator, scale: float = 0.4) -> S
     m = 2 * _check_int(n, "n", 1)
     S = rng.normal(size=(m, m))
     S = scale * (S + S.T) / 2
+    import scipy.linalg
     return SymplecticMatrix(V=scipy.linalg.expm(symplectic_form(n) @ S))
 
 

@@ -25,8 +25,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy import optimize
 
 from .exceptions import (
     DegenerateOutput,
@@ -239,6 +237,7 @@ def _discrete_to_continuous(Ad, Bd, dt):
             "discrete drift has eigenvalues on the closed negative real axis; "
             "principal logarithm undefined"
         )
+    import scipy.linalg
     A = scipy.linalg.logm(Ad) / dt
     if np.max(np.abs(A.imag)) > 1e-6 * max(1.0, np.max(np.abs(A.real))):
         raise LogBranch("matrix logarithm of the discrete drift is not real")
@@ -359,6 +358,7 @@ def _subspace_discrete(f: _HankelFactor, order: int):
     # covariances are round-off, so the open loop predicts
     if np.sum(res_e**2) > _EXACT_FIT_TOL * np.sum(f.Yii**2):
         Qw, Re, Sw = res_w @ res_w.T / f.j, res_e @ res_e.T / f.j, res_w @ res_e.T / f.j
+        import scipy.linalg
         try:
             P = scipy.linalg.solve_discrete_are(Ad.T, C.T, Qw, Re, s=Sw)
             Kd = np.linalg.solve((C @ P @ C.T + Re).T, (Ad @ P @ C.T + Sw).T).T
@@ -380,6 +380,7 @@ def _balance(A, B, C):
     or near-singular case).
     """
     ns = A.shape[0]
+    import scipy.linalg
     try:
         if np.any(np.linalg.eigvals(A).real >= -1e-12):
             raise np.linalg.LinAlgError("drift not Hurwitz")
@@ -587,6 +588,7 @@ def pr_projection(
     def solve(x0):
         """(cost, solution, MINPACK status); no solution for a stopped start."""
         nonlocal z_max
+        from scipy import optimize
         z_max = _Z_GROWTH**2 * max(x0[ms + mb :] @ x0[ms + mb :], z_est @ z_est)
         try:
             x, _, info, _, ier = optimize.leastsq(

@@ -7,7 +7,10 @@ these lists on purpose.
 import argparse
 import ast
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import qiokit
@@ -115,3 +118,51 @@ def test_only_the_front_ends_reach_the_engines():
              if not isinstance(stmt, ast.ImportFrom)
              and any(isinstance(n, ast.Name) and n.id in bound for n in ast.walk(stmt))}
     assert bound and users == {"_simulate"}
+
+
+# Run in a fresh interpreter: scipy must not be loaded before the first call that needs it.
+SCIPY_ON_FIRST_USE = """
+import os, sys, tempfile
+import numpy as np
+import qiokit
+from qiokit import serialize
+from qiokit.cli import main
+
+def loaded():
+    return {"scipy.linalg", "scipy.optimize"} & set(sys.modules)
+
+assert not loaded(), ("import", loaded())
+sm, sx = np.array([[0, 1], [0, 0]], complex), np.array([[0, 1], [1, 0]], complex)
+model, rho0 = qiokit.QMarkovModel(H=0.5 * sx, L=sm), np.eye(2) / 2
+rec, _ = qiokit.simulate_homodyne(model, rho0, T=1.0, dt=1e-3, seed=1, keep_states=True)
+qiokit.run_filter(model, rho0, rec)
+counts = [qiokit.simulate_counting(model, rho0, T=20.0, dt=1e-2, seed=1, method=method)[0]
+          for method in ("bernoulli", "exact")]
+qiokit.log_likelihood(model, rho0, counts[0], dt=1e-2)
+qiokit.log_likelihood_many(model, rho0, counts, dt=1e-2)
+with tempfile.TemporaryDirectory() as tmp:
+    serialize.save_model(model, os.path.join(tmp, "qubit.json"))
+    assert main(["simulate", "--model", os.path.join(tmp, "qubit.json"), "--kind", "counting",
+                 "--T", "5", "--dt", "1e-2", "--seed", "1",
+                 "--out", os.path.join(tmp, "rec.json")]) == 0
+assert not loaded(), ("numpy-only calls", loaded())
+# the near-defective exact sampler (Omega = kappa/2) takes expm
+qiokit.simulate_counting(qiokit.QMarkovModel(H=0.25 * sx, L=sm), rho0, T=5.0, dt=1e-2,
+                         seed=1, method="exact", keep_states=False)
+assert loaded() == {"scipy.linalg"}, ("exceptional point", loaded())
+family = qiokit.ParameterFamily.affine(qiokit.QMarkovModel(H=np.zeros((2, 2)), L=sm),
+                                       [0.5 * sx], [np.zeros((2, 2))], domain=[[0.2, 2.0]])
+qiokit.mle(family, counts, rho0, dt=1e-2, grid_points=5)
+assert "scipy.optimize" in loaded(), ("mle", loaded())
+"""
+
+
+def test_scipy_loads_on_first_use():
+    """``import qiokit``, simulation, filtering, likelihood and ``qiokit simulate`` run on
+    numpy alone; the near-defective exact sampler and ``mle`` load scipy when called."""
+    src = str(pathlib.Path(qiokit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_USE], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
