@@ -15,7 +15,10 @@ same discretization scheme:
   per-model step matrix gives the update, its factor, the measurement mean
   and the linear parts of a screen of the smallest eigenvalue (closed form
   for d = 2, Gershgorin for d > 2), which sends only the rows that may need
-  clipping to the exact eigvalsh clip.
+  clipping to the exact eigvalsh clip.  Steps run in windows: the updates of 8
+  steps, doubled after each clean window up to 256 and back to 8 after a flag,
+  then one screen; a flagged step's kept update goes on to the clip, and the
+  screen changes no bit.
 * counting records: no-jump intervals advance with the first-order Kraus
   map M = 1 - dt (iH + L^dag L/2), which preserves positivity, and jumps
   apply rho -> L rho L^dag; both trace factors enter the likelihood.  The
@@ -45,7 +48,7 @@ from .operators import _lindblad_tangent, _nojump_generator, _nojump_tangent, da
 EIG_CLIP = -1e-12
 TRACE_FLOOR = 1e-290
 DARK_RATE = 1e-14  # a jump at this rate or below has likelihood zero
-_DIFFUSIVE_BLOCK = 1 << 14  # floats in the per-block buffers of the diffusive sweep
+_DIFFUSIVE_BLOCK = 1 << 14  # rows x steps x (m + 2) in a block of the diffusive sweep
 # Largest condition number of the eigenvectors U of the no-jump generator for
 # which its eigenbasis is used; quantities built on it lose up to cond(U)^2 eps.
 EIG_COND_MAX = 1e3
@@ -140,6 +143,9 @@ def _clip_tangent(w, v, rho, z, factor, tr):
     return _coords(D.reshape(D.shape[:2] + (-1,))).reshape(len(z), -1)
 
 
+# A step divides by its factor before its screen: a dead row may divide by zero, and the
+# steps of a window past a flagged one, which are discarded, may overflow.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_states=False,
                     keep_logtrace=False):
     """Run the diffusive core over a batch of b trajectories.
@@ -153,15 +159,21 @@ def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_
     exact derivatives ``score`` (k, b) and ``dfinal`` (k, b, d, d) of loglik and final.
 
     Per step, ``r @ M`` (``_diffusive_step_matrix``) gives the mean, and one
-    multiply and one add of its halves give ``V = [U, Tr U, s', (z0)]``.  Rows
-    with s' <= t (t = |(z0, x, y)| for d = 2, Gershgorin for d > 2) go to
-    ``eigvalsh`` (once Gershgorin flags every row, to the end of the block).  Rows
-    below ``EIG_CLIP`` are divided by their clipped trace, all others by their
-    factor, so the screen changes no bit.  Products are stacked per row, never
-    one 2-D GEMM, so a row's bits do not depend on the batch width.  A row whose
-    factor is not positive or whose clipped trace is below ``TRACE_FLOOR`` is
-    dead: -inf from then on, its state frozen.  Blocks of steps fill buffers of
-    at most ``_DIFFUSIVE_BLOCK`` floats; one ``np.cumsum`` per block logs factors.
+    multiply and one add of its halves give ``V = [U, Tr U, s', (z0)]``; U / Tr U is
+    the next r.  Rows with s' <= t (t = |(z0, x, y)| for d = 2, Gershgorin for d > 2)
+    or Tr U <= ``TRACE_FLOOR`` are flagged and go to ``eigvalsh`` (once Gershgorin
+    flags every row, to the end of the block).  Rows below ``EIG_CLIP`` are divided
+    by their clipped trace, all others by their factor, so the screen changes no bit.
+    While every row is alive and screened, steps run in windows: the update alone
+    for each step, each V kept, then one screen of the whole window.  A window is 8
+    steps, doubled after each clean window up to 256.  At its first flagged step the
+    window stops, and that step's kept V goes on to ``eigvalsh``; steps then run one
+    at a time until one passes the screen clean, and the next window is 8 steps.
+    Products are stacked per row, never one 2-D GEMM, so a row's bits do not depend
+    on the batch width.  A row whose factor is not positive or whose clipped trace is
+    below ``TRACE_FLOOR`` is dead: -inf from then on, its state frozen.  Blocks of
+    ``_DIFFUSIVE_BLOCK`` / (b (m + 2)) steps fill per-step buffers; one ``np.log`` and
+    one ``np.cumsum`` per block log the factors.
     """
     simulate = dI is not None
     noise = np.asarray(dI if simulate else dY, dtype=float)
@@ -178,63 +190,68 @@ def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_
     B = min(n, max(1, _DIFFUSIVE_BLOCK // (b * (m + 2))))  # steps per block
     R = np.zeros((B + 1, b, 1, m))  # R[j]: the states [r, z_1, ...] after step j of the block
     R[0, ..., :d2] = _coords(np.asarray(rho0, dtype=complex).reshape(d2))
-    dy, logs = np.empty((B, b, 1, 1)), np.empty((B + 1, b))  # logs: loglik, then factors
-    W, V = np.empty((b, 1, 2 * h + 1)), np.empty((b, 1, h))
+    dy, logs = np.empty((B, b, 1, 1)), np.empty((B + 1, b))  # logs: loglik, then log factors
+    W, V = np.empty((b, 1, 2 * h + 1)), np.empty((B, b, 1, h))  # V[j]: step j's V
     A0_r, K_r, mean_dt = W[..., :h], W[..., h:2 * h], W[..., 2 * h:]
-    U, F, factor, head = V[..., :m], V[..., m:m + 1], V[:, 0, m], V[:, 0, m:m + 2]
-    diag, z0, (x, y) = V[:, 0, :d], V[:, 0, m + 2:], np.split(V[:, 0, d:d2], 2, axis=-1)
-    bound, gap = np.full((b, 2), TRACE_FLOOR), np.empty((b, 2))
-    t, iu, ju = bound[:, 1:], *np.triu_indices(d, 1)
+    U, F, factor, head = V[..., :m], V[..., m:m + 1], V[..., 0, m], V[..., 0, m:m + 2]
+    diag, z0, (x, y) = V[..., 0, :d], V[..., 0, m + 2:], np.split(V[..., 0, d:d2], 2, axis=-1)
+    bound, gap = np.full((B, b, 2), TRACE_FLOOR), np.empty((B, b, 2))
+    t, iu, ju = bound[..., 1:], *np.triu_indices(d, 1)
     pairs = ((np.arange(d) == iu[:, None]) | (np.arange(d) == ju[:, None])) * 1.0
-    alive, all_alive, loglik = np.ones(b, dtype=bool), True, np.zeros(b)
+    alive, all_alive, loglik, win = np.ones(b, dtype=bool), True, np.zeros(b), 8
+    Rs, dys, Vs, Us, Fs = map(list, (R, dy, V, U, F))  # per-step views, made once per sweep
     for k0 in range(0, n, B):
-        k, screened = min(B, n - k0), True
+        k, j, screened = min(B, n - k0), 0, True
         dy[:k, :, 0, 0] = noise[:, k0:k0 + k].T
-        for j in range(k):
-            np.matmul(R[j], M, out=W)
-            if simulate:
-                np.add(dy[j], mean_dt, out=dy[j])
-            np.multiply(K_r, dy[j], out=V)
-            V += A0_r
-            logs[j + 1] = factor
+        while j < k:  # a window of steps j..e-1: the update, then one screen
+            e = min(j + win, k) if screened and all_alive else j + 1
+            for i in range(j, e):
+                np.matmul(Rs[i], M, out=W)
+                if simulate:
+                    dys[i] += mean_dt
+                np.multiply(K_r, dys[i], out=Vs[i])
+                Vs[i] += A0_r
+                np.divide(Us[i], Fs[i], out=Rs[i + 1])
             if screened:  # gap = [Tr U - TRACE_FLOOR, s' - t]
                 if d == 2:
-                    np.hypot(z0, np.hypot(x, y, out=t), out=t)
+                    np.hypot(z0[j:e], np.hypot(x[j:e], y[j:e], out=t[j:e]), out=t[j:e])
                 else:  # the largest Gershgorin radius less diagonal entry
-                    np.max(np.hypot(x, y) @ pairs - diag, -1, out=t, keepdims=True)
-                np.subtract(head, bound, out=gap)
-                if all_alive and gap.min() > 0.0:
-                    np.divide(U, F, out=R[j + 1])
+                    np.max(np.hypot(x[j:e], y[j:e]) @ pairs - diag[j:e], -1, out=t[j:e],
+                           keepdims=True)
+                np.subtract(head[j:e], bound[j:e], out=gap[j:e])
+                if all_alive and gap[j:e].min() > 0.0:  # the window stands
+                    j, win = e, min(max(2 * win, 8), 256)
                     continue
-                flagged = (gap[:, 1] <= 0.0) & alive
+                if e > j + 1:  # the first flagged step; undo the mean added to the later ones
+                    j += int((gap[j:e].min(axis=(1, 2)) > 0.0).argmin())
+                    dy[j + 1:e, :, 0, 0] = noise[:, k0 + j + 1:k0 + e].T
+                flagged = (gap[j, :, 1] <= 0.0) & alive
                 screened = d == 2 or not flagged.all()  # Gershgorin: till the block ends
             else:
                 flagged = alive
-            rho = _matrices(U[:, 0, :d2] if flagged is alive and all_alive else U[flagged, 0, :d2])
+            u, f, j, win = U[j], factor[j], j + 1, 1  # the flagged step; one-step windows next
+            rho = _matrices(u[:, 0, :d2] if flagged is alive and all_alive else u[flagged, 0, :d2])
             low = np.linalg.eigvalsh(rho, UPLO="U")[:, 0]
-            if all_alive and low.min(initial=np.inf) >= EIG_CLIP and factor.min() > TRACE_FLOOR:
-                np.divide(U, F, out=R[j + 1])
+            if all_alive and low.min(initial=np.inf) >= EIG_CLIP and f.min() > TRACE_FLOOR:
                 continue
             clip = low < EIG_CLIP
-            rows, tr = flagged.nonzero()[0][clip], factor.copy()
+            rows, tr = flagged.nonzero()[0][clip], f.copy()
             if len(rows):
                 w, v = np.linalg.eigh(rho[clip], UPLO="U")
                 rho = (v * np.clip(w, 0.0, None)[..., None, :]) @ dag(v)
-                U[rows, 0, :d2] = _coords(rho.reshape(-1, d2))
-                tr[rows] = U[rows, 0, :d].sum(axis=-1)
+                u[rows, 0, :d2] = _coords(rho.reshape(-1, d2))
+                tr[rows] = u[rows, 0, :d].sum(axis=-1)
                 if m > d2:
-                    U[rows, 0, d2:] = _clip_tangent(w, v, rho, U[rows, 0, d2:], factor[rows],
-                                                    tr[rows])
-            ok = (factor > 0.0) & (tr > TRACE_FLOOR)
+                    u[rows, 0, d2:] = _clip_tangent(w, v, rho, u[rows, 0, d2:], f[rows], tr[rows])
+            ok = (f > 0.0) & (tr > TRACE_FLOOR)
             keep = alive & ok
-            R[j + 1] = R[j]
-            R[j + 1, keep] = U[keep] / tr[keep, None, None]
-            logs[j + 1, ~keep] = 0.0  # logged as -inf
+            R[j] = R[j - 1]
+            R[j, keep] = u[keep] / tr[keep, None, None]
+            f[~keep] = 0.0  # logged as -inf
             alive &= ok
             all_alive = bool(alive.all())
         logs[0] = loglik
-        with np.errstate(divide="ignore"):
-            np.log(logs[1:k + 1], out=logs[1:k + 1])
+        np.log(factor[:k], out=logs[1:k + 1])
         loglik = np.cumsum(logs[:k + 1], axis=0, out=logs[:k + 1])[k].copy()
         if simulate:
             out_dY[:, k0:k0 + k] = dy[:k, :, 0, 0].T

@@ -666,6 +666,27 @@ class TestDenseReference:
             assert np.max(np.abs(incs - ref_incs)) < 1e-12
             self.check(np.array([ll]), states, ref_ll[-1:], ref_states)
 
+    def test_diffusive_across_blocks(self):
+        # 6,000 steps: past the sweep's first block (2,730 steps of one qubit row, 910 of
+        # three) and through windows grown to full length, with clipped steps among them
+        build, rho0 = SCHEME_CASES["qubit ground"]
+        m, n = build(), 6000
+        rec = simulate_reference("wiener", 1.0, T=n * self.DT, dt=self.DT, seed=54)
+        _, states, logtrace, clips = dense_diffusive(m.H, m.L, rho0, self.DT,
+                                                     dY=rec.increments)
+        z = run_zakai(m, rho0, rec)
+        self.check(z.logtrace, z.states, logtrace, states)
+        assert clips > 0
+        ens = simulate_homodyne_ensemble(m, rho0, n * self.DT, self.DT, n_traj=3, seed=55,
+                                         keep_states=True)
+        for i in range(3):
+            dI = trajectory_rng(55, i).normal(0.0, np.sqrt(self.DT), size=n)
+            ref_incs, ref_states, ref_ll, clips = dense_diffusive(m.H, m.L, rho0, self.DT,
+                                                                  dI=dI)
+            assert np.max(np.abs(ens.increments[i] - ref_incs)) < 1e-12
+            self.check(ens.logliks[i:i + 1], ens.states[i], ref_ll[-1:], ref_states)
+            assert clips > 0
+
     @pytest.mark.parametrize("case", sorted(COUNTING_CASES))
     def test_counting_simulators(self, case):
         m = COUNTING_CASES[case]()
@@ -756,13 +777,13 @@ class TestDenseReference:
 class TestDeadRows:
     """A record that drives the trace negative kills its row only."""
 
-    def killing_record(self, m, seed):
-        rec = simulate_reference("wiener", 1.0, T=0.1, dt=1e-3, seed=seed)
-        rho50 = run_filter(m, MIXED, rec).states[50]
-        mean = np.trace((m.L + m.L.conj().T) @ rho50).real
+    def killing_record(self, m, seed, T=0.1, at=50):
+        rec = simulate_reference("wiener", 1.0, T=T, dt=1e-3, seed=seed)
+        rho = run_filter(m, MIXED, rec).states[at]
+        mean = np.trace((m.L + m.L.conj().T) @ rho).real
         assert abs(mean) > 0.05
         inc = rec.increments.copy()
-        inc[50] = -100.0 * np.sign(mean)  # factor 1 + dy * mean < 0
+        inc[at] = -100.0 * np.sign(mean)  # factor 1 + dy * mean < 0
         return DiffusiveRecord(dt=rec.dt, increments=inc)
 
     def test_batch_row_is_minus_inf_others_unchanged(self):
@@ -781,6 +802,33 @@ class TestDeadRows:
         assert np.all(np.isfinite(z.logtrace[:51]))
         assert np.all(z.logtrace[51:] == -np.inf)
         assert np.all(z.states[50:] == z.states[50])
+
+    # 10,000 steps: step 2,730 opens the second sweep block of one qubit row, and step
+    # 5,000 lies deep in the record, each killed inside a window grown past one step
+    @pytest.mark.parametrize("at", [2730, 5000])
+    def test_death_deep_in_a_long_record(self, at):
+        m = driven_qubit()
+        killed = self.killing_record(m, 63, T=10.0, at=at)
+        z = run_zakai(m, MIXED, killed)
+        assert np.all(np.isfinite(z.logtrace[:at + 1]))
+        assert np.all(z.logtrace[at + 1:] == -np.inf)
+        assert np.all(z.states[at:] == z.states[at])
+        live = [simulate_reference("wiener", 1.0, T=10.0, dt=1e-3, seed=64 + i)
+                for i in range(2)]
+        batch = log_likelihood_many(m, MIXED, [live[0], killed, live[1]])
+        assert batch[1] == -np.inf
+        assert batch[0] == log_likelihood(m, MIXED, live[0])
+        assert batch[2] == log_likelihood(m, MIXED, live[1])
+
+    def test_zero_factor_kills_without_a_warning(self):
+        # from |+><+| with H = 0 and L = sigma_-, an increment of -1 makes the first
+        # factor exactly zero; a RuntimeWarning from qiokit fails the suite
+        m, plus = QMarkovModel(H=np.zeros((2, 2)), L=SM), np.full((2, 2), 0.5, dtype=complex)
+        inc = simulate_reference("wiener", 1.0, T=1.0, dt=1e-3, seed=65).increments.copy()
+        inc[0] = -1.0
+        z = run_zakai(m, plus, DiffusiveRecord(dt=1e-3, increments=inc))
+        assert np.all(z.logtrace[1:] == -np.inf)
+        assert np.all(z.states == plus)
 
     def test_counting_zakai_state_frozen_from_dark_jump(self):
         # the jump at 0.5 leaves no |1> population, so the one at 0.7 (the end of

@@ -367,6 +367,21 @@ def test_counting_trajectory_is_the_filter_on_its_record(method, seed):
             assert np.array_equal(traj.times, ref.times)
 
 
+@pytest.mark.parametrize("seed", [1, 2026])
+@pytest.mark.parametrize("start", ["mixed", "ground"])
+def test_homodyne_trajectory_is_the_filter_on_its_record(start, seed):
+    # 10,000 steps: several sweep blocks, windows grown to full length and clipped steps;
+    # each increment is its draw plus the mean at the state before it, to round-off
+    m, rho0, n, dt = driven_qubit(), {"mixed": MIXED, "ground": GROUND}[start], 10_000, 1e-3
+    rec, traj = simulate_homodyne(m, rho0, n * dt, dt, seed=seed, index=1)
+    ref = run_filter(m, rho0, rec)
+    assert traj.loglik == ref.loglik
+    assert np.array_equal(traj.states, ref.states)
+    draws = trajectory_rng(seed, 1).normal(0.0, np.sqrt(dt), size=n)
+    mean = np.einsum("ij,kji->k", m.L + m.L.conj().T, ref.states[:-1]).real
+    assert np.max(np.abs(rec.increments - draws - mean * dt)) < 1e-15
+
+
 def test_bernoulli_sampler_skips_a_dark_jump():
     # the rate after cell 0's no-jump map is positive but below the dark rate
     # 1e-14, at which the likelihood calls a jump impossible: no jump is recorded
