@@ -218,13 +218,11 @@ class SubspaceEstimate:
 # sqrt(eps), about 1.5e-8)
 _EXACT_FIT_TOL = np.finfo(float).eps
 
-# rows per block of the Hankel TSQR, within 11% of the best block at both
-# widths measured (one BLAS thread, 2-CPU x86-64, build and factor): blocks of
-# 512, 1,024, 2,048 and 4,096 rows against one plain QR took 14.0-16.7,
-# 15.7-18.4, 16.0-18.9, 17.1-20.2 and 19.7-22.0 ms on the (8381, 60) stack of
-# the benchmark's identification op, 626, 558, 503, 579 and 870 ms on the
-# (69951, 150) stack of acceptance criterion 11(b)
-_TSQR_ROWS = 1024
+# panel width of the Hankel QR, capped at r (dgeqrt needs nb <= r): at one / two
+# OpenBLAS threads (2-CPU x86-64), widths 16 and 32 took 4.0 / 3.1 and 4.4 / 3.4 ms
+# on the benchmark's (8381, 60) stack, 171 / 163 and 161 / 141 ms on criterion
+# 11(b)'s (69951, 150), against 12 / 25 and 474 / 694 ms for a 1,024-row TSQR
+_QR_BLOCK = 16
 
 
 def _discrete_to_continuous(Ad, Bd, dt):
@@ -286,6 +284,22 @@ def _check_orders(orders) -> list:
     return orders
 
 
+def _hankel_r(u, y, i):
+    """R of the block Hankel rows [Uf; Up; Yp; Yf] of ``u`` (N, m) and ``y`` (N,)
+    at horizon ``i``, rows up to sign: one blocked Householder QR of the
+    column-major transposed stack, each column a shifted slice of one channel
+    (no Gram or Cholesky shortcut: it squares the condition the rank cut reads)."""
+    j, m = len(y) - 2 * i + 1, u.shape[1]
+    cols = [u[i + k : i + k + j, c] for k in range(i) for c in range(m)]
+    cols += [u[k : k + j, c] for k in range(i) for c in range(m)]
+    cols += [y[k : k + j] for k in range(2 * i)]
+    from scipy.linalg import lapack
+    qr, _, info = lapack.dgeqrt(min(_QR_BLOCK, len(cols)), np.array(cols).T, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrt failed with info {info}")
+    return np.triu(qr[: len(cols)])
+
+
 def _hankel_factor(data, horizon, D, quadrature, orders) -> _HankelFactor:
     """Factor ``data`` once for subspace fits of the given mode counts."""
     i, m, ell = _check_int(horizon, "horizon", 1), 2, 1
@@ -300,23 +314,8 @@ def _hankel_factor(data, horizon, D, quadrature, orders) -> _HankelFactor:
             raise InsufficientData(
                 f"need at least {10 * 2 * i * ns} estimation samples, got {N}"
             )
-    j, nu, r = N - 2 * i + 1, i * m, 2 * i * (m + ell)
-    # Hankel column t of the rows [Uf; Up; Yp; Yf] is (u[t+i : t+2i],
-    # u[t : t+i], y[t : t+2i]) flattened, so the transposed stack is built
-    # C-ordered straight from windows of the data, in nb row blocks of
-    # near-equal size; zero rows pad the last block and leave R unchanged.
-    nb = -(-j // _TSQR_ROWS)
-    rows = -(-j // nb)
-    stack = np.zeros((nb * rows, r))
-    win = np.lib.stride_tricks.sliding_window_view(u.reshape(-1), 2 * nu)[: m * j : m]
-    stack[:j, :nu], stack[:j, nu : 2 * nu] = win[:, nu:], win[:, :nu]
-    stack[:j, 2 * nu :] = np.lib.stride_tricks.sliding_window_view(y, 2 * i)[:j]
-    # TSQR: the R factor of the stacked blocks' R factors is R of the whole
-    # stack up to the sign of each row (a sign flip of a Q basis vector, which
-    # every product below over the j columns ignores); no Gram or Cholesky
-    # shortcut, which would square the condition number the rank cut reads
-    blocks_r = np.linalg.qr(stack.reshape(nb, rows, r), mode="r")
-    L = np.linalg.qr(blocks_r.reshape(-1, r), mode="r").T  # only L: Q is as long as the data
+    j, nu = N - 2 * i + 1, i * m
+    L = _hankel_r(u, y, i).T  # its column signs change no product below
     # the leading rows [Uf; Up] are the rows of U, so the leading block of L
     # has the singular values of U
     sv_u = np.linalg.svd(L[: 2 * i * m, : 2 * i * m], compute_uv=False)

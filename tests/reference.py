@@ -1,4 +1,5 @@
-"""Slow, obvious rebuilds of the kernels' schemes in extended precision (mpmath).
+"""Slow, obvious rebuilds of the kernels' schemes in extended precision (mpmath, or
+``np.longdouble`` where a long float64 input needs only more bits).
 
 Nothing here imports ``qiokit``: each reference reads only the data it is given,
 so that a test can hold a kernel's output against it.
@@ -7,6 +8,7 @@ so that a test can hold a kernel's output against it.
 import math
 
 import mpmath as mp
+import numpy as np
 
 
 def _matrix(x):
@@ -85,3 +87,20 @@ def counting_loglik(H, L, rho0, dt, horizon, jumps):
             rho = [[x / tr for x in row] for row in rho]
             pos, at = tau, c
         return total + horizon
+
+
+def hankel_r(u, y, i):
+    """R of the block Hankel data [Uf; Up; Yp; Yf] of inputs ``u`` (N, m) and outputs
+    ``y`` (N,) at horizon ``i``, with a nonnegative diagonal, by Householder reflections
+    in ``np.longdouble`` on the explicit (j, r) transposed stack.  Its row t, for
+    t = 0 .. N - 2i, is u[t+i : t+2i], u[t : t+i] and y[t : t+2i], each flattened."""
+    a = np.array([np.concatenate([u[t + i : t + 2 * i].ravel(), u[t : t + i].ravel(),
+                                  y[t : t + 2 * i]]) for t in range(len(y) - 2 * i + 1)],
+                 dtype=np.longdouble)
+    for k in range(a.shape[1]):
+        v = a[k:, k].copy()
+        v[0] += np.copysign(np.sqrt(v @ v), v[0])  # reflect x onto -sign(x0) |x| e0
+        if v @ v > 0:
+            a[k:, k:] -= np.outer(v, (2 / (v @ v)) * (v @ a[k:, k:]))
+    R = np.triu(a[: a.shape[1]])
+    return R * np.where(np.diag(R) < 0, -1, 1)[:, None]

@@ -1,4 +1,5 @@
-"""Accuracy against extended-precision references, rebuilt in mpmath at 40 digits.
+"""Accuracy against extended-precision references, rebuilt in mpmath at 40 digits or,
+for the Hankel factor, in ``np.longdouble``.
 
 Each test recomputes what a kernel promises from its output alone (the public API's,
 except for the counting score, which only ``mle`` and the Fisher estimators read) and
@@ -14,13 +15,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from qiokit import sysid
 from qiokit.families import ParameterFamily, _tangent
 from qiokit.filtering import _loglik_table, log_likelihood
 from qiokit.operators import QMarkovModel
+from qiokit.sysid import fpe_order_select, subspace_id
 from qiokit.trajectories import CountingRecord, simulate_counting, trajectory_rng
 
 from conftest import SM, SX, driven_qubit, random_ergodic_model
-from reference import counting_loglik
+from reference import counting_loglik, hankel_r
+from test_sysid import cavity_dataset
 
 MIXED2 = np.eye(2, dtype=complex) / 2
 
@@ -163,3 +167,56 @@ def test_counting_score_matches_the_reference(label):
         err = float(abs(score - want) / abs(want))
     print(f"{label}: score {score:.6g}, relative error {err:.2e}")
     assert err <= bound
+
+
+@functools.lru_cache(maxsize=None)
+def cavity_2000():
+    """A 2,000-sample cavity dataset (1,400 estimation samples)."""
+    return cavity_dataset(seed=0, T=100.0)[1]
+
+
+def identify(horizon):
+    """Markov parameters C Ad^k Bd (k < 10) and singular values of the order-1 subspace
+    fit, and the FPE order and table over the orders the horizon allows."""
+    data = cavity_2000()
+    est = subspace_id(data, 1, horizon)
+    markov = np.array([est.C @ np.linalg.matrix_power(est.Ad, k) @ est.Bd for k in range(10)])
+    order, table = fpe_order_select(data, [n for n in (1, 2, 3) if 2 * n < horizon], horizon)
+    return markov, est.singular_values, order, table
+
+
+def relative(x, want):
+    return float(np.max(np.abs(x - want)) / np.max(np.abs(want)))
+
+
+# horizon: pinned bounds on the relative errors of R (row by row, up to row signs), of
+# the singular values and the Markov parameters (against the largest), and of the FPE
+# table.  The stack has r = 6 * horizon columns: 60 at the default horizon 10, 30 and 18
+# at horizons 5 and 3, neither a whole number of 16-column QR panels.  Each bound is the
+# larger of two measurements, rounded up: the blocked QR of 1,024-row blocks that
+# preceded the one-call QR, and the one-call QR.
+SUBSPACE_ROWS = {10: (7e-16, 4e-16, 2e-14, 6e-15), 5: (5e-16, 4e-17, 2e-14, 2e-15),
+                 3: (4e-16, 2e-15, 5e-13, 7e-14)}
+
+
+@pytest.mark.parametrize("horizon", SUBSPACE_ROWS)
+def test_subspace_fit_matches_the_reference(horizon, monkeypatch):
+    # the same fits with the Hankel R factor replaced by its extended-precision reference
+    bounds, fit, factors = SUBSPACE_ROWS[horizon], identify(horizon), []
+    factor = sysid._hankel_r
+
+    def reference_factor(u, y, i):
+        factors.append((factor(u, y, i), hankel_r(u, y, i)))
+        return factors[-1][1].astype(float)
+
+    monkeypatch.setattr(sysid, "_hankel_r", reference_factor)
+    want = identify(horizon)
+    r_err = max(float(np.max(np.linalg.norm(np.sign(np.diag(R))[:, None] * R - ref, axis=1)
+                             / np.linalg.norm(ref, axis=1))) for R, ref in factors)
+    nz = want[1] > 0
+    errs = (r_err, relative(fit[1][nz], want[1][nz]), relative(fit[0], want[0]),
+            max(abs(fit[3][n] / want[3][n] - 1) for n in want[3]))
+    print(f"horizon {horizon}: relative errors R {errs[0]:.2e}, singular values "
+          f"{errs[1]:.2e}, Markov parameters {errs[2]:.2e}, FPE {errs[3]:.2e}")
+    assert np.array_equal(fit[1] > 0, nz) and fit[2] == want[2]
+    assert all(e <= b for e, b in zip(errs, bounds))

@@ -263,6 +263,14 @@ class TestSubspace:
         est = subspace_id(data, 1, 10)
         assert 0.2 < np.linalg.norm(est.B) / np.linalg.norm(est.C) < 5.0
 
+    def test_qr_panel_is_capped_at_the_stack_width(self, monkeypatch):
+        # LAPACK's blocked QR takes no panel wider than the r = 18 columns of horizon 3
+        _, data = cavity_dataset(seed=0, T=100.0)
+        want = subspace_id(data, 1, 3)
+        monkeypatch.setattr("qiokit.sysid._QR_BLOCK", 64)
+        got = subspace_id(data, 1, 3)
+        assert np.allclose(got.singular_values, want.singular_values, rtol=1e-12, atol=0)
+
     def test_unstable_drift_takes_the_scalar_balance(self):
         # an undamped oscillator, Euler-stepped, grows at dt/2: the fitted drift is not
         # Hurwitz, so there are no Gramians and the balance is a scalar, with |B| = |C|
@@ -777,16 +785,22 @@ class TestPipeline:
         assert a.nmse == b.nmse and a.cost == b.cost
 
     def test_one_factorization_per_dataset(self, monkeypatch):
-        # counts the matrix rows entering QR, stacked or not: the j Hankel
-        # columns are factored once, and the small factors add fewer rows
+        # counts the matrix rows entering QR, numpy's (stacked or not) or
+        # LAPACK's dgeqrt: the j Hankel columns are factored once, and the
+        # small factors add fewer rows
         rows = []
-        qr = np.linalg.qr
+        qr, geqrt = np.linalg.qr, scipy.linalg.lapack.dgeqrt
 
         def counting_qr(a, *args, **kwargs):
             rows.append(int(np.prod(np.shape(a)[:-1])))
             return qr(a, *args, **kwargs)
 
+        def counting_geqrt(nb, a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return geqrt(nb, a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", counting_geqrt)
         _, data = cavity_dataset(seed=2)
         cfg = PipelineConfig(dt=data.dt, T=600.0, prbs_amplitude=50.0, orders=(1, 2, 3),
                              seed=2, dataset=data)
