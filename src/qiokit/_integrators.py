@@ -318,6 +318,7 @@ class CountingLoglik:
     _SPAN = np.log(1e100)  # largest log trace change of one stretch
     _BLOCK = 1 << 15  # complex entries in one block of maps
     _ROW = 128  # most cells in one row of replayed states; a block of rows holds _BLOCK/4 entries
+    _RENEWAL = 256  # waits in one batch of the renewal path of sample_exact
 
     def __init__(self, H, L, dt, lam=1.0, dH=None, dL=None):
         H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
@@ -606,14 +607,23 @@ class CountingLoglik:
         S(t) = Tr rho(t) = u, u uniform, by Newton's method on log(S/u) from -log(u)/gamma
         (gamma the slowest decay rate), bisecting [0, T - t] where a step leaves the bracket or
         S <= 0, until a step is below 1e-14 + 8.9e-16 t; S and S' share d real and d(d-1)/2
-        complex exponentials.  A near-defective G takes U = 1 and M R M^dag, M = expm(-G t)."""
+        complex exponentials.  A near-defective G takes U = 1 and M R M^dag, M = expm(-G t).
+
+        A rank-one L (every singular value after the first exactly 0) sends every state to
+        one post-jump state X*, so with G diagonalizable, after the first jump the waits are
+        solved ``_RENEWAL`` at a time from X* by the same iteration on arrays, on uniforms
+        read ahead by rng.random(_RENEWAL), the stream of as many scalar draws.  As one at a
+        time, the first draw with S(T - t) > u, or with the rate after its wait at or below
+        DARK_RATE S, ends the record; the rest of its batch is unused.  The records match
+        the one-wait-at-a-time path to round-off."""
         g, G, d, bad = self._g[0], self._gen[0], self._L.shape[-1], self._bad.any()
         U, Uinv = (_identity(d),) * 2 if bad else (self._U[0], self._Uinv[0])
         W, dW, K = ((dag(U) @ x @ U).T for x in (_identity(d), -G - dag(G), self._LdL[0]))
         J, A, (i, j) = Uinv @ self._L[0] @ U, -(g[:, None] + g.conj()), np.triu_indices(d)
         a, up = A[i, j].tolist(), i * d + j  # a Hermitian sum: its upper triangle, doubled
-        cw = np.stack((W[i, j], dW[i, j])) * np.where(i == j, 1.0, 2.0)
+        cw = np.stack((W[i, j], dW[i, j], K[i, j])) * np.where(i == j, 1.0, 2.0)  # S, S', rate
         slow = max((0.5 / x for x in g.real.tolist() if x > 0), default=math.inf)  # 1 / gamma
+        renewal = not (bad or np.linalg.svd(self._L[0], compute_uv=False)[1:].any())
         if bad:  # scipy loads on first use; only a near-defective G needs it
             from scipy.linalg import expm
 
@@ -625,11 +635,11 @@ class CountingLoglik:
             return sum(map(operator.mul, c, e)).real, sum(map(operator.mul, dc, e)).real
 
         X, t, times = Uinv @ np.asarray(rho0, dtype=complex) @ dag(Uinv), 0.0, []
-        while t < T:
+        while t < T and not (renewal and times):
             u, lo, hi, step, tol = rng.random(), 0.0, T - t, math.inf, 0.0
-            c, dc = (X.ravel()[up] * cw).tolist()
+            c, dc = (X.ravel()[up] * cw[:2]).tolist()
             if survival(hi)[0] > u:
-                break
+                return np.asarray(times)
             tau = min(hi, -math.log(u) * slow)
             while abs(step) > tol:  # Newton; bisect where a step leaves (lo, hi) or S <= 0
                 s, ds = survival(tau)
@@ -642,7 +652,36 @@ class CountingLoglik:
             X = (M := expm(-tau * G)) @ X @ dag(M) if bad else X * np.exp(A * tau)
             s, r = ((X * y).sum().real for y in (W, K))
             if r <= DARK_RATE * s:
-                break
+                return np.asarray(times)
             X, t = J @ X @ dag(J) / r, t + tau
             times.append(min(t, T))
+        C = (X.ravel()[up] * cw).T  # from X* = X, S, S' and the rate at tau: exp(a tau) @ C
+
+        def rows(tau):
+            return (np.exp(np.multiply.outer(tau, A[i, j])) @ C).real.T
+
+        with np.errstate(all="ignore"):  # masked lanes: log(0), 0 / 0
+            while t < T:  # the renewal path
+                u, hi = rng.random(self._RENEWAL), T - t
+                # a u < S(T - t) has no root in [0, T - t]: the record ends by that draw
+                u = u[:np.argmax(np.append(u < rows([hi])[0], True))]
+                tau, n = np.minimum(hi, -np.log(u) * slow), np.arange(len(u))  # n: iterating
+                lo, top = np.zeros_like(u), np.full_like(u, hi)
+                while n.size:
+                    x, (s, ds, _) = tau[n], rows(tau[n])
+                    f, tol = np.where(s > 0, np.log(s / u[n]), -np.inf), 1e-14 + 8.9e-16 * x
+                    lo_n, top_n = np.where(f > 0, x, lo[n]), np.where(f > 0, top[n], x)
+                    lo[n], top[n] = lo_n, top_n
+                    step = np.where((ds < 0) & (0 < s), f * s / ds, np.nan)
+                    keep = (abs(step) <= tol) | (lo_n < x - step) & (x - step < top_n)
+                    step = np.where(keep, step, x - 0.5 * (lo_n + top_n))
+                    tau[n], n = x - step, n[abs(step) > tol]
+                ts = np.cumsum(np.append(t, tau))  # the scalar t + tau, in order
+                s, _, r = rows(tau)
+                ok = (ts[:-1] < T) & ~(rows(np.maximum(T - ts[:-1], 0.0))[0] > u)
+                k = np.argmin(np.append(ok & (r > DARK_RATE * s), False))  # the first failure
+                times += np.minimum(ts[1:k + 1], T).tolist()
+                if k < self._RENEWAL:
+                    break
+                t = ts[-1]
         return np.asarray(times)

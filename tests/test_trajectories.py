@@ -7,7 +7,7 @@ import pytest
 
 from qiokit.exceptions import StepTooLarge, ValidationError
 from qiokit.filtering import log_likelihood, log_likelihood_many, run_filter, run_zakai
-from qiokit.operators import QMarkovModel, stationary_state
+from qiokit.operators import QMarkovModel, dag, stationary_state
 from qiokit.trajectories import (
     CountingRecord,
     DiffusiveRecord,
@@ -216,6 +216,24 @@ class TestCounting:
         assert rec.n_jumps == n_jumps
         assert np.all(np.diff(rec.jumps) > 0) and 0 < rec.jumps[0] and rec.jumps[-1] <= 2000.0
         assert np.isfinite(traj.loglik)
+
+    def test_exact_sampler_renewal_matches_a_rotated_basis(self):
+        # sigma_- resets every jump to one state, so its waits after the first are solved
+        # in batches; the same qubit in a rotated basis has L' = V L V^dag with a second
+        # singular value at round-off, not exactly 0, and samples one wait at a time
+        a, phi = 0.3, 0.2
+        V = np.array([[np.cos(a), -np.exp(1j * phi) * np.sin(a)],
+                      [np.exp(-1j * phi) * np.sin(a), np.cos(a)]])
+        m = driven_qubit()
+        rot = QMarkovModel(H=V @ m.H @ dag(V), L=V @ m.L @ dag(V))
+        assert np.linalg.svd(rot.L, compute_uv=False)[1] > 0.0
+        for i in range(4):
+            rec, _ = simulate_counting(m, MIXED, T=2000.0, dt=0.01, seed=1, index=i,
+                                       method="exact", keep_states=False)
+            ref, _ = simulate_counting(rot, V @ MIXED @ dag(V), T=2000.0, dt=0.01, seed=1,
+                                       index=i, method="exact", keep_states=False)
+            assert rec.n_jumps == ref.n_jumps > 256
+            assert np.max(np.abs(rec.jumps - ref.jumps)) <= 1e-10
 
     def test_exact_matches_bernoulli_rate(self):
         m = driven_qubit()
