@@ -370,33 +370,25 @@ def kalman_gain(G: LinearQSystem, quadrature: str) -> tuple[np.ndarray, np.ndarr
 def _lti_run(A: np.ndarray, drive: np.ndarray) -> np.ndarray:
     """States z_0 = 0, z_1, ..., z_n of ``z_{k+1} = A z_k + drive[k]``.
 
-    Runs in blocks of B steps: inside a block the response to the drive is
-    one product with the block-Toeplitz matrix of A^0 ... A^(B-1), and the
-    state carried in enters through A^1 ... A^B, so only the n/B carries are
-    sequential.  B is 64, cut to the largest B with rho(A)^B <= 1e100 so that
-    the powers stay finite (a zero drive keeps exact zeros).  A non-finite A
-    gives non-finite states.
+    A doubling scan (Hillis and Steele, CACM 29, 1170, 1986): from
+    z = [0; drive], the level of stride m = 1, 2, 4, ... adds A^m z_{k-m} to
+    every z_k, so that after it z_k sums the last 2m terms of its recursion.
+    A level runs only while ||A^m||_max <= 1e100, which keeps the next square
+    finite, so a zero drive keeps exact zeros.  Past that, a carry of stride m
+    finishes the remaining lags, m states at a time.  A non-finite A gives
+    non-finite states.
     """
     n, d = drive.shape
     if not np.all(np.isfinite(A)):
         return np.vstack([np.zeros(d), np.full((n, d), np.nan)])
-    rho = np.max(np.abs(np.linalg.eigvals(A)))
-    B = 64 if rho <= 1.0 else int(np.clip(100.0 / np.log10(rho), 1, 64))
-    powers = [np.eye(d)]
-    for _ in range(B):
-        powers.append(A @ powers[-1])
-    powers = np.array(powers)
-    lag = np.subtract.outer(np.arange(B), np.arange(B))
-    toeplitz = np.where((lag >= 0)[..., None, None], powers[np.maximum(lag, 0)], 0.0)
-    nb = -(-n // B)
+    z, P, m = np.vstack([np.zeros(d), drive]), A, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        resp = (np.pad(drive, ((0, nb * B - n), (0, 0))).reshape(nb, B * d)
-                @ toeplitz.transpose(0, 2, 1, 3).reshape(B * d, B * d).T)
-        carry = np.zeros((nb, d))
-        for b in range(1, nb):
-            carry[b] = powers[B] @ carry[b - 1] + resp[b - 1, -d:]
-        resp += carry @ powers[1:].transpose(2, 0, 1).reshape(d, B * d)
-    return np.vstack([np.zeros(d), resp.reshape(nb * B, d)[:n]])
+        while m <= n and np.max(np.abs(P)) <= 1e100:
+            z[m:] += z[:-m] @ P.T
+            P, m = P @ P, 2 * m
+        for k in range(m, n + 1, m):
+            z[k : k + m] += z[k - m : min(k, n + 1 - m)] @ P.T
+    return z
 
 
 def simulate_innovation_form(

@@ -248,10 +248,10 @@ def _discrete_to_continuous(Ad, Bd, dt):
     return A, B
 
 
-def _project(rows, nu, nw):
+def _project(L, rows, nu, nw):
     """Oblique projection of Yf onto row(Wp) along row(Uf), from the stack
-    [Uf; Wp; Yf] given as coefficient rows in an orthonormal basis."""
-    L = np.linalg.qr(rows.T, mode="r").T
+    [Uf; Wp; Yf] given as coefficient rows in an orthonormal basis and their
+    lower-triangular factor L (rows = L Q^T with Q orthonormal)."""
     L22 = L[nu : nu + nw, nu : nu + nw]
     return L[nu + nw :, nu : nu + nw] @ np.linalg.pinv(L22) @ rows[nu : nu + nw]
 
@@ -322,10 +322,11 @@ def _hankel_factor(data, horizon, D, quadrature, orders) -> _HankelFactor:
     if sv_u[0] <= 0 or sv_u[-1] < 1e-9 * sv_u[0]:
         raise NotExciting("input block Hankel matrix is rank deficient")
     nw = i * (m + ell)
-    Oi = _project(L, nu, nw)
-    # the shifted stack [Uf-; Up+; Yp+; Yf-] permutes the rows of the first
-    perm = np.r_[m:nu, nu : 2 * nu, 0:m, 2 * nu : len(L)]
-    Oim = _project(L[perm], nu - m, nw + m + ell)
+    Oi = _project(L, L, nu, nw)
+    # the shifted stack [Uf-; Up+; Yp+; Yf-] permutes the rows of the first,
+    # so only it needs a triangular factor of its own
+    shifted = L[np.r_[m:nu, nu : 2 * nu, 0:m, 2 * nu : len(L)]]
+    Oim = _project(np.linalg.qr(shifted.T, mode="r").T, shifted, nu - m, nw + m + ell)
     Usv, sv, Vt = np.linalg.svd(Oi, full_matrices=False)
     # numerical rank cut at the tolerance of the (i, j) matrix Oi: an
     # over-parameterized fit to exact data gets exactly zero junk modes
@@ -647,21 +648,26 @@ def recover_full_c(
     return C
 
 
-def _one_step_mse(Ad, Bd, C, Kd, u, ytilde):
-    """One-step-ahead mean squared prediction error of a discrete model.
+def _sse(A, drive, c, y, start=0) -> float:
+    """Sum over k >= start of the squared one-step errors ``y[k] - c z_k`` of
+    the predictor ``z_{k+1} = A z_k + drive[k]``, z_0 = 0.  An unstable
+    predictor, one with a prediction past 1e100 in size (inf and nan
+    included), scores inf rather than an overflowed number."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = _lti_run(A, drive)[:-1] @ c
+    if not np.all(np.abs(pred) <= 1e100):
+        return np.inf
+    e = y[start:] - pred[start:]
+    return float(e @ e)
 
-    An unstable predictor (possible for over-parameterized fits) scores
-    infinite error rather than overflowing.
-    """
+
+def _one_step_mse(Ad, Bd, C, Kd, u, ytilde):
+    """One-step-ahead mean squared prediction error of a discrete model (inf
+    for an unstable predictor, possible for over-parameterized fits)."""
     c_row = np.asarray(C).reshape(-1)
     # z' = (Ad - Kd C) z + Bd u + Kd y
-    Z = _lti_run(Ad - np.outer(Kd[:, 0], c_row), u @ Bd.T + np.outer(ytilde, Kd[:, 0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        pred = Z[:-1] @ c_row
-    if not np.all(np.abs(pred) <= 1e100):  # also catches inf and nan
-        return np.inf
-    e = ytilde - pred
-    return float(e @ e) / len(ytilde)
+    return _sse(Ad - np.outer(Kd[:, 0], c_row), u @ Bd.T + np.outer(ytilde, Kd[:, 0]),
+                c_row, ytilde) / len(ytilde)
 
 
 def fpe_order_select(
@@ -710,7 +716,9 @@ def validate_nmse(
     samples, with ``yhat`` the one-step Kalman predictor of the supplied
     model.  The predictor starts from ``z = 0`` at the first sample and runs
     through the estimation split, so that by the split its state has
-    forgotten the start; only the validation samples are scored.
+    forgotten the start; only the validation samples are scored.  An
+    unstable predictor, one with a prediction past 1e100 in size (inf and
+    nan included), scores ``inf``, as in :func:`fpe_order_select`.
     """
     row = _quad_row(quadrature)
     y_val = data.validation()[1]
@@ -721,11 +729,9 @@ def validate_nmse(
     Cm, Dm = G.C[row], G.D[row]
     L_m = _real_vector(L_m, "L_m", 2 * G.n)
     # z' = z + (A z + B u) dt + L (y - Cm z - Dm u) dt
-    Z = _lti_run(np.eye(2 * G.n) + (G.A - np.outer(L_m, Cm)) * data.dt,
-                 (u @ (G.B - np.outer(L_m, Dm)).T + y[:, None] * L_m) * data.dt)
-    s = data.split_index
-    e = y[s:] - Z[s:-1] @ Cm - u[s:] @ Dm
-    return float(e @ e) / denom
+    return _sse(np.eye(2 * G.n) + (G.A - np.outer(L_m, Cm)) * data.dt,
+                (u @ (G.B - np.outer(L_m, Dm)).T + y[:, None] * L_m) * data.dt,
+                Cm, y - u @ Dm, data.split_index) / denom
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ them.
 """
 
 import functools
+import json
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +21,7 @@ from qiokit import sysid
 from qiokit.families import ParameterFamily, _tangent
 from qiokit.filtering import _loglik_table, log_likelihood
 from qiokit.operators import QMarkovModel
-from qiokit.sysid import fpe_order_select, subspace_id
+from qiokit.sysid import SysIdDataset, fpe_order_select, prbs_pair, subspace_id
 from qiokit.trajectories import CountingRecord, simulate_counting, trajectory_rng
 
 from conftest import SM, SX, driven_qubit, random_ergodic_model
@@ -174,10 +176,26 @@ def test_counting_score_matches_the_reference(label):
     assert err <= bound
 
 
+CAVITY_2000 = Path(__file__).with_name("data") / "cavity_2000.json"
+
+
 @functools.lru_cache(maxsize=None)
 def cavity_2000():
-    """A 2,000-sample cavity dataset (1,400 estimation samples)."""
-    return cavity_dataset(seed=0, T=100.0)[1]
+    """A 2,000-sample cavity dataset (1,400 estimation samples), read from a file in the
+    CLI's dataset schema: ``cavity_dataset(seed=0, T=100.0)``, frozen at the bits the
+    subspace rows below were pinned on."""
+    doc = json.loads(CAVITY_2000.read_text())
+    return SysIdDataset(dt=doc["dt"], inputs=doc["inputs"], outputs=doc["outputs"],
+                        split_index=doc["split_index"])
+
+
+def test_cavity_2000_is_the_cavity_process():
+    # a stale or edited file fails: its inputs are the PRBS exactly, and its outputs
+    # are the simulator's to within round-off of the recursion that builds them
+    data, want = cavity_2000(), cavity_dataset(seed=0, T=100.0)[1]
+    assert np.array_equal(data.inputs, prbs_pair(2000, 50.0, 0))
+    assert data.split_index == 1400 and data.dt == want.dt
+    assert np.max(np.abs(data.outputs - want.outputs)) <= 1e-12
 
 
 def identify(horizon):
@@ -194,6 +212,13 @@ def relative(x, want):
     return float(np.max(np.abs(x - want)) / np.max(np.abs(want)))
 
 
+# The rows read a frozen dataset (``cavity_2000``), not one simulated at test time.  Their
+# bounds hold the dataset's own round-off as well as the factor's: the same 2,000 samples
+# rebuilt by a plain float64 recursion, outputs moved by at most 2.8e-14, read
+# singular-value errors of 5.2e-16 at horizon 10 (bound 4e-16) and 4.3e-16 at horizon 5
+# (bound 4e-17).  So the file keeps the Hankel factor's check apart from the rounding of
+# the simulator's recursion.
+#
 # horizon: pinned bounds on the relative errors of R (row by row, up to row signs), of
 # the singular values and the Markov parameters (against the largest), and of the FPE
 # table.  The stack has r = 6 * horizon columns: 60 at the default horizon 10, 30 and 18

@@ -577,6 +577,18 @@ class TestRecursions:
         dY = (ref[:-1] @ G.C[0] + f @ G.D[0]) * dt + dnu
         assert np.max(np.abs(rec.increments - dY)) <= 1e-12 * np.max(np.abs(dY))
 
+    def test_simulate_innovation_form_past_the_scan(self):
+        # rho(I + A dt) = 1.1: ||(I + A dt)^4096|| is about 1e170, past the scan's 1e100
+        # limit, so a carry of stride 4096 finishes the recursion, with states near 1e207
+        G, dt, n = LinearQSystem(A=2.0 * np.eye(2), B=-np.eye(2), C=np.eye(2)), 0.05, 5000
+        gain, f = np.ones(2), prbs_pair(n, 5.0, 1)
+        _, traj = simulate_innovation_form(G, gain, "Q", f, T=n * dt, dt=dt, seed=3)
+        dnu = trajectory_rng(3, 0).normal(0.0, np.sqrt(dt), n)
+        ref = loop_states(np.eye(2) + G.A * dt, (f @ G.B.T) * dt + np.outer(dnu, gain))
+        assert np.max(np.abs(ref)) > 1e200
+        rows = np.max(np.abs(traj - ref), axis=1)[1:] / np.max(np.abs(ref), axis=1)[1:]
+        assert np.max(rows) <= 1e-12
+
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_validate_nmse(self, name):
         G, gain, dt, f = self.setup(name)
@@ -609,6 +621,14 @@ class TestValidateNMSE:
         assert abs(nmse - 1.0) < 0.05
         y = data.validation()[1]
         assert nmse == pytest.approx(np.sum(y**2) / np.sum((y - y.mean()) ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("gain", [[1e3, 0.0], [0.0, 0.0]], ids=["large gain", "no gain"])
+    def test_unstable_predictor_scores_inf(self, gain):
+        # an unstable drift makes the predictor overflow (large gain) or grow past 1e100
+        # (no gain): either way the model scores inf, as in fpe_order_select
+        G, data = cavity_dataset(seed=5)
+        unstable = LinearQSystem(A=0.5 * np.eye(2), B=G.B, C=G.C, D=G.D)
+        assert validate_nmse(unstable, np.array(gain), data, "Q") == np.inf
 
     def test_degenerate_output(self):
         data = SysIdDataset(dt=0.1, inputs=np.zeros((10, 2)),
