@@ -13,9 +13,10 @@ same discretization scheme:
   factors is the Zakai trace.  States are held as d^2 real Hermitian
   coordinates, so no step needs Hermitizing: one real product with a
   per-model step matrix gives the update, its factor, the measurement mean
-  and the linear parts of a screen of the smallest eigenvalue (closed form
-  for d = 2, Gershgorin for d > 2), which sends only the rows that may need
-  clipping to the exact eigvalsh clip.  Steps run in windows: the updates of 8
+  and the linear parts of one screen of the smallest eigenvalue for every d,
+  the trace bound Tr/d - sqrt((d-1)/d) |U - Tr/d I|_F (exact at d = 2), which
+  sends only the rows that may need clipping to the exact eigvalsh clip; a
+  bound that is NaN flags its row.  Steps run in windows: the updates of 8
   steps, doubled after each clean window up to 256 and back to 8 after a flag,
   then one screen; a flagged step's kept update goes on to the clip, and the
   screen changes no bit.
@@ -102,10 +103,9 @@ def _matrices(r):
 def _diffusive_step_matrix(H, L, dt, dH=None, dL=None):
     """Step matrix M on the real coordinates r (``_coords``) as row vectors:
     ``r @ M = [A0 r, A0 f, K r, K f, mean dt]``, A0 = I + dt Lindblad, K: rho ->
-    L rho + rho L^dag, mean = Tr((L+L^dag) rho), f the screen's linear parts: Tr,
-    s' = s - EIG_CLIP/2 Tr(rho) and for d = 2 z0, where [[a, x+iy], [x-iy, e]] has
-    smallest eigenvalue s - |(z0, x, y)|, s = (a+e)/2, z0 = (a-e)/2 (s = 0 for
-    d > 2).  (d^2, 2h+1) per model, h = d^2 + 2 (+1 for d = 2); stacks (b, d^2, 2h+1).
+    L rho + rho L^dag, mean = Tr((L+L^dag) rho), f the screen's linear parts: Tr and
+    s' = Tr/d - EIG_CLIP/2 Tr(rho), the trace term of the screen's bound on the
+    smallest eigenvalue.  (d^2, 2h+1) per model, h = d^2 + 2; stacks (b, d^2, 2h+1).
     Row k holds the images of the matrix E_k of coordinate k.  Derivatives dH, dL (k, d, d)
     lift A0, K onto (1 + k) d^2 rows [r, z_1, ..., z_k], for d^2 above; f and mean read r."""
     d = L.shape[-1]
@@ -124,9 +124,8 @@ def _diffusive_step_matrix(H, L, dt, dH=None, dL=None):
             X[..., :d * d, d * d:] = dXa.swapaxes(-3, -2).reshape(X.shape[:-2] + (d * d, -1))
     mean = np.zeros(A0.shape[:-1] + (1,))
     mean[..., :d * d, :] = expect(L + dag(L), E).real[..., None] * dt
-    f, shift = np.zeros((2, A0.shape[-1], 3 if d == 2 else 2))
-    f[:d, 0], shift[:d, 1] = 1.0, -0.5 * EIG_CLIP
-    f[:d * d, 1:] = [[0.5, 0.5], [0.5, -0.5], [0, 0], [0, 0]] if d == 2 else 0.0
+    f, shift = np.zeros((2, A0.shape[-1], 2))
+    f[:d], shift[:d, 1] = [1.0, 1.0 / d], -0.5 * EIG_CLIP
     return np.concatenate([A0, A0 @ f + shift, K, K @ f, mean], axis=-1)
 
 
@@ -159,11 +158,14 @@ def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_
     exact derivatives ``score`` (k, b) and ``dfinal`` (k, b, d, d) of loglik and final.
 
     Per step, ``r @ M`` (``_diffusive_step_matrix``) gives the mean, and one
-    multiply and one add of its halves give ``V = [U, Tr U, s', (z0)]``; U / Tr U is
-    the next r.  Rows with s' <= t (t = |(z0, x, y)| for d = 2, Gershgorin for d > 2)
-    or Tr U <= ``TRACE_FLOOR`` are flagged and go to ``eigvalsh`` (once Gershgorin
-    flags every row, to the end of the block).  Rows below ``EIG_CLIP`` are divided
-    by their clipped trace, all others by their factor, so the screen changes no bit.
+    multiply and one add of its halves give ``V = [U, Tr U, s']``; U / Tr U is the
+    next r.  One bound screens every d: U has no eigenvalue below Tr U/d - t,
+    t = sqrt((d-1)/d) |U - (Tr U/d) I|_F (Laguerre-Samuelson; exact at d = 2).  Rows
+    whose s' - t is not positive or is NaN (its squares overflowed), or whose Tr U <=
+    ``TRACE_FLOOR``, are flagged and go to ``eigvalsh``; at d > 2, once the screen
+    flags every row, every row does to the end of the block.  Rows below ``EIG_CLIP``
+    are divided by their clipped trace, all others by their factor, so the screen
+    changes no bit.
     While every row is alive and screened, steps run in windows: the update alone
     for each step, each V kept, then one screen of the whole window.  A window is 8
     steps, doubled after each clean window up to 256.  At its first flagged step the
@@ -194,10 +196,11 @@ def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_
     W, V = np.empty((b, 1, 2 * h + 1)), np.empty((B, b, 1, h))  # V[j]: step j's V
     A0_r, K_r, mean_dt = W[..., :h], W[..., h:2 * h], W[..., 2 * h:]
     U, F, factor, head = V[..., :m], V[..., m:m + 1], V[..., 0, m], V[..., 0, m:m + 2]
-    diag, z0, (x, y) = V[..., 0, :d], V[..., 0, m + 2:], np.split(V[..., 0, d:d2], 2, axis=-1)
     bound, gap = np.full((B, b, 2), TRACE_FLOOR), np.empty((B, b, 2))
-    t, iu, ju = bound[..., 1:], *np.triu_indices(d, 1)
-    pairs = ((np.arange(d) == iu[:, None]) | (np.arange(d) == ju[:, None])) * 1.0
+    # t^2 = (d-1)/d (|U|_F^2 - (Tr U)^2/d), a weighted sum of the squares of V[:m + 1]:
+    # a coordinate of U counts once on the diagonal and twice off it, a tangent not at all
+    t, weight = bound[..., 1], np.r_[np.repeat([1.0, 2.0, 0.0], [d, d2 - d, m - d2]), -1 / d]
+    weight *= (d - 1) / d
     alive, all_alive, loglik, win = np.ones(b, dtype=bool), True, np.zeros(b), 8
     Rs, dys, Vs, Us, Fs = map(list, (R, dy, V, U, F))  # per-step views, made once per sweep
     for k0 in range(0, n, B):
@@ -213,11 +216,7 @@ def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_
                 Vs[i] += A0_r
                 np.divide(Us[i], Fs[i], out=Rs[i + 1])
             if screened:  # gap = [Tr U - TRACE_FLOOR, s' - t]
-                if d == 2:
-                    np.hypot(z0[j:e], np.hypot(x[j:e], y[j:e], out=t[j:e]), out=t[j:e])
-                else:  # the largest Gershgorin radius less diagonal entry
-                    np.max(np.hypot(x[j:e], y[j:e]) @ pairs - diag[j:e], -1, out=t[j:e],
-                           keepdims=True)
+                np.sqrt(np.square(V[j:e, :, 0, :m + 1]) @ weight, out=t[j:e])
                 np.subtract(head[j:e], bound[j:e], out=gap[j:e])
                 if all_alive and gap[j:e].min() > 0.0:  # the window stands
                     j, win = e, min(max(2 * win, 8), 256)
@@ -225,8 +224,8 @@ def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_
                 if e > j + 1:  # the first flagged step; undo the mean added to the later ones
                     j += int((gap[j:e].min(axis=(1, 2)) > 0.0).argmin())
                     dy[j + 1:e, :, 0, 0] = noise[:, k0 + j + 1:k0 + e].T
-                flagged = (gap[j, :, 1] <= 0.0) & alive
-                screened = d == 2 or not flagged.all()  # Gershgorin: till the block ends
+                flagged = ~(gap[j, :, 1] > 0.0) & alive  # a NaN bound flags its row
+                screened = d == 2 or not flagged.all()  # d > 2: unscreened till the block ends
             else:
                 flagged = alive
             u, f, j, win = U[j], factor[j], j + 1, 1  # the flagged step; one-step windows next

@@ -420,7 +420,9 @@ def simulate_innovation_form(
 
 def random_symplectic(n: int, rng: np.random.Generator, scale: float = 0.4) -> SymplecticMatrix:
     """Random symplectic matrix exp(J_n S) with S symmetric."""
-    m = 2 * _check_int(n, "n", 1)
+    m, scale = 2 * _check_int(n, "n", 1), _check_finite(scale, "scale")
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     S = rng.normal(size=(m, m))
     S = scale * (S + S.T) / 2
     import scipy.linalg
@@ -444,7 +446,7 @@ def gamma_rigidity(
     a proof.
     """
     Gamma, n = _even_square(Gamma, "Gamma"), _check_int(n, "n", 1)
-    n_samples = _check_int(n_samples, "n_samples", 1)
+    n_samples, tol = _check_int(n_samples, "n_samples", 1), _check_positive(tol, "tol")
     big = np.kron(np.eye(n), Gamma) if Gamma.shape == (2, 2) and n > 1 else Gamma
     rng = np.random.default_rng(_check_int(seed, "seed", 0))
     dim = big.shape[0] // 2

@@ -337,6 +337,9 @@ class Superoperator:
         return int(round(self.mat.shape[0] ** 0.5))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        x = _square_complex(x, "x")
+        if x.shape != (self.dim,) * 2:
+            raise ValidationError(f"x must have shape {(self.dim,) * 2}, got {x.shape}")
         return unvec(self.mat @ vec(x), self.dim)
 
 

@@ -48,6 +48,8 @@ def schema_errors(what: str):
 def known_keys(d: dict, *keys: str) -> dict:
     """``d``, a parsed JSON object, if it holds no key but ``keys``, so that a misspelt
     key is an error and not a default taken in silence."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"expected a JSON object, got {type(d).__name__}")
     unknown = sorted(d.keys() - set(keys))
     if unknown:
         raise ValidationError(f"unknown key {unknown[0]!r}")

@@ -523,10 +523,14 @@ def pr_projection(
     D = _real_matrix(D, "D", (2, 2))
     seed, n_starts = _check_int(seed, "seed", 0), _check_int(n_starts, "n_starts", 1)
     max_nfev = _check_int(max_nfev, "max_nfev", 1)
-    Ahat = _even_square(raw[0], "Ahat")
+    try:
+        Ahat, Bhat, Cmhat = raw
+    except (TypeError, ValueError):  # not iterable, or not three entries
+        raise ValidationError("raw must be a triple (Ahat, Bhat, Cmhat)") from None
+    Ahat = _even_square(Ahat, "Ahat")
     n2 = Ahat.shape[0]
-    Bhat = _real_matrix(raw[1], "Bhat", (n2, 2))
-    Cmhat = _real_vector(raw[2], "Cmhat", n2)[None]
+    Bhat = _real_matrix(Bhat, "Bhat", (n2, 2))
+    Cmhat = _real_vector(Cmhat, "Cmhat", n2)[None]
     J, Jn = symplectic_form(1), symplectic_form(n2 // 2)
     # the last four realizability residuals, D J D^T - J, depend on D alone
     scatter = np.max(np.abs(_pr_equations(Ahat, Bhat, np.zeros((2, n2)), D, Jn)[-4:]))

@@ -118,7 +118,7 @@ class HomodyneEnsemble:
     states: np.ndarray | None   # (n_traj, n_steps+1, d, d) when kept
 
     def record(self, i: int) -> DiffusiveRecord:
-        return DiffusiveRecord(dt=self.dt, increments=self.increments[i])
+        return DiffusiveRecord(dt=self.dt, increments=self.increments[_row(i, self.n_traj)])
 
     @property
     def n_traj(self) -> int:
@@ -137,11 +137,19 @@ class CountingEnsemble:
     states: np.ndarray | None
 
     def record(self, i: int) -> CountingRecord:
-        return CountingRecord(horizon=self.horizon, jumps=self.jump_times[i])
+        return CountingRecord(horizon=self.horizon, jumps=self.jump_times[_row(i, self.n_traj)])
 
     @property
     def n_traj(self) -> int:
         return len(self.jump_times)
+
+
+def _row(i, n_traj: int) -> int:
+    """``i`` checked as the index of one of an ensemble's ``n_traj`` rows."""
+    i = _check_int(i, "i", 0)
+    if i >= n_traj:
+        raise ValidationError(f"i must be below n_traj = {n_traj}, got {i}")
+    return i
 
 
 def trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:

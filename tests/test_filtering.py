@@ -208,6 +208,20 @@ class TestRunZakai:
         w = np.linalg.eigvalsh(full)
         assert w.min() >= -1e-10
 
+    @pytest.mark.parametrize("start", ["mixed", "pure"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_screen_clips_where_its_bound_overflows(self, d, start):
+        # an increment of 1e155 or more overflows the squares in the eigenvalue screen's
+        # bound to NaN; a NaN bound flags its row, so every kept state still gets the clip
+        m = driven_qubit() if d == 2 else random_ergodic_model(3, np.random.default_rng(3), 0.7)
+        rho0 = np.eye(d) / d if start == "mixed" else np.diag(np.eye(d)[0])
+        for size, sign in product((1e155, 1e200, 1e300), (1, -1)):
+            inc = np.full(20, 0.01)
+            inc[10] = sign * size
+            z = run_zakai(m, rho0, DiffusiveRecord(dt=1e-3, increments=inc))
+            live = np.isfinite(z.logtrace)
+            assert np.linalg.eigvalsh(z.states[live]).min() >= -1e-12
+
 
 class TestLogLikelihood:
     def test_counting_fast_path_matches_zakai(self):
@@ -605,8 +619,8 @@ def _qutrit():
     return random_ergodic_model(3, np.random.default_rng(3), scale=0.7)
 
 
-# (model, initial state); the pure starts make the clip fire, and d = 8 takes
-# the Gershgorin screen of the diffusive step
+# (model, initial state); the pure starts make the clip fire, and at d = 8 the
+# diffusive step's screen flags every row, so it runs unscreened to the block's end
 SCHEME_CASES = {
     "qubit mixed": (driven_qubit, MIXED),
     "qubit ground": (driven_qubit, GROUND),

@@ -56,7 +56,7 @@ from qiokit.operators import (
     vec,
     zero_mean_inverse,
 )
-from qiokit.serialize import family_from_dict, model_from_dict
+from qiokit.serialize import family_from_dict, known_keys, model_from_dict
 from qiokit.sysid import (
     PipelineConfig,
     SysIdDataset,
@@ -208,8 +208,27 @@ def _boundary_calls():
         "gamma_rigidity nan Gamma": ("Gamma contains non-finite", lambda: gamma_rigidity(NAN2)),
         "gamma_rigidity n_samples 2.5": ("n_samples must be positive and integral",
                                          lambda: gamma_rigidity(np.eye(2), n_samples=2.5)),
+        "gamma_rigidity tol -1": ("tol must be positive and finite",
+                                  lambda: gamma_rigidity(np.eye(2), tol=-1.0)),
         "random_symplectic n 0": ("n must be positive and integral",
                                   lambda: random_symplectic(0, np.random.default_rng(0))),
+        "random_symplectic rng 5": ("rng must be a numpy Generator, got int",
+                                    lambda: random_symplectic(1, 5)),
+        "random_symplectic scale 'x'": ("scale must be a real number", lambda: (
+            random_symplectic(1, np.random.default_rng(0), scale="x"))),
+        # raw, the estimate pr_projection projects, is read as a triple
+        **{f"pr_projection raw {label}": ("raw must be a triple \\(Ahat, Bhat, Cmhat\\)",
+                                          lambda raw=raw: pr_projection(raw, np.eye(2)))
+           for label, raw in [("(A, B)", (cavity.A, cavity.B)), ("None", None), ("{}", {})]},
+        # an ensemble's record i is one of its rows
+        **{f"{kind} record {i!r}": (rule, lambda ens=ens, i=i: ens().record(i))
+           for kind, ens in [("HomodyneEnsemble", lambda: simulate_homodyne_ensemble(*sim, 2, 0)),
+                             ("CountingEnsemble", lambda: simulate_counting_ensemble(*sim, 2, 0))]
+           for i, rule in [(2.0, "i must be nonnegative and integral"),
+                           ("a", "i must be nonnegative and integral"),
+                           (True, "i must be nonnegative and integral"),
+                           (-1, "i must be nonnegative and integral"),
+                           (5, "i must be below n_traj = 2, got 5")]},
         "symplectic_form n 2.5": ("n must be nonnegative and integral",
                                   lambda: symplectic_form(2.5)),
         "symplectic_form n -1": ("n must be nonnegative and integral",
@@ -371,6 +390,8 @@ def _boundary_calls():
             mat=np.zeros((4, 4)), picture="x")),
         "lindblad_generator picture 'x'": ("unknown picture 'x'",
                                            lambda: lindblad_generator(m, picture="x")),
+        "Superoperator apply 3 x 3": ("x must have shape \\(2, 2\\), got \\(3, 3\\)",
+                                      lambda: lindblad_generator(m).apply(np.eye(3))),
         "QMarkovModel 2 x 3 H": ("H must be square", lambda: QMarkovModel(
             H=np.zeros((2, 3)), L=SM)),
         "DensityOperator non-Hermitian": ("rho is not Hermitian", lambda: DensityOperator(
@@ -388,6 +409,7 @@ def _boundary_calls():
                                           "L_im": ZERO2.real.tolist()})),
         "family_from_dict kind 'x'": ("unknown family kind 'x'",
                                       lambda: family_from_dict({"kind": "x"})),
+        "known_keys list": ("expected a JSON object, got list", lambda: known_keys([1], "a")),
         "conditional_qfi likelihood zero": ("the record has likelihood zero", lambda: (
             conditional_qfi(ParameterFamily.affine(QMarkovModel(H=ZERO2, L=ZERO2), [SX],
                                                    [ZERO2]), 0.5, MIXED, rec)), ZeroJumpRate),
