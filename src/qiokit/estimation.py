@@ -22,7 +22,7 @@ from .exceptions import (
     ValidationError,
     ZeroVariance,
 )
-from .families import ParameterFamily, _one_parameter, _tangent
+from .families import ParameterFamily, _one_parameter
 from .operators import (
     QMarkovModel,
     _array,
@@ -101,12 +101,6 @@ def _grid_points(domain: np.ndarray, n: int) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def _model_stack(family, thetas):
-    """(H, L) of the family at each parameter point, stacked."""
-    models = [family.model(th) for th in thetas]
-    return np.stack([m.H for m in models]), np.stack([m.L for m in models])
-
-
 def mle(
     family: ParameterFamily, records, rho0,
     *, dt: float = DEFAULT_DT, lam: float = 1.0, grid_points: int = 21,
@@ -139,7 +133,7 @@ def mle(
     thetas = _grid_points(family.domain, n)
 
     def table(points):
-        return _loglik_table(*_model_stack(family, points), rho0, records, dt, lam).loglik.sum(1)
+        return _loglik_table(*family._evaluate(points)[:2], rho0, records, dt, lam).loglik.sum(1)
 
     logliks = table(thetas)
     finite = np.isfinite(logliks)
@@ -161,8 +155,8 @@ def mle(
                          diagnostics=diagnostics)
 
     def neg(theta):  # -loglik and -score
-        m = family.model(theta)
-        out = _loglik_table(m.H, m.L, rho0, records, dt, lam, _tangent(family, theta))
+        H, L, dH, dL = family._at(theta)
+        out = _loglik_table(H, L, rho0, records, dt, lam, (dH, dL))
         f = -float(out.loglik.sum())
         return (f, -out.score.sum(axis=1)) if f < np.inf else (f, np.zeros(family.k))
 
@@ -216,7 +210,7 @@ def posterior_grid(
         raise ValidationError("prior must assign one weight per grid point")
     if not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-8):
         raise ValidationError("prior must be a probability vector on the grid")
-    logliks = _loglik_table(*_model_stack(family, grid), rho0, [record], dt, lam).loglik[:, 0]
+    logliks = _loglik_table(*family._evaluate(grid)[:2], rho0, [record], dt, lam).loglik[:, 0]
     with np.errstate(divide="ignore"):
         logw = logliks + np.log(prior)
     if not np.any(np.isfinite(logw)):
@@ -285,12 +279,10 @@ def counting_fisher(family: ParameterFamily, theta: float) -> float:
     d mu = Tr(rho_ss d(L^dag L)) - Tr(dG(rho_ss) A) is exact by linear response,
     A as in :func:`counting_rate_and_variance` and dG the generator's derivative.
     """
-    theta = _one_parameter(family, theta, "counting_fisher")
-    model = family.model([theta])
-    rho, _, V, A = _counting_response(model)
+    H, L, (dH,), (dL,) = _one_parameter(family, theta, "counting_fisher")
+    rho, _, V, A = _counting_response(QMarkovModel(H=H, L=L))
     if V <= 1e-14:
         raise ZeroVariance("asymptotic count variance is zero")
-    (dH,), (dL,), L = family.h_dot(theta), family.l_dot(theta), model.L
     dG = _nojump_tangent(L, dH, dL)  # (L^dag L)' = dG + dG^dag
     d_rho = _lindblad_tangent(L, dL, dG, rho)
     mu_dot = float(np.trace(rho @ (dG + dag(dG))).real - np.trace(d_rho @ A).real)
@@ -334,9 +326,10 @@ def abc_rejection(
         raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
     n_sims, n_pilot = _check_int(n_sims, "n_sims", 1), _check_int(n_pilot, "n_pilot", 2)
     obs = _finite_vector(observed_stats, "observed statistics")
-    thetas = [_finite_vector(prior_sampler(trajectory_rng(seed, i)), f"prior draw of sample {i}")
+    thetas = [family._theta(_finite_vector(prior_sampler(trajectory_rng(seed, i)),
+                                           f"prior draw of sample {i}"))
               for i in range(n_pilot + n_sims)]
-    ens = _simulate(kind, *_model_stack(family, thetas), rho0, T, dt, seed + 1, 0, len(thetas))
+    ens = _simulate(kind, *family._evaluate(thetas)[:2], rho0, T, dt, seed + 1, 0, len(thetas))
     stats = [_finite_vector(stat_fn(ens.record(i)), f"statistics of sample {i}", len(obs))
              for i in range(len(thetas))]
     # the pilot rows fix the standardization
@@ -362,13 +355,12 @@ def mc_classical_fisher(
     estimates the variance of their scores, the tangent of the simulation's own
     sweep; their mean, reported too, should be near zero.
     """
-    theta = _one_parameter(family, theta, "mc_classical_fisher")
+    H, L, dH, dL = _one_parameter(family, theta, "mc_classical_fisher")
     n_traj = _check_int(n_traj, "n_traj", 2)
     if kind == "exact":  # the simulation kinds here are the record kinds
         raise ValidationError("exact sampling takes one model, in simulate_counting only; "
                               "kind must be 'counting' or 'diffusive'")
-    m, tangent = family.model([theta]), _tangent(family, theta)
-    scores = _simulate(kind, m.H, m.L, rho0, T, dt, seed, 0, n_traj, tangent=tangent)[0]
+    scores = _simulate(kind, H, L, rho0, T, dt, seed, 0, n_traj, tangent=(dH, dL))[0]
     scores = scores[np.isfinite(scores)]
     n = len(scores)
     if n < 2:

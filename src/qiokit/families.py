@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ValidationError
-from .operators import QMarkovModel, _array, _check_arguments, _freeze, _square_complex
+from .operators import (HERM_TOL, QMarkovModel, _array, _check_arguments, _freeze,
+                        _square_complex)
 
 __all__ = ["ParameterFamily"]
 
@@ -84,39 +85,51 @@ class ParameterFamily:
         t = self._theta(theta)
         return bool(np.all(t >= self.domain[:, 0]) and np.all(t <= self.domain[:, 1]))
 
+    def _evaluate(self, points) -> tuple:
+        """H, L (n, d, d) and their derivatives dH, dL (n, k, d, d) at the rows of the
+        (n, k) ``points``, by one broadcast in the order of a per-point sum, and checked
+        as :class:`QMarkovModel` checks one model."""
+        t = _array(points, "theta")
+        if t.ndim != 2 or t.shape[1] != self.k:
+            raise ValidationError(f"theta must have shape (n, {self.k}), got {t.shape}")
+        n, d, t = len(t), self.base.dim, t[:, :, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.phase:  # (H, exp(-i theta) L)
+                e = np.exp(-1j * t)
+                H, L = np.broadcast_to(self.base.H, (n, d, d)).copy(), e[:, 0] * self.base.L
+                dH, dL = np.zeros((n, 1, d, d), complex), -1j * e * self.base.L
+            else:
+                dH, dL = (np.broadcast_to(np.stack(x), (n, self.k, d, d)).copy()
+                          for x in (self.h_dirs, self.l_dirs))
+                H = self.base.H + (t * dH).sum(1, initial=0)
+                L = self.base.L + (t * dL).sum(1, initial=0)
+            H, L = _array(H, "H", complex), _array(L, "L", complex)
+            if np.max(np.abs(H - H.conj().swapaxes(1, 2))) > HERM_TOL:
+                raise ValidationError("H is not Hermitian to 1e-12")
+        return H, L, dH, dL
+
+    def _at(self, theta) -> list:
+        """H, L (d, d) and dH, dL (k, d, d) at the one point theta."""
+        return [x[0] for x in self._evaluate(self._theta(theta)[None])]
+
     def model(self, theta) -> QMarkovModel:
-        t = self._theta(theta)
-        if self.phase:
-            return QMarkovModel(H=self.base.H, L=np.exp(-1j * t[0]) * self.base.L)
-        H = self.base.H + sum(ti * Hi for ti, Hi in zip(t, self.h_dirs))
-        L = self.base.L + sum(ti * Li for ti, Li in zip(t, self.l_dirs))
-        return QMarkovModel(H=H, L=L)
+        return QMarkovModel(*self._at(theta)[:2])
 
     def h_dot(self, theta) -> list:
         """Derivative of H_theta in each parameter direction."""
-        self._theta(theta)
-        if self.phase:
-            return [np.zeros_like(self.base.H)]
-        return [np.array(Hi) for Hi in self.h_dirs]
+        return list(self._at(theta)[2])
 
     def l_dot(self, theta) -> list:
         """Derivative of L_theta in each parameter direction."""
-        t = self._theta(theta)
-        if self.phase:
-            return [-1j * np.exp(-1j * t[0]) * self.base.L]
-        return [np.array(Li) for Li in self.l_dirs]
+        return list(self._at(theta)[3])
 
 
-def _tangent(family: ParameterFamily, theta) -> tuple:
-    """(dH, dL) at theta: the (k, d, d) derivatives of H and L along each parameter."""
-    return np.stack(family.h_dot(theta)), np.stack(family.l_dot(theta))
-
-
-def _one_parameter(family: ParameterFamily, theta, name: str) -> float:
-    """theta of a one-parameter Fisher estimator, which must lie inside the family domain."""
+def _one_parameter(family: ParameterFamily, theta, name: str) -> list:
+    """H, L (d, d) and dH, dL (1, d, d) at the theta of a one-parameter Fisher estimator,
+    which must lie inside the family domain."""
     if family.k != 1 or not family.in_domain(theta):
         raise ValidationError(f"{name} takes one parameter inside the family domain")
-    return float(family._theta(theta)[0])
+    return family._at(theta)
 
 
 _check_arguments(globals())

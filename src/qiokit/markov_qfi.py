@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError, ZeroJumpRate
-from .families import ParameterFamily, _one_parameter, _tangent
+from .families import ParameterFamily, _one_parameter
 from .filtering import DEFAULT_DT, _loglik_table
 from .operators import (
     QMarkovModel,
@@ -56,12 +56,12 @@ class GaugeElement:
 
 def _generators(family: ParameterFamily, theta):
     """The G_a operators and the stationary state at theta."""
-    model = family.model(theta)
+    H, L, dH, dL = family._at(theta)
+    model = QMarkovModel(H=H, L=L)
     rho_ss = _ergodic_stationary(model).rho
-    L = model.L
     eye = np.eye(model.dim)
     gs = []
-    for Hdot, Ldot in zip(family.h_dot(theta), family.l_dot(theta)):
+    for Hdot, Ldot in zip(dH, dL):
         edot = Hdot + op_imag(Ldot.conj().T @ L)
         edot = edot - np.trace(rho_ss @ edot).real * eye
         A = zero_mean_inverse(model, edot)
@@ -72,12 +72,7 @@ def _generators(family: ParameterFamily, theta):
 def qfi_rate_raw(family: ParameterFamily, theta) -> np.ndarray:
     """Unscaled matrix Tr[rho_ss G_a^dag G_b]; complex off the diagonal."""
     gs, rho_ss = _generators(family, theta)
-    k = len(gs)
-    out = np.empty((k, k), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            out[a, b] = np.trace(rho_ss @ gs[a].conj().T @ gs[b])
-    return out
+    return np.array([[np.trace(rho_ss @ ga.conj().T @ gb) for gb in gs] for ga in gs])
 
 
 def qfi_rate(family: ParameterFamily, theta) -> np.ndarray:
@@ -107,9 +102,8 @@ def conditional_qfi(family: ParameterFamily, theta, rho0, record: MeasurementRec
     final-measurement information term in the combined Cramer-Rao bound.  A
     counting record of likelihood zero raises :class:`ZeroJumpRate`.
     """
-    theta = _one_parameter(family, theta, "conditional_qfi")
-    model = family.model([theta])
-    out = _loglik_table(model.H, model.L, rho0, [record], dt, 1.0, _tangent(family, theta))
+    H, L, dH, dL = _one_parameter(family, theta, "conditional_qfi")
+    out = _loglik_table(H, L, rho0, [record], dt, 1.0, (dH, dL))
     if isinstance(record, CountingRecord) and out.loglik[0, 0] == -np.inf:
         raise ZeroJumpRate("the record has likelihood zero at theta")
     center, drho = out.final[0, 0], out.dfinal[0, 0]

@@ -40,6 +40,11 @@ def decay_qubit(kappa=1.0) -> QMarkovModel:
     return QMarkovModel(H=np.zeros((2, 2)), L=np.sqrt(kappa) * SM)
 
 
+def tangent(family, theta):
+    """(dH, dL), the (k, d, d) derivatives of the family's H and L at theta."""
+    return tuple(family._at(theta)[2:])
+
+
 def random_hermitian(d, rng, scale=1.0):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * (a + a.conj().T) / 2

@@ -1,4 +1,4 @@
-"""A ledger of qiokit's diffusive outputs: every output of a fixed catalogue of
+"""A ledger of qiokit's outputs: every output of a fixed catalogue of
 public-API calls in one file, and a comparison of two such files, entry by entry.
 
     python tests/ledger.py write OUT.npz
@@ -21,7 +21,17 @@ The catalogue:
 * ``run_zakai`` on 20-step records with one increment of +-1e155, 1e200 or 1e300,
   whose squares overflow, at d = 2 and 3, and a record whose row dies;
 * the diffusive ``mle``, ``mc_classical_fisher`` at d = 2 and 3, and
-  ``conditional_qfi``.
+  ``conditional_qfi``;
+* exact counting records (T = 2000) of the driven qubit, whose rank-one L takes the
+  renewal path, of ``random_ergodic_model`` at d = 3 and of the exceptional point
+  Omega = kappa/2, and Bernoulli ensembles (b = 1, 7, 100) of the same models with
+  ``log_likelihood_many`` on them;
+* counting estimation: ``mle`` on the Rabi family with the records of the
+  ``counting_mle`` ops 0-1 at seeds 1 and 2026 (T = 2000, 21 grid points), and on
+  the (Rabi frequency, L scale) ridge family at T = 2000, seed 2;
+  ``posterior_grid`` on both and, with a diffusive record, on the phase family; a
+  small ``abc_rejection``, ``mc_classical_fisher``, ``counting_fisher``,
+  ``qfi_rate`` and ``conditional_qfi``.
 """
 
 from __future__ import annotations
@@ -34,10 +44,15 @@ import numpy as np
 from qiokit import (
     DiffusiveRecord,
     ParameterFamily,
+    QMarkovModel,
+    abc_rejection,
     conditional_qfi,
+    counting_fisher,
     log_likelihood_many,
     mc_classical_fisher,
     mle,
+    posterior_grid,
+    qfi_rate,
     run_filter,
     run_zakai,
     simulate_counting,
@@ -45,6 +60,7 @@ from qiokit import (
     simulate_homodyne,
     simulate_homodyne_ensemble,
     simulate_reference,
+    stat_total_counts,
 )
 
 from conftest import SM, SX, driven_qubit, random_ergodic_model
@@ -145,10 +161,76 @@ def _estimation():
         yield out.items(), f"estimation/d={d}"
 
 
+def _counting():
+    models = {"driven qubit": driven_qubit(),
+              "d=3": random_ergodic_model(3, np.random.default_rng(3), 0.7),
+              "exceptional point": driven_qubit(omega=0.5)}
+    for name, m in models.items():
+        rho0 = _mixed(m.dim)
+        for i in range(2):
+            rec, traj = simulate_counting(m, rho0, 2000.0, 1e-2, 9, index=i, keep_states=False,
+                                          method="exact")
+            yield ({"jumps": rec.jumps, "loglik": traj.loglik, "final": traj.states}.items(),
+                   f"exact/{name}/index {i}")
+        for b in (1, 7, 100):
+            ens = simulate_counting_ensemble(m, rho0, 20.0, 1e-2, b, 5, keep_states=b == 7)
+            records = [ens.record(j) for j in range(b)]
+            out = {"counts": ens.counts, "jumps": np.concatenate(ens.jump_times),
+                   "logliks": ens.logliks, "final": ens.final_states,
+                   "replay": log_likelihood_many(m, rho0, records, dt=1e-2)}
+            out |= {"states": ens.states} if b == 7 else {}
+            yield out.items(), f"bernoulli/{name}/b={b}"
+
+
+def _fit(res):
+    d = res.diagnostics
+    return {"theta": res.theta, "loglik": res.loglik, "grid best": d["grid_best"],
+            "grid spread": d["grid_spread"], "nfev": d["nfev"], "converged": d["converged"]}
+
+
+def _counting_estimation():
+    zero, rho0 = np.zeros((2, 2), complex), _mixed(2)
+    rabi = ParameterFamily.affine(QMarkovModel(H=zero, L=SM), [0.5 * SX], [zero],
+                                  domain=((0.2, 2.0),))
+    ridge = ParameterFamily.affine(QMarkovModel(H=zero, L=SM), [0.5 * SX, zero], [zero, SM],
+                                   domain=((0.2, 2.0), (-0.5, 0.5)))
+    phase = ParameterFamily.phase_family(driven_qubit())
+    records = [simulate_counting(rabi.model([1.0]), rho0, 2000.0, 1e-2, seed, index=i,
+                                 keep_states=False, method="exact")[0]
+               for seed in (1, 2026) for i in range(2)]
+    for j, rec in enumerate(records):
+        yield _fit(mle(rabi, [rec], rho0, dt=1e-2)).items(), f"counting mle/k=1/record {j}"
+    rec = simulate_counting(ridge.model([1.0, 0.0]), rho0, 2000.0, 1e-2, 2, keep_states=False,
+                            method="exact")[0]
+    yield _fit(mle(ridge, [rec], rho0, dt=1e-2)).items(), "counting mle/k=2/T=2000 seed 2"
+    drec = simulate_homodyne(phase.model([0.3]), rho0, 5.0, 1e-3, 3, keep_states=False)[0]
+    mesh = np.meshgrid(np.linspace(0.2, 2.0, 11), np.linspace(-0.5, 0.5, 11), indexing="ij")
+    for key, fam, r, grid in [("k=1", rabi, records[0], np.linspace(0.2, 2.0, 41)[:, None]),
+                              ("k=2", ridge, rec, np.stack([m.ravel() for m in mesh], -1)),
+                              ("phase family", phase, drec, np.linspace(-1.0, 1.0, 21)[:, None])]:
+        prior = np.linspace(1.0, 2.0, len(grid))
+        post = posterior_grid(fam, r, rho0, grid, prior / prior.sum(), dt=1e-2)
+        yield {"log weights": post.log_weights, "weights": post.weights, "pm": post.pm,
+               "sd": post.sd()}.items(), f"posterior_grid/{key}"
+    short = records[0].jumps[records[0].jumps <= 20.0]
+    accepted = abc_rejection(rabi, [len(short)], lambda rng: [rng.uniform(0.2, 2.0)],
+                             stat_total_counts, 40, 1.0, 3, rho0=rho0, T=20.0, n_pilot=10)
+    fisher = mc_classical_fisher(rabi, 1.0, rho0, "counting", 20.0, 1e-2, 40, seed=5)
+    out = {"abc accepted": np.reshape(accepted, (-1, 1)),
+           "mc_classical_fisher": [fisher.value, fisher.stderr, fisher.mean_score,
+                                   fisher.mean_score_stderr],
+           "conditional_qfi": conditional_qfi(rabi, 1.0, rho0, records[0], dt=1e-2)}
+    for key, fam, theta in [("rabi", rabi, 1.0), ("phase family", phase, 0.3)]:
+        out |= {f"counting_fisher {key}": counting_fisher(fam, theta),
+                f"qfi_rate {key}": qfi_rate(fam, [theta])}
+    yield (out | {"qfi_rate ridge": qfi_rate(ridge, [1.0, 0.0])}).items(), "counting estimation"
+
+
 def write(path):
     n = 0
     with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
-        for group in (_bench_ops, _widths, _edges, _estimation):
+        for group in (_bench_ops, _widths, _edges, _estimation, _counting,
+                      _counting_estimation):
             for items, key in group():
                 for name, value in items:
                     with zf.open(f"{key}/{name}.npy", "w", force_zip64=True) as f:

@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from qiokit import sysid
-from qiokit.families import ParameterFamily, _tangent
+from qiokit.families import ParameterFamily
 from qiokit.filtering import _loglik_table, log_likelihood
 from qiokit.operators import QMarkovModel
 from qiokit.sysid import SysIdDataset, fpe_order_select, prbs_pair, subspace_id
 from qiokit.trajectories import CountingRecord, simulate_counting, trajectory_rng
 
-from conftest import SM, SX, driven_qubit, random_ergodic_model
+from conftest import SM, SX, driven_qubit, random_ergodic_model, tangent as _tangent
 from reference import counting_loglik, hankel_r
 from test_sysid import cavity_dataset
 

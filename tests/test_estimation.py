@@ -25,7 +25,7 @@ from qiokit.exceptions import (
     ZeroVariance,
 )
 from qiokit import _integrators as integ
-from qiokit.families import ParameterFamily, _tangent
+from qiokit.families import ParameterFamily
 from qiokit.filtering import _loglik_table, log_likelihood
 from qiokit.markov_qfi import conditional_qfi
 from qiokit.operators import DensityOperator
@@ -39,7 +39,7 @@ from qiokit.trajectories import (
     simulate_homodyne_ensemble,
 )
 
-from conftest import NON_PHYSICAL, SM, SX, decay_qubit, driven_qubit
+from conftest import NON_PHYSICAL, SM, SX, decay_qubit, driven_qubit, tangent as _tangent
 
 MIXED = np.eye(2, dtype=complex) / 2
 ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -71,6 +71,34 @@ class TestFamilies:
         ld = fam.l_dot([0.3])[0]
         assert np.max(np.abs(ld + 1j * np.exp(-0.3j) * driven_qubit().L)) < 1e-14
         assert np.max(np.abs(fam.h_dot([0.3])[0])) == 0.0
+
+    def test_points_are_evaluated_as_per_point_sums(self):
+        # one broadcast over the points has the bits of a Python sum from 0 at each point:
+        # a -0.0 in the base plus -0.0 terms (theta < 0 on a zero entry) comes out as 0.0
+        gen = np.random.default_rng(5)
+        a = gen.normal(size=(4, 3, 3)) + 1j * gen.normal(size=(4, 3, 3))
+        base3 = QMarkovModel(H=a[0] + a[0].conj().T, L=a[1])
+        families = [
+            rabi_family(),
+            ParameterFamily.affine(QMarkovModel(H=ZERO2, L=SM), [0.5 * SX, ZERO2], [ZERO2, SM]),
+            ParameterFamily.affine(base3, [a[2] + a[2].conj().T, np.diag([1.0, 2.0, 3.0])],
+                                   [a[3], a[1].T]),
+            ParameterFamily.affine(QMarkovModel(H=-ZERO2, L=-ZERO2), [SX], [SM]),
+            ParameterFamily.phase_family(driven_qubit()),
+        ]
+        for fam in families:
+            points = np.concatenate([gen.uniform(-2.0, 2.0, (20, fam.k)), -np.zeros((1, fam.k))])
+            for t, *got in zip(points, *fam._evaluate(points)):
+                if fam.phase:
+                    e = np.exp(-1j * t[0])
+                    want = [fam.base.H, e * fam.base.L, [np.zeros_like(fam.base.H)],
+                            [-1j * e * fam.base.L]]
+                else:
+                    want = [fam.base.H + sum(ti * x for ti, x in zip(t, fam.h_dirs)),
+                            fam.base.L + sum(ti * x for ti, x in zip(t, fam.l_dirs)),
+                            fam.h_dirs, fam.l_dirs]
+                for g, w in zip(got, want):
+                    assert g.tobytes() == np.asarray(w, complex).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -143,7 +171,7 @@ class TestMLE:
             mle(fam, [rec], ground, dt=1e-2)
 
 
-    def test_reports_nelder_mead_outcome(self):
+    def test_reports_the_lbfgsb_outcome(self):
         fam = rabi_family()
         rec, _ = simulate_counting(fam.model([1.0]), MIXED, T=50.0, dt=1e-2, seed=9)
         res = mle(fam, [rec], MIXED, dt=1e-2)
@@ -305,6 +333,27 @@ class TestPosterior:
         post = posterior_grid(fam, rec, MIXED, grid, prior, dt=1e-2)
         for t, p, w in zip(grid, prior, post.log_weights):
             assert w == log_likelihood(fam.model([t]), MIXED, rec, dt=1e-2) + np.log(p)
+
+    @pytest.mark.parametrize("kind", ["counting, two parameters", "diffusive, phase family"])
+    def test_log_weights_are_the_per_point_likelihoods(self, kind):
+        # the grid's model stacks carry the bits of each point's own model
+        if kind.startswith("counting"):  # the (Rabi frequency, L scale) ridge family
+            fam = ParameterFamily.affine(QMarkovModel(H=ZERO2, L=SM), [0.5 * SX, ZERO2],
+                                         [ZERO2, SM], domain=((0.2, 2.0), (-0.5, 0.5)))
+            rec, _ = simulate_counting(fam.model([1.0, 0.0]), MIXED, T=200.0, dt=1e-2,
+                                       seed=2, method="exact", keep_states=False)
+            mesh = np.meshgrid(np.linspace(0.2, 2.0, 4), np.linspace(-0.5, 0.5, 3))
+            grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        else:
+            fam = ParameterFamily.phase_family(driven_qubit())
+            rec, _ = simulate_homodyne(fam.model([0.3]), MIXED, T=5.0, dt=1e-3, seed=3,
+                                       keep_states=False)
+            grid = np.linspace(-1.0, 1.0, 9)[:, None]
+        prior = np.linspace(1.0, 2.0, len(grid))
+        prior /= prior.sum()
+        post = posterior_grid(fam, rec, MIXED, grid, prior, dt=1e-2)
+        for t, p, w in zip(grid, prior, post.log_weights):
+            assert w == log_likelihood(fam.model(t), MIXED, rec, dt=1e-2) + np.log(p)
 
     def test_theta_independent_returns_prior(self):
         fam = null_family()

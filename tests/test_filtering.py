@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qiokit.estimation import posterior_grid
 from qiokit.exceptions import ValidationError, ZeroJumpRate
-from qiokit.families import ParameterFamily, _tangent
+from qiokit.families import ParameterFamily
 from qiokit.filtering import (
     _loglik_table,
     log_likelihood,
@@ -29,7 +29,8 @@ from qiokit.trajectories import (
     trajectory_rng,
 )
 
-from conftest import NON_PHYSICAL, SM, SX, driven_qubit, random_ergodic_model
+from conftest import (NON_PHYSICAL, SM, SX, driven_qubit, random_ergodic_model,
+                      tangent as _tangent)
 
 ZERO2 = np.zeros((2, 2), dtype=complex)
 MIXED = np.eye(2, dtype=complex) / 2

@@ -109,6 +109,8 @@ def _boundary_calls():
                         split_index=5)
     cavity = LinearQSystem(A=[[-1.0, 0.3], [0.0, -2.0]], B=np.eye(2), C=np.eye(2))
     d9 = QMarkovModel(H=np.zeros((9, 9)), L=0.5 * np.eye(9))
+    huge = ParameterFamily.affine(QMarkovModel(H=ZERO2, L=SM), [4 * SX], [ZERO2],
+                                  domain=[[0.0, 1e308]])
     cases = {}
     for value, rule in [(np.nan, "finite"), (np.inf, "finite"), ("a", "a real number"),
                         (None, "a real number"), (True, "a real number")]:
@@ -316,6 +318,8 @@ def _boundary_calls():
                              lambda: _abc(observed=[np.nan])),
         "abc prior draw 'a'": ("prior draw of sample 0 must be",
                                lambda: _abc(sampler=lambda rng: "a")),
+        "abc prior draw of length 2": ("theta must have shape \\(1,\\), got \\(2,\\)",
+                                       lambda: _abc(sampler=lambda rng: [1.0, 2.0])),
         "abc statistics 'a'": ("statistics of sample 0 must be",
                                lambda: _abc(stat_fn=lambda r: "a")),
         "abc statistics nan": ("statistics of sample 0 must be",
@@ -344,6 +348,11 @@ def _boundary_calls():
         "mle unbounded domain": ("mle needs a bounded domain", lambda: mle(
             ParameterFamily.affine(m, [SX], [ZERO2], domain=[[-np.inf, 1.0]]), [rec], MIXED)),
         "mle no records": ("need at least one record", lambda: mle(fam, [], MIXED)),
+        # a finite domain whose far end overflows H
+        **{f"{name} at theta 1e308": ("H contains non-finite entries", call) for name, call in [
+            ("ParameterFamily model", lambda: huge.model([1e308])),
+            ("mle", lambda: mle(huge, [rec], MIXED)),
+            ("posterior_grid", lambda: posterior_grid(huge, rec, MIXED, [1e308], [1.0]))]},
         "posterior_grid grid shape": ("grid must be \\(n, 1\\)", lambda: posterior_grid(
             fam, rec, MIXED, np.ones((2, 2)), [0.5, 0.5])),
         "posterior_grid prior length": ("prior must assign one weight per grid point",
