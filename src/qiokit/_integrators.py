@@ -311,11 +311,13 @@ class CountingLoglik:
     exp(_SPAN), rounded down to a power of two) to any later time is one map U diag(nu) U^-1.
     Models with cond(U) >= EIG_COND_MAX (near-defective G) take matrix powers.
     ``H``, ``L``: (n, d, d) stacks or one model; ``dH``, ``dL``: their derivatives
-    along kp parameters, (n, kp, d, d), for a ``sweep`` that carries the tangent.
+    along kp parameters, (n, kp, d, d), for a ``sweep`` that carries the tangent.  A sweep
+    builds its maps ``_BLOCK`` complex entries at a time, 2 ``_BLOCK`` while one row is live
+    (a one-row tangent sweep of 744 events is one call), whatever the record's length.
     """
 
     _SPAN = np.log(1e100)  # largest log trace change of one stretch
-    _BLOCK = 1 << 15  # complex entries in one block of maps
+    _BLOCK = 1 << 15  # complex entries in a block of maps (twice for one live row); replay's too
     _ROW = 128  # most cells in one row of replayed states; a block of rows holds _BLOCK/4 entries
     _RENEWAL = 256  # waits in one batch of the renewal path of sample_exact
 
@@ -413,44 +415,57 @@ class CountingLoglik:
         out[:, m + 1, :d2] = (N.conj()[:, :, :, None] * N[:, :, None]).sum(1).reshape(n, d2, E)
         return out
 
-    def sweep(self, rho0, horizons, jumps, mi, ri, keep=False):
-        """Sweep the R rows i (model mi[i], record ri[i]) of the records (horizons, jumps), the
-        one place that sums a counting log-likelihood: step e applies event e (a jump,
-        renormalization mark or the horizon, with the fused map (a, k, b) before it) to the
-        rows with events left, a prefix of the rows ordered by event count, and the identity
-        after a row's last event.  Returns the events, per row and event the log-likelihood
-        so far ``cum``, ``dead`` (a jump at rate <= DARK_RATE or a non-positive trace) and
-        with ``keep`` the state ``Y``; read at each row's last event, ``loglik`` (R,),
-        ``final`` (R, d, d), with dH ``score`` (kp, R) and ``dfinal`` (kp, R, d, d)."""
-        dt, d, tangent, mi = self.dt, self._L.shape[-1], self._tangent, np.asarray(mi)
-        # one event list per (record, mark interval): a row's marks are its own model's
-        (src, chunks), ri = np.unique(np.stack((ri, self._chunk[mi])), axis=1, return_inverse=True)
-        horizons, jumps = np.asarray(horizons)[src], [jumps[r] for r in src]
-        n_cells = np.array([_n_cells(h, dt) for h in horizons])
-        parts = [np.concatenate((j, np.arange(c, n, c) * dt, [h]))
-                 for h, j, n, c in zip(horizons, jumps, n_cells, chunks)]
-        count, n_jumps = (np.array([len(x) for x in xs]) for xs in (parts, jumps))
-        rec, start = np.repeat(np.arange(len(parts)), count), np.cumsum(count) - count
-        pos = np.arange(len(rec)) - start[rec]  # the place within the list
-        order = np.lexsort((np.concatenate(parts), rec))  # stable: jumps, marks, then horizon
-        taus, is_jump = np.concatenate(parts)[order], pos[order] < n_jumps[rec]
-        # cell c holds c dt < tau <= (c+1) dt: a jump on a boundary ends the cell before it
-        cells = np.ceil(taus / dt).astype(int) - 1
-        cells += (cells + 1) * dt < taus
-        cells -= cells * dt >= taus
-        np.clip(cells, 0, n_cells[rec] - 1, out=cells)
-        prev_tau = np.where(pos == 0, 0.0, np.concatenate(([0.0], taus[:-1])))
-        prev_cell = np.where(pos == 0, -1, np.concatenate(([-1], cells[:-1])))
-        same = cells == prev_cell
-        ev = SimpleNamespace(taus=taus, is_jump=is_jump, cells=cells,
-                             a=np.where(same, 0.0, (prev_cell + 1) * dt - prev_tau),
-                             b=np.where(same, taus - prev_tau, taus - cells * dt),
-                             k=np.where(same, 0, cells - prev_cell - 1))
-        e, last = np.arange(count.max())[:, None], count[ri] - 1
+    def _layout(self, horizons, jumps, pairs, memo):
+        """Event lists (a, k, b, is_jump, taus, cells; map (a, k, b) from the event before) of the
+        rows ``pairs`` (record, mark interval), joined; a, k, b, is_jump, own (E, R), each row's
+        last event and the rows by event count.  ``memo`` keeps each list and one-row layouts."""
+        index = {x: i for i, x in enumerate(dict.fromkeys(pairs))}  # one list per pair
+        ri, new = np.array([index[x] for x in pairs]), [x for x in index if x not in memo]
+        if new:  # jumps, marks every c cells, then the horizon
+            dt, horizons, jumps = self.dt, [horizons[r] for r, _ in new], [jumps[r] for r, _ in new]
+            n_cells = np.array([_n_cells(h, dt) for h in horizons])
+            parts = [np.concatenate((j, np.arange(c, n, c) * dt, [h]))
+                     for h, j, n, (_, c) in zip(horizons, jumps, n_cells, new)]
+            count, n_jumps = (np.array([len(x) for x in xs]) for xs in (parts, jumps))
+            rec, start = np.repeat(np.arange(len(parts)), count), np.cumsum(count) - count
+            pos = np.arange(len(rec)) - start[rec]  # the place within the list
+            order = np.lexsort((np.concatenate(parts), rec))  # stable: jumps, marks, then horizon
+            taus, is_jump = np.concatenate(parts)[order], pos[order] < n_jumps[rec]
+            # cell c holds c dt < tau <= (c+1) dt: a jump on a boundary ends the cell before it
+            cells = np.ceil(taus / dt).astype(int) - 1
+            cells += (cells + 1) * dt < taus
+            cells -= cells * dt >= taus
+            np.clip(cells, 0, n_cells[rec] - 1, out=cells)
+            prev_tau = np.where(pos == 0, 0.0, np.concatenate(([0.0], taus[:-1])))
+            prev_cell = np.where(pos == 0, -1, np.concatenate(([-1], cells[:-1])))
+            same = cells == prev_cell
+            ev = (np.where(same, 0.0, (prev_cell + 1) * dt - prev_tau),
+                  np.where(same, 0, cells - prev_cell - 1),
+                  np.where(same, taus - prev_tau, taus - cells * dt), is_jump, taus, cells)
+            memo.update(zip(new, zip(*(np.split(x, start[1:]) for x in ev))))
+        lists = [np.concatenate(x) for x in zip(*(memo[x] for x in index))]
+        count = np.array([len(memo[x][0]) for x in index])
+        start, e, last = np.cumsum(count) - count, np.arange(count.max())[:, None], count[ri] - 1
         own = e <= last  # (E, R): event e of row i is event e of list ri[i], if it has one
-        a, k, b, is_jump = (x[start[ri] + np.minimum(e, last)] * own
-                            for x in (ev.a, ev.k, ev.b, ev.is_jump))
-        rows = np.argsort(-last, kind="stable")  # most events first: the running rows, a prefix
+        layout = (lists, *(x[start[ri] + np.minimum(e, last)] * own for x in lists[:4]), own,
+                  last, np.argsort(-last, kind="stable"))  # most events first: the running rows
+        return memo.setdefault(pairs, layout) if len(pairs) == 1 else layout
+
+    def sweep(self, rho0, horizons, jumps, mi, ri, keep=False, memo=None):
+        """Sweep the R rows i (model mi[i], record ri[i]) of the records (horizons, jumps), the one
+        place that sums a counting log-likelihood: step e applies event e (a jump, renormalization
+        mark or the horizon, with the fused map (a, k, b) before it) to the rows with events left,
+        a prefix of the rows ordered by event count, and the identity after a row's last event.
+        Returns the events, per row and event the log-likelihood so far ``cum``, ``dead`` (a jump
+        at rate <= DARK_RATE or a non-positive trace) and with ``keep`` the state ``Y``; read at
+        each row's last event, ``loglik`` (R,), ``final`` (R, d, d), with dH ``score`` (kp, R)
+        and ``dfinal`` (kp, R, d, d).  ``memo``: ``_layout``'s dict, for one record list and dt."""
+        d, tangent, mi, ri = self._L.shape[-1], self._tangent, np.asarray(mi), np.asarray(ri)
+        memo = {} if memo is None else memo
+        pairs = tuple(zip(ri.tolist(), self._chunk[mi].tolist()))  # a row's marks: its model's
+        lists, a, k, b, is_jump, own, last, rows = (memo.get(pairs)
+                                                    or self._layout(horizons, jumps, pairs, memo))
+        ev = SimpleNamespace(**dict(zip(("a", "k", "b", "is_jump", "taus", "cells"), lists)))
         m = d * d * (1 + (self._dGe.shape[1] if tangent else 0))  # [y; z_1; ...] entries
         y = np.zeros((len(ri), m, 1), dtype=complex)
         y[:, :d * d, 0] = np.asarray(rho0, complex).reshape(-1, order="F")
@@ -461,13 +476,14 @@ class CountingLoglik:
         with np.errstate(all="ignore"):
             while lo < len(a):
                 live = rows[:np.count_nonzero(last >= lo)]
-                hi = min(len(a), lo + max(1, self._BLOCK // (len(live) * m * width)))
+                block = self._BLOCK << (len(live) == 1)
+                hi = min(len(a), lo + max(1, block // (len(live) * m * width)))
                 G = self._fused(*(x[lo:hi, live].T for x in (a, k, b, is_jump)), mi[live], tangent)
                 X = np.empty((hi - lo, len(live), width, 1), dtype=complex)
                 vecs, traces, y = X[:, :, :m], X[:, :, m:m + 1].real, y[:len(live)]
-                for i in range(hi - lo):
-                    np.matmul(G[..., i], y, out=X[i])
-                    y = vecs[i] / traces[i]
+                for g, x, v, t in zip(np.moveaxis(G, -1, 0), X, vecs, traces):
+                    np.matmul(g, y, out=x)
+                    y = v / t
                 if keep:
                     ev.Y[lo:hi, live] = (vecs[:, :, :d * d] / traces)[..., 0]
                 S[lo:hi, live], ev.Q[lo:hi, live] = X[:, :, m, 0].real, X[:, :, m + 1, 0].real
@@ -479,7 +495,7 @@ class CountingLoglik:
             y = (end[:, :m] / end[:, m, None].real).reshape(len(ri), -1, d, d).swapaxes(-1, -2)
             rho, z = y[:, :1], y[:, 1:]
             total = ev.cum[last, np.arange(len(ri))]
-        total += self.lam * np.asarray(horizons)[ri] - n_jumps[ri] * np.log(self.lam)
+        total += self.lam * np.asarray(horizons)[ri] - is_jump.sum(0) * np.log(self.lam)
         total[ev.dead.any(axis=0) | ~np.isfinite(total)] = -np.inf
         ev.loglik, ev.final = total, rho[:, 0]
         if tangent:  # z = d(unnormalized state)/d(theta) / its trace; parameters first

@@ -108,19 +108,18 @@ def mle(
 ) -> MLEResult:
     """Maximum-likelihood estimate over the family's box domain.
 
-    Evaluates the summed log-likelihood on a coarse grid (``grid_points``
-    per axis, parameter dimension at most 2) and refines from the best
-    grid point with bounded L-BFGS-B on (-loglik, -score), recording
-    ``nfev`` (L-BFGS-B evaluations) and ``converged`` in the diagnostics.
-    The score is exact for both record kinds (the engines carry the
-    likelihood tangent).  The likelihood can have several maxima inside one
-    grid cell (a counting jump after a long dark wait has a factor that
-    oscillates in the parameters), so the refinement starts from the best
-    of finer points on the axes through the grid point, over the cells on
-    either side, and keeps within one fine cell of where it stands.  A
-    numerically flat likelihood is reported in the diagnostics too and
-    resolved to the lowest-index grid point without refinement.  The
-    records must share one kind, ``rho0`` must be a density matrix.
+    Evaluates the summed log-likelihood on a coarse grid (``grid_points`` per axis,
+    parameter dimension at most 2) and refines from the best grid point with bounded
+    L-BFGS-B on (-loglik, -score), recording ``nfev`` (L-BFGS-B evaluations) and
+    ``converged`` in the diagnostics.  The score is exact for both record kinds (the
+    engines carry the likelihood tangent).  The likelihood can have several maxima inside
+    one grid cell (a counting jump after a long dark wait has a factor that oscillates in
+    the parameters), so the refinement starts from the best of finer points on the axes
+    through the grid point, over the cells on either side (the grid point's value is the
+    grid's: it is not swept again), and keeps within one fine cell of where it stands.
+    A numerically flat likelihood is reported in the diagnostics too and resolved to the
+    lowest-index grid point without refinement.  The records must share one kind,
+    ``rho0`` must be a density matrix.  The counting event lists are built once per call.
     """
     records = _record_list(records)
     if family.k > 2:
@@ -130,10 +129,11 @@ def mle(
     if not records:
         raise ValidationError("need at least one record")
     n = _check_int(grid_points, "grid_points", 1)
-    thetas = _grid_points(family.domain, n)
+    thetas, memo = _grid_points(family.domain, n), {}  # memo: the call's counting event lists
 
     def table(points):
-        return _loglik_table(*family._evaluate(points)[:2], rho0, records, dt, lam).loglik.sum(1)
+        H, L = family._evaluate(points)[:2]
+        return _loglik_table(H, L, rho0, records, dt, lam, memo=memo).loglik.sum(1)
 
     logliks = table(thetas)
     finite = np.isfinite(logliks)
@@ -156,7 +156,7 @@ def mle(
 
     def neg(theta):  # -loglik and -score
         H, L, dH, dL = family._at(theta)
-        out = _loglik_table(H, L, rho0, records, dt, lam, (dH, dL))
+        out = _loglik_table(H, L, rho0, records, dt, lam, (dH, dL), memo)
         f = -float(out.loglik.sum())
         return (f, -out.score.sum(axis=1)) if f < np.inf else (f, np.zeros(family.k))
 
@@ -167,7 +167,9 @@ def mle(
     fine = np.unique(theta0 + (np.arange(-per_cell, per_cell + 1)[:, None, None]
                                * np.diag(cell)).reshape(-1, family.k), axis=0)
     fine = fine[np.all((lo <= fine) & (fine <= hi), axis=1)]
-    fine_ll = table(fine)
+    again = np.all(fine == theta0, axis=1) & (len(fine) > 1)  # theta0: the grid row's bits
+    fine_ll = np.full(len(fine), logliks[best])
+    fine_ll[~again] = table(fine[~again])
     x, nfev = fine[int(np.argmax(fine_ll))], 0
     # gtol 1e-7 |loglik| (~1e-4 at |loglik| ~ 1e3): the score is exact, so this value
     # sets where L-BFGS-B stops, and with it the estimates and the evaluation counts

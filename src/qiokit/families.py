@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .operators import (HERM_TOL, QMarkovModel, _array, _check_arguments, _freeze,
-                        _square_complex)
+                        _hermitian, _square_complex)
 
 __all__ = ["ParameterFamily"]
 
@@ -52,7 +52,7 @@ class ParameterFamily:
                 if x.shape != (d, d):
                     raise ValidationError("direction operators must match the model dimension")
             for x in h:
-                if np.max(np.abs(x - x.conj().T)) > 1e-12:
+                if not _hermitian(x, HERM_TOL):
                     raise ValidationError("H directions must be Hermitian")
         k = 1 if self.phase else len(h)
         dom = _array([[-1.0, 1.0]] * k if self.domain is None else self.domain, "domain",
@@ -104,7 +104,7 @@ class ParameterFamily:
                 H = self.base.H + (t * dH).sum(1, initial=0)
                 L = self.base.L + (t * dL).sum(1, initial=0)
             H, L = _array(H, "H", complex), _array(L, "L", complex)
-            if np.max(np.abs(H - H.conj().swapaxes(1, 2))) > HERM_TOL:
+            if not _hermitian(H, HERM_TOL):
                 raise ValidationError("H is not Hermitian to 1e-12")
         return H, L, dH, dL
 

@@ -143,7 +143,7 @@ def log_likelihood_many(
     return _loglik_table(model.H, model.L, rho0, records, dt, lam).loglik[0]
 
 
-def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=()):
+def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=(), memo=None):
     """``loglik`` (n_models, n_records) and final states ``final`` (n_models,
     n_records, d, d) of every record under every model, ``H``, ``L`` one (d, d)
     model or an (n, d, d) stack.  Checks the record list and kind, the reference
@@ -152,9 +152,9 @@ def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=()):
     on a shared grid run in one sweep over model x record, one model as (d, d),
     so that each row has the bits of a simulated trajectory of that model.
 
-    ``tangent = (dH, dL)``, with one model, dH and dL its (k, d, d) derivatives
-    along k parameters, adds ``score`` (k, n_records) and ``dfinal`` (k,
-    n_records, d, d): the exact derivatives that either engine carries.
+    ``tangent = (dH, dL)``, with one model, dH and dL its (k, d, d) derivatives along k
+    parameters, adds ``score`` (k, n_records) and ``dfinal`` (k, n_records, d, d): the exact
+    derivatives that either engine carries.  ``memo`` (a dict) keeps counting event lists.
     """
     _check_intensity(lam)
     records, rho0 = _record_list(records), _state_array(rho0, L.shape[-1])
@@ -163,7 +163,7 @@ def _loglik_table(H, L, rho0, records, dt: float, lam: float, tangent=()):
         _step_guard(L, dt)
         mi, ri = np.divmod(np.arange(n_models * n_rec), n_rec)  # row i n_rec + j: (i, j)
         out = integ.CountingLoglik(H, L, dt, lam, *tangent).sweep(
-            rho0, [r.horizon for r in records], [r.jumps for r in records], mi, ri)
+            rho0, [r.horizon for r in records], [r.jumps for r in records], mi, ri, memo=memo)
         out.loglik, out.final = out.loglik.reshape(n_models, n_rec), out.final.reshape(
             n_models, n_rec, d, d)
         return out

@@ -71,6 +71,12 @@ def dag(x: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(x, -1, -2))
 
 
+def _hermitian(x: np.ndarray, tol: float) -> bool:
+    """Whether every x (..., d, d) is Hermitian to ``tol``; an overflowing difference is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.max(np.abs(x - dag(x))) <= tol)
+
+
 def op_imag(x: np.ndarray) -> np.ndarray:
     """Operator imaginary part (X - X^dag)/2i; Hermitian for any X."""
     return (x - dag(x)) / 2j
@@ -247,7 +253,7 @@ class QMarkovModel:
             )
         if not H.size:
             raise ValidationError("H and L must have dimension at least 1")
-        if np.max(np.abs(H - H.conj().T)) > HERM_TOL:
+        if not _hermitian(H, HERM_TOL):
             raise ValidationError("H is not Hermitian to 1e-12")
         _freeze(self, H=H, L=L)
 
@@ -264,7 +270,7 @@ class DensityOperator:
 
     def __post_init__(self):
         r = _square_complex(self.rho, "rho")
-        if np.max(np.abs(r - r.conj().T)) > STATE_HERM_TOL:
+        if not _hermitian(r, STATE_HERM_TOL):
             raise ValidationError("rho is not Hermitian to 1e-10")
         tr = np.trace(r).real
         if abs(tr - 1.0) > TRACE_TOL:
@@ -528,7 +534,7 @@ def pure_state_qfi(psi: np.ndarray, G: np.ndarray) -> float:
     G = _square_complex(G, "G")
     if len(G) != len(v):
         raise ValidationError(f"G has shape {G.shape}, psi length {len(v)}")
-    if np.max(np.abs(G - G.conj().T)) > HERM_TOL:
+    if not _hermitian(G, HERM_TOL):
         raise ValidationError("G is not Hermitian to 1e-12")
     g = G @ v
     mean = np.vdot(v, g).real

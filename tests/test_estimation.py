@@ -110,6 +110,23 @@ class TestFamilies:
 
 
 class TestMLE:
+    def test_a_call_keeps_nothing_for_the_next(self):
+        # the event lists that a call builds once serve its own sweeps only: A, B, then A
+        # again gives A's bits (both records sit at index 0 of their calls)
+        fam = rabi_family()
+        a, b = (simulate_counting(fam.model([1.0]), MIXED, T=200.0, dt=1e-2, seed=seed,
+                                  method="exact", keep_states=False)[0] for seed in (1, 2))
+        assert a.n_jumps != b.n_jumps
+        first, _, again = (mle(fam, [r], MIXED, dt=1e-2) for r in (a, b, a))
+        assert np.array_equal(again.theta, first.theta) and again.loglik == first.loglik
+        assert again.diagnostics.keys() == first.diagnostics.keys()
+        for key, value in first.diagnostics.items():
+            assert np.array_equal(again.diagnostics[key], value), key
+        grid, prior = np.linspace(0.2, 2.0, 11), np.full(11, 1 / 11)
+        first, _, again = (posterior_grid(fam, r, MIXED, grid, prior, dt=1e-2) for r in (a, b, a))
+        assert np.array_equal(again.log_weights, first.log_weights)
+        assert np.array_equal(again.weights, first.weights)
+
     def test_single_point_domain(self):
         fam = rabi_family(domain=((1.0, 1.0),))
         rec, _ = simulate_counting(fam.model([1.0]), MIXED, T=20.0, dt=1e-2, seed=0)
@@ -334,14 +351,17 @@ class TestPosterior:
         for t, p, w in zip(grid, prior, post.log_weights):
             assert w == log_likelihood(fam.model([t]), MIXED, rec, dt=1e-2) + np.log(p)
 
-    @pytest.mark.parametrize("kind", ["counting, two parameters", "diffusive, phase family"])
+    @pytest.mark.parametrize("kind", ["counting, two parameters", "counting, T = 2000",
+                                      "diffusive, phase family"])
     def test_log_weights_are_the_per_point_likelihoods(self, kind):
-        # the grid's model stacks carry the bits of each point's own model
+        # the grid's model stacks carry the bits of each point's own model; at T = 2000
+        # (about 650 events) the 12-row sweep spans several map blocks, each one-row sweep one
         if kind.startswith("counting"):  # the (Rabi frequency, L scale) ridge family
             fam = ParameterFamily.affine(QMarkovModel(H=ZERO2, L=SM), [0.5 * SX, ZERO2],
                                          [ZERO2, SM], domain=((0.2, 2.0), (-0.5, 0.5)))
-            rec, _ = simulate_counting(fam.model([1.0, 0.0]), MIXED, T=200.0, dt=1e-2,
-                                       seed=2, method="exact", keep_states=False)
+            rec, _ = simulate_counting(fam.model([1.0, 0.0]), MIXED, dt=1e-2, seed=2,
+                                       T=2000.0 if kind.endswith("2000") else 200.0,
+                                       method="exact", keep_states=False)
             mesh = np.meshgrid(np.linspace(0.2, 2.0, 4), np.linspace(-0.5, 0.5, 3))
             grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         else:

@@ -80,6 +80,7 @@ from conftest import SM, SX, SZ, driven_qubit
 SRC = pathlib.Path(qiokit.__file__).parent
 MIXED = np.eye(2) / 2
 ZERO2 = np.zeros((2, 2), dtype=complex)
+FAR = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])  # anti-Hermitian; X - X^dag overflows
 NAN2 = np.array([[np.nan, 0.0], [0.0, 1.0]])
 INF2 = np.array([[np.inf, 0.0], [0.0, 1.0]])
 
@@ -353,6 +354,15 @@ def _boundary_calls():
             ("ParameterFamily model", lambda: huge.model([1e308])),
             ("mle", lambda: mle(huge, [rec], MIXED)),
             ("posterior_grid", lambda: posterior_grid(huge, rec, MIXED, [1e308], [1.0]))]},
+        # finite but not Hermitian, with an overflowing X - X^dag
+        **{f"{name} with entries +-1.7e308": (rule, call) for name, rule, call in [
+            ("QMarkovModel H", "H is not Hermitian", lambda: QMarkovModel(H=FAR, L=ZERO2)),
+            ("DensityOperator", "rho is not Hermitian",
+             lambda: DensityOperator(np.eye(2) / 2 + FAR)),
+            ("ParameterFamily H direction", "H directions must be Hermitian",
+             lambda: ParameterFamily.affine(m, [FAR], [ZERO2])),
+            ("pure_state_qfi G", "G is not Hermitian",
+             lambda: pure_state_qfi(np.array([1.0, 0.0]), FAR))]},
         "posterior_grid grid shape": ("grid must be \\(n, 1\\)", lambda: posterior_grid(
             fam, rec, MIXED, np.ones((2, 2)), [0.5, 0.5])),
         "posterior_grid prior length": ("prior must assign one weight per grid point",
