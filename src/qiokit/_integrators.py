@@ -14,12 +14,11 @@ same discretization scheme:
   coordinates, so no step needs Hermitizing: one real product with a
   per-model step matrix gives the update, its factor, the measurement mean
   and the linear parts of one screen of the smallest eigenvalue for every d,
-  the trace bound Tr/d - sqrt((d-1)/d) |U - Tr/d I|_F (exact at d = 2), which
-  sends only the rows that may need clipping to the exact eigvalsh clip; a
-  bound that is NaN flags its row.  Steps run in windows: the updates of 8
-  steps, doubled after each clean window up to 256 and back to 8 after a flag,
-  then one screen; a flagged step's kept update goes on to the clip, and the
-  screen changes no bit.
+  which sends only the rows that may need clipping to the exact eigvalsh
+  clip, in windows of steps (``sweep_diffusive``).  Step buffers are
+  coordinate-major, so elementwise work runs over contiguous rows, and the
+  product reads each row's contiguous state, so a row's bits do not depend
+  on the batch width.
 * counting records: no-jump intervals advance with the first-order Kraus
   map M = 1 - dt (iH + L^dag L/2), which preserves positivity, and jumps
   apply rho -> L rho L^dag; both trace factors enter the likelihood.  The
@@ -171,11 +170,12 @@ def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_
     steps, doubled after each clean window up to 256.  At its first flagged step the
     window stops, and that step's kept V goes on to ``eigvalsh``; steps then run one
     at a time until one passes the screen clean, and the next window is 8 steps.
-    Products are stacked per row, never one 2-D GEMM, so a row's bits do not depend
-    on the batch width.  A row whose factor is not positive or whose clipped trace is
-    below ``TRACE_FLOOR`` is dead: -inf from then on, its state frozen.  Blocks of
-    ``_DIFFUSIVE_BLOCK`` / (b (m + 2)) steps fill per-step buffers; one ``np.log`` and
-    one ``np.cumsum`` per block log the factors.
+    R is row-major and the product one gemv per row on its contiguous state, never one
+    2-D GEMM, so a row's bits do not depend on the batch width; W, V, dy and the screen
+    are coordinate-major, so elementwise ops run over contiguous rows.  A row whose
+    factor is not positive or whose clipped trace is below ``TRACE_FLOOR`` is dead: -inf
+    from then on, its state frozen.  Per-step buffers hold blocks of ``_DIFFUSIVE_BLOCK``
+    / (b (m + 2)) steps; one ``np.log`` and one ``np.cumsum`` per block log the factors.
     """
     simulate = dI is not None
     noise = np.asarray(dI if simulate else dY, dtype=float)
@@ -192,44 +192,44 @@ def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_
     B = min(n, max(1, _DIFFUSIVE_BLOCK // (b * (m + 2))))  # steps per block
     R = np.zeros((B + 1, b, 1, m))  # R[j]: the states [r, z_1, ...] after step j of the block
     R[0, ..., :d2] = _coords(np.asarray(rho0, dtype=complex).reshape(d2))
-    dy, logs = np.empty((B, b, 1, 1)), np.empty((B + 1, b))  # logs: loglik, then log factors
-    W, V = np.empty((b, 1, 2 * h + 1)), np.empty((B, b, 1, h))  # V[j]: step j's V
-    A0_r, K_r, mean_dt = W[..., :h], W[..., h:2 * h], W[..., 2 * h:]
-    U, F, factor, head = V[..., :m], V[..., m:m + 1], V[..., 0, m], V[..., 0, m:m + 2]
-    bound, gap = np.full((B, b, 2), TRACE_FLOOR), np.empty((B, b, 2))
+    dy, logs = np.empty((B, 1, b)), np.empty((B + 1, b))  # logs: loglik, then log factors
+    W, V = np.empty((2 * h + 1, b)), np.empty((B, h, b))  # V[j]: step j's V, coordinate-major
+    A0_r, K_r, mean_dt, W_rows = W[:h], W[h:2 * h], W[2 * h:], W.T[:, None]  # (b, 1, 2h+1)
+    U, F, factor, head = V[:, :m], V[:, m:m + 1], V[:, m], V[:, m:m + 2]
+    bound, gap = np.full((B, 2, b), TRACE_FLOOR), np.empty((B, 2, b))
     # t^2 = (d-1)/d (|U|_F^2 - (Tr U)^2/d), a weighted sum of the squares of V[:m + 1]:
     # a coordinate of U counts once on the diagonal and twice off it, a tangent not at all
-    t, weight = bound[..., 1], np.r_[np.repeat([1.0, 2.0, 0.0], [d, d2 - d, m - d2]), -1 / d]
+    t, weight = bound[:, 1], np.r_[np.repeat([1.0, 2.0, 0.0], [d, d2 - d, m - d2]), -1 / d]
     weight *= (d - 1) / d
     alive, all_alive, loglik, win = np.ones(b, dtype=bool), True, np.zeros(b), 8
-    Rs, dys, Vs, Us, Fs = map(list, (R, dy, V, U, F))  # per-step views, made once per sweep
+    Rs, dys, Vs, Us, Fs = map(list, (R, dy, V, U[:, :, None], F))  # per-step views, made once
     for k0 in range(0, n, B):
         k, j, screened = min(B, n - k0), 0, True
-        dy[:k, :, 0, 0] = noise[:, k0:k0 + k].T
+        dy[:k, 0] = noise[:, k0:k0 + k].T
         while j < k:  # a window of steps j..e-1: the update, then one screen
             e = min(j + win, k) if screened and all_alive else j + 1
             for i in range(j, e):
-                np.matmul(Rs[i], M, out=W)
+                np.matmul(Rs[i], M, W_rows)
                 if simulate:
-                    dys[i] += mean_dt
-                np.multiply(K_r, dys[i], out=Vs[i])
-                Vs[i] += A0_r
-                np.divide(Us[i], Fs[i], out=Rs[i + 1])
+                    np.add(dys[i], mean_dt, dys[i])
+                np.multiply(K_r, dys[i], Vs[i])
+                np.add(Vs[i], A0_r, Vs[i])
+                np.divide(Us[i], Fs[i], Rs[i + 1].T)  # Us[i] is (m, 1, b), as R[i + 1].T
             if screened:  # gap = [Tr U - TRACE_FLOOR, s' - t]
-                np.sqrt(np.square(V[j:e, :, 0, :m + 1]) @ weight, out=t[j:e])
+                np.sqrt(weight @ np.square(V[j:e, :m + 1]), out=t[j:e])
                 np.subtract(head[j:e], bound[j:e], out=gap[j:e])
                 if all_alive and gap[j:e].min() > 0.0:  # the window stands
                     j, win = e, min(max(2 * win, 8), 256)
                     continue
                 if e > j + 1:  # the first flagged step; undo the mean added to the later ones
                     j += int((gap[j:e].min(axis=(1, 2)) > 0.0).argmin())
-                    dy[j + 1:e, :, 0, 0] = noise[:, k0 + j + 1:k0 + e].T
-                flagged = ~(gap[j, :, 1] > 0.0) & alive  # a NaN bound flags its row
+                    dy[j + 1:e, 0] = noise[:, k0 + j + 1:k0 + e].T
+                flagged = ~(gap[j, 1] > 0.0) & alive  # a NaN bound flags its row
                 screened = d == 2 or not flagged.all()  # d > 2: unscreened till the block ends
             else:
                 flagged = alive
-            u, f, j, win = U[j], factor[j], j + 1, 1  # the flagged step; one-step windows next
-            rho = _matrices(u[:, 0, :d2] if flagged is alive and all_alive else u[flagged, 0, :d2])
+            u, f, j, win = U[j].T, factor[j], j + 1, 1  # the flagged step; one-step windows next
+            rho = _matrices(u[:, :d2] if flagged is alive and all_alive else u[flagged, :d2])
             low = np.linalg.eigvalsh(rho, UPLO="U")[:, 0]
             if all_alive and low.min(initial=np.inf) >= EIG_CLIP and f.min() > TRACE_FLOOR:
                 continue
@@ -238,14 +238,14 @@ def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_
             if len(rows):
                 w, v = np.linalg.eigh(rho[clip], UPLO="U")
                 rho = (v * np.clip(w, 0.0, None)[..., None, :]) @ dag(v)
-                u[rows, 0, :d2] = _coords(rho.reshape(-1, d2))
-                tr[rows] = u[rows, 0, :d].sum(axis=-1)
+                u[rows, :d2] = _coords(rho.reshape(-1, d2))
+                tr[rows] = u[rows, :d].sum(axis=-1)
                 if m > d2:
-                    u[rows, 0, d2:] = _clip_tangent(w, v, rho, u[rows, 0, d2:], f[rows], tr[rows])
+                    u[rows, d2:] = _clip_tangent(w, v, rho, u[rows, d2:], f[rows], tr[rows])
             ok = (f > 0.0) & (tr > TRACE_FLOOR)
             keep = alive & ok
             R[j] = R[j - 1]
-            R[j, keep] = u[keep] / tr[keep, None, None]
+            R[j, keep, 0] = u[keep] / tr[keep, None]
             f[~keep] = 0.0  # logged as -inf
             alive &= ok
             all_alive = bool(alive.all())
@@ -253,7 +253,7 @@ def sweep_diffusive(H, L, rho0, dt, dH=None, dL=None, *, dY=None, dI=None, keep_
         np.log(factor[:k], out=logs[1:k + 1])
         loglik = np.cumsum(logs[:k + 1], axis=0, out=logs[:k + 1])[k].copy()
         if simulate:
-            out_dY[:, k0:k0 + k] = dy[:k, :, 0, 0].T
+            out_dY[:, k0:k0 + k] = dy[:k, 0].T
         if keep_logtrace:
             logtrace[:, k0 + 1:k0 + k + 1] = logs[1:k + 1].T
         if keep_states:

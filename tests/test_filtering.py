@@ -337,18 +337,23 @@ class TestLogLikelihood:
 
     def test_diffusive_rows_match_single_records(self):
         # as for counting records: a batch's values, scores and states, tangent or not,
-        # have the bits of each record swept alone
-        family, theta = _rabi_case(1.0)
-        m = family.model(theta)
-        ens = simulate_homodyne_ensemble(m, MIXED, T=1.0, dt=1e-3, n_traj=50, seed=45)
-        recs = [ens.record(i) for i in range(50)]
-        for tangent in ((), _tangent(family, theta)):
-            batch = _loglik_table(m.H, m.L, MIXED, recs, 1e-3, 1.0, tangent)
-            singles = [_loglik_table(m.H, m.L, MIXED, [r], 1e-3, 1.0, tangent) for r in recs]
-            for key in ("loglik", "final") + (("score", "dfinal") if tangent else ()):
-                assert np.array_equal(getattr(batch, key),
-                                      np.concatenate([getattr(o, key) for o in singles], axis=1),
-                                      equal_nan=True), key
+        # have the bits of each record swept alone; the d = 3 family starts pure, so its
+        # steps clip, and its tangent rows are 18 coordinates wide
+        base = random_ergodic_model(3, np.random.default_rng(3), 0.7)
+        cases = [(*_rabi_case(1.0), MIXED, 1.0, 50, 45),
+                 (ParameterFamily.affine(base, [np.diag([1.0, 2.0, 3.0])], [0.3 * base.L]), [0.1],
+                  np.diag([1.0, 0.0, 0.0]).astype(complex), 0.5, 7, 3)]
+        for family, theta, rho0, T, n_traj, seed in cases:
+            m = family.model(theta)
+            ens = simulate_homodyne_ensemble(m, rho0, T=T, dt=1e-3, n_traj=n_traj, seed=seed)
+            recs = [ens.record(i) for i in range(n_traj)]
+            for tangent in ((), _tangent(family, theta)):
+                batch = _loglik_table(m.H, m.L, rho0, recs, 1e-3, 1.0, tangent)
+                singles = [_loglik_table(m.H, m.L, rho0, [r], 1e-3, 1.0, tangent) for r in recs]
+                for key in ("loglik", "final") + (("score", "dfinal") if tangent else ()):
+                    assert np.array_equal(getattr(batch, key),
+                                          np.concatenate([getattr(o, key) for o in singles],
+                                                         axis=1), equal_nan=True), key
 
     def test_counting_long_jump_free_record_does_not_underflow(self):
         # Tr of the unnormalized state is (1 - dt kappa/2)^(2n): exp(-5000) for
